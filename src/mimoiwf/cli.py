@@ -49,13 +49,28 @@ _NET_KEYS = {
 }
 
 
-def _per_user(doc: dict, key: str, q_count: int, cast) -> tuple:
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _typed(key: str, value, kind: type):
+    """value as kind, without the coercions of int() and float(): bools are
+    not numbers, strings are not numbers, and a count must be integral."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _per_user(doc: dict, key: str, q_count: int, kind: type) -> tuple:
     if key not in doc:
         raise ConfigError(f"missing config key {key!r}")
     v = doc[key]
     if isinstance(v, list):
-        return tuple(cast(x) for x in v)
-    return (cast(v),) * q_count
+        return tuple(_typed(f"{key}[{k}]", x, kind) for k, x in enumerate(v))
+    return (_typed(key, v, kind),) * q_count
 
 
 def network_from_dict(doc: dict) -> NetworkConfig:
@@ -67,8 +82,8 @@ def network_from_dict(doc: dict) -> NetworkConfig:
         raise ConfigError(f"unknown network config keys: {', '.join(unknown)}")
     if "num_users" not in doc:
         raise ConfigError("missing config key 'num_users'")
-    q_count = doc["num_users"]
-    if not isinstance(q_count, int) or q_count < 1:
+    q_count = _typed("num_users", doc["num_users"], int)
+    if q_count < 1:
         raise ConfigError(f"num_users must be a positive integer, got {q_count!r}")
 
     direct = _per_user(doc, "direct_distance", q_count, float)
@@ -76,11 +91,16 @@ def network_from_dict(doc: dict) -> NetworkConfig:
     if cross_in is None:
         raise ConfigError("missing config key 'cross_distance'")
     if isinstance(cross_in, list):
-        cross = tuple(tuple(float(x) for x in row) for row in cross_in)
-    else:
+        if not all(isinstance(row, list) for row in cross_in):
+            raise ConfigError("cross_distance must be a number or a list of rows")
         cross = tuple(
-            tuple(direct[r] if r == q else float(cross_in) for q in range(q_count))
-            for r in range(q_count)
+            tuple(_typed(f"cross_distance[{r}][{q}]", x, float) for q, x in enumerate(row))
+            for r, row in enumerate(cross_in)
+        )
+    else:
+        d = _typed("cross_distance", cross_in, float)
+        cross = tuple(
+            tuple(direct[r] if r == q else d for q in range(q_count)) for r in range(q_count)
         )
 
     cfg = NetworkConfig(
@@ -91,7 +111,7 @@ def network_from_dict(doc: dict) -> NetworkConfig:
         noise_power=_per_user(doc, "noise_power", q_count, float),
         direct_distance=direct,
         cross_distance=cross,
-        pathloss_exponent=float(doc.get("pathloss_exponent", 2.5)),
+        pathloss_exponent=_typed("pathloss_exponent", doc.get("pathloss_exponent", 2.5), float),
     )
     return validate_config(cfg)
 
@@ -103,7 +123,7 @@ def channels_from_dict(doc: dict, cfg: NetworkConfig) -> ChannelRealization:
         raise ConfigError(f"channels must be a {cfg.num_users}-row nested list")
     rows = []
     for r in range(cfg.num_users):
-        if len(raw[r]) != cfg.num_users:
+        if not isinstance(raw[r], list) or len(raw[r]) != cfg.num_users:
             raise ConfigError(f"channels[{r}] must have {cfg.num_users} entries")
         row = []
         for q in range(cfg.num_users):
@@ -129,9 +149,15 @@ def sweep_from_dict(doc: dict) -> SweepSpec:
     unknown = sorted(set(doc) - fields)
     if unknown:
         raise ConfigError(f"unknown sweep config keys: {', '.join(unknown)}")
-    kwargs = dict(doc)
-    if "sweep_values" in kwargs:
-        kwargs["sweep_values"] = tuple(float(v) for v in kwargs["sweep_values"])
+    defaults = SweepSpec()
+    kwargs = {}
+    for key, value in doc.items():
+        if key != "sweep_values":
+            kwargs[key] = _typed(key, value, type(getattr(defaults, key)))
+        elif isinstance(value, list):
+            kwargs[key] = tuple(_typed(f"{key}[{k}]", v, float) for k, v in enumerate(value))
+        else:
+            raise ConfigError(f"sweep_values must be a list, got {value!r}")
     return validate_spec(SweepSpec(**kwargs))
 
 
@@ -145,13 +171,16 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
 
 
+def _seed(doc: dict, seed_flag: int | None) -> int:
+    return seed_flag if seed_flag is not None else _typed("seed", doc.get("seed", 0), int)
+
+
 def _build_net(doc: dict, seed_flag: int | None):
     cfg = network_from_dict(doc)
     if "channels" in doc:
         realization = channels_from_dict(doc, cfg)
     else:
-        seed = seed_flag if seed_flag is not None else int(doc.get("seed", 0))
-        realization = sample_channels(cfg, seed)
+        realization = sample_channels(cfg, _seed(doc, seed_flag))
     return cfg, build_effective_network(realization, cfg)
 
 
@@ -162,7 +191,7 @@ def _cmd_play(args: argparse.Namespace) -> int:
     schedule = make_schedule(
         _SCHEDULE_FLAG[args.schedule],
         cfg.num_users,
-        seed=args.seed if args.seed is not None else int(doc.get("seed", 0)),
+        seed=_seed(doc, args.seed),
         delay_bound=3 if args.schedule == "async" else 0,
         update_bound=5 if args.schedule == "async" else 1,
     )

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .precode import EffectiveNetwork
 
@@ -27,7 +25,8 @@ class PowerIterationError(RuntimeError):
 class InterferenceMatrix:
     """Square nonnegative coupling matrix of the whole network.
 
-    Row block q stacks user q's streams, padded with zero rows up to
+    matrix is the network's read-only EffectiveNetwork.coupling array. Row
+    block q stacks user q's streams, padded with zero rows up to
     tx_antennas[q] when the user has fewer streams than antennas; column
     block r spans transmitter r's antennas. The diagonal blocks are zero.
     """
@@ -36,14 +35,6 @@ class InterferenceMatrix:
     block_start: tuple[int, ...]
     num_streams: tuple[int, ...]
     tx_antennas: tuple[int, ...]
-
-    def row_index(self, q: int, i: int) -> int:
-        """Flat row of stream i of user q."""
-        return self.block_start[q] + i
-
-    def col_index(self, r: int, j: int) -> int:
-        """Flat column of antenna j of transmitter r."""
-        return self.block_start[r] + j
 
 
 @dataclass(frozen=True)
@@ -70,20 +61,12 @@ class UniquenessCertificate:
 
 
 def build_interference_matrix(net: EffectiveNetwork) -> InterferenceMatrix:
-    """Assemble the stacked coupling matrix of an effective network."""
-    tx = net.config.tx_antennas
-    offsets = np.concatenate(([0], np.cumsum(tx)))
-    total = int(offsets[-1])
-    m = np.zeros((total, total))
-    for q in range(net.config.num_users):
-        streams = net.num_streams(q)
-        rows = slice(offsets[q], offsets[q] + streams)
-        m[rows, :] = net.stacked_coupling[q]
+    """Wrap the network's coupling array, without copying it."""
     return InterferenceMatrix(
-        matrix=m,
-        block_start=tuple(int(o) for o in offsets[:-1]),
+        matrix=net.coupling,
+        block_start=net.offsets[:-1],
         num_streams=tuple(net.num_streams(q) for q in range(net.config.num_users)),
-        tx_antennas=tuple(tx),
+        tx_antennas=net.config.tx_antennas,
     )
 
 
@@ -169,14 +152,20 @@ def spectral_radius(
         return 0.0
     if n == 1:
         return float(m[0, 0])
-    _, labels = connected_components(
-        csr_matrix(m > 0), directed=True, connection="strong"
-    )
+    # reach[i, j]: j is reachable from i; squaring doubles the path length
+    reach = np.eye(n, dtype=bool) | (m > 0)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    strong = reach & reach.T  # row i marks the strongly connected component of i
+    done = np.zeros(n, dtype=bool)
     radius = 0.0
-    for label in range(labels.max() + 1):
-        idx = np.flatnonzero(labels == label)
+    for i in range(n):
+        if done[i]:
+            continue
+        idx = np.flatnonzero(strong[i])
+        done[idx] = True
         if idx.size == 1:
-            radius = max(radius, float(m[idx[0], idx[0]]))
+            radius = max(radius, float(m[i, i]))
             continue
         block = m[np.ix_(idx, idx)]
         radius = max(radius, _irreducible_radius(block, tol, max_iter))

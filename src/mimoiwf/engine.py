@@ -19,7 +19,6 @@ from .waterfill import (
     uniform_profile,
     user_rate,
     validate_profile,
-    water_level,
 )
 
 DEFAULT_IT_MAX = 100
@@ -57,7 +56,8 @@ class GameTrace:
     """Full record of one game run.
 
     profiles[0] is the starting point and profiles[n] the state after step
-    n; residuals[n-1] is the largest power change made at step n.
+    n, built once when the game ends; residuals[n-1] is the largest power
+    change made at step n.
     """
 
     profiles: list[PowerProfile]
@@ -132,94 +132,66 @@ def run_game(
     update_bound steps and no power moved by more than tol across them.
     """
     cfg = net.config
-    n_users = cfg.num_users
-    profile = uniform_profile(cfg) if start is None else start.copy()
-    validate_profile(profile, cfg)
+    start = uniform_profile(cfg) if start is None else start
+    validate_profile(start, cfg)
+    blocks = [slice(a, b) for a, b in zip(net.offsets, net.offsets[1:])]
 
-    offsets = np.concatenate(([0], np.cumsum(cfg.tx_antennas)))
-    current = profile.stacked()
-    # history[-1] always equals the state at the start of the step (age 0)
-    history = [current.copy()]
+    # states[n] is the stacked state after step n: the trace and, for stale
+    # views, the delay buffer (a view of age a at step n reads states[n - a])
+    states = [start.stacked()]
     window = max(schedule.update_bound, 1)
-    last_update = np.full(n_users, -1)
-
-    profiles = [profile.copy()]
-    updated: list[tuple[int, ...]] = []
+    last_update = np.full(cfg.num_users, -1)
     residuals: list[float] = []
     converged = False
-    steps = 0
 
     for n in range(schedule.it_max):
-        members = schedule.update_sets[n]
-        new_powers = {}
-        for q in members:
-            if schedule.delays is None:
-                view = current
-            else:
-                view = current.copy()
-                age_row = schedule.delays[n, q]
-                for r in range(n_users):
-                    if r == q:
-                        continue
-                    age = min(int(age_row[r]), len(history) - 1)
-                    if age > 0:
-                        src = history[-1 - age]
-                        view[offsets[r] : offsets[r + 1]] = src[offsets[r] : offsets[r + 1]]
-            c = net.noise_floor[q] + net.stacked_coupling[q] @ view
-            wf = water_level(c, cfg.power_budget[q])
-            p_new = np.zeros(cfg.tx_antennas[q])
-            p_new[: c.size] = wf.powers
-            new_powers[q] = p_new
-
+        x = states[n]
+        new = x.copy()
         residual = 0.0
-        for q, p_new in new_powers.items():
-            residual = max(residual, float(np.abs(p_new - profile.powers[q]).max()))
-            profile.powers[q] = p_new
-            current[offsets[q] : offsets[q + 1]] = p_new
+        for q in schedule.update_sets[n]:
+            view = x
+            if schedule.delays is not None:
+                ages = np.minimum(schedule.delays[n, q], n)
+                view = np.concatenate([states[n - a][b] for a, b in zip(ages, blocks)])
+            p_new = best_response(net, view, q)
+            residual = max(residual, float(np.abs(p_new - x[blocks[q]]).max()))
+            new[blocks[q]] = p_new
             last_update[q] = n
-
-        history.append(current.copy())
-        if len(history) > schedule.delay_bound + 1:
-            history.pop(0)
-
-        profiles.append(profile.copy())
-        updated.append(tuple(members))
         residuals.append(residual)
-        steps = n + 1
+        states.append(new)
 
         if (
-            steps >= window
+            n + 1 >= window
             and np.all(last_update > n - window)
             and max(residuals[-window:]) < tol
         ):
             converged = True
             break
 
-    final_rates = np.array(
-        [
-            user_rate(profile.powers[q], interference_plus_noise(net, profile, q))
-            for q in range(n_users)
-        ]
-    )
-    gap = check_nash(net, profile)
+    profiles = [PowerProfile([s[b] for b in blocks]) for s in states]
+    final = profiles[-1]
     return GameTrace(
         profiles=profiles,
-        updated=updated,
+        updated=list(schedule.update_sets[: len(residuals)]),
         residuals=residuals,
         converged=converged,
-        iterations_used=steps,
-        final_rates=final_rates,
-        nash_gap=gap,
+        iterations_used=len(residuals),
+        final_rates=np.array(
+            [
+                user_rate(p, interference_plus_noise(net, states[-1], q))
+                for q, p in enumerate(final.powers)
+            ]
+        ),
+        nash_gap=check_nash(net, final),
     )
 
 
 def check_nash(net: EffectiveNetwork, profile: PowerProfile) -> float:
     """Largest distance of any user's power from its own best response."""
-    gap = 0.0
-    for q in range(net.config.num_users):
-        br = best_response(net, profile, q)
-        gap = max(gap, float(np.abs(profile.powers[q] - br).max()))
-    return gap
+    x = profile.stacked()
+    return max(
+        float(np.abs(p - best_response(net, x, q)).max()) for q, p in enumerate(profile.powers)
+    )
 
 
 def trace_to_csv(trace: GameTrace, path: str) -> None:

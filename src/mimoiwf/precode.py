@@ -44,26 +44,22 @@ class EffectiveNetwork:
     Attributes:
         config: the validated network description.
         svd: per-user LinkSVD of the direct channel.
-        cross_gain: maps (r, q) with r != q to the matrix of squared
-            magnitudes of the rotated cross channel U_q^H H_rq V_r,
-            truncated to the first len(svd[q].singular_values) rows.
         sigma_sq: per-user squared singular values of the direct link.
         noise_floor: per-user noise_power / sigma_sq.
-        coupling: cross_gain entries divided by the receiving stream's
-            squared singular value; the linear map from interferer powers
-            to normalized interference.
-        stacked_coupling: per-user matrix of shape (streams, total tx
-            antennas) concatenating coupling blocks over all transmitters
-            with zeros in the user's own block.
+        offsets: offsets[q]:offsets[q + 1] spans user q's antennas in a
+            stacked power vector; offsets[-1] is the total antenna count N.
+        coupling: read-only (N, N) map from stacked interferer powers to
+            normalized interference. Entry (offsets[q] + i, offsets[r] + j)
+            is |U_q^H H_rq V_r|^2 at (i, j) divided by sigma_sq[q][i]; rows
+            of user q beyond its streams and the diagonal blocks are zero.
     """
 
     config: NetworkConfig
     svd: tuple[LinkSVD, ...]
-    cross_gain: dict[tuple[int, int], np.ndarray]
     sigma_sq: tuple[np.ndarray, ...]
     noise_floor: tuple[np.ndarray, ...]
-    coupling: dict[tuple[int, int], np.ndarray]
-    stacked_coupling: tuple[np.ndarray, ...]
+    offsets: tuple[int, ...]
+    coupling: np.ndarray
 
     def num_streams(self, q: int) -> int:
         """Number of usable parallel streams of user q."""
@@ -116,41 +112,25 @@ def build_effective_network(
         if not np.all(np.isfinite(noise_floor[q])):
             raise DegenerateChannelError(f"noise floor of user {q} is not finite")
 
-    cross_gain: dict[tuple[int, int], np.ndarray] = {}
-    coupling: dict[tuple[int, int], np.ndarray] = {}
+    offsets = tuple(int(o) for o in np.cumsum((0, *config.tx_antennas)))
+    coupling = np.zeros((offsets[-1], offsets[-1]))
     for q in range(n_users):
         streams = svds[q].singular_values.size
         u_h = svds[q].U.conj().T[:streams, :]
+        rows = slice(offsets[q], offsets[q] + streams)
         for r in range(n_users):
             if r == q:
                 continue
             rotated = u_h @ realization.matrices[r][q] @ svds[r].V
             gain = np.abs(rotated) ** 2
-            gain.setflags(write=False)
-            cross_gain[(r, q)] = gain
-            norm = gain / sigma_sq[q][:, None]
-            norm.setflags(write=False)
-            coupling[(r, q)] = norm
-
-    offsets = np.concatenate(([0], np.cumsum(config.tx_antennas)))
-    total_tx = int(offsets[-1])
-    stacked = []
-    for q in range(n_users):
-        streams = svds[q].singular_values.size
-        block = np.zeros((streams, total_tx))
-        for r in range(n_users):
-            if r == q:
-                continue
-            block[:, offsets[r] : offsets[r + 1]] = coupling[(r, q)]
-        block.setflags(write=False)
-        stacked.append(block)
+            coupling[rows, offsets[r] : offsets[r + 1]] = gain / sigma_sq[q][:, None]
+    coupling.setflags(write=False)
 
     return EffectiveNetwork(
         config=config,
         svd=tuple(svds),
-        cross_gain=cross_gain,
         sigma_sq=sigma_sq,
         noise_floor=noise_floor,
+        offsets=offsets,
         coupling=coupling,
-        stacked_coupling=tuple(stacked),
     )

@@ -93,20 +93,15 @@ def random_profile(config: NetworkConfig, rng: np.random.Generator) -> PowerProf
     return PowerProfile(powers)
 
 
-def interference_plus_noise(
-    net: EffectiveNetwork, profile: PowerProfile, q: int
-) -> np.ndarray:
+def interference_plus_noise(net: EffectiveNetwork, x: np.ndarray, q: int) -> np.ndarray:
     """Normalized interference-plus-noise floor of user q's streams.
 
-    Component i is the aggregate cross-link power leaking into stream i,
-    divided by the stream's squared singular value, plus the noise floor.
+    x is a stacked power vector. Component i is the aggregate cross-link
+    power leaking into stream i, divided by the stream's squared singular
+    value, plus the noise floor.
     """
-    c = net.noise_floor[q].copy()
-    for r in range(net.config.num_users):
-        if r == q:
-            continue
-        c += net.coupling[(r, q)] @ profile.powers[r]
-    return c
+    start = net.offsets[q]
+    return net.noise_floor[q] + net.coupling[start : start + net.num_streams(q)] @ x
 
 
 def water_level(floors: np.ndarray, budget: float) -> WaterfillResult:
@@ -140,13 +135,13 @@ def water_level(floors: np.ndarray, budget: float) -> WaterfillResult:
     )
 
 
-def best_response(net: EffectiveNetwork, profile: PowerProfile, q: int) -> np.ndarray:
-    """Water-filling response of user q against a fixed profile.
+def best_response(net: EffectiveNetwork, x: np.ndarray, q: int) -> np.ndarray:
+    """Water-filling response of user q against a stacked power vector x.
 
     Returns a vector over all tx_antennas[q] antennas; antennas beyond the
     number of usable streams get zero power.
     """
-    c = interference_plus_noise(net, profile, q)
+    c = interference_plus_noise(net, x, q)
     wf = water_level(c, net.config.power_budget[q])
     out = np.zeros(net.config.tx_antennas[q])
     out[: c.size] = wf.powers
@@ -164,8 +159,7 @@ def user_rate(powers: np.ndarray, floors: np.ndarray) -> float:
 
 def sum_rate(net: EffectiveNetwork, profile: PowerProfile) -> float:
     """Network sum rate with every user treating interference as noise."""
-    total = 0.0
-    for q in range(net.config.num_users):
-        c = interference_plus_noise(net, profile, q)
-        total += user_rate(profile.powers[q], c)
-    return total
+    x = profile.stacked()
+    return sum(
+        user_rate(p, interference_plus_noise(net, x, q)) for q, p in enumerate(profile.powers)
+    )

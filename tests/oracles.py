@@ -80,6 +80,11 @@ def eig_spectral_radius(matrix):
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
+def coupling_entry(net, q, i, r, j):
+    """Normalized leak from antenna j of transmitter r into stream i of user q."""
+    return float(net.coupling[net.offsets[q] + i, net.offsets[r] + j])
+
+
 def reference_row_norm(net):
     """Max row sum of the coupling by explicit loops over users and streams."""
     best = 0.0
@@ -90,7 +95,7 @@ def reference_row_norm(net):
                 if r == q:
                     continue
                 for j in range(net.config.tx_antennas[r]):
-                    total += net.cross_gain[(r, q)][i, j] / net.sigma_sq[q][i]
+                    total += coupling_entry(net, q, i, r, j)
             best = max(best, total)
     return best
 
@@ -105,7 +110,7 @@ def reference_col_norm(net):
                 if q == r:
                     continue
                 for i in range(net.num_streams(q)):
-                    total += net.cross_gain[(r, q)][i, j] / net.sigma_sq[q][i]
+                    total += coupling_entry(net, q, i, r, j)
             best = max(best, total)
     return best
 
@@ -122,7 +127,7 @@ def reference_strict_values(net):
                 for r in range(cfg.num_users):
                     if r == q or j >= cfg.tx_antennas[r]:
                         continue
-                    s += net.cross_gain[(r, q)][i, j] / net.sigma_sq[q][i]
+                    s += coupling_entry(net, q, i, r, j)
                 worst = max(worst, s)
         row_total += worst
 
@@ -135,7 +140,7 @@ def reference_strict_values(net):
                 for q in range(cfg.num_users):
                     if q == r or i >= net.num_streams(q):
                         continue
-                    s += net.cross_gain[(r, q)][i, j] / net.sigma_sq[q][i]
+                    s += coupling_entry(net, q, i, r, j)
                 worst = max(worst, s)
         col_total += worst
     return row_total, col_total

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mimoiwf
 from mimoiwf.cli import main
 
 SCALAR_QUARTER = {
@@ -188,3 +193,34 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["play", "--config", "x.json", "--schedule", "chaotic"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "doc, command, key",
+    [
+        ({**RANDOM_NET, "num_users": True}, "certify", "num_users"),
+        ({**RANDOM_NET, "tx_antennas": 2.7}, "certify", "tx_antennas"),
+        ({**TINY_SWEEP, "trials": "3"}, "sweep-uniqueness", "trials"),
+        ({**RANDOM_NET, "cross_distance": [40.0] * 4}, "certify", "cross_distance"),
+        ({**SCALAR_QUARTER, "channels": [1, 2]}, "certify", "channels"),
+    ],
+    ids=["bool_count", "fractional_count", "string_number", "flat_matrix", "flat_channels"],
+)
+def test_config_values_are_type_strict(tmp_path, capsys, doc, command, key):
+    argv = [command, "--config", write_config(tmp_path, doc), "--quiet"]
+    if command.startswith("sweep"):
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(mimoiwf.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, mimoiwf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

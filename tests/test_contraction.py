@@ -40,10 +40,11 @@ def random_net(seed, num_users=4, tx=2, rx=2, cross=40.0):
 
 
 def test_two_user_scalar_matrix():
-    im = build_interference_matrix(scalar_net(0.1, 5.0))
+    net = scalar_net(0.1, 5.0)
+    im = build_interference_matrix(net)
     np.testing.assert_allclose(im.matrix, [[0.0, 0.1], [5.0, 0.0]], atol=1e-12)
-    assert im.row_index(1, 0) == 1
-    assert im.col_index(0, 0) == 0
+    assert im.matrix is net.coupling  # wrapped, not copied
+    assert im.block_start == (0, 1)
 
 
 def test_padding_rows_are_zero():
@@ -99,6 +100,19 @@ def test_spectral_radius_matches_eigensolver():
             m[: n // 2, : n // 2] = 0.0  # reducible block pattern
         ref = eig_spectral_radius(m)
         assert spectral_radius(m) == pytest.approx(ref, abs=1e-8 + 1e-8 * ref)
+
+    # permuted block diagonal: a 2-cycle of radius 0.5, a 3-cycle of radius 2
+    # fed by a zero node, and a self loop of 0.3; the largest radius sits in
+    # a component that holds neither the first nor the last index
+    m = np.zeros((7, 7))
+    m[0, 1] = m[1, 0] = 0.5
+    m[2, 3], m[3, 4], m[4, 2] = 1.0, 2.0, 4.0
+    m[6, 2] = 3.0
+    m[5, 5] = 0.3
+    perm = np.array([5, 0, 3, 2, 4, 6, 1])
+    pm = m[np.ix_(perm, perm)]
+    assert spectral_radius(pm) == pytest.approx(2.0, abs=1e-9)
+    assert spectral_radius(pm) == pytest.approx(eig_spectral_radius(pm), abs=1e-8)
 
 
 def test_spectral_radius_validates_input():

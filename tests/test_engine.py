@@ -3,6 +3,7 @@ import pytest
 
 from mimoiwf.contraction import certify
 from mimoiwf.engine import (
+    Schedule,
     ScheduleError,
     check_nash,
     make_schedule,
@@ -98,6 +99,38 @@ def test_two_user_scalar_reaches_full_power_in_one_step():
     assert trace.nash_gap == 0.0
 
 
+def test_stale_views_read_the_right_states():
+    # Two users, each with two parallel scalar links (direct gains 2 and 1,
+    # unit noise, budget 2). Only stream 0 of the other user interferes, with
+    # normalized gain 0.5, so both streams stay active and the response is
+    # p0 = 1.375 - 0.25 * v, p1 = 2 - p0, where v is the viewed stream-0
+    # power of the other user. With one stream per user the response would be
+    # the full budget whatever the view, and the ages would not show.
+    leak = np.diag([np.sqrt(2.0), 0.0])
+    net = explicit_net(
+        [np.diag([2.0, 1.0])] * 2, {(0, 1): leak, (1, 0): leak}, [2.0, 2.0], [1.0, 1.0]
+    )
+    delays = np.zeros((4, 2, 2), dtype=np.int64)
+    delays[0, 0, 1] = delays[0, 1, 0] = 2  # older than the start: reads it
+    delays[1, 0, 1] = 3  # user 0 still sees the start at step 1
+    delays[2, 0, 1] = 1  # user 0 sees the state after step 1
+    delays[3, 1, 0] = 3  # user 1 sees the start at step 3
+    sched = Schedule("random_async", 4, ((0, 1), (0, 1), (0,), (0, 1)), 3, 2, 0, delays)
+    start = PowerProfile([np.array([2.0, 0.0]), np.array([0.0, 2.0])])
+    trace = run_game(net, sched, start, tol=1e-12)
+
+    # stream-0 powers (user 0, user 1) after each step, worked by hand:
+    # a1 = g(b0), b1 = g(a0); a2 = g(b0), b2 = g(a1); a3 = g(b1), b3 = b2;
+    # a4 = g(b3), b4 = g(a0)
+    p0 = [(2.0, 0.0), (1.375, 0.875), (1.375, 1.03125), (1.15625, 1.03125), (1.1171875, 0.875)]
+    assert trace.iterations_used == 4 and not trace.converged
+    assert trace.updated == [(0, 1), (0, 1), (0,), (0, 1)]
+    for n, (a, b) in enumerate(p0):
+        np.testing.assert_allclose(
+            trace.profiles[n].stacked(), [a, 2.0 - a, b, 2.0 - b], atol=1e-12, err_msg=f"step {n}"
+        )
+
+
 def test_trace_shapes_and_residuals():
     net = random_net(1)
     trace = run_game(net, make_schedule("jacobi", 4, it_max=50))
@@ -116,10 +149,9 @@ def test_converged_games_sit_at_fixed_point():
         if not trace.converged:
             continue
         final = trace.profiles[-1]
+        x = final.stacked()
         for q in range(4):
-            np.testing.assert_allclose(
-                final.powers[q], best_response(net, final, q), atol=1e-6
-            )
+            np.testing.assert_allclose(final.powers[q], best_response(net, x, q), atol=1e-6)
         assert trace.nash_gap <= 1e-6
 
 

@@ -47,9 +47,23 @@ def test_svd_rejects_bad_input():
         svd_decompose(np.zeros(3))
 
 
+def user_block(net, r, q):
+    """Coupling from transmitter r into user q's streams, times sigma_sq[q]:
+    the squared magnitudes of the rotated cross channel."""
+    o = net.offsets
+    rows = slice(o[q], o[q] + net.num_streams(q))
+    return net.coupling[rows, o[r] : o[r + 1]] * net.sigma_sq[q][:, None]
+
+
+def cross_pairs(net):
+    n = net.config.num_users
+    return [(r, q) for r in range(n) for q in range(n) if r != q]
+
+
 def test_single_user_network_has_no_cross_terms():
     net = explicit_net([np.diag([3.0, 1.0])], {}, [10.0], [1.0])
-    assert net.cross_gain == {}
+    assert net.offsets == (0, 2)
+    np.testing.assert_array_equal(net.coupling, np.zeros((2, 2)))
     np.testing.assert_allclose(net.sigma_sq[0], [9.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(net.noise_floor[0], [1.0 / 9.0, 1.0], atol=1e-12)
 
@@ -63,11 +77,13 @@ def test_cross_gain_matches_brute_force():
     cfg = symmetric_config(3, 3, 2, 10.0, 1.0, 15.0, 30.0, 2.5)
     real = sample_channels(cfg, 5)
     net = build_effective_network(real, cfg)
-    for (r, q), gain in net.cross_gain.items():
+    assert len(cross_pairs(net)) == 6
+    for r, q in cross_pairs(net):
         streams = net.num_streams(q)
         expected = brute_force_cross_gain(
             real.matrices[r][q], net.svd[q].U, net.svd[r].V, streams
         )
+        gain = user_block(net, r, q)
         assert gain.shape == (streams, cfg.tx_antennas[r])
         np.testing.assert_allclose(gain, expected, atol=1e-12)
 
@@ -76,16 +92,16 @@ def test_cross_gain_energy_bounded_by_frobenius():
     cfg = symmetric_config(2, 4, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
     real = sample_channels(cfg, 9)
     net = build_effective_network(real, cfg)
-    for (r, q), gain in net.cross_gain.items():
+    for r, q in cross_pairs(net):
         frob = float(np.sum(np.abs(real.matrices[r][q]) ** 2))
-        assert gain.sum() <= frob + 1e-9
+        assert user_block(net, r, q).sum() <= frob + 1e-9
     # full receive basis keeps the energy exactly
     cfg2 = symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
     real2 = sample_channels(cfg2, 9)
     net2 = build_effective_network(real2, cfg2)
-    for (r, q), gain in net2.cross_gain.items():
+    for r, q in cross_pairs(net2):
         frob = float(np.sum(np.abs(real2.matrices[r][q]) ** 2))
-        assert gain.sum() == pytest.approx(frob, rel=1e-10)
+        assert user_block(net2, r, q).sum() == pytest.approx(frob, rel=1e-10)
 
 
 def test_gains_invariant_under_basis_phases():
@@ -94,31 +110,34 @@ def test_gains_invariant_under_basis_phases():
     real = sample_channels(cfg, 21)
     net = build_effective_network(real, cfg)
     rng = np.random.default_rng(4)
-    for (r, q), gain in net.cross_gain.items():
+    for r, q in cross_pairs(net):
         u = net.svd[q].U * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         v = net.svd[r].V * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         rotated = np.abs(u.conj().T @ real.matrices[r][q] @ v) ** 2
-        np.testing.assert_allclose(rotated, gain, atol=1e-12)
+        np.testing.assert_allclose(rotated, user_block(net, r, q), atol=1e-12)
 
 
 def test_coupling_normalization_and_stacking():
     cfg = symmetric_config(3, 2, 2, 10.0, 2.0, 15.0, 30.0, 2.5)
-    net = build_effective_network(sample_channels(cfg, 13), cfg)
-    offsets = [0, 2, 4, 6]
+    real = sample_channels(cfg, 13)
+    net = build_effective_network(real, cfg)
+    assert net.offsets == (0, 2, 4, 6)
+    assert net.coupling.shape == (6, 6)
+    assert not net.coupling.flags.writeable
     for q in range(3):
         np.testing.assert_allclose(
             net.noise_floor[q], 2.0 / net.sigma_sq[q], atol=1e-15
         )
-        block = net.stacked_coupling[q]
-        assert block.shape == (2, 6)
-        np.testing.assert_array_equal(block[:, offsets[q] : offsets[q] + 2], 0.0)
+        rows = net.coupling[2 * q : 2 * q + 2]
+        np.testing.assert_array_equal(rows[:, 2 * q : 2 * q + 2], 0.0)
         for r in range(3):
             if r == q:
                 continue
+            gain = brute_force_cross_gain(real.matrices[r][q], net.svd[q].U, net.svd[r].V, 2)
             np.testing.assert_allclose(
-                block[:, offsets[r] : offsets[r] + 2],
-                net.cross_gain[(r, q)] / net.sigma_sq[q][:, None],
-                atol=1e-15,
+                rows[:, 2 * r : 2 * r + 2],
+                gain / net.sigma_sq[q][:, None],
+                rtol=1e-12,
             )
 
 
@@ -126,4 +145,8 @@ def test_more_tx_than_rx_truncates_streams():
     cfg = symmetric_config(2, 4, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
     net = build_effective_network(sample_channels(cfg, 31), cfg)
     assert net.num_streams(0) == 2
-    assert net.cross_gain[(1, 0)].shape == (2, 4)
+    assert net.coupling.shape == (8, 8)
+    assert user_block(net, 1, 0).shape == (2, 4)
+    # rows of the antennas without a stream stay zero
+    np.testing.assert_array_equal(net.coupling[2:4], 0.0)
+    np.testing.assert_array_equal(net.coupling[6:8], 0.0)

@@ -107,10 +107,10 @@ def test_raising_a_floor_never_raises_its_power():
 
 def test_no_interference_best_response():
     net = explicit_net([np.diag([3.0, 1.0])], {}, [10.0], [1.0])
-    prof = uniform_profile(net.config)
-    c = interference_plus_noise(net, prof, 0)
+    x = uniform_profile(net.config).stacked()
+    c = interference_plus_noise(net, x, 0)
     np.testing.assert_allclose(c, [1.0 / 9.0, 1.0], atol=1e-12)
-    br = best_response(net, prof, 0)
+    br = best_response(net, x, 0)
     np.testing.assert_allclose(br, [49.0 / 9.0, 41.0 / 9.0], atol=1e-10)
 
 
@@ -125,10 +125,15 @@ def test_best_response_pads_unused_antennas():
         [10.0, 10.0],
         [1.0, 1.0],
     )
-    br = best_response(net, uniform_profile(net.config), 0)
+    x = uniform_profile(net.config).stacked()
+    assert x.shape == (8,)
+    br = best_response(net, x, 0)
     assert br.shape == (4,)
     np.testing.assert_array_equal(br[2:], 0.0)
     assert br.sum() == pytest.approx(10.0, rel=1e-12)
+    np.testing.assert_allclose(
+        br[:2], water_level(interference_plus_noise(net, x, 0), 10.0).powers, atol=1e-12
+    )
 
 
 def test_interference_adds_to_noise_floor():
@@ -139,13 +144,9 @@ def test_interference_adds_to_noise_floor():
         [2.0, 3.0],
         [1.0, 1.0],
     )
-    prof = PowerProfile([np.array([2.0]), np.array([3.0])])
-    np.testing.assert_allclose(
-        interference_plus_noise(net, prof, 0), [1.0 + a * 3.0], atol=1e-12
-    )
-    np.testing.assert_allclose(
-        interference_plus_noise(net, prof, 1), [1.0 + b * 2.0], atol=1e-12
-    )
+    x = PowerProfile([np.array([2.0]), np.array([3.0])]).stacked()
+    np.testing.assert_allclose(interference_plus_noise(net, x, 0), [1.0 + a * 3.0], atol=1e-12)
+    np.testing.assert_allclose(interference_plus_noise(net, x, 1), [1.0 + b * 2.0], atol=1e-12)
 
 
 def test_user_rate_values():
