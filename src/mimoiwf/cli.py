@@ -28,7 +28,6 @@ from .netmodel import (
     ConfigError,
     NetworkConfig,
     sample_channels,
-    validate_config,
 )
 from .precode import DegenerateChannelError, SvdError, build_effective_network
 from .waterfill import sum_rate, uniform_profile
@@ -103,7 +102,7 @@ def network_from_dict(doc: dict) -> NetworkConfig:
             tuple(direct[r] if r == q else d for q in range(q_count)) for r in range(q_count)
         )
 
-    cfg = NetworkConfig(
+    return NetworkConfig(
         num_users=q_count,
         tx_antennas=_per_user(doc, "tx_antennas", q_count, int),
         rx_antennas=_per_user(doc, "rx_antennas", q_count, int),
@@ -113,7 +112,6 @@ def network_from_dict(doc: dict) -> NetworkConfig:
         cross_distance=cross,
         pathloss_exponent=_typed("pathloss_exponent", doc.get("pathloss_exponent", 2.5), float),
     )
-    return validate_config(cfg)
 
 
 def channels_from_dict(doc: dict, cfg: NetworkConfig) -> ChannelRealization:

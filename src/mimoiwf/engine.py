@@ -14,10 +14,9 @@ import numpy as np
 from .precode import EffectiveNetwork
 from .waterfill import (
     PowerProfile,
-    best_response,
-    interference_plus_noise,
+    best_responses,
     uniform_profile,
-    user_rate,
+    user_rates,
     validate_profile,
 )
 
@@ -103,18 +102,24 @@ def make_schedule(
             f"got {delay_bound}, {update_bound}"
         )
     rng = np.random.default_rng(seed)
-    last = np.full(num_users, -1)
-    sets = []
-    delays = np.zeros((it_max, num_users, num_users), dtype=np.int64)
-    for n in range(it_max):
-        coins = rng.random(num_users) < 0.5
-        forced = (n - last) >= update_bound
-        members = np.flatnonzero(coins | forced)
+    draws, ages = [], []
+    for _ in range(it_max):
+        draws.append(rng.random(num_users))
         if delay_bound > 0:
-            delays[n] = rng.integers(0, delay_bound + 1, size=(num_users, num_users))
-            np.fill_diagonal(delays[n], 0)  # own power is always current
-        last[members] = n
-        sets.append(tuple(int(q) for q in members))
+            ages.append(rng.integers(0, delay_bound + 1, size=(num_users, num_users)))
+    if ages:
+        delays = np.array(ages)
+    else:
+        delays = np.zeros((it_max, num_users, num_users), dtype=np.int64)
+    users = range(num_users)
+    delays[:, users, users] = 0  # own power is always current
+    last = [-1] * num_users
+    sets = []
+    for n, coins in enumerate((np.array(draws) < 0.5).tolist()):
+        members = tuple(q for q in users if coins[q] or n - last[q] >= update_bound)
+        for q in members:
+            last[q] = n
+        sets.append(members)
     return Schedule(
         kind, it_max, tuple(sets), int(delay_bound), int(update_bound), int(seed), delays
     )
@@ -135,63 +140,62 @@ def run_game(
     start = uniform_profile(cfg) if start is None else start
     validate_profile(start, cfg)
     blocks = [slice(a, b) for a, b in zip(net.offsets, net.offsets[1:])]
+    owner = np.repeat(np.arange(cfg.num_users), np.diff(net.offsets))  # user of each antenna
 
-    # states[n] is the stacked state after step n: the trace and, for stale
-    # views, the delay buffer (a view of age a at step n reads states[n - a])
-    states = [start.stacked()]
+    # history[n] is the stacked state after step n: the trace and, for stale
+    # views, the delay buffer (user q reads antenna j at step n from
+    # history[source[n, q, j]])
+    history = np.empty((schedule.it_max + 1, net.offsets[-1]))
+    history[0] = start.stacked()
+    if schedule.delays is not None:
+        antennas = np.arange(net.offsets[-1])
+        steps = np.arange(schedule.it_max)[:, None, None]
+        source = steps - np.minimum(schedule.delays[:, :, owner], steps)
     window = max(schedule.update_bound, 1)
     last_update = np.full(cfg.num_users, -1)
+    movers: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}  # users, antennas
     residuals: list[float] = []
     converged = False
 
     for n in range(schedule.it_max):
-        x = states[n]
-        new = x.copy()
-        residual = 0.0
-        for q in schedule.update_sets[n]:
-            view = x
-            if schedule.delays is not None:
-                ages = np.minimum(schedule.delays[n, q], n)
-                view = np.concatenate([states[n - a][b] for a, b in zip(ages, blocks)])
-            p_new = best_response(net, view, q)
-            residual = max(residual, float(np.abs(p_new - x[blocks[q]]).max()))
-            new[blocks[q]] = p_new
-            last_update[q] = n
-        residuals.append(residual)
-        states.append(new)
+        x = history[n]
+        views = x if schedule.delays is None else history[source[n], antennas]
+        members = schedule.update_sets[n]
+        if members not in movers:
+            users = np.zeros(cfg.num_users, dtype=bool)
+            users[list(members)] = True
+            movers[members] = (users, users[owner])
+        users, moved = movers[members]
+        new = np.where(moved, best_responses(net, views), x)
+        residuals.append(float(np.abs(new - x).max()))
+        history[n + 1] = new
+        last_update[users] = n
 
         if (
             n + 1 >= window
-            and np.all(last_update > n - window)
             and max(residuals[-window:]) < tol
+            and (last_update > n - window).all()
         ):
             converged = True
             break
 
+    states = history[: len(residuals) + 1]
     profiles = [PowerProfile([s[b] for b in blocks]) for s in states]
-    final = profiles[-1]
     return GameTrace(
         profiles=profiles,
         updated=list(schedule.update_sets[: len(residuals)]),
         residuals=residuals,
         converged=converged,
         iterations_used=len(residuals),
-        final_rates=np.array(
-            [
-                user_rate(p, interference_plus_noise(net, states[-1], q))
-                for q, p in enumerate(final.powers)
-            ]
-        ),
-        nash_gap=check_nash(net, final),
+        final_rates=user_rates(net, states[-1]),
+        nash_gap=check_nash(net, profiles[-1]),
     )
 
 
 def check_nash(net: EffectiveNetwork, profile: PowerProfile) -> float:
     """Largest distance of any user's power from its own best response."""
     x = profile.stacked()
-    return max(
-        float(np.abs(p - best_response(net, x, q)).max()) for q, p in enumerate(profile.powers)
-    )
+    return float(np.abs(x - best_responses(net, x)).max())
 
 
 def trace_to_csv(trace: GameTrace, path: str) -> None:

@@ -30,6 +30,8 @@ class NetworkConfig:
             transmitter r to receiver q; the diagonal repeats
             direct_distance by convention.
         pathloss_exponent: exponent of the power-law attenuation.
+
+    Construction runs validate_config, so every instance is consistent.
     """
 
     num_users: int
@@ -40,6 +42,9 @@ class NetworkConfig:
     direct_distance: tuple[float, ...]
     cross_distance: tuple[tuple[float, ...], ...]
     pathloss_exponent: float
+
+    def __post_init__(self) -> None:
+        validate_config(self)
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,8 @@ class ChannelRealization:
 
 def validate_config(config: NetworkConfig) -> NetworkConfig:
     """Check a NetworkConfig for consistency and return it unchanged.
+
+    Every NetworkConfig is checked when it is built; call this to re-check.
 
     Raises:
         ConfigError: naming the offending field.
@@ -122,7 +129,7 @@ def symmetric_config(
         tuple(direct_distance if r == q else cross_distance for q in range(num_users))
         for r in range(num_users)
     )
-    cfg = NetworkConfig(
+    return NetworkConfig(
         num_users=num_users,
         tx_antennas=(tx_antennas,) * num_users,
         rx_antennas=(rx_antennas,) * num_users,
@@ -132,7 +139,6 @@ def symmetric_config(
         cross_distance=cross,
         pathloss_exponent=float(pathloss_exponent),
     )
-    return validate_config(cfg)
 
 
 def pathloss_power_gain(distance: float, exponent: float) -> float:
@@ -158,7 +164,6 @@ def sample_channels(config: NetworkConfig, seed: int) -> ChannelRealization:
     drawn before the imaginary part, so a given seed always produces the
     same matrices.
     """
-    validate_config(config)
     rng = np.random.default_rng(seed)
     gamma = config.pathloss_exponent
     rows: list[tuple[np.ndarray, ...]] = []

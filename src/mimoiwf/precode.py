@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import ChannelRealization, NetworkConfig, validate_config
+from .netmodel import ChannelRealization, NetworkConfig
 
 # Singular values at or below this are treated as a rank loss.
 SINGULAR_FLOOR = 1e-12
@@ -52,6 +52,11 @@ class EffectiveNetwork:
             normalized interference. Entry (offsets[q] + i, offsets[r] + j)
             is |U_q^H H_rq V_r|^2 at (i, j) divided by sigma_sq[q][i]; rows
             of user q beyond its streams and the diagonal blocks are zero.
+        stream_index: (Q, T) slot layout, T = max(tx_antennas): entry
+            (q, s) is the stacked position of user q's antenna s, or -1 when
+            s >= tx_antennas[q].
+        stream_noise: (Q, T) noise floor of each slot; +inf where user q has
+            no stream s, so water-filling gives such slots no power.
     """
 
     config: NetworkConfig
@@ -60,6 +65,8 @@ class EffectiveNetwork:
     noise_floor: tuple[np.ndarray, ...]
     offsets: tuple[int, ...]
     coupling: np.ndarray
+    stream_index: np.ndarray
+    stream_noise: np.ndarray
 
     def num_streams(self, q: int) -> int:
         """Number of usable parallel streams of user q."""
@@ -92,7 +99,6 @@ def build_effective_network(
         DegenerateChannelError: when some direct channel is rank deficient,
             so the realization should be redrawn.
     """
-    validate_config(config)
     n_users = config.num_users
     svds = []
     for q in range(n_users):
@@ -126,6 +132,15 @@ def build_effective_network(
             coupling[rows, offsets[r] : offsets[r + 1]] = gain / sigma_sq[q][:, None]
     coupling.setflags(write=False)
 
+    tx = np.array(config.tx_antennas)
+    slot = np.arange(tx.max())
+    stream_index = np.where(slot < tx[:, None], np.array(offsets[:-1])[:, None] + slot, -1)
+    stream_noise = np.full(stream_index.shape, np.inf)
+    for q in range(n_users):
+        stream_noise[q, : noise_floor[q].size] = noise_floor[q]
+    stream_index.setflags(write=False)
+    stream_noise.setflags(write=False)
+
     return EffectiveNetwork(
         config=config,
         svd=tuple(svds),
@@ -133,4 +148,6 @@ def build_effective_network(
         noise_floor=noise_floor,
         offsets=offsets,
         coupling=coupling,
+        stream_index=stream_index,
+        stream_noise=stream_noise,
     )

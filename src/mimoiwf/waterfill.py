@@ -31,15 +31,20 @@ class PowerProfile:
 
 @dataclass(frozen=True)
 class WaterfillResult:
-    """Solution of a single water-filling problem.
+    """Solution of one water-filling problem, or of a batch of them.
 
-    powers[i] = max(water_level - floors[i], 0); active_set lists the
-    indices receiving positive power.
+    powers[..., i] = max(water_level - floors[..., i], 0). For a single
+    problem water_level is a float; for a (Q, S) batch it is a (Q,) array.
     """
 
     powers: np.ndarray
-    water_level: float
-    active_set: np.ndarray
+    water_level: float | np.ndarray
+
+    @property
+    def active_set(self) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """Indices receiving positive power; a (row, stream) pair for a batch."""
+        active = np.nonzero(self.powers > 0)
+        return active[0] if self.powers.ndim == 1 else active
 
 
 def validate_profile(profile: PowerProfile, config: NetworkConfig) -> PowerProfile:
@@ -93,46 +98,61 @@ def random_profile(config: NetworkConfig, rng: np.random.Generator) -> PowerProf
     return PowerProfile(powers)
 
 
-def interference_plus_noise(net: EffectiveNetwork, x: np.ndarray, q: int) -> np.ndarray:
-    """Normalized interference-plus-noise floor of user q's streams.
+def stream_floors(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
+    """Normalized interference-plus-noise floor of every user's streams.
 
-    x is a stacked power vector. Component i is the aggregate cross-link
-    power leaking into stream i, divided by the stream's squared singular
-    value, plus the noise floor.
+    views is one stacked power vector seen by every user, or a (Q, N) array
+    whose row q is user q's view. Returns a (Q, T) array laid out like
+    net.stream_noise: entry (q, s) is the cross-link power leaking into
+    stream s of user q, divided by its squared singular value, plus the
+    noise floor; slots without a stream are +inf.
     """
-    start = net.offsets[q]
-    return net.noise_floor[q] + net.coupling[start : start + net.num_streams(q)] @ x
+    if views.ndim == 1:
+        leak = (net.coupling @ views)[net.stream_index]
+    else:
+        users = np.arange(views.shape[0])[:, None]
+        leak = (views @ net.coupling.T)[users, net.stream_index]
+    return net.stream_noise + leak
 
 
-def water_level(floors: np.ndarray, budget: float) -> WaterfillResult:
+def interference_plus_noise(net: EffectiveNetwork, x: np.ndarray, q: int) -> np.ndarray:
+    """Floors of user q's streams against a stacked power vector x."""
+    return stream_floors(net, x)[q, : net.num_streams(q)]
+
+
+def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResult:
     """Exact water-filling of a budget over per-stream floors.
 
-    Sorts the floors and picks the largest active set whose common water
-    level sits above its highest floor; no iteration is involved.
+    floors is one (S,) problem or a (Q, S) batch with a (Q,) budget vector,
+    one problem per row; a +inf floor marks a slot that gets no power, so
+    rows of different lengths can share one batch. Each row sorts its
+    floors and picks the largest active set whose common water level sits
+    above its highest floor; no iteration is involved.
 
     Raises:
-        ValueError: on an empty floor vector, non-finite floors, or a
-            non-positive budget.
+        ValueError: on an empty floor vector, a NaN or negative floor, a
+            row without a finite floor, or a non-positive budget.
     """
     c = np.asarray(floors, dtype=float)
-    if c.size == 0:
-        raise ValueError("floors must be non-empty")
-    if not np.all(np.isfinite(c)) or np.any(c < 0):
-        raise ValueError("floors must be finite and nonnegative")
-    if not np.isfinite(budget) or budget <= 0:
+    if c.ndim not in (1, 2) or c.shape[-1] == 0:
+        raise ValueError(f"floors must be a non-empty vector or (Q, S) array, got {c.shape}")
+    lowest = c.min(axis=-1)
+    if not (lowest.min() >= 0 and lowest.max() < np.inf):
+        raise ValueError("floors must be nonnegative, with a finite floor in every row")
+    b = np.asarray(budget, dtype=float)
+    if not (b.min() > 0 and b.max() < np.inf):
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
 
-    order = np.sort(c)
-    cum = np.cumsum(order)
-    k = np.arange(1, c.size + 1)
-    levels = (budget + cum) / k
+    rows = c.reshape(-1, c.shape[-1])
+    order = np.sort(rows, axis=1)
+    cum = order.cumsum(axis=1)
+    k = np.arange(1, rows.shape[1] + 1)
+    levels = (b.reshape(-1, 1) + cum) / k
     feasible = levels > order  # k=1 is always feasible since budget > 0
-    k_star = int(np.flatnonzero(feasible)[-1])
-    mu = float(levels[k_star])
-    powers = np.maximum(mu - c, 0.0)
-    return WaterfillResult(
-        powers=powers, water_level=mu, active_set=np.flatnonzero(powers > 0)
-    )
+    k_star = rows.shape[1] - 1 - feasible[:, ::-1].argmax(axis=1)
+    mu = levels[np.arange(rows.shape[0]), k_star]
+    powers = np.maximum(mu[:, None] - rows, 0.0).reshape(c.shape)
+    return WaterfillResult(powers=powers, water_level=float(mu[0]) if c.ndim == 1 else mu)
 
 
 def best_response(net: EffectiveNetwork, x: np.ndarray, q: int) -> np.ndarray:
@@ -148,6 +168,16 @@ def best_response(net: EffectiveNetwork, x: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
+    """Stacked water-filling response of every user, in one batched step.
+
+    views is as for stream_floors; user q responds to its own view.
+    """
+    floors = stream_floors(net, views)
+    powers = water_level(floors, np.asarray(net.config.power_budget)).powers
+    return powers[net.stream_index >= 0]
+
+
 def user_rate(powers: np.ndarray, floors: np.ndarray) -> float:
     """Sum of log2(1 + p_i / c_i) over the streams covered by floors."""
     c = np.asarray(floors, dtype=float)
@@ -157,9 +187,14 @@ def user_rate(powers: np.ndarray, floors: np.ndarray) -> float:
     return float(np.sum(np.log2(1.0 + p / c)))
 
 
+def user_rates(net: EffectiveNetwork, x: np.ndarray) -> np.ndarray:
+    """Rate of every user at a stacked power vector x, as a (Q,) array."""
+    floors = stream_floors(net, x)
+    p = np.zeros(floors.shape)
+    p[net.stream_index >= 0] = x
+    return np.log2(1.0 + p / floors).sum(axis=1)
+
+
 def sum_rate(net: EffectiveNetwork, profile: PowerProfile) -> float:
     """Network sum rate with every user treating interference as noise."""
-    x = profile.stacked()
-    return sum(
-        user_rate(p, interference_plus_noise(net, x, q)) for q, p in enumerate(profile.powers)
-    )
+    return float(user_rates(net, profile.stacked()).sum())

@@ -2,14 +2,15 @@
 
 Everything here is deliberately written by a different route than the
 package code: bisection instead of the sort formula, explicit entry loops
-instead of matrix products, a dense eigensolver instead of power iteration.
+instead of matrix products, a dense eigensolver instead of power iteration,
+and one user and one step at a time where the package works on batches.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from mimoiwf.netmodel import ChannelRealization, NetworkConfig, validate_config
-from mimoiwf.precode import build_effective_network
+from mimoiwf.netmodel import ChannelRealization, NetworkConfig, sample_channels, validate_config
+from mimoiwf.precode import DegenerateChannelError, build_effective_network
 
 
 def bisect_water_level(floors, budget, iters=80):
@@ -178,3 +179,112 @@ def explicit_net(direct, cross, budgets, noise):
         rows.append(tuple(row))
     realization = ChannelRealization(matrices=tuple(rows), seed=-1)
     return build_effective_network(realization, cfg)
+
+
+def ragged_net(seed):
+    """Sampled 3-user network whose users differ in antenna and stream counts.
+
+    tx (3, 2, 2) and rx (2, 4, 1) give streams (2, 2, 1): users 0 and 2
+    each have an antenna without a stream, and user 2 has one stream where
+    the others have two. Interference-limited, so games run several steps.
+    """
+    cfg = NetworkConfig(
+        num_users=3,
+        tx_antennas=(3, 2, 2),
+        rx_antennas=(2, 4, 1),
+        power_budget=(10.0, 3.0, 5.0),
+        noise_power=(1e-3, 1e-3, 1e-3),
+        direct_distance=(15.0, 15.0, 15.0),
+        cross_distance=((15.0, 20.0, 25.0), (22.0, 15.0, 18.0), (30.0, 19.0, 15.0)),
+        pathloss_exponent=2.5,
+    )
+    for attempt in range(8):
+        try:
+            return build_effective_network(sample_channels(cfg, 1000 * seed + attempt), cfg)
+        except DegenerateChannelError:
+            continue
+    raise AssertionError("all channel redraws degenerate")
+
+
+def reference_water_fill(floors, budget):
+    """One user's water-filling powers by the sort formula, one problem at a time."""
+    c = np.asarray(floors, dtype=float)
+    order = np.sort(c)
+    cum = np.cumsum(order)
+    levels = (budget + cum) / np.arange(1, c.size + 1)
+    mu = float(levels[np.flatnonzero(levels > order)[-1]])
+    return np.maximum(mu - c, 0.0)
+
+
+def reference_best_response(net, view, q):
+    """User q's response to a stacked view, from its own coupling rows."""
+    streams = net.num_streams(q)
+    start = net.offsets[q]
+    floors = net.noise_floor[q] + net.coupling[start : start + streams] @ view
+    out = np.zeros(net.config.tx_antennas[q])
+    out[:streams] = reference_water_fill(floors, net.config.power_budget[q])
+    return out
+
+
+def reference_run_game(net, schedule, start, tol):
+    """The iterated game as a loop over users, one best response at a time.
+
+    Returns (states, residuals, converged, nash_gap, final_rates); states[n]
+    is the stacked state after step n.
+    """
+    blocks = [slice(a, b) for a, b in zip(net.offsets, net.offsets[1:])]
+    states = [start.stacked()]
+    window = max(schedule.update_bound, 1)
+    last_update = np.full(net.config.num_users, -1)
+    residuals = []
+    converged = False
+    for n in range(schedule.it_max):
+        x = states[n]
+        new = x.copy()
+        residual = 0.0
+        for q in schedule.update_sets[n]:
+            view = x
+            if schedule.delays is not None:
+                ages = np.minimum(schedule.delays[n, q], n)
+                view = np.concatenate([states[n - a][b] for a, b in zip(ages, blocks)])
+            p_new = reference_best_response(net, view, q)
+            residual = max(residual, float(np.abs(p_new - x[blocks[q]]).max()))
+            new[blocks[q]] = p_new
+            last_update[q] = n
+        residuals.append(residual)
+        states.append(new)
+        if (
+            n + 1 >= window
+            and np.all(last_update > n - window)
+            and max(residuals[-window:]) < tol
+        ):
+            converged = True
+            break
+
+    final = states[-1]
+    gap = 0.0
+    rates = []
+    for q, b in enumerate(blocks):
+        gap = max(gap, float(np.abs(final[b] - reference_best_response(net, final, q)).max()))
+        streams = net.num_streams(q)
+        floors = net.noise_floor[q] + net.coupling[b.start : b.start + streams] @ final
+        rates.append(float(np.sum(np.log2(1.0 + final[b][:streams] / floors))))
+    return states, residuals, converged, gap, np.array(rates)
+
+
+def reference_async_schedule(num_users, it_max, seed, delay_bound, update_bound):
+    """update_sets and delays of a random_async schedule, one step at a time."""
+    rng = np.random.default_rng(seed)
+    last = np.full(num_users, -1)
+    sets = []
+    delays = np.zeros((it_max, num_users, num_users), dtype=np.int64)
+    for n in range(it_max):
+        coins = rng.random(num_users) < 0.5
+        forced = (n - last) >= update_bound
+        members = np.flatnonzero(coins | forced)
+        if delay_bound > 0:
+            delays[n] = rng.integers(0, delay_bound + 1, size=(num_users, num_users))
+            np.fill_diagonal(delays[n], 0)
+        last[members] = n
+        sets.append(tuple(int(q) for q in members))
+    return tuple(sets), delays

@@ -125,8 +125,12 @@ def test_spectral_radius_validates_input():
 
 
 def test_spectral_radius_reports_exhaustion():
+    # A 3-cycle whose Perron vector spans more than the double range: its
+    # smallest entry underflows, so the iteration starts from the uniform
+    # vector, whose first bounds are 1e-300 and 1e300.
+    cycle = np.array([[0.0, 1e-300, 0.0], [0.0, 0.0, 1e-300], [1e300, 0.0, 0.0]])
     with pytest.raises(PowerIterationError, match="iterations"):
-        spectral_radius(np.array([[0.0, 1.0], [4.0, 0.0]]), max_iter=1)
+        spectral_radius(cycle, max_iter=1)
 
 
 def test_radius_bounded_by_weighted_norms():

@@ -15,11 +15,12 @@ from mimoiwf.precode import build_effective_network
 from mimoiwf.waterfill import (
     PowerProfile,
     best_response,
+    greedy_profile,
     random_profile,
     uniform_profile,
 )
 
-from oracles import explicit_net
+from oracles import explicit_net, ragged_net, reference_async_schedule, reference_run_game
 
 
 def random_net(seed, cross=45.0):
@@ -55,6 +56,27 @@ def test_random_schedule_respects_bounds():
     s2 = make_schedule("random_async", 4, it_max=200, seed=11, delay_bound=3, update_bound=5)
     assert s.update_sets == s2.update_sets
     np.testing.assert_array_equal(s.delays, s2.delays)
+
+
+def test_random_schedule_matches_step_by_step_loop():
+    for num_users in (1, 3, 4):
+        for delay_bound in (0, 1, 3):
+            for update_bound in (1, 2, 5):
+                for seed in (0, 7, 123456789):
+                    s = make_schedule(
+                        "random_async",
+                        num_users,
+                        it_max=60,
+                        seed=seed,
+                        delay_bound=delay_bound,
+                        update_bound=update_bound,
+                    )
+                    sets, delays = reference_async_schedule(
+                        num_users, 60, seed, delay_bound, update_bound
+                    )
+                    assert s.update_sets == sets
+                    assert s.delays.dtype == delays.dtype
+                    np.testing.assert_array_equal(s.delays, delays)
 
 
 def test_random_schedule_degenerates_to_jacobi():
@@ -129,6 +151,30 @@ def test_stale_views_read_the_right_states():
         np.testing.assert_allclose(
             trace.profiles[n].stacked(), [a, 2.0 - a, b, 2.0 - b], atol=1e-12, err_msg=f"step {n}"
         )
+
+
+def test_batched_game_matches_per_user_loop():
+    starts = (uniform_profile, greedy_profile)
+    for seed in range(6):
+        net = ragged_net(seed)
+        assert [net.num_streams(q) for q in range(3)] == [2, 2, 1]
+        for kind, d, b in (
+            ("jacobi", 0, 1),
+            ("gauss_seidel", 0, 3),
+            ("random_async", 3, 5),
+        ):
+            sched = make_schedule(kind, 3, it_max=80, seed=seed, delay_bound=d, update_bound=b)
+            start = starts[seed % 2](net.config)
+            trace = run_game(net, sched, start, tol=1e-9)
+            states, residuals, converged, gap, rates = reference_run_game(net, sched, start, 1e-9)
+            assert len(trace.residuals) == len(residuals), (seed, kind)
+            assert trace.converged == converged, (seed, kind)
+            assert len(trace.profiles) == len(states)
+            for prof, state in zip(trace.profiles, states):
+                np.testing.assert_allclose(prof.stacked(), state, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trace.residuals, residuals, rtol=0, atol=1e-12)
+            assert abs(trace.nash_gap - gap) <= 1e-12
+            np.testing.assert_allclose(trace.final_rates, rates, rtol=0, atol=1e-12)
 
 
 def test_trace_shapes_and_residuals():

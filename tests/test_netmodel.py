@@ -133,3 +133,10 @@ def test_entry_statistics_attenuated():
     h = sample_channels(cfg, 77).matrices[0][0]
     mean_gain = float((np.abs(h) ** 2).mean())
     assert mean_gain == pytest.approx(15.0**-2.5, rel=0.02)
+
+
+def test_config_is_checked_when_built():
+    with pytest.raises(ConfigError, match="power_budget"):
+        small_config(power_budget=(10.0, -1.0))
+    with pytest.raises(ConfigError, match="cross_distance"):
+        symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 0.0, 2.5)

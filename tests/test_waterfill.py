@@ -4,17 +4,26 @@ import pytest
 from mimoiwf.waterfill import (
     PowerProfile,
     best_response,
+    best_responses,
     greedy_profile,
     interference_plus_noise,
     random_profile,
+    stream_floors,
     sum_rate,
     uniform_profile,
     user_rate,
+    user_rates,
     validate_profile,
     water_level,
 )
 
-from oracles import bisect_water_level, explicit_net, kkt_water_allocation
+from oracles import (
+    bisect_water_level,
+    explicit_net,
+    kkt_water_allocation,
+    ragged_net,
+    reference_water_fill,
+)
 
 
 def test_water_level_three_floors():
@@ -78,6 +87,65 @@ def test_water_level_rejects_bad_input():
         water_level(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         water_level(np.array([np.inf]), 1.0)
+
+
+def test_batch_rows_match_single_problems():
+    rng = np.random.default_rng(31)
+    floors = rng.uniform(0.01, 5.0, size=(6, 4))
+    floors[2, 3:] = np.inf  # shorter problems are padded with +inf floors
+    floors[4, 1:] = np.inf
+    budgets = rng.uniform(0.5, 10.0, size=6)
+    batch = water_level(floors, budgets)
+    assert batch.powers.shape == (6, 4) and batch.water_level.shape == (6,)
+    for q in range(6):
+        n = int(np.isfinite(floors[q]).sum())
+        row = water_level(floors[q, :n], float(budgets[q]))
+        np.testing.assert_array_equal(batch.powers[q, :n], row.powers)
+        np.testing.assert_array_equal(batch.powers[q, n:], 0.0)
+        assert batch.water_level[q] == row.water_level
+        np.testing.assert_array_equal(row.powers, reference_water_fill(floors[q, :n], budgets[q]))
+    rows, streams = batch.active_set
+    np.testing.assert_array_equal(batch.powers[rows, streams] > 0, True)
+    assert rows.size == np.count_nonzero(batch.powers)
+
+
+def test_batch_rejects_bad_rows():
+    good = np.array([[1.0, 2.0], [0.5, np.inf]])
+    water_level(good, np.array([1.0, 2.0]))
+    for bad in (
+        np.array([[1.0, np.nan], [0.5, np.inf]]),
+        np.array([[1.0, 2.0], [np.inf, np.inf]]),
+        np.array([[1.0, -2.0], [0.5, np.inf]]),
+        np.array([[1.0, 2.0], [-np.inf, np.inf]]),
+    ):
+        with pytest.raises(ValueError, match="floors"):
+            water_level(bad, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="budget"):
+        water_level(good, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="budget"):
+        water_level(good, np.array([np.nan, 1.0]))
+
+
+def test_best_response_is_a_row_of_the_batched_step():
+    for seed in range(4):
+        net = ragged_net(seed)
+        rng = np.random.default_rng(seed)
+        x = random_profile(net.config, rng).stacked()
+        floors = stream_floors(net, x)
+        batch = best_responses(net, x)
+        rates = user_rates(net, x)
+        for q in range(3):
+            block = slice(net.offsets[q], net.offsets[q + 1])
+            streams = net.num_streams(q)
+            np.testing.assert_array_equal(interference_plus_noise(net, x, q), floors[q, :streams])
+            np.testing.assert_array_equal(floors[q, streams:], np.inf)
+            np.testing.assert_array_equal(best_response(net, x, q), batch[block])
+            assert rates[q] == pytest.approx(user_rate(x[block], floors[q, :streams]), rel=1e-14)
+        # per-user views: row q of the result only depends on row q of the views
+        views = np.stack([random_profile(net.config, rng).stacked() for _ in range(3)])
+        stale = stream_floors(net, views)
+        for q in range(3):
+            np.testing.assert_allclose(stale[q], stream_floors(net, views[q])[q], rtol=1e-14)
 
 
 def test_allocation_is_rate_optimal():
