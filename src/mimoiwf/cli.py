@@ -132,11 +132,9 @@ def channels_from_dict(doc: dict, cfg: NetworkConfig) -> ChannelRealization:
                     f"channels[{r}][{q}] must have shape {want} "
                     f"([re, im] leaf pairs), got {mat.shape}"
                 )
-            h = mat[..., 0] + 1j * mat[..., 1]
-            h.setflags(write=False)
-            row.append(h)
-        rows.append(tuple(row))
-    return ChannelRealization(matrices=tuple(rows), seed=-1)
+            row.append(mat[..., 0] + 1j * mat[..., 1])
+        rows.append(row)
+    return ChannelRealization.from_matrices(rows, seed=-1)
 
 
 def sweep_from_dict(doc: dict) -> SweepSpec:
@@ -198,7 +196,7 @@ def _cmd_play(args: argparse.Namespace) -> int:
     print(f"converged {'true' if trace.converged else 'false'} in {trace.iterations_used} iterations")
     for q, rate in enumerate(trace.final_rates):
         print(f"user {q} rate {format(rate, '.9g')}")
-    print(f"sum_rate {format(sum_rate(net, trace.profiles[-1]), '.9g')}")
+    print(f"sum_rate {format(sum_rate(net, trace.profile()), '.9g')}")
     print(f"nash_gap {format(trace.nash_gap, '.3g')}")
     if args.out:
         trace_to_csv(trace, args.out)

@@ -29,12 +29,15 @@ class InterferenceMatrix:
     block q stacks user q's streams, padded with zero rows up to
     tx_antennas[q] when the user has fewer streams than antennas; column
     block r spans transmitter r's antennas. The diagonal blocks are zero.
+    stream_index is the network's (Q, T) slot layout of the same rows and
+    columns (see EffectiveNetwork).
     """
 
     matrix: np.ndarray
     block_start: tuple[int, ...]
     num_streams: tuple[int, ...]
     tx_antennas: tuple[int, ...]
+    stream_index: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,7 @@ def build_interference_matrix(net: EffectiveNetwork) -> InterferenceMatrix:
         block_start=net.offsets[:-1],
         num_streams=tuple(net.num_streams(q) for q in range(net.config.num_users)),
         tx_antennas=net.config.tx_antennas,
+        stream_index=net.stream_index,
     )
 
 
@@ -119,25 +123,33 @@ def _perron_start(block: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         return np.full(n, 1.0 / n)
     x = np.abs(vectors[:, np.argmax(values.real)])
-    if not (np.all(x > 0) and np.all(np.isfinite(x))):
+    if not 0 < x.min() <= x.max() < np.inf:
         return np.full(n, 1.0 / n)
     return x / x.sum()
+
+
+def _bounds(block: np.ndarray, x: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Collatz-Wielandt bounds min_i (Bx)_i/x_i <= rho <= max_i (Bx)_i/x_i.
+
+    They hold for every nonnegative B and positive x, reducible or not.
+    Returns (lower, upper, Bx).
+    """
+    y = block @ x
+    ratios = y / x
+    return float(ratios.min()), float(ratios.max()), y
 
 
 def _irreducible_radius(block: np.ndarray, tol: float, max_iter: int) -> float:
     """Certified power iteration on an irreducible nonnegative block.
 
-    Keeps the classical two-sided bounds min_i (Bx)_i/x_i <= rho <=
-    max_i (Bx)_i/x_i for positive x and iterates with a diagonal shift equal
-    to the running midpoint; the shift leaves the radius bounds untouched
-    but breaks periodic spectra so the bounds tighten geometrically.
+    Keeps the two-sided bounds of _bounds and iterates with a diagonal
+    shift equal to the running midpoint; the shift leaves the radius bounds
+    untouched but breaks periodic spectra so the bounds tighten
+    geometrically.
     """
     x = _perron_start(block)
     for _ in range(max_iter):
-        y = block @ x
-        ratios = y / x
-        lo = float(ratios.min())
-        up = float(ratios.max())
+        lo, up, y = _bounds(block, x)
         if up - lo <= tol * max(1.0, up):
             return 0.5 * (lo + up)
         shift = 0.5 * (lo + up)
@@ -156,9 +168,11 @@ def spectral_radius(
 ) -> float:
     """Largest eigenvalue magnitude of a nonnegative matrix.
 
-    The matrix is first split into its strongly connected components, whose
-    largest block radius equals the radius of the whole matrix; each
-    nontrivial block is handled by certified power iteration.
+    The bounds are first checked on the whole matrix from its Perron start,
+    which settles most irreducible matrices at once. Otherwise the matrix is
+    split into its strongly connected components, whose largest block
+    radius equals the radius of the whole matrix; each nontrivial block is
+    handled by certified power iteration.
 
     Raises:
         PowerIterationError: if some block fails to certify within max_iter.
@@ -171,6 +185,9 @@ def spectral_radius(
         return 0.0
     if n == 1:
         return float(m[0, 0])
+    lo, up, _ = _bounds(m, _perron_start(m))
+    if up - lo <= tol * max(1.0, up):
+        return 0.5 * (lo + up)
     # reach[i, j]: j is reachable from i; squaring doubles the path length
     reach = np.eye(n, dtype=bool) | (m > 0)
     for _ in range((n - 1).bit_length()):
@@ -191,46 +208,56 @@ def spectral_radius(
     return radius
 
 
-def _strict_slotwise_value(im: InterferenceMatrix, transpose: bool) -> float:
-    """Sum over antenna slots of the worst aggregate coupling in that slot.
+def _slot_view(im: InterferenceMatrix) -> np.ndarray:
+    """The matrix as a (Q, T, Q, T) array over (user, antenna slot) pairs.
 
-    For slot j the aggregate of a row is the sum of its entries in column j
-    of every user block; summing the per-slot maxima dominates every row
-    sum, so a value below one implies the corresponding norm is below one.
+    T = max(tx_antennas); slots past a user's antennas are zero rows and
+    columns, so every user block has the same shape.
     """
-    m = im.matrix.T if transpose else im.matrix
-    n_users = len(im.tx_antennas)
-    total = 0.0
-    for slot in range(max(im.tx_antennas)):
-        cols = [
-            im.block_start[r] + slot
-            for r in range(n_users)
-            if slot < im.tx_antennas[r]
-        ]
-        total += float(m[:, cols].sum(axis=1).max())
-    return total
+    n = im.matrix.shape[0]
+    padded = np.zeros((n + 1, n + 1))  # index -1 of stream_index reads the zero row
+    padded[:n, :n] = im.matrix
+    index = im.stream_index
+    return padded[index[:, :, None, None], index]
+
+
+def _strict_values(view: np.ndarray) -> tuple[float, float]:
+    """Sums over antenna slots of the worst aggregate coupling in that slot.
+
+    For slot j the row aggregate of a row is the sum of its entries in
+    column j of every user block; summing the per-slot maxima dominates
+    every row sum, so a value below one implies the row norm is below one.
+    The column value is the same for the transpose. Returns (row, column).
+    """
+    row = view.sum(axis=2).max(axis=(0, 1)).sum()
+    col = view.sum(axis=0).max(axis=(1, 2)).sum()
+    return float(row), float(col)
 
 
 def strict_row_condition(im: InterferenceMatrix) -> tuple[bool, float]:
     """Per-slot strengthened row-norm test: (value < 1, value)."""
-    value = _strict_slotwise_value(im, transpose=False)
+    value = _strict_values(_slot_view(im))[0]
     return value < 1.0, value
 
 
 def strict_col_condition(im: InterferenceMatrix) -> tuple[bool, float]:
     """Per-slot strengthened column-norm test: (value < 1, value)."""
-    value = _strict_slotwise_value(im, transpose=True)
+    value = _strict_values(_slot_view(im))[1]
     return value < 1.0, value
 
 
 def certify(net: EffectiveNetwork, tol: float = SPECTRAL_TOL) -> UniquenessCertificate:
-    """Run every uniqueness test on one effective network."""
+    """Run every uniqueness test on one effective network.
+
+    The matrix is checked once, by spectral_radius; the norms and the
+    strict values come from one padded slot view of it.
+    """
     im = build_interference_matrix(net)
-    row = max_row_sum(im)
-    col = max_col_sum(im)
     rho = spectral_radius(im, tol=tol)
-    row_ok, row_value = strict_row_condition(im)
-    col_ok, col_value = strict_col_condition(im)
+    view = _slot_view(im)
+    row = float(view.sum(axis=(2, 3)).max())
+    col = float(view.sum(axis=(0, 1)).max())
+    row_value, col_value = _strict_values(view)
     norm_unique = row < 1.0 or col < 1.0
     modulus = min(row, col)
     return UniquenessCertificate(
@@ -239,8 +266,8 @@ def certify(net: EffectiveNetwork, tol: float = SPECTRAL_TOL) -> UniquenessCerti
         spectral_radius=rho,
         strict_row_value=row_value,
         strict_col_value=col_value,
-        strict_row_cond=row_ok,
-        strict_col_cond=col_ok,
+        strict_row_cond=row_value < 1.0,
+        strict_col_cond=col_value < 1.0,
         norm_unique=norm_unique,
         spectral_unique=rho < 1.0,
         contraction_modulus=modulus if modulus < 1.0 else None,

@@ -54,18 +54,33 @@ class Schedule:
 class GameTrace:
     """Full record of one game run.
 
-    profiles[0] is the starting point and profiles[n] the state after step
-    n, built once when the game ends; residuals[n-1] is the largest power
-    change made at step n.
+    states is a read-only (steps + 1, N) array: states[0] is the stacked
+    starting point and states[n] the stacked state after step n, with
+    offsets splitting a state into users. residuals[n-1] is the largest
+    power change made at step n.
     """
 
-    profiles: list[PowerProfile]
+    states: np.ndarray
+    offsets: tuple[int, ...]
     updated: list[tuple[int, ...]]
     residuals: list[float]
     converged: bool
     iterations_used: int
     final_rates: np.ndarray
     nash_gap: float
+
+    def profile(self, n: int = -1) -> PowerProfile:
+        """State n (the final one by default) as per-user views."""
+        return _split(self.states[n], self.offsets)
+
+    @property
+    def profiles(self) -> list[PowerProfile]:
+        """Every state as a PowerProfile, built when read."""
+        return [self.profile(n) for n in range(len(self.states))]
+
+
+def _split(x: np.ndarray, offsets: tuple[int, ...]) -> PowerProfile:
+    return PowerProfile([x[a:b] for a, b in zip(offsets, offsets[1:])])
 
 
 def make_schedule(
@@ -139,7 +154,6 @@ def run_game(
     cfg = net.config
     start = uniform_profile(cfg) if start is None else start
     validate_profile(start, cfg)
-    blocks = [slice(a, b) for a, b in zip(net.offsets, net.offsets[1:])]
     owner = np.repeat(np.arange(cfg.num_users), np.diff(net.offsets))  # user of each antenna
 
     # history[n] is the stacked state after step n: the trace and, for stale
@@ -180,15 +194,16 @@ def run_game(
             break
 
     states = history[: len(residuals) + 1]
-    profiles = [PowerProfile([s[b] for b in blocks]) for s in states]
+    states.setflags(write=False)
     return GameTrace(
-        profiles=profiles,
+        states=states,
+        offsets=net.offsets,
         updated=list(schedule.update_sets[: len(residuals)]),
         residuals=residuals,
         converged=converged,
         iterations_used=len(residuals),
         final_rates=user_rates(net, states[-1]),
-        nash_gap=check_nash(net, profiles[-1]),
+        nash_gap=check_nash(net, _split(states[-1], net.offsets)),
     )
 
 

@@ -10,16 +10,16 @@ from __future__ import annotations
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .contraction import certify
-from .engine import make_schedule, run_game
+from .engine import SCHEDULE_KINDS, make_schedule, run_game
 from .netmodel import ConfigError, NetworkConfig, symmetric_config
 from .netmodel import sample_channels
 from .precode import DegenerateChannelError, build_effective_network
-from .waterfill import greedy_profile, random_profile, sum_rate, uniform_profile
+from .waterfill import PowerProfile, greedy_profile, random_profile, sum_rate, uniform_profile
 
 SWEEP_VARIABLES = ("cross_distance", "power_budget_db")
 
@@ -112,6 +112,20 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         raise ConfigError(f"trials must be positive, got {spec.trials}")
     if spec.max_retries < 1:
         raise ConfigError(f"max_retries must be positive, got {spec.max_retries}")
+    if not 0 < spec.game_tol < np.inf:
+        raise ConfigError(f"game_tol must be positive and finite, got {spec.game_tol!r}")
+    if not 0 <= spec.agreement_tol < np.inf:
+        raise ConfigError(
+            f"agreement_tol must be nonnegative and finite, got {spec.agreement_tol!r}"
+        )
+    if spec.it_max < 1:
+        raise ConfigError(f"it_max must be positive, got {spec.it_max}")
+    if spec.schedule not in SCHEDULE_KINDS:
+        raise ConfigError(f"schedule must be one of {SCHEDULE_KINDS}, got {spec.schedule!r}")
+    if spec.delay_bound < 0:
+        raise ConfigError(f"delay_bound must be nonnegative, got {spec.delay_bound}")
+    if spec.update_bound < 1:
+        raise ConfigError(f"update_bound must be positive, got {spec.update_bound}")
     if spec.sweep_variable == "cross_distance":
         for v in spec.sweep_values:
             if not np.isfinite(v) or v <= 0:
@@ -150,6 +164,24 @@ def trial_config(spec: SweepSpec, point_value: float) -> NetworkConfig:
     )
 
 
+@lru_cache(maxsize=16)
+def _sweep_point(
+    spec: SweepSpec, point_index: int
+) -> tuple[float, NetworkConfig, PowerProfile, PowerProfile]:
+    """(value, config, uniform start, greedy start) of one sweep point.
+
+    Every trial of a point shares these, so they are built once per point
+    and process from the validated spec; the starts are read-only.
+    """
+    validate_spec(spec)
+    point_value = float(spec.sweep_values[point_index])
+    cfg = trial_config(spec, point_value)
+    uniform, greedy = uniform_profile(cfg), greedy_profile(cfg)
+    for p in uniform.powers + greedy.powers:
+        p.setflags(write=False)
+    return point_value, cfg, uniform, greedy
+
+
 def _failed_record(point_index, point_value, trial_index, retries) -> TrialRecord:
     nan = float("nan")
     return TrialRecord(
@@ -180,9 +212,7 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
     Rank-deficient draws are redrawn up to max_retries times and the trial
     is marked failed when the budget is exhausted.
     """
-    validate_spec(spec)
-    point_value = float(spec.sweep_values[point_index])
-    cfg = trial_config(spec, point_value)
+    point_value, cfg, uniform, greedy = _sweep_point(spec, point_index)
     root = np.random.SeedSequence((spec.base_seed, point_index, trial_index))
     draws = root.generate_state(spec.max_retries + 2, dtype=np.uint64)
 
@@ -207,18 +237,12 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
         update_bound=spec.update_bound if spec.schedule == "random_async" else 1,
     )
     init_rng = np.random.default_rng(int(draws[spec.max_retries]))
-    starts = [
-        uniform_profile(cfg),
-        greedy_profile(cfg),
-        random_profile(cfg, init_rng),
-    ]
+    starts = [uniform, greedy, random_profile(cfg, init_rng)]
     traces = [run_game(net, schedule, start, tol=spec.game_tol) for start in starts]
 
-    finals = [t.profiles[-1].stacked() for t in traces]
-    disagreement = 0.0
-    for a in range(len(finals)):
-        for b in range(a + 1, len(finals)):
-            disagreement = max(disagreement, float(np.abs(finals[a] - finals[b]).max()))
+    # the largest spread of any antenna's final power is the largest
+    # pairwise distance between the three final states
+    disagreement = float(np.ptp([t.states[-1] for t in traces], axis=0).max())
     converged_all = all(t.converged for t in traces)
     unique = converged_all and disagreement <= spec.agreement_tol
 
@@ -237,7 +261,7 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
         converged_all=converged_all,
         max_disagreement=disagreement,
         empirically_unique=unique,
-        sum_rate_value=sum_rate(net, traces[0].profiles[-1]),
+        sum_rate_value=sum_rate(net, traces[0].profile()),
         iterations=traces[0].iterations_used,
     )
 

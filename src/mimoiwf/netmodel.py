@@ -49,14 +49,61 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of all channel matrices.
+    """One draw of all channel matrices, stacked.
 
-    matrices[r][q] has shape (rx_antennas[q], tx_antennas[r]) and maps the
-    signal of transmitter r into receiver q. Arrays are read-only.
+    links[r, q] holds the matrix that maps the signal of transmitter r into
+    receiver q, of shape (rx_antennas[q], tx_antennas[r]), in its top-left
+    corner; the rest of the (max rx, max tx) slot is zero. The array is
+    read-only. matrices[r][q] is that corner as a view.
     """
 
-    matrices: tuple[tuple[np.ndarray, ...], ...]
+    links: np.ndarray
+    tx_antennas: tuple[int, ...]
+    rx_antennas: tuple[int, ...]
     seed: int
+
+    @property
+    def matrices(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """matrices[r][q]: the link from transmitter r into receiver q."""
+        tx, rx = self.tx_antennas, self.rx_antennas
+        return tuple(
+            tuple(self.links[r, q, : rx[q], : tx[r]] for q in range(len(rx)))
+            for r in range(len(tx))
+        )
+
+    @classmethod
+    def from_matrices(cls, matrices, seed: int) -> "ChannelRealization":
+        """Stack matrices[r][q] of shape (rx[q], tx[r]) into one realization.
+
+        Raises:
+            ValueError: when the shapes do not fit one antenna count per
+                transmitter and per receiver.
+        """
+        n = len(matrices)
+        tx = tuple(np.shape(matrices[r][r])[1] for r in range(n))
+        rx = tuple(np.shape(matrices[q][q])[0] for q in range(n))
+        links = np.zeros((n, n, max(rx), max(tx)), dtype=complex)
+        for r in range(n):
+            if len(matrices[r]) != n:
+                raise ValueError(f"matrices[{r}] must have {n} entries")
+            for q in range(n):
+                h = np.asarray(matrices[r][q])
+                if h.shape != (rx[q], tx[r]):
+                    raise ValueError(
+                        f"matrices[{r}][{q}] has shape {h.shape}, expected {(rx[q], tx[r])}"
+                    )
+                links[r, q, : rx[q], : tx[r]] = h
+        links.setflags(write=False)
+        return cls(links=links, tx_antennas=tx, rx_antennas=rx, seed=int(seed))
+
+
+def _link_mask(tx_antennas, rx_antennas) -> np.ndarray:
+    """(Q, Q, max rx, max tx) mask of the entries of every link, r-major."""
+    tx = np.asarray(tx_antennas)
+    rx = np.asarray(rx_antennas)
+    rows = np.arange(rx.max())[:, None] < rx[None, :, None, None]
+    cols = np.arange(tx.max()) < tx[:, None, None, None]
+    return rows & cols
 
 
 def validate_config(config: NetworkConfig) -> NetworkConfig:
@@ -147,9 +194,9 @@ def pathloss_power_gain(distance: float, exponent: float) -> float:
     Raises:
         ConfigError: if distance is not strictly positive or exponent negative.
     """
-    if not np.isfinite(distance) or distance <= 0:
+    if not 0 < distance < np.inf:
         raise ConfigError(f"distance must be positive and finite, got {distance!r}")
-    if not np.isfinite(exponent) or exponent < 0:
+    if not 0 <= exponent < np.inf:
         raise ConfigError(f"exponent must be nonnegative, got {exponent!r}")
     return float(distance) ** -float(exponent)
 
@@ -162,19 +209,22 @@ def sample_channels(config: NetworkConfig, seed: int) -> ChannelRealization:
     distance**(-exponent/2) of the link. The stream order is fixed:
     transmitter-major, receiver-minor, entries row-major with the real part
     drawn before the imaginary part, so a given seed always produces the
-    same matrices.
+    same matrices. All entries come from one draw, which the generator
+    produces in that same order.
     """
+    mask = _link_mask(config.tx_antennas, config.rx_antennas)
     rng = np.random.default_rng(seed)
+    z = rng.standard_normal((int(mask.sum()), 2))
     gamma = config.pathloss_exponent
-    rows: list[tuple[np.ndarray, ...]] = []
-    for r in range(config.num_users):
-        row: list[np.ndarray] = []
-        for q in range(config.num_users):
-            shape = (config.rx_antennas[q], config.tx_antennas[r])
-            z = rng.standard_normal(shape + (2,))
-            amp = np.sqrt(pathloss_power_gain(config.cross_distance[r][q], gamma))
-            h = (z[..., 0] + 1j * z[..., 1]) * (amp / np.sqrt(2.0))
-            h.setflags(write=False)
-            row.append(h)
-        rows.append(tuple(row))
-    return ChannelRealization(matrices=tuple(rows), seed=int(seed))
+    gain = [[pathloss_power_gain(d, gamma) for d in row] for row in config.cross_distance]
+    amp = np.sqrt(gain) / np.sqrt(2.0)
+    links = np.zeros(mask.shape, dtype=complex)
+    links[mask] = z[:, 0] + 1j * z[:, 1]  # boolean assignment fills in r, q, row, col order
+    links *= amp[:, :, None, None]
+    links.setflags(write=False)
+    return ChannelRealization(
+        links=links,
+        tx_antennas=config.tx_antennas,
+        rx_antennas=config.rx_antennas,
+        seed=int(seed),
+    )

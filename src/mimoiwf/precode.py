@@ -41,28 +41,33 @@ class LinkSVD:
 class EffectiveNetwork:
     """Interference network expressed in the per-user singular bases.
 
+    Per-user arrays are stacked over users and zero-padded to the largest
+    antenna count; T = max(tx_antennas) and R = max(rx_antennas).
+
     Attributes:
         config: the validated network description.
-        svd: per-user LinkSVD of the direct channel.
-        sigma_sq: per-user squared singular values of the direct link.
-        noise_floor: per-user noise_power / sigma_sq.
+        rx_bases: (Q, R, R) left singular bases U_q of the direct links.
+        tx_bases: (Q, T, T) right singular bases V_q of the direct links.
+        singular_values: (Q, T) descending singular values of each direct
+            link; zero past its min(rx, tx) streams.
         offsets: offsets[q]:offsets[q + 1] spans user q's antennas in a
             stacked power vector; offsets[-1] is the total antenna count N.
         coupling: read-only (N, N) map from stacked interferer powers to
             normalized interference. Entry (offsets[q] + i, offsets[r] + j)
             is |U_q^H H_rq V_r|^2 at (i, j) divided by sigma_sq[q][i]; rows
             of user q beyond its streams and the diagonal blocks are zero.
-        stream_index: (Q, T) slot layout, T = max(tx_antennas): entry
-            (q, s) is the stacked position of user q's antenna s, or -1 when
-            s >= tx_antennas[q].
+        stream_index: (Q, T) slot layout: entry (q, s) is the stacked
+            position of user q's antenna s, or -1 when s >= tx_antennas[q].
         stream_noise: (Q, T) noise floor of each slot; +inf where user q has
             no stream s, so water-filling gives such slots no power.
+
+    svd, sigma_sq and noise_floor give the same data per user, unpadded.
     """
 
     config: NetworkConfig
-    svd: tuple[LinkSVD, ...]
-    sigma_sq: tuple[np.ndarray, ...]
-    noise_floor: tuple[np.ndarray, ...]
+    rx_bases: np.ndarray
+    tx_bases: np.ndarray
+    singular_values: np.ndarray
     offsets: tuple[int, ...]
     coupling: np.ndarray
     stream_index: np.ndarray
@@ -70,7 +75,32 @@ class EffectiveNetwork:
 
     def num_streams(self, q: int) -> int:
         """Number of usable parallel streams of user q."""
-        return int(self.svd[q].singular_values.size)
+        return min(self.config.tx_antennas[q], self.config.rx_antennas[q])
+
+    @property
+    def svd(self) -> tuple[LinkSVD, ...]:
+        """Per-user LinkSVD of the direct channel, as views."""
+        cfg = self.config
+        return tuple(
+            LinkSVD(
+                U=self.rx_bases[q, : cfg.rx_antennas[q], : cfg.rx_antennas[q]],
+                singular_values=self.singular_values[q, : self.num_streams(q)],
+                V=self.tx_bases[q, : cfg.tx_antennas[q], : cfg.tx_antennas[q]],
+            )
+            for q in range(cfg.num_users)
+        )
+
+    @property
+    def sigma_sq(self) -> tuple[np.ndarray, ...]:
+        """Per-user squared singular values of the direct link."""
+        return tuple(s.singular_values**2 for s in self.svd)
+
+    @property
+    def noise_floor(self) -> tuple[np.ndarray, ...]:
+        """Per-user noise_power / sigma_sq."""
+        return tuple(
+            self.stream_noise[q, : self.num_streams(q)] for q in range(self.config.num_users)
+        )
 
 
 def svd_decompose(channel: np.ndarray) -> LinkSVD:
@@ -95,57 +125,79 @@ def build_effective_network(
 ) -> EffectiveNetwork:
     """Rotate a channel realization into the per-user singular bases.
 
+    The direct links are factorized in one batched SVD per distinct link
+    shape, and every cross link is rotated in one batched product.
+
     Raises:
         DegenerateChannelError: when some direct channel is rank deficient,
-            so the realization should be redrawn.
+            so the realization should be redrawn; names the first such user.
+        SvdError: if the SVD routine fails to converge.
+        ValueError: when the realization does not have the config's shapes.
     """
-    n_users = config.num_users
-    svds = []
-    for q in range(n_users):
-        link = svd_decompose(realization.matrices[q][q])
-        if link.singular_values.min() <= SINGULAR_FLOOR:
-            raise DegenerateChannelError(
-                f"direct channel of user {q} has a singular value at or below "
-                f"{SINGULAR_FLOOR:g}"
-            )
-        svds.append(link)
-
-    sigma_sq = tuple(link.singular_values**2 for link in svds)
-    noise_floor = tuple(
-        config.noise_power[q] / sigma_sq[q] for q in range(n_users)
-    )
-    for q in range(n_users):
-        if not np.all(np.isfinite(noise_floor[q])):
-            raise DegenerateChannelError(f"noise floor of user {q} is not finite")
-
-    offsets = tuple(int(o) for o in np.cumsum((0, *config.tx_antennas)))
-    coupling = np.zeros((offsets[-1], offsets[-1]))
-    for q in range(n_users):
-        streams = svds[q].singular_values.size
-        u_h = svds[q].U.conj().T[:streams, :]
-        rows = slice(offsets[q], offsets[q] + streams)
-        for r in range(n_users):
-            if r == q:
-                continue
-            rotated = u_h @ realization.matrices[r][q] @ svds[r].V
-            gain = np.abs(rotated) ** 2
-            coupling[rows, offsets[r] : offsets[r + 1]] = gain / sigma_sq[q][:, None]
-    coupling.setflags(write=False)
-
+    if (realization.tx_antennas, realization.rx_antennas) != (
+        config.tx_antennas,
+        config.rx_antennas,
+    ):
+        raise ValueError("channel realization does not match the config's antenna counts")
+    links = realization.links
+    n_users, _, r_max, t_max = links.shape
     tx = np.array(config.tx_antennas)
-    slot = np.arange(tx.max())
-    stream_index = np.where(slot < tx[:, None], np.array(offsets[:-1])[:, None] + slot, -1)
-    stream_noise = np.full(stream_index.shape, np.inf)
-    for q in range(n_users):
-        stream_noise[q, : noise_floor[q].size] = noise_floor[q]
-    stream_index.setflags(write=False)
-    stream_noise.setflags(write=False)
+    slot = np.arange(t_max)
+    is_stream = slot < np.minimum(tx, config.rx_antennas)[:, None]
+
+    rx_bases = np.zeros((n_users, r_max, r_max), dtype=complex)
+    tx_bases = np.zeros((n_users, t_max, t_max), dtype=complex)
+    singular = np.zeros((n_users, t_max))
+    shapes = list(zip(config.rx_antennas, config.tx_antennas))
+    for m, n in dict.fromkeys(shapes):
+        group = [q for q, shape in enumerate(shapes) if shape == (m, n)]
+        try:
+            u, sv, vh = np.linalg.svd(links[group, group, :m, :n], full_matrices=True)
+        except np.linalg.LinAlgError as exc:
+            raise SvdError(f"SVD failed to converge for a {(m, n)} channel") from exc
+        rx_bases[group, :m, :m] = u
+        singular[group, : sv.shape[1]] = sv
+        tx_bases[group, :n, :n] = vh.conj().transpose(0, 2, 1)
+
+    weak = np.where(is_stream, singular, np.inf).min(axis=1) <= SINGULAR_FLOOR
+    if weak.any():
+        raise DegenerateChannelError(
+            f"direct channel of user {weak.argmax()} has a singular value at or below "
+            f"{SINGULAR_FLOOR:g}"
+        )
+    sigma_sq = singular**2
+    noise = np.array(config.noise_power)[:, None]
+    stream_noise = np.divide(noise, sigma_sq, out=np.full(sigma_sq.shape, np.inf), where=is_stream)
+    unbounded = (is_stream & (stream_noise == np.inf)).any(axis=1)
+    if unbounded.any():
+        raise DegenerateChannelError(f"noise floor of user {unbounded.argmax()} is not finite")
+
+    # rotated[r, q] = U_q^H H_rq V_r, first min(R, T) rows
+    streams = min(r_max, t_max)
+    u_h = rx_bases.conj().transpose(0, 2, 1)[:, :streams]
+    rotated = u_h @ links @ tx_bases[:, None]
+    gain = np.abs(rotated) ** 2
+    users = np.arange(n_users)
+    gain[users, users] = 0.0
+    # an infinite divisor zeroes the rows of slots without a stream
+    divisor = np.where(is_stream, sigma_sq, np.inf)[:, :streams, None]
+    blocks = (gain / divisor).transpose(1, 2, 0, 3)  # [q, i, r, j]
+
+    ends = np.cumsum(tx)
+    offsets = (0, *ends.tolist())
+    stream_index = np.where(slot < tx[:, None], (ends - tx)[:, None] + slot, -1)
+    valid = (stream_index >= 0).ravel()
+    padded = np.zeros((valid.size, valid.size))
+    padded.reshape(n_users, t_max, n_users, t_max)[:, :streams] = blocks
+    coupling = padded.compress(valid, axis=0).compress(valid, axis=1)
+    for a in (rx_bases, tx_bases, singular, coupling, stream_index, stream_noise):
+        a.setflags(write=False)
 
     return EffectiveNetwork(
         config=config,
-        svd=tuple(svds),
-        sigma_sq=sigma_sq,
-        noise_floor=noise_floor,
+        rx_bases=rx_bases,
+        tx_bases=tx_bases,
+        singular_values=singular,
         offsets=offsets,
         coupling=coupling,
         stream_index=stream_index,

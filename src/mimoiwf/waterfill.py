@@ -48,20 +48,34 @@ class WaterfillResult:
 
 
 def validate_profile(profile: PowerProfile, config: NetworkConfig) -> PowerProfile:
-    """Check nonnegativity and per-user budget feasibility."""
+    """Check shapes, nonnegativity and per-user budget feasibility.
+
+    A user may exceed its budget by BUDGET_TOL times the larger of one and
+    the budget, which absorbs the rounding of a split that sums to it.
+    The whole profile is checked at once; the error names the first
+    offending user.
+    """
     if len(profile.powers) != config.num_users:
         raise ValueError(
             f"profile has {len(profile.powers)} users, config has {config.num_users}"
         )
+    budget = np.array(config.power_budget)
+    limit = budget + BUDGET_TOL * np.maximum(1.0, budget)
+    shapes = [(t,) for t in config.tx_antennas]
+    if [p.shape for p in profile.powers] == shapes:
+        x = np.concatenate(profile.powers)
+        sums = np.add.reduceat(x, np.array((0, *config.tx_antennas[:-1])).cumsum())
+        if x.min() >= 0 and (sums <= limit).all():
+            return profile
     for q, p in enumerate(profile.powers):
-        if p.shape != (config.tx_antennas[q],):
+        if p.shape != shapes[q]:
             raise ValueError(
                 f"user {q} power vector has shape {p.shape}, "
                 f"expected ({config.tx_antennas[q]},)"
             )
         if np.any(p < 0):
             raise ValueError(f"user {q} has a negative power entry")
-        if p.sum() > config.power_budget[q] + BUDGET_TOL:
+        if p.sum() > limit[q]:
             raise ValueError(
                 f"user {q} exceeds its power budget: {p.sum()!r} > "
                 f"{config.power_budget[q]!r}"

@@ -9,8 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from mimoiwf.netmodel import ChannelRealization, NetworkConfig, sample_channels, validate_config
-from mimoiwf.precode import DegenerateChannelError, build_effective_network
+from types import SimpleNamespace
+
+from mimoiwf.netmodel import (
+    ChannelRealization,
+    NetworkConfig,
+    pathloss_power_gain,
+    sample_channels,
+    validate_config,
+)
+from mimoiwf.precode import (
+    SINGULAR_FLOOR,
+    DegenerateChannelError,
+    build_effective_network,
+    svd_decompose,
+)
 
 
 def bisect_water_level(floors, budget, iters=80):
@@ -73,12 +86,102 @@ def brute_force_cross_gain(h_cross, u_rx, v_tx, streams):
     return out
 
 
+def reference_sample_channels(config, seed):
+    """matrices[r][q] drawn one link at a time, transmitter-major."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for r in range(config.num_users):
+        row = []
+        for q in range(config.num_users):
+            shape = (config.rx_antennas[q], config.tx_antennas[r])
+            z = rng.standard_normal(shape + (2,))
+            amp = np.sqrt(pathloss_power_gain(config.cross_distance[r][q], config.pathloss_exponent))
+            row.append((z[..., 0] + 1j * z[..., 1]) * (amp / np.sqrt(2.0)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def reference_build_effective_network(matrices, config):
+    """Per-user SVDs and coupling blocks, one link at a time.
+
+    Returns a namespace with per-user lists svd (LinkSVD), sigma_sq and
+    noise_floor, and the (N, N) coupling array.
+    """
+    n_users = config.num_users
+    svds = []
+    for q in range(n_users):
+        link = svd_decompose(matrices[q][q])
+        if link.singular_values.min() <= SINGULAR_FLOOR:
+            raise DegenerateChannelError(f"direct channel of user {q} is rank deficient")
+        svds.append(link)
+    sigma_sq = [link.singular_values**2 for link in svds]
+    noise_floor = [config.noise_power[q] / sigma_sq[q] for q in range(n_users)]
+    offsets = np.cumsum((0, *config.tx_antennas))
+    coupling = np.zeros((offsets[-1], offsets[-1]))
+    for q in range(n_users):
+        streams = svds[q].singular_values.size
+        u_h = svds[q].U.conj().T[:streams, :]
+        rows = slice(offsets[q], offsets[q] + streams)
+        for r in range(n_users):
+            if r == q:
+                continue
+            rotated = u_h @ matrices[r][q] @ svds[r].V
+            coupling[rows, offsets[r] : offsets[r + 1]] = np.abs(rotated) ** 2 / sigma_sq[q][:, None]
+    return SimpleNamespace(svd=svds, sigma_sq=sigma_sq, noise_floor=noise_floor, coupling=coupling)
+
+
 def eig_spectral_radius(matrix):
     """Dense eigensolver reference for the spectral radius."""
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(m))))
+
+
+def reference_spectral_radius(m, tol=1e-9, max_iter=10_000):
+    """Radius as the largest over the strongly connected components of m,
+    each by the package's certified iteration on that block alone."""
+    from mimoiwf.contraction import _irreducible_radius
+
+    n = m.shape[0]
+    reach = np.eye(n, dtype=bool) | (m > 0)
+    for _ in range(n):
+        reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+    radius = 0.0
+    done = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if done[i]:
+            continue
+        idx = np.flatnonzero(reach[i] & reach[:, i])
+        done[idx] = True
+        if idx.size == 1:
+            radius = max(radius, float(m[i, i]))
+        else:
+            radius = max(radius, _irreducible_radius(m[np.ix_(idx, idx)], tol, max_iter))
+    return radius
+
+
+def reference_certify(net):
+    """Certificate fields by the per-slot column loops, the plain norms and
+    the component-wise radius."""
+    m = net.coupling
+    cfg = net.config
+    starts = net.offsets[:-1]
+
+    def strict(mat):
+        total = 0.0
+        for slot in range(max(cfg.tx_antennas)):
+            cols = [starts[r] + slot for r in range(cfg.num_users) if slot < cfg.tx_antennas[r]]
+            total += float(mat[:, cols].sum(axis=1).max())
+        return total
+
+    return {
+        "row_norm": float(m.sum(axis=1).max()),
+        "col_norm": float(m.sum(axis=0).max()),
+        "spectral_radius": reference_spectral_radius(m),
+        "strict_row_value": strict(m),
+        "strict_col_value": strict(m.T),
+    }
 
 
 def coupling_entry(net, q, i, r, j):
@@ -177,7 +280,7 @@ def explicit_net(direct, cross, budgets, noise):
                 h = np.zeros((cfg.rx_antennas[q], cfg.tx_antennas[r]), dtype=complex)
             row.append(h)
         rows.append(tuple(row))
-    realization = ChannelRealization(matrices=tuple(rows), seed=-1)
+    realization = ChannelRealization.from_matrices(rows, seed=-1)
     return build_effective_network(realization, cfg)
 
 

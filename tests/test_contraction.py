@@ -3,6 +3,8 @@ import pytest
 
 from mimoiwf.contraction import (
     PowerIterationError,
+    _bounds,
+    _perron_start,
     build_interference_matrix,
     certify,
     max_col_sum,
@@ -19,6 +21,9 @@ from mimoiwf.precode import build_effective_network
 from oracles import (
     eig_spectral_radius,
     explicit_net,
+    ragged_net,
+    reference_certify,
+    reference_spectral_radius,
     reference_col_norm,
     reference_row_norm,
     reference_strict_values,
@@ -230,3 +235,36 @@ def test_matrix_csv_roundtrip(tmp_path):
     write_matrix_csv(im, str(path))
     back = np.loadtxt(path, delimiter=",")
     np.testing.assert_allclose(back, im.matrix, atol=1e-9)
+
+
+CERTIFIED_FIELDS = ("row_norm", "col_norm", "spectral_radius", "strict_row_value", "strict_col_value")
+
+
+@pytest.mark.parametrize("tx, rx", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_certify_matches_loop_reference(tx, rx):
+    for seed in range(50):
+        net = random_net(seed, tx=tx, rx=rx, cross=float(15 + seed))
+        cert, ref = certify(net), reference_certify(net)
+        assert {f: getattr(cert, f) for f in CERTIFIED_FIELDS} == ref, seed
+
+
+def test_certify_ragged_matches_loop_reference():
+    for seed in range(20):
+        net = ragged_net(seed)
+        cert, ref = certify(net), reference_certify(net)
+        for f in CERTIFIED_FIELDS:
+            assert getattr(cert, f) == pytest.approx(ref[f], rel=1e-12, abs=1e-15), (seed, f)
+
+
+def test_reducible_coupling_falls_back_to_components():
+    # three antennas over two receive antennas: every user has a zero row,
+    # so the whole matrix is reducible and its Perron start is not positive
+    for seed in range(10):
+        net = random_net(seed, num_users=3, tx=3, rx=2, cross=25.0)
+        m = net.coupling
+        assert not m[2].any()
+        lo, up, _ = _bounds(m, _perron_start(m))
+        assert up - lo > 1e-9 * max(1.0, up)
+        rho = spectral_radius(m)
+        assert rho == reference_spectral_radius(m)
+        assert rho == pytest.approx(eig_spectral_radius(m), rel=1e-8)

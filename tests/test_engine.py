@@ -181,6 +181,11 @@ def test_trace_shapes_and_residuals():
     net = random_net(1)
     trace = run_game(net, make_schedule("jacobi", 4, it_max=50))
     assert len(trace.profiles) == trace.iterations_used + 1
+    assert trace.states.shape == (trace.iterations_used + 1, 8)
+    assert not trace.states.flags.writeable
+    for n, prof in enumerate(trace.profiles):
+        np.testing.assert_array_equal(prof.stacked(), trace.states[n])
+    np.testing.assert_array_equal(trace.profile().stacked(), trace.states[-1])
     assert len(trace.residuals) == trace.iterations_used
     assert len(trace.updated) == trace.iterations_used
     assert trace.final_rates.shape == (4,)

@@ -55,6 +55,22 @@ def test_spec_validation():
         validate_spec(dataclasses.replace(TINY_UNIQ, sweep_values=(25.0, 15.0)))
     with pytest.raises(ConfigError, match="positive"):
         validate_spec(dataclasses.replace(TINY_UNIQ, sweep_values=(-1.0, 15.0)))
+    for field, value in (
+        ("game_tol", 0.0),
+        ("game_tol", -1.0),
+        ("game_tol", float("nan")),
+        ("game_tol", float("inf")),
+        ("agreement_tol", -1.0),
+        ("agreement_tol", float("nan")),
+        ("agreement_tol", float("inf")),
+        ("it_max", 0),
+        ("schedule", "gauss-seidel"),
+        ("delay_bound", -1),
+        ("update_bound", 0),
+    ):
+        with pytest.raises(ConfigError, match=field):
+            validate_spec(dataclasses.replace(TINY_UNIQ, **{field: value}))
+    validate_spec(dataclasses.replace(TINY_UNIQ, agreement_tol=0.0, delay_bound=0))
     with pytest.raises(ConfigError, match="cross_distance"):
         sweep_uniqueness(TINY_RATE)
     with pytest.raises(ConfigError, match="power_budget_db"):
@@ -147,3 +163,17 @@ def test_csv_write_failure_names_path(tmp_path):
     missing = tmp_path / "nope" / "out.csv"
     with pytest.raises(OSError, match="nope"):
         write_csv(res, str(missing))
+
+
+def test_sumrate_sweep_completes_at_high_budgets():
+    # random starts that split 1e8 or 1e9 exactly can round one ulp over it
+    spec = dataclasses.replace(TINY_RATE, sweep_values=(80.0, 90.0), trials=10)
+    res = sweep_sumrate(spec)
+    assert [row["excluded_trials"] for row in res.rows] == [0, 0]
+    assert all(np.isfinite(row["mean_sum_rate"]) for row in res.rows)
+
+
+def test_trial_records_do_not_depend_on_call_order():
+    forward = [run_trial(TINY_UNIQ, p, t) for p in (0, 1) for t in (0, 1)]
+    backward = [run_trial(dataclasses.replace(TINY_UNIQ), p, t) for p in (1, 0) for t in (1, 0)]
+    assert forward == backward[::-1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mimoiwf.netmodel import (
+    ChannelRealization,
     ConfigError,
     NetworkConfig,
     pathloss_power_gain,
@@ -9,6 +10,8 @@ from mimoiwf.netmodel import (
     symmetric_config,
     validate_config,
 )
+
+from oracles import ragged_net, reference_sample_channels
 
 
 def small_config(**overrides):
@@ -140,3 +143,40 @@ def test_config_is_checked_when_built():
         small_config(power_budget=(10.0, -1.0))
     with pytest.raises(ConfigError, match="cross_distance"):
         symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 0.0, 2.5)
+
+
+@pytest.mark.parametrize("tx, rx", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_single_draw_matches_per_link_draws(tx, rx):
+    cfg = symmetric_config(4, tx, rx, 10.0, 1.0, 15.0, 30.0, 2.5)
+    for seed in range(50):
+        real = sample_channels(cfg, seed)
+        ref = reference_sample_channels(cfg, seed)
+        for r in range(4):
+            for q in range(4):
+                np.testing.assert_array_equal(real.matrices[r][q], ref[r][q])
+
+
+def test_ragged_links_are_zero_padded():
+    cfg = ragged_net(0).config
+    real = sample_channels(cfg, 5)
+    ref = reference_sample_channels(cfg, 5)
+    assert real.links.shape == (3, 3, 4, 3)
+    assert not real.links.flags.writeable
+    for r in range(3):
+        for q in range(3):
+            np.testing.assert_array_equal(real.matrices[r][q], ref[r][q])
+            corner = np.zeros((4, 3), dtype=bool)
+            corner[: cfg.rx_antennas[q], : cfg.tx_antennas[r]] = True
+            assert np.all(real.links[r, q][~corner] == 0)
+
+
+def test_realization_from_matrices_round_trips():
+    cfg = ragged_net(0).config
+    real = sample_channels(cfg, 8)
+    back = ChannelRealization.from_matrices(real.matrices, seed=8)
+    np.testing.assert_array_equal(back.links, real.links)
+    assert (back.tx_antennas, back.rx_antennas) == (cfg.tx_antennas, cfg.rx_antennas)
+    bad = [list(row) for row in real.matrices]
+    bad[0][1] = np.zeros((2, 2))
+    with pytest.raises(ValueError, match=r"matrices\[0\]\[1\]"):
+        ChannelRealization.from_matrices(bad, seed=8)

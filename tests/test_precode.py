@@ -8,7 +8,13 @@ from mimoiwf.precode import (
     svd_decompose,
 )
 
-from oracles import brute_force_cross_gain, explicit_net
+from oracles import (
+    brute_force_cross_gain,
+    explicit_net,
+    ragged_net,
+    reference_build_effective_network,
+    reference_sample_channels,
+)
 
 
 def test_svd_identity():
@@ -71,6 +77,40 @@ def test_single_user_network_has_no_cross_terms():
 def test_degenerate_direct_channel_rejected():
     with pytest.raises(DegenerateChannelError, match="user 0"):
         explicit_net([np.array([[1.0, 0.0], [0.0, 0.0]])], {}, [10.0], [1.0])
+    # the first rank-deficient user is named, whatever follows it
+    rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(DegenerateChannelError, match="user 1 "):
+        explicit_net([np.eye(2), rank_one, np.eye(2), rank_one], {}, [10.0] * 4, [1.0] * 4)
+
+
+@pytest.mark.parametrize("tx, rx", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_stacked_build_matches_per_link_reference(tx, rx):
+    cfg = symmetric_config(4, tx, rx, 10.0, 1.0, 15.0, 30.0, 2.5)
+    for seed in range(50):
+        net = build_effective_network(sample_channels(cfg, seed), cfg)
+        ref = reference_build_effective_network(reference_sample_channels(cfg, seed), cfg)
+        np.testing.assert_array_equal(net.coupling, ref.coupling)
+        for q in range(4):
+            np.testing.assert_array_equal(net.svd[q].U, ref.svd[q].U)
+            np.testing.assert_array_equal(net.svd[q].V, ref.svd[q].V)
+            np.testing.assert_array_equal(net.sigma_sq[q], ref.sigma_sq[q])
+            np.testing.assert_array_equal(net.noise_floor[q], ref.noise_floor[q])
+
+
+def test_ragged_build_matches_per_link_reference():
+    for seed in range(20):
+        net = ragged_net(seed)
+        cfg = net.config
+        ref = reference_build_effective_network(
+            reference_sample_channels(cfg, 1000 * seed), cfg
+        )
+        np.testing.assert_allclose(net.coupling, ref.coupling, rtol=0, atol=1e-12)
+        for q in range(3):
+            np.testing.assert_allclose(net.svd[q].U, ref.svd[q].U, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(net.svd[q].V, ref.svd[q].V, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(net.noise_floor[q], ref.noise_floor[q], rtol=1e-12)
+        assert net.stream_noise.shape == (3, 3)
+        assert np.isinf(net.stream_noise[[0, 1, 2, 2], [2, 2, 1, 2]]).all()
 
 
 def test_cross_gain_matches_brute_force():

@@ -17,6 +17,8 @@ from mimoiwf.waterfill import (
     water_level,
 )
 
+from mimoiwf.netmodel import symmetric_config
+
 from oracles import (
     bisect_water_level,
     explicit_net,
@@ -268,3 +270,34 @@ def test_validate_profile_rejects_violations():
         validate_profile(PowerProfile([np.array([1.0])]), cfg)
     with pytest.raises(ValueError, match="users"):
         validate_profile(PowerProfile([]), cfg)
+
+
+def test_validate_profile_names_the_first_offender():
+    cfg = symmetric_config(3, 2, 2, 5.0, 1.0, 15.0, 30.0, 2.5)
+    ok = [np.array([2.0, 3.0])] * 3
+    for q in (1, 2):
+        powers = list(ok)
+        powers[q] = np.array([3.0, 3.0])
+        with pytest.raises(ValueError, match=f"user {q} exceeds its power budget"):
+            validate_profile(PowerProfile(powers), cfg)
+    with pytest.raises(ValueError, match="user 1 has a negative"):
+        validate_profile(PowerProfile([ok[0], np.array([-1.0, 1.0]), np.array([9.0, 9.0])]), cfg)
+    with pytest.raises(ValueError, match=r"user 2 power vector has shape \(3,\)"):
+        validate_profile(PowerProfile([ok[0], ok[1], np.ones(3)]), cfg)
+
+
+def test_budget_tolerance_is_relative_to_the_budget():
+    # a full split rounds up to one ulp over the budget at 80 and 90 dB
+    for budget in (1e8, 1e9):
+        cfg = symmetric_config(4, 2, 2, budget, 1.0, 15.0, 30.0, 2.5)
+        over = np.array([np.nextafter(budget, np.inf), 0.0])
+        validate_profile(PowerProfile([over] * 4), cfg)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            validate_profile(random_profile(cfg, rng), cfg)
+        with pytest.raises(ValueError, match="user 0 exceeds its power budget"):
+            validate_profile(PowerProfile([np.array([1.001 * budget, 0.0])] * 4), cfg)
+    # below a budget of one the tolerance stays absolute
+    cfg = symmetric_config(1, 2, 2, 1e-3, 1.0, 15.0, 15.0, 2.5)
+    with pytest.raises(ValueError, match="budget"):
+        validate_profile(PowerProfile([np.array([1e-3 + 1e-8, 0.0])]), cfg)
