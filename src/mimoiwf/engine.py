@@ -30,7 +30,6 @@ class ScheduleError(ValueError):
     """Raised for unknown schedule kinds or invalid bounds."""
 
 
-@dataclass(frozen=True)
 class Schedule:
     """Update plan for the iterated game.
 
@@ -38,16 +37,36 @@ class Schedule:
     delays, present only for the random schedule, holds at [n, q, r] the
     age of the view user q has of user r at step n; ages never exceed
     delay_bound, and no user goes more than update_bound steps without
-    an update.
+    an update. A plan with draws holds the steps drawn so far, and draws
+    yields the later ones in order as (members, ages) pairs: step(n) draws
+    up to step n, and reading update_sets or delays draws all it_max steps.
     """
 
-    kind: str
-    it_max: int
-    update_sets: tuple[tuple[int, ...], ...]
-    delay_bound: int
-    update_bound: int
-    seed: int
-    delays: np.ndarray | None
+    def __init__(self, kind, it_max, update_sets, delay_bound, update_bound, seed, delays,
+                 draws=None):
+        self.kind, self.it_max, self.seed = kind, it_max, seed
+        self.delay_bound, self.update_bound = delay_bound, update_bound
+        self._sets = list(update_sets)
+        self._ages = None if delays is None else list(delays)
+        self._draws = draws
+
+    def step(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
+        """Users updating at step n and their (Q, Q) view ages, None if fresh."""
+        while n >= len(self._sets) and self._draws is not None:
+            members, ages = next(self._draws)
+            self._sets.append(members)
+            self._ages.append(ages)
+        return self._sets[n], None if self._ages is None else self._ages[n]
+
+    @property
+    def update_sets(self) -> tuple[tuple[int, ...], ...]:
+        self.step(self.it_max - 1)
+        return tuple(self._sets[: self.it_max])
+
+    @property
+    def delays(self) -> np.ndarray | None:
+        self.step(self.it_max - 1)
+        return None if self._ages is None else np.array(self._ages[: self.it_max])
 
 
 @dataclass
@@ -96,7 +115,8 @@ def make_schedule(
     jacobi updates everyone at every step from fresh views; gauss_seidel
     cycles one user per step; random_async flips a fair coin per user and
     step (forcing an update when update_bound would otherwise be broken)
-    and draws view ages uniformly from {0..delay_bound}.
+    and draws view ages uniformly from {0..delay_bound}, each step only
+    when first read, so games that stop early draw only what they play.
     """
     if kind not in SCHEDULE_KINDS:
         raise ScheduleError(f"unknown schedule kind {kind!r}, expected one of {SCHEDULE_KINDS}")
@@ -116,28 +136,25 @@ def make_schedule(
             f"random_async needs delay_bound >= 0 and update_bound >= 1, "
             f"got {delay_bound}, {update_bound}"
         )
+    draws = _async_steps(num_users, it_max, seed, delay_bound, update_bound)
+    return Schedule(kind, it_max, (), int(delay_bound), int(update_bound), int(seed), (), draws)
+
+
+def _async_steps(num_users: int, it_max: int, seed: int, delay_bound: int, update_bound: int):
+    """random_async steps in order: rng.random, then rng.integers if delay_bound > 0."""
     rng = np.random.default_rng(seed)
-    draws, ages = [], []
-    for _ in range(it_max):
-        draws.append(rng.random(num_users))
-        if delay_bound > 0:
-            ages.append(rng.integers(0, delay_bound + 1, size=(num_users, num_users)))
-    if ages:
-        delays = np.array(ages)
-    else:
-        delays = np.zeros((it_max, num_users, num_users), dtype=np.int64)
-    users = range(num_users)
-    delays[:, users, users] = 0  # own power is always current
     last = [-1] * num_users
-    sets = []
-    for n, coins in enumerate((np.array(draws) < 0.5).tolist()):
-        members = tuple(q for q in users if coins[q] or n - last[q] >= update_bound)
+    for n in range(it_max):
+        coins = (rng.random(num_users) < 0.5).tolist()
+        if delay_bound > 0:
+            ages = rng.integers(0, delay_bound + 1, size=(num_users, num_users))
+            ages.flat[:: num_users + 1] = 0  # own power is always current
+        else:
+            ages = np.zeros((num_users, num_users), dtype=np.int64)
+        members = tuple(q for q in range(num_users) if coins[q] or n - last[q] >= update_bound)
         for q in members:
             last[q] = n
-        sets.append(members)
-    return Schedule(
-        kind, it_max, tuple(sets), int(delay_bound), int(update_bound), int(seed), delays
-    )
+        yield members, ages
 
 
 def run_game(
@@ -154,41 +171,44 @@ def run_game(
     cfg = net.config
     start = uniform_profile(cfg) if start is None else start
     validate_profile(start, cfg)
-    owner = np.repeat(np.arange(cfg.num_users), np.diff(net.offsets))  # user of each antenna
 
     # history[n] is the stacked state after step n: the trace and, for stale
-    # views, the delay buffer (user q reads antenna j at step n from
-    # history[source[n, q, j]])
+    # views, the delay buffer (user q reads antenna j of user r at step n
+    # from history[n - ages[q, r]], never before the start)
     history = np.empty((schedule.it_max + 1, net.offsets[-1]))
     history[0] = start.stacked()
-    if schedule.delays is not None:
-        antennas = np.arange(net.offsets[-1])
-        steps = np.arange(schedule.it_max)[:, None, None]
-        source = steps - np.minimum(schedule.delays[:, :, owner], steps)
+    antennas = np.arange(net.offsets[-1])
     window = max(schedule.update_bound, 1)
-    last_update = np.full(cfg.num_users, -1)
-    movers: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}  # users, antennas
+    last_update = [-1] * cfg.num_users
+    movers: dict[tuple[int, ...], np.ndarray | None] = {}  # antennas that move, None if all
+    updated: list[tuple[int, ...]] = []
     residuals: list[float] = []
     converged = False
 
     for n in range(schedule.it_max):
+        members, ages = schedule.step(n)
         x = history[n]
-        views = x if schedule.delays is None else history[source[n], antennas]
-        members = schedule.update_sets[n]
+        if ages is None:
+            new = best_responses(net, x)
+        else:
+            source = n - np.minimum(ages, n).repeat(cfg.tx_antennas, axis=1)
+            new = best_responses(net, history[source, antennas])
         if members not in movers:
             users = np.zeros(cfg.num_users, dtype=bool)
             users[list(members)] = True
-            movers[members] = (users, users[owner])
-        users, moved = movers[members]
-        new = np.where(moved, best_responses(net, views), x)
+            movers[members] = None if users.all() else users.repeat(cfg.tx_antennas)
+        if movers[members] is not None:
+            new = np.where(movers[members], new, x)
+        updated.append(members)
         residuals.append(float(np.abs(new - x).max()))
         history[n + 1] = new
-        last_update[users] = n
+        for q in members:
+            last_update[q] = n
 
         if (
             n + 1 >= window
             and max(residuals[-window:]) < tol
-            and (last_update > n - window).all()
+            and min(last_update) > n - window
         ):
             converged = True
             break
@@ -198,7 +218,7 @@ def run_game(
     return GameTrace(
         states=states,
         offsets=net.offsets,
-        updated=list(schedule.update_sets[: len(residuals)]),
+        updated=updated,
         residuals=residuals,
         converged=converged,
         iterations_used=len(residuals),

@@ -60,6 +60,9 @@ class EffectiveNetwork:
             position of user q's antenna s, or -1 when s >= tx_antennas[q].
         stream_noise: (Q, T) noise floor of each slot; +inf where user q has
             no stream s, so water-filling gives such slots no power.
+        antenna_mask: (Q, T) stream_index >= 0; a (Q, T) array masked by it
+            lists its antenna slots in stacked order.
+        budget: (Q,) config.power_budget as an array.
 
     svd, sigma_sq and noise_floor give the same data per user, unpadded.
     """
@@ -72,6 +75,8 @@ class EffectiveNetwork:
     coupling: np.ndarray
     stream_index: np.ndarray
     stream_noise: np.ndarray
+    antenna_mask: np.ndarray
+    budget: np.ndarray
 
     def num_streams(self, q: int) -> int:
         """Number of usable parallel streams of user q."""
@@ -185,12 +190,15 @@ def build_effective_network(
 
     ends = np.cumsum(tx)
     offsets = (0, *ends.tolist())
-    stream_index = np.where(slot < tx[:, None], (ends - tx)[:, None] + slot, -1)
-    valid = (stream_index >= 0).ravel()
+    antenna_mask = slot < tx[:, None]
+    stream_index = np.where(antenna_mask, (ends - tx)[:, None] + slot, -1)
+    valid = antenna_mask.ravel()
     padded = np.zeros((valid.size, valid.size))
     padded.reshape(n_users, t_max, n_users, t_max)[:, :streams] = blocks
     coupling = padded.compress(valid, axis=0).compress(valid, axis=1)
-    for a in (rx_bases, tx_bases, singular, coupling, stream_index, stream_noise):
+    budget = np.array(config.power_budget)
+    slot_arrays = (stream_index, stream_noise, antenna_mask)
+    for a in (rx_bases, tx_bases, singular, coupling, budget, *slot_arrays):
         a.setflags(write=False)
 
     return EffectiveNetwork(
@@ -202,4 +210,6 @@ def build_effective_network(
         coupling=coupling,
         stream_index=stream_index,
         stream_noise=stream_noise,
+        antenna_mask=antenna_mask,
+        budget=budget,
     )

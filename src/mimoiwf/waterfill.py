@@ -104,11 +104,13 @@ def greedy_profile(config: NetworkConfig) -> PowerProfile:
 
 
 def random_profile(config: NetworkConfig, rng: np.random.Generator) -> PowerProfile:
-    """Random nonnegative split of each user's full budget."""
-    powers = []
-    for q in range(config.num_users):
-        w = rng.random(config.tx_antennas[q])
-        powers.append(config.power_budget[q] * w / w.sum())
+    """Random nonnegative split of each user's full budget, from one draw."""
+    w = rng.random(sum(config.tx_antennas))
+    powers, start = [], 0
+    for budget, t in zip(config.power_budget, config.tx_antennas):
+        part = w[start : start + t]
+        powers.append(budget * part / part.sum())
+        start += t
     return PowerProfile(powers)
 
 
@@ -144,27 +146,34 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     above its highest floor; no iteration is involved.
 
     Raises:
-        ValueError: on an empty floor vector, a NaN or negative floor, a
-            row without a finite floor, or a non-positive budget.
+        ValueError: on an empty floor vector, a budget that is neither a
+            scalar nor one entry per row, a NaN or negative floor, a row
+            without a finite floor, or a non-positive budget.
     """
     c = np.asarray(floors, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1] == 0:
         raise ValueError(f"floors must be a non-empty vector or (Q, S) array, got {c.shape}")
-    lowest = c.min(axis=-1)
-    if not (lowest.min() >= 0 and lowest.max() < np.inf):
-        raise ValueError("floors must be nonnegative, with a finite floor in every row")
+    rows = c.reshape(-1, c.shape[-1])
+    n_rows, size = rows.shape
     b = np.asarray(budget, dtype=float)
-    if not (b.min() > 0 and b.max() < np.inf):
+    if b.shape not in ((), (n_rows,)):
+        raise ValueError(f"budget of shape {b.shape} does not fit floors of shape {c.shape}")
+    order = np.sort(rows, axis=1)
+    # a NaN sorts last, and hi != hi only for a NaN
+    lowest, highest = order[:, 0].tolist(), order[:, -1].tolist()
+    if not all(0 <= lo < np.inf and hi == hi for lo, hi in zip(lowest, highest)):
+        raise ValueError("floors must be nonnegative, with a finite floor in every row")
+    if not all(0 < v < np.inf for v in b.ravel().tolist()):
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
 
-    rows = c.reshape(-1, c.shape[-1])
-    order = np.sort(rows, axis=1)
-    cum = order.cumsum(axis=1)
-    k = np.arange(1, rows.shape[1] + 1)
-    levels = (b.reshape(-1, 1) + cum) / k
-    feasible = levels > order  # k=1 is always feasible since budget > 0
-    k_star = rows.shape[1] - 1 - feasible[:, ::-1].argmax(axis=1)
-    mu = levels[np.arange(rows.shape[0]), k_star]
+    # levels[:, k-1] = (budget + k lowest floors) / k
+    levels = np.add.accumulate(order, axis=1)
+    levels += b.reshape(-1, 1)
+    levels /= np.arange(1.0, size + 1)
+    feasible = levels > order
+    feasible[:, 0] = True  # as in exact arithmetic, where budget > 0 ensures it
+    k_star = size - 1 - feasible[:, ::-1].argmax(axis=1)
+    mu = levels[np.arange(n_rows), k_star]
     powers = np.maximum(mu[:, None] - rows, 0.0).reshape(c.shape)
     return WaterfillResult(powers=powers, water_level=float(mu[0]) if c.ndim == 1 else mu)
 
@@ -188,8 +197,7 @@ def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     views is as for stream_floors; user q responds to its own view.
     """
     floors = stream_floors(net, views)
-    powers = water_level(floors, np.asarray(net.config.power_budget)).powers
-    return powers[net.stream_index >= 0]
+    return water_level(floors, net.budget).powers[net.antenna_mask]
 
 
 def user_rate(powers: np.ndarray, floors: np.ndarray) -> float:
@@ -205,7 +213,7 @@ def user_rates(net: EffectiveNetwork, x: np.ndarray) -> np.ndarray:
     """Rate of every user at a stacked power vector x, as a (Q,) array."""
     floors = stream_floors(net, x)
     p = np.zeros(floors.shape)
-    p[net.stream_index >= 0] = x
+    p[net.antenna_mask] = x
     return np.log2(1.0 + p / floors).sum(axis=1)
 
 

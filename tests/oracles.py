@@ -319,6 +319,15 @@ def reference_water_fill(floors, budget):
     return np.maximum(mu - c, 0.0)
 
 
+def reference_random_profile(config, rng):
+    """Random split of each user's budget, one rng.random call per user."""
+    powers = []
+    for q in range(config.num_users):
+        w = rng.random(config.tx_antennas[q])
+        powers.append(config.power_budget[q] * w / w.sum())
+    return powers
+
+
 def reference_best_response(net, view, q):
     """User q's response to a stacked view, from its own coupling rows."""
     streams = net.num_streams(q)

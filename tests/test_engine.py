@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,75 @@ def test_random_schedule_matches_step_by_step_loop():
                     assert s.update_sets == sets
                     assert s.delays.dtype == delays.dtype
                     np.testing.assert_array_equal(s.delays, delays)
+
+
+def test_schedule_read_after_an_early_stop_is_the_whole_plan():
+    net = random_net(0)
+    for delay_bound, update_bound in ((3, 5), (0, 1), (2, 3)):
+        sets, delays = reference_async_schedule(4, 120, 9, delay_bound, update_bound)
+        for delays_first in (True, False):
+            sched = make_schedule(
+                "random_async", 4, it_max=120, seed=9, delay_bound=delay_bound,
+                update_bound=update_bound,
+            )
+            trace = run_game(net, sched, tol=1e-6)
+            assert trace.converged and trace.iterations_used < 120
+            assert trace.updated == list(sets[: trace.iterations_used])
+            if delays_first:
+                np.testing.assert_array_equal(sched.delays, delays)
+            assert sched.update_sets == sets
+            assert sched.delays.dtype == delays.dtype
+            np.testing.assert_array_equal(sched.delays, delays)
+
+
+def test_games_draw_only_the_steps_they_play():
+    sets, delays = reference_async_schedule(4, 100, 3, 3, 5)
+    pulled = []
+
+    def steps():
+        for step in zip(sets, delays):
+            pulled.append(step)
+            yield step
+
+    sched = Schedule("random_async", 100, [], 3, 5, 3, [], steps())
+    net = random_net(1)
+    starts = (uniform_profile(net.config), greedy_profile(net.config))
+    played = [run_game(net, sched, start).iterations_used for start in starts]
+    assert len(pulled) == max(played) < 100
+    assert sched.update_sets == sets and len(pulled) == 100
+
+
+def assert_same_trace(a, b):
+    np.testing.assert_array_equal(a.states, b.states)
+    assert a.residuals == b.residuals and a.updated == b.updated
+    assert (a.converged, a.iterations_used, a.nash_gap) == (b.converged, b.iterations_used, b.nash_gap)
+    np.testing.assert_array_equal(a.final_rates, b.final_rates)
+
+
+def test_start_order_does_not_change_an_on_demand_schedule():
+    for seed in range(3):
+        net = ragged_net(seed)
+        rng = np.random.default_rng(seed)
+        starts = [uniform_profile(net.config), greedy_profile(net.config)]
+        starts.append(random_profile(net.config, rng))
+        for delay_bound, update_bound in ((0, 1), (0, 3), (1, 1), (3, 5)):
+            def plan():
+                return make_schedule(
+                    "random_async", 3, it_max=80, seed=seed, delay_bound=delay_bound,
+                    update_bound=update_bound,
+                )
+
+            full = plan()
+            assert len(full.update_sets) == 80  # draws the whole horizon
+            sets, delays = reference_async_schedule(3, 80, seed, delay_bound, update_bound)
+            by_hand = Schedule("random_async", 80, sets, delay_bound, update_bound, seed, delays)
+            expected = [run_game(net, full, start, tol=1e-9) for start in starts]
+            for start, want in zip(starts, expected):
+                assert_same_trace(run_game(net, by_hand, start, tol=1e-9), want)
+            for order in itertools.permutations(range(3)):
+                lazy = plan()
+                for i in order:
+                    assert_same_trace(run_game(net, lazy, starts[i], tol=1e-9), expected[i])
 
 
 def test_random_schedule_degenerates_to_jacobi():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,14 @@ from mimoiwf.waterfill import (
     water_level,
 )
 
-from mimoiwf.netmodel import symmetric_config
+from mimoiwf.netmodel import NetworkConfig, symmetric_config
 
 from oracles import (
     bisect_water_level,
     explicit_net,
     kkt_water_allocation,
     ragged_net,
+    reference_random_profile,
     reference_water_fill,
 )
 
@@ -126,6 +129,83 @@ def test_batch_rejects_bad_rows():
         water_level(good, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="budget"):
         water_level(good, np.array([np.nan, 1.0]))
+
+
+def test_budget_shape_must_fit_the_rows():
+    with pytest.raises(ValueError, match=r"budget of shape \(3,\).*floors of shape \(2, 2\)"):
+        water_level(np.ones((2, 2)), np.ones(3))
+    with pytest.raises(ValueError, match=r"budget of shape \(2, 1\).*floors of shape \(2, 2\)"):
+        water_level(np.ones((2, 2)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match=r"budget of shape \(2,\).*floors of shape \(3,\)"):
+        water_level(np.ones(3), np.ones(2))
+    # a scalar fits any batch, and a one-entry vector fits a single problem
+    np.testing.assert_array_equal(water_level(np.ones((2, 2)), 2.0).powers, 1.0)
+    np.testing.assert_array_equal(water_level(np.ones(2), np.array([2.0])).powers, 1.0)
+
+
+FLOOR_MESSAGE = "floors must be nonnegative, with a finite floor in every row"
+
+
+@pytest.mark.parametrize(
+    "floors, budget, message",
+    [
+        (np.array([1.0, 2.0]), np.inf, "budget must be positive and finite, got inf"),
+        (np.array([[1.0, 2.0], [0.5, np.inf]]), np.array([1.0, np.inf]), "budget must be"),
+        (np.array([1.0, 2.0]), -1.0, "budget must be positive and finite, got -1.0"),
+        (np.array([[1.0, 2.0], [0.5, np.inf]]), np.array([1.0, -2.0]), "budget must be"),
+        # the NaN sits where water-filling would put no power
+        (np.array([0.1, 5.0, np.nan]), 1.0, FLOOR_MESSAGE),
+        (np.array([[0.1, 5.0, np.nan], [0.5, 1.0, np.inf]]), np.array([1.0, 1.0]), FLOOR_MESSAGE),
+        (np.array([[0.1, 0.2, np.inf], [0.5, np.nan, np.inf]]), np.array([1.0, 1.0]), FLOOR_MESSAGE),
+        (np.array([[0.1, -np.inf], [0.5, np.inf]]), np.array([1.0, 1.0]), FLOOR_MESSAGE),
+    ],
+)
+def test_bad_input_raises_value_error_with_warnings_as_errors(floors, budget, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            water_level(floors, budget)
+    assert str(err.value).startswith(message)
+
+
+def test_ragged_batches_raise_no_floating_point_warning():
+    rng = np.random.default_rng(12)
+    with np.errstate(all="raise"):
+        for _ in range(300):
+            rows, size = rng.integers(1, 6), rng.integers(1, 6)
+            floors = 10.0 ** rng.uniform(-4, 4, (rows, size))
+            floors[:, 1:][rng.random((rows, size - 1)) < 0.5] = np.inf
+            budgets = 10.0 ** rng.uniform(-4, 4, rows)
+            res = water_level(floors, budgets)
+            assert np.isfinite(res.powers).all() and (res.powers >= 0).all()
+        # a budget lost in the rounding of the lowest floor gives no power,
+        # not the padding's infinite level
+        res = water_level(np.array([[1.0, np.inf], [1.0, 2.0]]), np.array([1e-300, 1.0]))
+        np.testing.assert_array_equal(res.powers, [[0.0, 0.0], [1.0, 0.0]])
+
+
+def test_random_profile_matches_one_draw_per_user():
+    cfg = NetworkConfig(
+        num_users=4,
+        tx_antennas=(2, 3, 1, 4),
+        rx_antennas=(2, 3, 1, 4),
+        power_budget=(1.0, 10.0, 0.5, 1e6),
+        noise_power=(1.0,) * 4,
+        direct_distance=(15.0,) * 4,
+        cross_distance=tuple((15.0,) * 4 for _ in range(4)),
+        pathloss_exponent=2.5,
+    )
+    for seed in range(250):
+        got = random_profile(cfg, np.random.default_rng(seed)).powers
+        want = reference_random_profile(cfg, np.random.default_rng(seed))
+        assert len(got) == 4
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+    # the generator is left where the per-user draws leave it
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    random_profile(cfg, rng)
+    reference_random_profile(cfg, ref)
+    assert rng.random() == ref.random()
 
 
 def test_best_response_is_a_row_of_the_batched_step():
