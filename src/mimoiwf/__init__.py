@@ -6,12 +6,7 @@ from .contraction import (
     UniquenessCertificate,
     build_interference_matrix,
     certify,
-    max_col_sum,
-    max_row_sum,
     spectral_radius,
-    strict_col_condition,
-    strict_row_condition,
-    weighted_max_norm,
     write_matrix_csv,
 )
 from .engine import (
@@ -52,13 +47,10 @@ from .precode import (
 from .waterfill import (
     PowerProfile,
     WaterfillResult,
-    best_response,
     greedy_profile,
-    interference_plus_noise,
     random_profile,
     sum_rate,
     uniform_profile,
-    user_rate,
     validate_profile,
     water_level,
 )

@@ -11,18 +11,13 @@ import dataclasses
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from .contraction import PowerIterationError, build_interference_matrix, certify, write_matrix_csv
 from .engine import make_schedule, run_game, trace_to_csv
-from .expharness import (
-    SweepSpec,
-    sweep_sumrate,
-    sweep_uniqueness,
-    validate_spec,
-    write_csv,
-)
+from .expharness import SweepSpec, sweep_sumrate, sweep_uniqueness, write_csv
 from .netmodel import (
     ChannelRealization,
     ConfigError,
@@ -30,7 +25,7 @@ from .netmodel import (
     sample_channels,
 )
 from .precode import DegenerateChannelError, SvdError, build_effective_network
-from .waterfill import sum_rate, uniform_profile
+from .waterfill import uniform_profile
 
 _SCHEDULE_FLAG = {"jacobi": "jacobi", "gauss-seidel": "gauss_seidel", "async": "random_async"}
 
@@ -141,20 +136,19 @@ def sweep_from_dict(doc: dict) -> SweepSpec:
     """Strict mapping of a JSON document onto a SweepSpec."""
     if not isinstance(doc, dict):
         raise ConfigError("sweep config must be a JSON object")
-    fields = {f.name for f in dataclasses.fields(SweepSpec)}
-    unknown = sorted(set(doc) - fields)
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(SweepSpec)}
+    unknown = sorted(set(doc) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown sweep config keys: {', '.join(unknown)}")
-    defaults = SweepSpec()
     kwargs = {}
     for key, value in doc.items():
         if key != "sweep_values":
-            kwargs[key] = _typed(key, value, type(getattr(defaults, key)))
+            kwargs[key] = _typed(key, value, kinds[key])
         elif isinstance(value, list):
             kwargs[key] = tuple(_typed(f"{key}[{k}]", v, float) for k, v in enumerate(value))
         else:
             raise ConfigError(f"sweep_values must be a list, got {value!r}")
-    return validate_spec(SweepSpec(**kwargs))
+    return SweepSpec(**kwargs)
 
 
 def _load_json(path: str) -> dict:
@@ -196,7 +190,7 @@ def _cmd_play(args: argparse.Namespace) -> int:
     print(f"converged {'true' if trace.converged else 'false'} in {trace.iterations_used} iterations")
     for q, rate in enumerate(trace.final_rates):
         print(f"user {q} rate {format(rate, '.9g')}")
-    print(f"sum_rate {format(sum_rate(net, trace.profile()), '.9g')}")
+    print(f"sum_rate {format(trace.final_rates.sum(), '.9g')}")
     print(f"nash_gap {format(trace.nash_gap, '.3g')}")
     if args.out:
         trace_to_csv(trace, args.out)
@@ -242,7 +236,7 @@ def _cmd_sweep(args: argparse.Namespace, runner) -> int:
     if args.schedule is not None:
         overrides["schedule"] = _SCHEDULE_FLAG[args.schedule]
     if overrides:
-        spec = validate_spec(dataclasses.replace(spec, **overrides))
+        spec = dataclasses.replace(spec, **overrides)
     result = runner(spec, jobs=args.jobs)
     write_csv(result, args.out)
     if not args.quiet:
@@ -299,16 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_sweep.add_argument("--out", required=True, help="output CSV path")
         p_sweep.add_argument("--trials", type=int, default=None, help="override trial count")
         p_sweep.add_argument("--jobs", type=int, default=1, help="worker process count")
-        p_sweep.set_defaults(func=partial_sweep(runner))
+        p_sweep.set_defaults(func=partial(_cmd_sweep, runner=runner))
 
     return parser
-
-
-def partial_sweep(runner):
-    def handler(args: argparse.Namespace) -> int:
-        return _cmd_sweep(args, runner)
-
-    return handler
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,15 +29,11 @@ class InterferenceMatrix:
     block q stacks user q's streams, padded with zero rows up to
     tx_antennas[q] when the user has fewer streams than antennas; column
     block r spans transmitter r's antennas. The diagonal blocks are zero.
-    stream_index is the network's (Q, T) slot layout of the same rows and
-    columns (see EffectiveNetwork).
     """
 
     matrix: np.ndarray
     block_start: tuple[int, ...]
-    num_streams: tuple[int, ...]
     tx_antennas: tuple[int, ...]
-    stream_index: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,7 @@ def build_interference_matrix(net: EffectiveNetwork) -> InterferenceMatrix:
     return InterferenceMatrix(
         matrix=net.coupling,
         block_start=net.offsets[:-1],
-        num_streams=tuple(net.num_streams(q) for q in range(net.config.num_users)),
         tx_antennas=net.config.tx_antennas,
-        stream_index=net.stream_index,
     )
 
 
@@ -81,31 +75,6 @@ def _as_square_nonneg(matrix: np.ndarray | InterferenceMatrix) -> np.ndarray:
     if m.size and (not np.all(np.isfinite(m)) or np.any(m < 0)):
         raise ValueError("matrix must be nonnegative and finite")
     return m
-
-
-def max_row_sum(matrix: np.ndarray | InterferenceMatrix) -> float:
-    """Infinity norm: largest row sum."""
-    m = _as_square_nonneg(matrix)
-    return float(m.sum(axis=1).max()) if m.size else 0.0
-
-
-def max_col_sum(matrix: np.ndarray | InterferenceMatrix) -> float:
-    """Largest column sum (infinity norm of the transpose)."""
-    m = _as_square_nonneg(matrix)
-    return float(m.sum(axis=0).max()) if m.size else 0.0
-
-
-def weighted_max_norm(matrix: np.ndarray | InterferenceMatrix, weights: np.ndarray) -> float:
-    """max_i (1/w_i) * sum_j M_ij * w_j for a positive weight vector."""
-    m = _as_square_nonneg(matrix)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (m.shape[0],):
-        raise ValueError(f"weights must have shape ({m.shape[0]},), got {w.shape}")
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be strictly positive and finite")
-    if m.size == 0:
-        return 0.0
-    return float(((m @ w) / w).max())
 
 
 def _perron_start(block: np.ndarray) -> np.ndarray:
@@ -208,16 +177,16 @@ def spectral_radius(
     return radius
 
 
-def _slot_view(im: InterferenceMatrix) -> np.ndarray:
-    """The matrix as a (Q, T, Q, T) array over (user, antenna slot) pairs.
+def _slot_view(net: EffectiveNetwork) -> np.ndarray:
+    """The coupling as a (Q, T, Q, T) array over (user, antenna slot) pairs.
 
     T = max(tx_antennas); slots past a user's antennas are zero rows and
     columns, so every user block has the same shape.
     """
-    n = im.matrix.shape[0]
+    n = net.coupling.shape[0]
     padded = np.zeros((n + 1, n + 1))  # index -1 of stream_index reads the zero row
-    padded[:n, :n] = im.matrix
-    index = im.stream_index
+    padded[:n, :n] = net.coupling
+    index = net.stream_index
     return padded[index[:, :, None, None], index]
 
 
@@ -234,27 +203,14 @@ def _strict_values(view: np.ndarray) -> tuple[float, float]:
     return float(row), float(col)
 
 
-def strict_row_condition(im: InterferenceMatrix) -> tuple[bool, float]:
-    """Per-slot strengthened row-norm test: (value < 1, value)."""
-    value = _strict_values(_slot_view(im))[0]
-    return value < 1.0, value
-
-
-def strict_col_condition(im: InterferenceMatrix) -> tuple[bool, float]:
-    """Per-slot strengthened column-norm test: (value < 1, value)."""
-    value = _strict_values(_slot_view(im))[1]
-    return value < 1.0, value
-
-
 def certify(net: EffectiveNetwork, tol: float = SPECTRAL_TOL) -> UniquenessCertificate:
     """Run every uniqueness test on one effective network.
 
-    The matrix is checked once, by spectral_radius; the norms and the
+    The coupling is checked once, by spectral_radius; the norms and the
     strict values come from one padded slot view of it.
     """
-    im = build_interference_matrix(net)
-    rho = spectral_radius(im, tol=tol)
-    view = _slot_view(im)
+    rho = spectral_radius(net.coupling, tol=tol)
+    view = _slot_view(net)
     row = float(view.sum(axis=(2, 3)).max())
     col = float(view.sum(axis=(0, 1)).max())
     row_value, col_value = _strict_values(view)

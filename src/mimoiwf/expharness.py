@@ -7,7 +7,6 @@ one CSV row per sweep point.
 """
 from __future__ import annotations
 
-import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -42,8 +41,9 @@ class SweepSpec:
     sweep_variable selects what sweep_values mean: the common cross-link
     distance, or the per-user power budget in dB over unit noise. Whichever
     is not swept is fixed by power_budget_db or by interference_ratio_db,
-    the received cross-to-direct power ratio that sets the cross distance
-    (flip literal_distance_ratio to read the ratio with the opposite sign).
+    the received cross-to-direct power ratio that sets the cross distance.
+
+    Construction runs validate_spec, so every instance is consistent.
     """
 
     num_users: int = 4
@@ -57,7 +57,6 @@ class SweepSpec:
     trials: int = 300
     power_budget_db: float = 10.0
     interference_ratio_db: float = -10.0
-    literal_distance_ratio: bool = False
     schedule: str = "jacobi"
     it_max: int = 100
     delay_bound: int = 3
@@ -67,27 +66,33 @@ class SweepSpec:
     max_retries: int = 8
     base_seed: int = 0
 
+    def __post_init__(self) -> None:
+        validate_spec(self)
+
 
 @dataclass
 class TrialRecord:
-    """Outcome of a single Monte Carlo trial."""
+    """Outcome of a single Monte Carlo trial.
+
+    A failed trial keeps the defaults: NaN values, false flags, 0 iterations.
+    """
 
     point_index: int
     point_value: float
     trial_index: int
     failed: bool
     retries: int
-    row_norm: float
-    col_norm: float
-    spectral: float
-    norm_cond: bool
-    strict_cond: bool
-    spectral_cond: bool
-    converged_all: bool
-    max_disagreement: float
-    empirically_unique: bool
-    sum_rate_value: float
-    iterations: int
+    row_norm: float = float("nan")
+    col_norm: float = float("nan")
+    spectral: float = float("nan")
+    norm_cond: bool = False
+    strict_cond: bool = False
+    spectral_cond: bool = False
+    converged_all: bool = False
+    max_disagreement: float = float("nan")
+    empirically_unique: bool = False
+    sum_rate_value: float = float("nan")
+    iterations: int = 0
 
 
 @dataclass
@@ -100,6 +105,13 @@ class SweepResult:
 
 
 def validate_spec(spec: SweepSpec) -> SweepSpec:
+    """Check a SweepSpec, including the network of every sweep point.
+
+    Every SweepSpec is checked when it is built; call this to re-check.
+
+    Raises:
+        ConfigError: naming the offending field.
+    """
     if spec.sweep_variable not in SWEEP_VARIABLES:
         raise ConfigError(
             f"sweep_variable must be one of {SWEEP_VARIABLES}, got {spec.sweep_variable!r}"
@@ -126,10 +138,13 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         raise ConfigError(f"delay_bound must be nonnegative, got {spec.delay_bound}")
     if spec.update_bound < 1:
         raise ConfigError(f"update_bound must be positive, got {spec.update_bound}")
-    if spec.sweep_variable == "cross_distance":
-        for v in spec.sweep_values:
-            if not np.isfinite(v) or v <= 0:
-                raise ConfigError(f"cross_distance sweep values must be positive, got {v!r}")
+    if spec.base_seed < 0:
+        raise ConfigError(f"base_seed must be nonnegative, got {spec.base_seed}")
+    for v in spec.sweep_values:
+        try:
+            trial_config(spec, v)
+        except (ConfigError, ArithmeticError) as exc:
+            raise ConfigError(f"at {spec.sweep_variable} = {v!r}: {exc}") from exc
     return spec
 
 
@@ -145,13 +160,10 @@ def trial_config(spec: SweepSpec, point_value: float) -> NetworkConfig:
         cross = float(point_value)
     else:
         budget = db_to_linear(float(point_value))
-        ratio_db = (
-            abs(spec.interference_ratio_db)
-            if spec.literal_distance_ratio
-            else spec.interference_ratio_db
-        )
         # received cross/direct power ratio fixes the distance ratio
-        cross = spec.direct_distance * 10.0 ** (-ratio_db / (10.0 * spec.pathloss_exponent))
+        cross = spec.direct_distance * 10.0 ** (
+            -spec.interference_ratio_db / (10.0 * spec.pathloss_exponent)
+        )
     return symmetric_config(
         num_users=spec.num_users,
         tx_antennas=spec.tx_antennas,
@@ -171,37 +183,14 @@ def _sweep_point(
     """(value, config, uniform start, greedy start) of one sweep point.
 
     Every trial of a point shares these, so they are built once per point
-    and process from the validated spec; the starts are read-only.
+    and process; the starts are read-only.
     """
-    validate_spec(spec)
     point_value = float(spec.sweep_values[point_index])
     cfg = trial_config(spec, point_value)
     uniform, greedy = uniform_profile(cfg), greedy_profile(cfg)
     for p in uniform.powers + greedy.powers:
         p.setflags(write=False)
     return point_value, cfg, uniform, greedy
-
-
-def _failed_record(point_index, point_value, trial_index, retries) -> TrialRecord:
-    nan = float("nan")
-    return TrialRecord(
-        point_index=point_index,
-        point_value=point_value,
-        trial_index=trial_index,
-        failed=True,
-        retries=retries,
-        row_norm=nan,
-        col_norm=nan,
-        spectral=nan,
-        norm_cond=False,
-        strict_cond=False,
-        spectral_cond=False,
-        converged_all=False,
-        max_disagreement=nan,
-        empirically_unique=False,
-        sum_rate_value=nan,
-        iterations=0,
-    )
 
 
 def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecord:
@@ -225,7 +214,7 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
         except DegenerateChannelError:
             retries += 1
     if net is None:
-        return _failed_record(point_index, point_value, trial_index, retries)
+        return TrialRecord(point_index, point_value, trial_index, failed=True, retries=retries)
 
     cert = certify(net)
     schedule = make_schedule(
@@ -296,8 +285,11 @@ def _aggregate(spec: SweepSpec, records: list[TrialRecord]) -> list[dict]:
     return rows
 
 
-def _run_sweep(spec: SweepSpec, jobs: int) -> SweepResult:
-    validate_spec(spec)
+def _run_sweep(spec: SweepSpec, jobs: int, name: str, variable: str) -> SweepResult:
+    if spec.sweep_variable != variable:
+        raise ConfigError(
+            f"{name} sweep needs sweep_variable {variable!r}, got {spec.sweep_variable!r}"
+        )
     tasks = [
         (pi, ti) for pi in range(len(spec.sweep_values)) for ti in range(spec.trials)
     ]
@@ -316,22 +308,12 @@ def _run_sweep(spec: SweepSpec, jobs: int) -> SweepResult:
 
 def sweep_uniqueness(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Probability of certified and observed uniqueness vs cross distance."""
-    if spec.sweep_variable != "cross_distance":
-        raise ConfigError(
-            f"uniqueness sweep needs sweep_variable 'cross_distance', "
-            f"got {spec.sweep_variable!r}"
-        )
-    return _run_sweep(spec, jobs)
+    return _run_sweep(spec, jobs, "uniqueness", "cross_distance")
 
 
 def sweep_sumrate(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Mean converged sum rate vs per-user power budget in dB."""
-    if spec.sweep_variable != "power_budget_db":
-        raise ConfigError(
-            f"sum-rate sweep needs sweep_variable 'power_budget_db', "
-            f"got {spec.sweep_variable!r}"
-        )
-    return _run_sweep(spec, jobs)
+    return _run_sweep(spec, jobs, "sum-rate", "power_budget_db")
 
 
 def write_csv(result: SweepResult, path: str) -> None:

@@ -131,11 +131,6 @@ def stream_floors(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     return net.stream_noise + leak
 
 
-def interference_plus_noise(net: EffectiveNetwork, x: np.ndarray, q: int) -> np.ndarray:
-    """Floors of user q's streams against a stacked power vector x."""
-    return stream_floors(net, x)[q, : net.num_streams(q)]
-
-
 def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResult:
     """Exact water-filling of a budget over per-stream floors.
 
@@ -178,19 +173,6 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     return WaterfillResult(powers=powers, water_level=float(mu[0]) if c.ndim == 1 else mu)
 
 
-def best_response(net: EffectiveNetwork, x: np.ndarray, q: int) -> np.ndarray:
-    """Water-filling response of user q against a stacked power vector x.
-
-    Returns a vector over all tx_antennas[q] antennas; antennas beyond the
-    number of usable streams get zero power.
-    """
-    c = interference_plus_noise(net, x, q)
-    wf = water_level(c, net.config.power_budget[q])
-    out = np.zeros(net.config.tx_antennas[q])
-    out[: c.size] = wf.powers
-    return out
-
-
 def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     """Stacked water-filling response of every user, in one batched step.
 
@@ -198,15 +180,6 @@ def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     """
     floors = stream_floors(net, views)
     return water_level(floors, net.budget).powers[net.antenna_mask]
-
-
-def user_rate(powers: np.ndarray, floors: np.ndarray) -> float:
-    """Sum of log2(1 + p_i / c_i) over the streams covered by floors."""
-    c = np.asarray(floors, dtype=float)
-    if np.any(c <= 0):
-        raise ValueError("floors must be strictly positive")
-    p = np.asarray(powers, dtype=float)[: c.size]
-    return float(np.sum(np.log2(1.0 + p / c)))
 
 
 def user_rates(net: EffectiveNetwork, x: np.ndarray) -> np.ndarray:

@@ -162,6 +162,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code == 1
     assert "bogus_knob" in capsys.readouterr().err
 
+    # removed: a positive interference_ratio_db gives the same cross distance
+    doc = {**TINY_SWEEP, "sweep_variable": "power_budget_db", "literal_distance_ratio": True}
+    cfg = write_config(tmp_path, doc)
+    assert main(["sweep-sumrate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    assert "literal_distance_ratio" in capsys.readouterr().err
+
     net = dict(RANDOM_NET)
     net["fading"] = "rayleigh"
     cfg = write_config(tmp_path, net, "net.json")
@@ -176,6 +182,17 @@ def test_missing_and_invalid_config(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["certify", "--config", str(bad)]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_negative_seed_rejected_before_any_trial(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY_SWEEP)
+    out_csv = tmp_path / "x.csv"
+    argv = ["sweep-uniqueness", "--config", cfg, "--out", str(out_csv), "--seed", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "base_seed" in captured.err
+    assert captured.out == ""
+    assert not out_csv.exists()
 
 
 def test_bad_field_value_reported(tmp_path, capsys):

@@ -7,12 +7,7 @@ from mimoiwf.contraction import (
     _perron_start,
     build_interference_matrix,
     certify,
-    max_col_sum,
-    max_row_sum,
     spectral_radius,
-    strict_col_condition,
-    strict_row_condition,
-    weighted_max_norm,
     write_matrix_csv,
 )
 from mimoiwf.netmodel import sample_channels, symmetric_config
@@ -57,7 +52,8 @@ def test_padding_rows_are_zero():
     net = build_effective_network(sample_channels(cfg, 6), cfg)
     im = build_interference_matrix(net)
     assert im.matrix.shape == (8, 8)
-    assert im.num_streams == (2, 2)
+    assert im.tx_antennas == (4, 4)
+    assert [net.num_streams(q) for q in range(2)] == [2, 2]
     for q, start in enumerate(im.block_start):
         np.testing.assert_array_equal(im.matrix[start + 2 : start + 4, :], 0.0)
         # own coupling is excluded by construction
@@ -69,18 +65,12 @@ def test_padding_rows_are_zero():
 def test_norms_match_loop_references():
     for seed in range(5):
         net = random_net(seed)
-        im = build_interference_matrix(net)
-        assert max_row_sum(im) == pytest.approx(reference_row_norm(net), rel=1e-12)
-        assert max_col_sum(im) == pytest.approx(reference_col_norm(net), rel=1e-12)
-
-
-def test_weighted_max_norm_example():
-    m = np.array([[0.0, 1.0], [0.25, 0.0]])
-    assert weighted_max_norm(m, np.array([2.0, 1.0])) == pytest.approx(0.5, rel=1e-12)
-    with pytest.raises(ValueError, match="positive"):
-        weighted_max_norm(m, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="shape"):
-        weighted_max_norm(m, np.array([1.0]))
+        cert = certify(net)
+        assert cert.row_norm == pytest.approx(reference_row_norm(net), rel=1e-12)
+        assert cert.col_norm == pytest.approx(reference_col_norm(net), rel=1e-12)
+        # the plain infinity norms of the matrix and of its transpose
+        assert cert.row_norm == pytest.approx(net.coupling.sum(axis=1).max(), rel=1e-12)
+        assert cert.col_norm == pytest.approx(net.coupling.sum(axis=0).max(), rel=1e-12)
 
 
 def test_spectral_radius_closed_forms():
@@ -143,37 +133,36 @@ def test_radius_bounded_by_weighted_norms():
     for seed in range(20):
         im = build_interference_matrix(random_net(seed))
         rho = spectral_radius(im)
+        m = im.matrix
         for _ in range(5):
-            w = 10.0 ** rng.uniform(-1, 1, im.matrix.shape[0])
-            assert rho <= weighted_max_norm(im, w) + 1e-9
+            w = 10.0 ** rng.uniform(-1, 1, m.shape[0])
+            # weighted max norm max_i (1/w_i) sum_j M_ij w_j
+            assert rho <= ((m @ w) / w).max() + 1e-9
 
 
 def test_strict_conditions_scalar_and_trivial():
-    im = build_interference_matrix(scalar_net(0.25, 0.25))
-    ok_row, val_row = strict_row_condition(im)
-    ok_col, val_col = strict_col_condition(im)
-    assert ok_row and ok_col
-    assert val_row == pytest.approx(0.25, rel=1e-12)
-    assert val_col == pytest.approx(0.25, rel=1e-12)
+    cert = certify(scalar_net(0.25, 0.25))
+    assert cert.strict_row_cond and cert.strict_col_cond
+    assert cert.strict_row_value == pytest.approx(0.25, rel=1e-12)
+    assert cert.strict_col_value == pytest.approx(0.25, rel=1e-12)
 
-    solo = explicit_net([np.eye(2)], {}, [10.0], [1.0])
-    im1 = build_interference_matrix(solo)
-    assert strict_row_condition(im1) == (True, 0.0)
-    assert strict_col_condition(im1) == (True, 0.0)
+    solo = certify(explicit_net([np.eye(2)], {}, [10.0], [1.0]))
+    assert (solo.strict_row_cond, solo.strict_row_value) == (True, 0.0)
+    assert (solo.strict_col_cond, solo.strict_col_value) == (True, 0.0)
 
 
 def test_strict_values_match_reference_and_dominate_norms():
     for seed in range(6):
         net = random_net(seed, num_users=3, tx=3, rx=2, cross=35.0)
-        im = build_interference_matrix(net)
+        cert = certify(net)
         ref_row, ref_col = reference_strict_values(net)
-        _, val_row = strict_row_condition(im)
-        _, val_col = strict_col_condition(im)
-        assert val_row == pytest.approx(ref_row, rel=1e-12)
-        assert val_col == pytest.approx(ref_col, rel=1e-12)
+        assert cert.strict_row_value == pytest.approx(ref_row, rel=1e-12)
+        assert cert.strict_col_value == pytest.approx(ref_col, rel=1e-12)
+        assert cert.strict_row_cond == (cert.strict_row_value < 1.0)
+        assert cert.strict_col_cond == (cert.strict_col_value < 1.0)
         # slot-wise maxima dominate the plain norms
-        assert val_row >= max_row_sum(im) - 1e-12
-        assert val_col >= max_col_sum(im) - 1e-12
+        assert cert.strict_row_value >= reference_row_norm(net) - 1e-12
+        assert cert.strict_col_value >= reference_col_norm(net) - 1e-12
 
 
 def test_certificate_coherence():
@@ -210,7 +199,7 @@ def test_padding_neutral_for_radius_and_row_norm():
     assert spectral_radius(im) == pytest.approx(spectral_radius(sub), abs=1e-9)
     # and they never carry the maximal row sum
     active_max = float(im.matrix[keep, :].sum(axis=1).max())
-    assert max_row_sum(im) == pytest.approx(active_max, rel=1e-12)
+    assert certify(net).row_norm == pytest.approx(active_max, rel=1e-12)
 
 
 def test_interference_growth_bounded_by_modulus():

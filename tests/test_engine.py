@@ -16,13 +16,18 @@ from mimoiwf.netmodel import sample_channels, symmetric_config
 from mimoiwf.precode import build_effective_network
 from mimoiwf.waterfill import (
     PowerProfile,
-    best_response,
     greedy_profile,
     random_profile,
     uniform_profile,
 )
 
-from oracles import explicit_net, ragged_net, reference_async_schedule, reference_run_game
+from oracles import (
+    explicit_net,
+    ragged_net,
+    reference_async_schedule,
+    reference_best_response,
+    reference_run_game,
+)
 
 
 def random_net(seed, cross=45.0):
@@ -273,7 +278,9 @@ def test_converged_games_sit_at_fixed_point():
         final = trace.profiles[-1]
         x = final.stacked()
         for q in range(4):
-            np.testing.assert_allclose(final.powers[q], best_response(net, x, q), atol=1e-6)
+            np.testing.assert_allclose(
+                final.powers[q], reference_best_response(net, x, q), atol=1e-6
+            )
         assert trace.nash_gap <= 1e-6
 
 

@@ -37,8 +37,9 @@ def test_trial_config_budget_and_distances():
     # received cross power sits 10 dB under the direct link
     assert cfg.cross_distance[0][1] == pytest.approx(15.0 * 10.0**0.4, rel=1e-12)
 
-    literal = dataclasses.replace(TINY_RATE, literal_distance_ratio=True)
-    cfg = trial_config(literal, 15.0)
+    # a positive ratio puts the cross links closer than the direct ones
+    closer = dataclasses.replace(TINY_RATE, interference_ratio_db=10.0)
+    cfg = trial_config(closer, 15.0)
     assert cfg.cross_distance[0][1] == pytest.approx(15.0 * 10.0**-0.4, rel=1e-12)
 
 
@@ -75,6 +76,59 @@ def test_spec_validation():
         sweep_uniqueness(TINY_RATE)
     with pytest.raises(ConfigError, match="power_budget_db"):
         sweep_sumrate(TINY_UNIQ)
+
+
+BUDGET = "power_budget_db"
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"sweep_variable": BUDGET, "sweep_values": (0.0, np.nan, 10.0)}, BUDGET),
+        ({"num_users": 0}, "num_users"),
+        ({"power_budget_db": np.inf}, "power_budget"),
+        ({"base_seed": -1}, "base_seed"),
+        ({"sweep_variable": BUDGET, "pathloss_exponent": 0.0}, BUDGET),
+        ({"sweep_variable": BUDGET, "sweep_values": (0.0, 4000.0)}, BUDGET),
+    ],
+    ids=[
+        "nan_budget_point",
+        "no_users",
+        "infinite_budget",
+        "negative_seed",
+        "flat_pathloss",
+        "overflowing_budget",
+    ],
+)
+def test_spec_is_checked_when_built(fields, name):
+    # the network of every sweep point is built before any trial runs
+    with pytest.raises(ConfigError, match=name):
+        SweepSpec(**fields)
+    with pytest.raises(ConfigError, match=name):
+        dataclasses.replace(TINY_UNIQ, **fields)
+
+
+def test_failed_trials_keep_no_outcome(tmp_path):
+    # a direct link 1e12 away has singular values near 1e-15, under the floor
+    spec = SweepSpec(direct_distance=1e12, sweep_values=(15.0,), trials=2, max_retries=2)
+    res = sweep_uniqueness(spec)
+    assert len(res.records) == 2
+    for rec in res.records:
+        assert rec.failed is True and rec.retries == 2
+        for name in ("row_norm", "col_norm", "spectral", "max_disagreement", "sum_rate_value"):
+            assert np.isnan(getattr(rec, name)), name
+        flags = ("norm_cond", "strict_cond", "spectral_cond", "converged_all", "empirically_unique")
+        for name in flags:
+            assert getattr(rec, name) is False, name
+        assert rec.iterations == 0
+    (row,) = res.rows
+    assert row["excluded_trials"] == 2
+    for name in ("p_norm_cond", "p_strict_cond", "p_spectral", "p_empirical_unique"):
+        assert row[name] == 0.0, name
+    assert np.isnan(row["mean_sum_rate"]) and np.isnan(row["mean_iterations"])
+    path = tmp_path / "failed.csv"
+    write_csv(res, str(path))
+    assert path.read_text().splitlines()[1] == "15,0,0,0,0,nan,nan,2"
 
 
 def test_run_trial_is_deterministic():

@@ -5,15 +5,12 @@ import pytest
 
 from mimoiwf.waterfill import (
     PowerProfile,
-    best_response,
     best_responses,
     greedy_profile,
-    interference_plus_noise,
     random_profile,
     stream_floors,
     sum_rate,
     uniform_profile,
-    user_rate,
     user_rates,
     validate_profile,
     water_level,
@@ -26,6 +23,7 @@ from oracles import (
     explicit_net,
     kkt_water_allocation,
     ragged_net,
+    reference_best_response,
     reference_random_profile,
     reference_water_fill,
 )
@@ -217,12 +215,16 @@ def test_best_response_is_a_row_of_the_batched_step():
         batch = best_responses(net, x)
         rates = user_rates(net, x)
         for q in range(3):
-            block = slice(net.offsets[q], net.offsets[q + 1])
-            streams = net.num_streams(q)
-            np.testing.assert_array_equal(interference_plus_noise(net, x, q), floors[q, :streams])
+            start, streams = net.offsets[q], net.num_streams(q)
+            block = slice(start, net.offsets[q + 1])
+            own = net.noise_floor[q] + net.coupling[start : start + streams] @ x
+            np.testing.assert_allclose(floors[q, :streams], own, rtol=1e-14)
             np.testing.assert_array_equal(floors[q, streams:], np.inf)
-            np.testing.assert_array_equal(best_response(net, x, q), batch[block])
-            assert rates[q] == pytest.approx(user_rate(x[block], floors[q, :streams]), rel=1e-14)
+            np.testing.assert_allclose(
+                batch[block], reference_best_response(net, x, q), rtol=1e-12, atol=1e-12
+            )
+            rate = np.log2(1.0 + x[start : start + streams] / floors[q, :streams]).sum()
+            assert rates[q] == pytest.approx(rate, rel=1e-14)
         # per-user views: row q of the result only depends on row q of the views
         views = np.stack([random_profile(net.config, rng).stacked() for _ in range(3)])
         stale = stream_floors(net, views)
@@ -238,11 +240,11 @@ def test_allocation_is_rate_optimal():
         c = 10.0 ** rng.uniform(-1, 1, n)
         budget = 5.0
         res = water_level(c, budget)
-        best = user_rate(res.powers, c)
+        best = np.log2(1.0 + res.powers / c).sum()
         for _ in range(40):
             w = rng.random(n)
             alt = budget * w / w.sum()
-            assert user_rate(alt, c) <= best + 1e-9
+            assert np.log2(1.0 + alt / c).sum() <= best + 1e-9
 
 
 def test_raising_a_floor_never_raises_its_power():
@@ -258,10 +260,11 @@ def test_raising_a_floor_never_raises_its_power():
 def test_no_interference_best_response():
     net = explicit_net([np.diag([3.0, 1.0])], {}, [10.0], [1.0])
     x = uniform_profile(net.config).stacked()
-    c = interference_plus_noise(net, x, 0)
+    c = stream_floors(net, x)[0]
     np.testing.assert_allclose(c, [1.0 / 9.0, 1.0], atol=1e-12)
-    br = best_response(net, x, 0)
+    br = best_responses(net, x)
     np.testing.assert_allclose(br, [49.0 / 9.0, 41.0 / 9.0], atol=1e-10)
+    np.testing.assert_allclose(br, reference_best_response(net, x, 0), atol=1e-12)
 
 
 def test_best_response_pads_unused_antennas():
@@ -277,13 +280,16 @@ def test_best_response_pads_unused_antennas():
     )
     x = uniform_profile(net.config).stacked()
     assert x.shape == (8,)
-    br = best_response(net, x, 0)
-    assert br.shape == (4,)
-    np.testing.assert_array_equal(br[2:], 0.0)
-    assert br.sum() == pytest.approx(10.0, rel=1e-12)
-    np.testing.assert_allclose(
-        br[:2], water_level(interference_plus_noise(net, x, 0), 10.0).powers, atol=1e-12
-    )
+    both = best_responses(net, x)
+    assert both.shape == (8,)
+    for q in range(2):
+        br = both[4 * q : 4 * q + 4]
+        np.testing.assert_array_equal(br[2:], 0.0)
+        assert br.sum() == pytest.approx(10.0, rel=1e-12)
+        np.testing.assert_allclose(
+            br[:2], water_level(stream_floors(net, x)[q, :2], 10.0).powers, atol=1e-12
+        )
+        np.testing.assert_allclose(br, reference_best_response(net, x, q), atol=1e-12)
 
 
 def test_interference_adds_to_noise_floor():
@@ -295,20 +301,21 @@ def test_interference_adds_to_noise_floor():
         [1.0, 1.0],
     )
     x = PowerProfile([np.array([2.0]), np.array([3.0])]).stacked()
-    np.testing.assert_allclose(interference_plus_noise(net, x, 0), [1.0 + a * 3.0], atol=1e-12)
-    np.testing.assert_allclose(interference_plus_noise(net, x, 1), [1.0 + b * 2.0], atol=1e-12)
+    np.testing.assert_allclose(
+        stream_floors(net, x), [[1.0 + a * 3.0], [1.0 + b * 2.0]], atol=1e-12
+    )
 
 
 def test_user_rate_values():
-    assert user_rate(np.array([2.0, 1.0, 0.0]), np.array([1.0, 2.0, 4.0])) == pytest.approx(
-        np.log2(3.0) + np.log2(1.5), rel=1e-12
-    )
-    assert user_rate(np.array([2.0, 1.0, 0.0]), np.array([1.0, 2.0, 4.0])) == pytest.approx(
-        2.1699, abs=1e-4
-    )
-    assert user_rate(np.zeros(3), np.array([1.0, 2.0, 4.0])) == 0.0
-    with pytest.raises(ValueError):
-        user_rate(np.array([1.0]), np.array([0.0]))
+    # singular values 1, 1/sqrt(2), 1/2 over unit noise give floors 1, 2, 4
+    net = explicit_net([np.diag([1.0, 0.5**0.5, 0.5])], {}, [10.0], [1.0])
+    x = np.array([2.0, 1.0, 0.0])
+    np.testing.assert_allclose(stream_floors(net, x), [[1.0, 2.0, 4.0]], rtol=1e-12)
+    rates = user_rates(net, x)
+    assert rates.shape == (1,)
+    assert rates[0] == pytest.approx(np.log2(3.0) + np.log2(1.5), rel=1e-12)
+    assert rates[0] == pytest.approx(2.1699, abs=1e-4)
+    assert user_rates(net, np.zeros(3))[0] == 0.0
 
 
 def test_sum_rate_adds_user_rates():
