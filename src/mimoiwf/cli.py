@@ -162,15 +162,19 @@ def _load_json(path: str) -> dict:
 
 
 def _seed(doc: dict, seed_flag: int | None) -> int:
-    return seed_flag if seed_flag is not None else _typed("seed", doc.get("seed", 0), int)
+    seed = seed_flag if seed_flag is not None else _typed("seed", doc.get("seed", 0), int)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def _build_net(doc: dict, seed_flag: int | None):
     cfg = network_from_dict(doc)
+    seed = _seed(doc, seed_flag)
     if "channels" in doc:
         realization = channels_from_dict(doc, cfg)
     else:
-        realization = sample_channels(cfg, _seed(doc, seed_flag))
+        realization = sample_channels(cfg, seed)
     return cfg, build_effective_network(realization, cfg)
 
 

@@ -35,15 +35,30 @@ class Schedule:
 
     update_sets[n] lists the users revising their power at step n.
     delays, present only for the random schedule, holds at [n, q, r] the
-    age of the view user q has of user r at step n; ages never exceed
-    delay_bound, and no user goes more than update_bound steps without
-    an update. A plan with draws holds the steps drawn so far, and draws
-    yields the later ones in order as (members, ages) pairs: step(n) draws
-    up to step n, and reading update_sets or delays draws all it_max steps.
+    age of the view user q has of user r at step n, from 0 to delay_bound,
+    and no user goes more than update_bound steps without an update. A
+    plan with draws holds the steps drawn so far, and draws yields the
+    later ones in order as (members, ages) pairs: step(n) draws up to step
+    n, and reading update_sets or delays draws all it_max steps.
+
+    Raises:
+        ScheduleError: on a negative delay_bound, or when a given age lies
+            outside 0..delay_bound; names the first such step and user pair.
     """
 
     def __init__(self, kind, it_max, update_sets, delay_bound, update_bound, seed, delays,
                  draws=None):
+        if delay_bound < 0:
+            raise ScheduleError(f"delay_bound must be >= 0, got {delay_bound}")
+        if delays is not None and len(delays):
+            ages = np.asarray(delays)
+            bad = np.argwhere((ages < 0) | (ages > delay_bound))
+            if bad.size:
+                n, q, r = bad[0].tolist()
+                raise ScheduleError(
+                    f"step {n}: user {q} views user {r} at age {ages[n, q, r]}, "
+                    f"outside 0..{delay_bound}"
+                )
         self.kind, self.it_max, self.seed = kind, it_max, seed
         self.delay_bound, self.update_bound = delay_bound, update_bound
         self._sets = list(update_sets)
@@ -56,7 +71,8 @@ class Schedule:
             members, ages = next(self._draws)
             self._sets.append(members)
             self._ages.append(ages)
-        return self._sets[n], None if self._ages is None else self._ages[n]
+        fresh = self._ages is None or self.delay_bound == 0
+        return self._sets[n], None if fresh else self._ages[n]
 
     @property
     def update_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -172,12 +188,15 @@ def run_game(
     start = uniform_profile(cfg) if start is None else start
     validate_profile(start, cfg)
 
-    # history[n] is the stacked state after step n: the trace and, for stale
-    # views, the delay buffer (user q reads antenna j of user r at step n
-    # from history[n - ages[q, r]], never before the start)
-    history = np.empty((schedule.it_max + 1, net.offsets[-1]))
-    history[0] = start.stacked()
+    # history[lead + n] is the stacked state after step n, behind lead copies
+    # of the start: the trace and, for stale views, the delay buffer (user q
+    # reads antenna j of user r at step n from history[lead + n - ages[q, r]],
+    # the start when the age exceeds n)
+    lead = schedule.delay_bound
+    history = np.empty((lead + schedule.it_max + 1, net.offsets[-1]))
+    history[: lead + 1] = start.stacked()
     antennas = np.arange(net.offsets[-1])
+    owner = np.arange(cfg.num_users).repeat(cfg.tx_antennas)  # user of each antenna
     window = max(schedule.update_bound, 1)
     last_update = [-1] * cfg.num_users
     movers: dict[tuple[int, ...], np.ndarray | None] = {}  # antennas that move, None if all
@@ -187,21 +206,21 @@ def run_game(
 
     for n in range(schedule.it_max):
         members, ages = schedule.step(n)
-        x = history[n]
+        now = lead + n
+        x = history[now]
         if ages is None:
             new = best_responses(net, x)
         else:
-            source = n - np.minimum(ages, n).repeat(cfg.tx_antennas, axis=1)
-            new = best_responses(net, history[source, antennas])
+            new = best_responses(net, history[now - ages[:, owner], antennas])
         if members not in movers:
             users = np.zeros(cfg.num_users, dtype=bool)
             users[list(members)] = True
-            movers[members] = None if users.all() else users.repeat(cfg.tx_antennas)
+            movers[members] = None if users.all() else users[owner]
         if movers[members] is not None:
             new = np.where(movers[members], new, x)
         updated.append(members)
         residuals.append(float(np.abs(new - x).max()))
-        history[n + 1] = new
+        history[now + 1] = new
         for q in members:
             last_update[q] = n
 
@@ -213,7 +232,7 @@ def run_game(
             converged = True
             break
 
-    states = history[: len(residuals) + 1]
+    states = history[lead : lead + len(residuals) + 1]
     states.setflags(write=False)
     return GameTrace(
         states=states,

@@ -62,6 +62,9 @@ class EffectiveNetwork:
             no stream s, so water-filling gives such slots no power.
         antenna_mask: (Q, T) stream_index >= 0; a (Q, T) array masked by it
             lists its antenna slots in stacked order.
+        leak_index: (Q, T) position of slot (q, s) in a raveled (Q, N)
+            array: q * N + stream_index[q, s], or q * N where user q has no
+            antenna s.
         budget: (Q,) config.power_budget as an array.
 
     svd, sigma_sq and noise_floor give the same data per user, unpadded.
@@ -76,6 +79,7 @@ class EffectiveNetwork:
     stream_index: np.ndarray
     stream_noise: np.ndarray
     antenna_mask: np.ndarray
+    leak_index: np.ndarray
     budget: np.ndarray
 
     def num_streams(self, q: int) -> int:
@@ -192,12 +196,13 @@ def build_effective_network(
     offsets = (0, *ends.tolist())
     antenna_mask = slot < tx[:, None]
     stream_index = np.where(antenna_mask, (ends - tx)[:, None] + slot, -1)
+    leak_index = np.arange(n_users)[:, None] * ends[-1] + stream_index.clip(0)
     valid = antenna_mask.ravel()
     padded = np.zeros((valid.size, valid.size))
     padded.reshape(n_users, t_max, n_users, t_max)[:, :streams] = blocks
     coupling = padded.compress(valid, axis=0).compress(valid, axis=1)
     budget = np.array(config.power_budget)
-    slot_arrays = (stream_index, stream_noise, antenna_mask)
+    slot_arrays = (stream_index, stream_noise, antenna_mask, leak_index)
     for a in (rx_bases, tx_bases, singular, coupling, budget, *slot_arrays):
         a.setflags(write=False)
 
@@ -211,5 +216,6 @@ def build_effective_network(
         stream_index=stream_index,
         stream_noise=stream_noise,
         antenna_mask=antenna_mask,
+        leak_index=leak_index,
         budget=budget,
     )

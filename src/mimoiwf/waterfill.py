@@ -126,8 +126,7 @@ def stream_floors(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     if views.ndim == 1:
         leak = (net.coupling @ views)[net.stream_index]
     else:
-        users = np.arange(views.shape[0])[:, None]
-        leak = (views @ net.coupling.T)[users, net.stream_index]
+        leak = (views @ net.coupling.T).take(net.leak_index)
     return net.stream_noise + leak
 
 
@@ -137,8 +136,8 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     floors is one (S,) problem or a (Q, S) batch with a (Q,) budget vector,
     one problem per row; a +inf floor marks a slot that gets no power, so
     rows of different lengths can share one batch. Each row sorts its
-    floors and picks the largest active set whose common water level sits
-    above its highest floor; no iteration is involved.
+    floors, and its water level is the lowest of its prefix levels
+    (budget + k lowest floors) / k; no iteration is involved.
 
     Raises:
         ValueError: on an empty floor vector, a budget that is neither a
@@ -161,14 +160,13 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     if not all(0 < v < np.inf for v in b.ravel().tolist()):
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
 
-    # levels[:, k-1] = (budget + k lowest floors) / k
+    # levels[:, k-1] = (budget + k lowest floors) / k. Filling the k lowest
+    # floors up to the water level spends at most the budget, so every level
+    # is at least the water level, and the level of the active set equals it.
     levels = np.add.accumulate(order, axis=1)
     levels += b.reshape(-1, 1)
     levels /= np.arange(1.0, size + 1)
-    feasible = levels > order
-    feasible[:, 0] = True  # as in exact arithmetic, where budget > 0 ensures it
-    k_star = size - 1 - feasible[:, ::-1].argmax(axis=1)
-    mu = levels[np.arange(n_rows), k_star]
+    mu = levels.min(axis=1)
     powers = np.maximum(mu[:, None] - rows, 0.0).reshape(c.shape)
     return WaterfillResult(powers=powers, water_level=float(mu[0]) if c.ndim == 1 else mu)
 

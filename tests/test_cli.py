@@ -195,6 +195,19 @@ def test_negative_seed_rejected_before_any_trial(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command", ["play", "certify"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_play_and_certify_seed_names_the_field(tmp_path, capsys, command, where):
+    doc = {**RANDOM_NET, "seed": -1} if where == "config" else RANDOM_NET
+    argv = [command, "--config", write_config(tmp_path, doc), "--quiet"]
+    if where == "flag":
+        argv += ["--seed", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed" in captured.err
+
+
 def test_bad_field_value_reported(tmp_path, capsys):
     doc = dict(RANDOM_NET)
     doc["power_budget"] = -5.0

@@ -169,6 +169,40 @@ def test_schedule_validation():
         make_schedule("random_async", 3, delay_bound=-1)
 
 
+def test_view_ages_outside_the_bound_are_rejected():
+    sets = ((0, 1),) * 4
+    delays = np.zeros((4, 2, 2), dtype=np.int64)
+    delays[:, 0, 1] = -2  # a view from the future
+    with pytest.raises(ScheduleError, match=r"step 0: user 0 views user 1 at age -2, outside 0\.\.3"):
+        Schedule("random_async", 4, sets, 3, 2, 0, delays)
+    delays[:, 0, 1] = 0
+    delays[2, 1, 0] = 4
+    with pytest.raises(ScheduleError, match=r"step 2: user 1 views user 0 at age 4, outside 0\.\.3"):
+        Schedule("random_async", 4, sets, 3, 2, 0, delays)
+    delays[2, 1, 0] = 3
+    Schedule("random_async", 4, sets, 3, 2, 0, delays)
+    with pytest.raises(ScheduleError, match="delay_bound must be >= 0, got -1"):
+        Schedule("random_async", 4, sets, -1, 2, 0, None)
+
+
+def test_zero_delay_async_game_reads_fresh_views():
+    for seed in range(4):
+        net = ragged_net(seed)
+        sched = make_schedule("random_async", 3, it_max=80, seed=seed, delay_bound=0, update_bound=3)
+        start = greedy_profile(net.config)
+        trace = run_game(net, sched, start, tol=1e-9)
+        assert all(sched.step(n)[1] is None for n in range(trace.iterations_used))
+        assert sched.delays.dtype == np.int64
+        np.testing.assert_array_equal(sched.delays, 0)
+        states, residuals, converged, gap, rates = reference_run_game(net, sched, start, 1e-9)
+        assert (trace.converged, len(trace.residuals)) == (converged, len(residuals))
+        assert trace.updated == list(sched.update_sets[: trace.iterations_used])
+        np.testing.assert_allclose(trace.states, np.array(states), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.residuals, residuals, rtol=0, atol=1e-12)
+        assert abs(trace.nash_gap - gap) <= 1e-12
+        np.testing.assert_allclose(trace.final_rates, rates, rtol=0, atol=1e-12)
+
+
 def test_single_user_converges_in_one_update():
     net = explicit_net([np.diag([3.0, 1.0])], {}, [10.0], [1.0])
     trace = run_game(net, make_schedule("jacobi", 1))

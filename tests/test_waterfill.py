@@ -83,6 +83,47 @@ def test_water_level_matches_active_set_enumeration():
         assert res.water_level == pytest.approx(mu_ref, rel=1e-12)
 
 
+def test_water_level_edge_cases_match_the_oracles():
+    inf = np.inf
+    wide = [1e-300, 1e-100, 1.0, 1e100, 1e200, 1e300]
+    floors = [
+        [0.5, 0.5, 0.5, 2.0, 2.0, inf],  # tied floors
+        [1.0] * 6,
+        [1.0, 3.0, 3.0, 5.0, inf, inf],  # the second floor ties the first level
+        [inf, inf, 0.7, inf, inf, inf],  # one finite floor among +inf
+        wide,
+        wide,
+        wide,
+        wide,
+        [1.0, 2.0, inf, inf, inf, inf],  # budget lost in the rounding of 1.0
+    ]
+    budgets = [1.0, 3.0, 2.0, 2.0, 1e-300, 1.0, 1e150, 1e300, 1e-17]
+    # powers sum to the budget up to the rounding of the water level, so a
+    # random budget stays within two decades below its row's lowest floor
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        row = 10.0 ** rng.uniform(-300, 300, 6)
+        row[rng.random(6) < 0.3] = inf
+        row[rng.integers(6)] = 10.0 ** rng.uniform(-300, 300)
+        floors.append(row.tolist())
+        budgets.append(float(row.min() * 10.0 ** rng.uniform(-2, 6)))
+    floors, budgets = np.array(floors), np.array(budgets)
+    res = water_level(floors, budgets)
+    assert np.isfinite(res.powers).all() and (res.powers >= 0).all()
+    lost = 8
+    np.testing.assert_array_equal(res.powers[lost], 0.0)
+    kept = np.arange(len(budgets)) != lost
+    np.testing.assert_allclose(res.powers[kept].sum(axis=1), budgets[kept], rtol=1e-12, atol=0)
+    for c, budget, powers, mu in zip(
+        floors[kept], budgets[kept], res.powers[kept], res.water_level[kept]
+    ):
+        finite = c < inf
+        np.testing.assert_allclose(
+            powers[finite], reference_water_fill(c[finite], budget), rtol=0, atol=1e-12 * budget
+        )
+        assert mu == pytest.approx(bisect_water_level(c[finite], budget, iters=2200), rel=1e-12)
+
+
 def test_water_level_rejects_bad_input():
     with pytest.raises(ValueError):
         water_level(np.array([]), 1.0)
