@@ -25,7 +25,6 @@ from .netmodel import (
     sample_channels,
 )
 from .precode import DegenerateChannelError, SvdError, build_effective_network
-from .waterfill import uniform_profile
 
 _SCHEDULE_FLAG = {"jacobi": "jacobi", "gauss-seidel": "gauss_seidel", "async": "random_async"}
 
@@ -189,7 +188,7 @@ def _cmd_play(args: argparse.Namespace) -> int:
         delay_bound=3 if args.schedule == "async" else 0,
         update_bound=5 if args.schedule == "async" else 1,
     )
-    trace = run_game(net, schedule, uniform_profile(cfg))
+    trace = run_game(net, schedule)
     print(f"schedule {args.schedule}")
     print(f"converged {'true' if trace.converged else 'false'} in {trace.iterations_used} iterations")
     for q, rate in enumerate(trace.final_rates):

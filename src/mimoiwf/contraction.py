@@ -145,10 +145,14 @@ def spectral_radius(
 
     Raises:
         PowerIterationError: if some block fails to certify within max_iter.
+        ValueError: on a matrix that is not square, nonnegative and finite,
+            a non-positive tol, or a max_iter below one.
     """
     m = _as_square_nonneg(matrix)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     n = m.shape[0]
     if n == 0:
         return 0.0

@@ -7,6 +7,7 @@ moves the profile.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,31 +28,39 @@ SCHEDULE_KINDS = ("jacobi", "gauss_seidel", "random_async")
 
 
 class ScheduleError(ValueError):
-    """Raised for unknown schedule kinds or invalid bounds."""
+    """Raised for unknown schedule kinds, invalid bounds or a plan that does not fit."""
 
 
 class Schedule:
     """Update plan for the iterated game.
 
-    update_sets[n] lists the users revising their power at step n.
-    delays, present only for the random schedule, holds at [n, q, r] the
-    age of the view user q has of user r at step n, from 0 to delay_bound,
-    and no user goes more than update_bound steps without an update. A
-    plan with draws holds the steps drawn so far, and draws yields the
-    later ones in order as (members, ages) pairs: step(n) draws up to step
-    n, and reading update_sets or delays draws all it_max steps.
+    Step n of the plan is a pair (members, ages): the users revising their
+    power at step n, and a (Q, Q) array holding at [q, r] the age of the
+    view user q has of user r, from 0 to delay_bound, or None when every
+    view is fresh. No user goes more than update_bound steps without an
+    update. A hand-built plan gives update_sets[n] and, for stale views,
+    delays[n, q, r] for every step up to it_max; a plan with draws instead
+    takes each step from that iterator of (members, ages) pairs, in order,
+    the first time step(n) reaches it.
 
     Raises:
-        ScheduleError: on a negative delay_bound, or when a given age lies
-            outside 0..delay_bound; names the first such step and user pair.
+        ScheduleError: on a negative delay_bound; on a hand-built plan with
+            fewer than it_max steps; or on a negative user or an age outside
+            0..delay_bound, naming the first such step (and user pair).
     """
 
-    def __init__(self, kind, it_max, update_sets, delay_bound, update_bound, seed, delays,
+    def __init__(self, it_max, update_sets=(), delay_bound=0, update_bound=1, delays=None,
                  draws=None):
         if delay_bound < 0:
             raise ScheduleError(f"delay_bound must be >= 0, got {delay_bound}")
-        if delays is not None and len(delays):
-            ages = np.asarray(delays)
+        planned = len(update_sets) if delays is None else min(len(update_sets), len(delays))
+        if draws is None and planned < it_max:
+            raise ScheduleError(f"step {planned}: the plan ends before it_max = {it_max}")
+        for n, members in enumerate(update_sets):
+            if min(members, default=0) < 0:
+                raise ScheduleError(f"step {n}: user {min(members)} is negative")
+        ages = None if delays is None else np.asarray(delays)
+        if ages is not None:
             bad = np.argwhere((ages < 0) | (ages > delay_bound))
             if bad.size:
                 n, q, r = bad[0].tolist()
@@ -59,30 +68,18 @@ class Schedule:
                     f"step {n}: user {q} views user {r} at age {ages[n, q, r]}, "
                     f"outside 0..{delay_bound}"
                 )
-        self.kind, self.it_max, self.seed = kind, it_max, seed
-        self.delay_bound, self.update_bound = delay_bound, update_bound
-        self._sets = list(update_sets)
-        self._ages = None if delays is None else list(delays)
+        fresh = ages is None or delay_bound == 0
+        self.it_max, self.delay_bound, self.update_bound = it_max, delay_bound, update_bound
+        self._steps = [
+            (tuple(members), None if fresh else ages[n]) for n, members in enumerate(update_sets)
+        ]
         self._draws = draws
 
     def step(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
         """Users updating at step n and their (Q, Q) view ages, None if fresh."""
-        while n >= len(self._sets) and self._draws is not None:
-            members, ages = next(self._draws)
-            self._sets.append(members)
-            self._ages.append(ages)
-        fresh = self._ages is None or self.delay_bound == 0
-        return self._sets[n], None if fresh else self._ages[n]
-
-    @property
-    def update_sets(self) -> tuple[tuple[int, ...], ...]:
-        self.step(self.it_max - 1)
-        return tuple(self._sets[: self.it_max])
-
-    @property
-    def delays(self) -> np.ndarray | None:
-        self.step(self.it_max - 1)
-        return None if self._ages is None else np.array(self._ages[: self.it_max])
+        while n >= len(self._steps) and self._draws is not None:
+            self._steps.append(next(self._draws))
+        return self._steps[n]
 
 
 @dataclass
@@ -104,18 +101,10 @@ class GameTrace:
     final_rates: np.ndarray
     nash_gap: float
 
-    def profile(self, n: int = -1) -> PowerProfile:
-        """State n (the final one by default) as per-user views."""
-        return _split(self.states[n], self.offsets)
-
     @property
     def profiles(self) -> list[PowerProfile]:
-        """Every state as a PowerProfile, built when read."""
-        return [self.profile(n) for n in range(len(self.states))]
-
-
-def _split(x: np.ndarray, offsets: tuple[int, ...]) -> PowerProfile:
-    return PowerProfile([x[a:b] for a, b in zip(offsets, offsets[1:])])
+        """Every state split into users, built when read."""
+        return [PowerProfile(np.split(x, self.offsets[1:-1])) for x in self.states]
 
 
 def make_schedule(
@@ -126,47 +115,46 @@ def make_schedule(
     delay_bound: int = 0,
     update_bound: int = 1,
 ) -> Schedule:
-    """Build a deterministic update plan.
+    """Build a deterministic update plan, drawn on demand.
 
     jacobi updates everyone at every step from fresh views; gauss_seidel
     cycles one user per step; random_async flips a fair coin per user and
     step (forcing an update when update_bound would otherwise be broken)
     and draws view ages uniformly from {0..delay_bound}, each step only
     when first read, so games that stop early draw only what they play.
+
+    Raises:
+        ScheduleError: on an unknown kind, or on a count or bound that is
+            not an integer (a bool is not) or is out of range; names it.
     """
     if kind not in SCHEDULE_KINDS:
         raise ScheduleError(f"unknown schedule kind {kind!r}, expected one of {SCHEDULE_KINDS}")
-    if num_users < 1 or it_max < 1:
-        raise ScheduleError("num_users and it_max must be positive")
+    least = {"num_users": 1, "it_max": 1, "delay_bound": 0, "update_bound": 1}
+    for (name, low), value in zip(least.items(), (num_users, it_max, delay_bound, update_bound)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
 
     if kind == "jacobi":
-        everyone = tuple(range(num_users))
-        return Schedule(kind, it_max, (everyone,) * it_max, 0, 1, int(seed), None)
+        return Schedule(it_max, draws=itertools.repeat((tuple(range(num_users)), None)))
 
     if kind == "gauss_seidel":
-        sets = tuple((n % num_users,) for n in range(it_max))
-        return Schedule(kind, it_max, sets, 0, num_users, int(seed), None)
+        steps = [((q,), None) for q in range(num_users)]
+        return Schedule(it_max, update_bound=num_users, draws=itertools.cycle(steps))
 
-    if delay_bound < 0 or update_bound < 1:
-        raise ScheduleError(
-            f"random_async needs delay_bound >= 0 and update_bound >= 1, "
-            f"got {delay_bound}, {update_bound}"
-        )
     draws = _async_steps(num_users, it_max, seed, delay_bound, update_bound)
-    return Schedule(kind, it_max, (), int(delay_bound), int(update_bound), int(seed), (), draws)
+    return Schedule(it_max, (), delay_bound, update_bound, draws=draws)
 
 
 def _async_steps(num_users: int, it_max: int, seed: int, delay_bound: int, update_bound: int):
     """random_async steps in order: rng.random, then rng.integers if delay_bound > 0."""
     rng = np.random.default_rng(seed)
     last = [-1] * num_users
+    ages = None
     for n in range(it_max):
         coins = (rng.random(num_users) < 0.5).tolist()
         if delay_bound > 0:
             ages = rng.integers(0, delay_bound + 1, size=(num_users, num_users))
             ages.flat[:: num_users + 1] = 0  # own power is always current
-        else:
-            ages = np.zeros((num_users, num_users), dtype=np.int64)
         members = tuple(q for q in range(num_users) if coins[q] or n - last[q] >= update_bound)
         for q in members:
             last[q] = n
@@ -176,13 +164,19 @@ def _async_steps(num_users: int, it_max: int, seed: int, delay_bound: int, updat
 def run_game(
     net: EffectiveNetwork,
     schedule: Schedule,
-    start: PowerProfile | None = None,
+    start: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
 ) -> GameTrace:
     """Iterate water-filling responses under a schedule.
 
+    start is a stacked power vector, the uniform split by default.
     Convergence is declared once every user has updated inside the last
     update_bound steps and no power moved by more than tol across them.
+
+    Raises:
+        ValueError: on an infeasible start.
+        ScheduleError: when a step names a user the network does not have,
+            or gives view ages that are not (Q, Q); names the step.
     """
     cfg = net.config
     start = uniform_profile(cfg) if start is None else start
@@ -194,7 +188,7 @@ def run_game(
     # the start when the age exceeds n)
     lead = schedule.delay_bound
     history = np.empty((lead + schedule.it_max + 1, net.offsets[-1]))
-    history[: lead + 1] = start.stacked()
+    history[: lead + 1] = start
     antennas = np.arange(net.offsets[-1])
     owner = np.arange(cfg.num_users).repeat(cfg.tx_antennas)  # user of each antenna
     window = max(schedule.update_bound, 1)
@@ -206,16 +200,24 @@ def run_game(
 
     for n in range(schedule.it_max):
         members, ages = schedule.step(n)
+        if members not in movers:
+            if max(members, default=-1) >= cfg.num_users:
+                raise ScheduleError(
+                    f"step {n}: user {max(members)} is not in a {cfg.num_users}-user network"
+                )
+            if ages is not None and ages.shape != (cfg.num_users, cfg.num_users):
+                raise ScheduleError(
+                    f"step {n}: view ages have shape {ages.shape}, not one age per user pair"
+                )
+            users = np.zeros(cfg.num_users, dtype=bool)
+            users[list(members)] = True
+            movers[members] = None if users.all() else users[owner]
         now = lead + n
         x = history[now]
         if ages is None:
             new = best_responses(net, x)
         else:
             new = best_responses(net, history[now - ages[:, owner], antennas])
-        if members not in movers:
-            users = np.zeros(cfg.num_users, dtype=bool)
-            users[list(members)] = True
-            movers[members] = None if users.all() else users[owner]
         if movers[members] is not None:
             new = np.where(movers[members], new, x)
         updated.append(members)
@@ -242,27 +244,25 @@ def run_game(
         converged=converged,
         iterations_used=len(residuals),
         final_rates=user_rates(net, states[-1]),
-        nash_gap=check_nash(net, _split(states[-1], net.offsets)),
+        nash_gap=check_nash(net, states[-1]),
     )
 
 
-def check_nash(net: EffectiveNetwork, profile: PowerProfile) -> float:
-    """Largest distance of any user's power from its own best response."""
-    x = profile.stacked()
+def check_nash(net: EffectiveNetwork, x: np.ndarray) -> float:
+    """Largest distance of any user's power in x from its own best response."""
     return float(np.abs(x - best_responses(net, x)).max())
 
 
 def trace_to_csv(trace: GameTrace, path: str) -> None:
     """Write (iteration, user, antenna, power, residual) rows."""
+    tx = np.diff(trace.offsets).tolist()
+    antennas = [(q, a) for q, t in enumerate(tx) for a in range(t)]
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write("iteration,user,antenna,power,residual\n")
-            for n, prof in enumerate(trace.profiles):
+            for n, x in enumerate(trace.states):
                 res = 0.0 if n == 0 else trace.residuals[n - 1]
-                for q, powers in enumerate(prof.powers):
-                    for a, p in enumerate(powers):
-                        fh.write(
-                            f"{n},{q},{a},{format(p, '.9g')},{format(res, '.9g')}\n"
-                        )
+                for (q, a), p in zip(antennas, x):
+                    fh.write(f"{n},{q},{a},{format(p, '.9g')},{format(res, '.9g')}\n")
     except OSError as exc:
         raise OSError(f"cannot write game trace to {path!r}: {exc}") from exc

@@ -18,7 +18,7 @@ from .engine import SCHEDULE_KINDS, make_schedule, run_game
 from .netmodel import ConfigError, NetworkConfig, symmetric_config
 from .netmodel import sample_channels
 from .precode import DegenerateChannelError, build_effective_network
-from .waterfill import PowerProfile, greedy_profile, random_profile, sum_rate, uniform_profile
+from .waterfill import greedy_profile, random_profile, sum_rate, uniform_profile
 
 SWEEP_VARIABLES = ("cross_distance", "power_budget_db")
 
@@ -179,7 +179,7 @@ def trial_config(spec: SweepSpec, point_value: float) -> NetworkConfig:
 @lru_cache(maxsize=16)
 def _sweep_point(
     spec: SweepSpec, point_index: int
-) -> tuple[float, NetworkConfig, PowerProfile, PowerProfile]:
+) -> tuple[float, NetworkConfig, np.ndarray, np.ndarray]:
     """(value, config, uniform start, greedy start) of one sweep point.
 
     Every trial of a point shares these, so they are built once per point
@@ -188,8 +188,8 @@ def _sweep_point(
     point_value = float(spec.sweep_values[point_index])
     cfg = trial_config(spec, point_value)
     uniform, greedy = uniform_profile(cfg), greedy_profile(cfg)
-    for p in uniform.powers + greedy.powers:
-        p.setflags(write=False)
+    uniform.setflags(write=False)
+    greedy.setflags(write=False)
     return point_value, cfg, uniform, greedy
 
 
@@ -250,7 +250,7 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
         converged_all=converged_all,
         max_disagreement=disagreement,
         empirically_unique=unique,
-        sum_rate_value=sum_rate(net, traces[0].profile()),
+        sum_rate_value=sum_rate(net, traces[0].states[-1]),
         iterations=traces[0].iterations_used,
     )
 

@@ -54,22 +54,13 @@ class ChannelRealization:
     links[r, q] holds the matrix that maps the signal of transmitter r into
     receiver q, of shape (rx_antennas[q], tx_antennas[r]), in its top-left
     corner; the rest of the (max rx, max tx) slot is zero. The array is
-    read-only. matrices[r][q] is that corner as a view.
+    read-only.
     """
 
     links: np.ndarray
     tx_antennas: tuple[int, ...]
     rx_antennas: tuple[int, ...]
     seed: int
-
-    @property
-    def matrices(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """matrices[r][q]: the link from transmitter r into receiver q."""
-        tx, rx = self.tx_antennas, self.rx_antennas
-        return tuple(
-            tuple(self.links[r, q, : rx[q], : tx[r]] for q in range(len(rx)))
-            for r in range(len(tx))
-        )
 
     @classmethod
     def from_matrices(cls, matrices, seed: int) -> "ChannelRealization":

@@ -66,8 +66,6 @@ class EffectiveNetwork:
             array: q * N + stream_index[q, s], or q * N where user q has no
             antenna s.
         budget: (Q,) config.power_budget as an array.
-
-    svd, sigma_sq and noise_floor give the same data per user, unpadded.
     """
 
     config: NetworkConfig
@@ -81,35 +79,6 @@ class EffectiveNetwork:
     antenna_mask: np.ndarray
     leak_index: np.ndarray
     budget: np.ndarray
-
-    def num_streams(self, q: int) -> int:
-        """Number of usable parallel streams of user q."""
-        return min(self.config.tx_antennas[q], self.config.rx_antennas[q])
-
-    @property
-    def svd(self) -> tuple[LinkSVD, ...]:
-        """Per-user LinkSVD of the direct channel, as views."""
-        cfg = self.config
-        return tuple(
-            LinkSVD(
-                U=self.rx_bases[q, : cfg.rx_antennas[q], : cfg.rx_antennas[q]],
-                singular_values=self.singular_values[q, : self.num_streams(q)],
-                V=self.tx_bases[q, : cfg.tx_antennas[q], : cfg.tx_antennas[q]],
-            )
-            for q in range(cfg.num_users)
-        )
-
-    @property
-    def sigma_sq(self) -> tuple[np.ndarray, ...]:
-        """Per-user squared singular values of the direct link."""
-        return tuple(s.singular_values**2 for s in self.svd)
-
-    @property
-    def noise_floor(self) -> tuple[np.ndarray, ...]:
-        """Per-user noise_power / sigma_sq."""
-        return tuple(
-            self.stream_noise[q, : self.num_streams(q)] for q in range(self.config.num_users)
-        )
 
 
 def svd_decompose(channel: np.ndarray) -> LinkSVD:

@@ -6,6 +6,7 @@ direct-link SVD.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +19,12 @@ BUDGET_TOL = 1e-9
 
 @dataclass
 class PowerProfile:
-    """Per-user power vectors, one entry per transmit antenna."""
+    """A stacked power vector split into per-user views, one entry per antenna."""
 
     powers: list[np.ndarray]
 
     def stacked(self) -> np.ndarray:
         return np.concatenate(self.powers)
-
-    def copy(self) -> "PowerProfile":
-        return PowerProfile([p.copy() for p in self.powers])
 
 
 @dataclass(frozen=True)
@@ -40,78 +38,54 @@ class WaterfillResult:
     powers: np.ndarray
     water_level: float | np.ndarray
 
-    @property
-    def active_set(self) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Indices receiving positive power; a (row, stream) pair for a batch."""
-        active = np.nonzero(self.powers > 0)
-        return active[0] if self.powers.ndim == 1 else active
 
+def validate_profile(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
+    """Check the length, signs and per-user budgets of a stacked power vector.
 
-def validate_profile(profile: PowerProfile, config: NetworkConfig) -> PowerProfile:
-    """Check shapes, nonnegativity and per-user budget feasibility.
-
-    A user may exceed its budget by BUDGET_TOL times the larger of one and
-    the budget, which absorbs the rounding of a split that sums to it.
-    The whole profile is checked at once; the error names the first
-    offending user.
+    x holds one entry per transmit antenna, user after user. A user may
+    exceed its budget by BUDGET_TOL times the larger of one and the budget,
+    which absorbs the rounding of a split that sums to it. The error names
+    the first offending user. Returns x unchanged.
     """
-    if len(profile.powers) != config.num_users:
-        raise ValueError(
-            f"profile has {len(profile.powers)} users, config has {config.num_users}"
-        )
-    budget = np.array(config.power_budget)
-    limit = budget + BUDGET_TOL * np.maximum(1.0, budget)
-    shapes = [(t,) for t in config.tx_antennas]
-    if [p.shape for p in profile.powers] == shapes:
-        x = np.concatenate(profile.powers)
-        sums = np.add.reduceat(x, np.array((0, *config.tx_antennas[:-1])).cumsum())
-        if x.min() >= 0 and (sums <= limit).all():
-            return profile
-    for q, p in enumerate(profile.powers):
-        if p.shape != shapes[q]:
-            raise ValueError(
-                f"user {q} power vector has shape {p.shape}, "
-                f"expected ({config.tx_antennas[q]},)"
-            )
-        if np.any(p < 0):
-            raise ValueError(f"user {q} has a negative power entry")
-        if p.sum() > limit[q]:
-            raise ValueError(
-                f"user {q} exceeds its power budget: {p.sum()!r} > "
-                f"{config.power_budget[q]!r}"
-            )
-    return profile
+    n = sum(config.tx_antennas)
+    if np.shape(x) != (n,):
+        raise ValueError(f"profile has shape {np.shape(x)}, expected ({n},)")
+    starts = np.array(_user_starts(config))
+    lows = np.minimum.reduceat(x, starts).tolist()
+    sums = np.add.reduceat(x, starts).tolist()
+    for q, budget in enumerate(config.power_budget):
+        if not lows[q] >= 0:  # also true for a NaN
+            raise ValueError(f"user {q} has a negative or NaN power entry")
+        if sums[q] > budget + BUDGET_TOL * max(1.0, budget):
+            raise ValueError(f"user {q} exceeds its power budget: {sums[q]!r} > {budget!r}")
+    return x
 
 
-def uniform_profile(config: NetworkConfig) -> PowerProfile:
-    """Budget split evenly across each user's transmit antennas."""
-    return PowerProfile(
-        [
-            np.full(config.tx_antennas[q], config.power_budget[q] / config.tx_antennas[q])
-            for q in range(config.num_users)
-        ]
-    )
+def _user_starts(config: NetworkConfig) -> list[int]:
+    """Position of each user's first antenna in a stacked power vector."""
+    return list(itertools.accumulate(config.tx_antennas[:-1], initial=0))
 
 
-def greedy_profile(config: NetworkConfig) -> PowerProfile:
-    """Entire budget on the strongest stream (first antenna after rotation)."""
-    powers = []
-    for q in range(config.num_users):
-        p = np.zeros(config.tx_antennas[q])
-        p[0] = config.power_budget[q]
-        powers.append(p)
-    return PowerProfile(powers)
+def uniform_profile(config: NetworkConfig) -> np.ndarray:
+    """Budget split evenly across each user's transmit antennas, stacked."""
+    tx = config.tx_antennas
+    return np.repeat(np.divide(config.power_budget, tx), tx)
 
 
-def random_profile(config: NetworkConfig, rng: np.random.Generator) -> PowerProfile:
-    """Random nonnegative split of each user's full budget, from one draw."""
-    w = rng.random(sum(config.tx_antennas))
-    powers, start = [], 0
-    for budget, t in zip(config.power_budget, config.tx_antennas):
-        part = w[start : start + t]
-        powers.append(budget * part / part.sum())
-        start += t
-    return PowerProfile(powers)
+def greedy_profile(config: NetworkConfig) -> np.ndarray:
+    """Entire budget on the strongest stream (first antenna after rotation), stacked."""
+    x = np.zeros(sum(config.tx_antennas))
+    x[_user_starts(config)] = config.power_budget
+    return x
+
+
+def random_profile(config: NetworkConfig, rng: np.random.Generator) -> np.ndarray:
+    """Random nonnegative split of each user's full budget, stacked, from one draw."""
+    x = rng.random(sum(config.tx_antennas))
+    for budget, a, t in zip(config.power_budget, _user_starts(config), config.tx_antennas):
+        part = x[a : a + t]
+        part[:] = budget * part / part.sum()
+    return x
 
 
 def stream_floors(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
@@ -188,6 +162,6 @@ def user_rates(net: EffectiveNetwork, x: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + p / floors).sum(axis=1)
 
 
-def sum_rate(net: EffectiveNetwork, profile: PowerProfile) -> float:
-    """Network sum rate with every user treating interference as noise."""
-    return float(user_rates(net, profile.stacked()).sum())
+def sum_rate(net: EffectiveNetwork, x: np.ndarray) -> float:
+    """Network sum rate at x, every user treating interference as noise."""
+    return float(user_rates(net, x).sum())

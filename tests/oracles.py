@@ -21,9 +21,39 @@ from mimoiwf.netmodel import (
 from mimoiwf.precode import (
     SINGULAR_FLOOR,
     DegenerateChannelError,
+    LinkSVD,
     build_effective_network,
     svd_decompose,
 )
+
+
+def link_matrices(realization):
+    """matrices[r][q]: the link from transmitter r into receiver q, unpadded."""
+    tx, rx = realization.tx_antennas, realization.rx_antennas
+    return [
+        [realization.links[r, q, : rx[q], : tx[r]] for q in range(len(rx))]
+        for r in range(len(tx))
+    ]
+
+
+def num_streams(net, q):
+    """Usable parallel streams of user q: min(tx_antennas[q], rx_antennas[q])."""
+    return min(net.config.tx_antennas[q], net.config.rx_antennas[q])
+
+
+def user_svd(net, q):
+    """User q's direct-link factors, cut out of the padded stacked bases."""
+    rx, tx = net.config.rx_antennas[q], net.config.tx_antennas[q]
+    return LinkSVD(
+        U=net.rx_bases[q, :rx, :rx],
+        singular_values=net.singular_values[q, : num_streams(net, q)],
+        V=net.tx_bases[q, :tx, :tx],
+    )
+
+
+def noise_floor(net, q):
+    """noise_power[q] / sigma^2 of user q's streams, from the singular values."""
+    return net.config.noise_power[q] / user_svd(net, q).singular_values ** 2
 
 
 def bisect_water_level(floors, budget, iters=80):
@@ -193,7 +223,7 @@ def reference_row_norm(net):
     """Max row sum of the coupling by explicit loops over users and streams."""
     best = 0.0
     for q in range(net.config.num_users):
-        for i in range(net.num_streams(q)):
+        for i in range(num_streams(net, q)):
             total = 0.0
             for r in range(net.config.num_users):
                 if r == q:
@@ -213,7 +243,7 @@ def reference_col_norm(net):
             for q in range(net.config.num_users):
                 if q == r:
                     continue
-                for i in range(net.num_streams(q)):
+                for i in range(num_streams(net, q)):
                     total += coupling_entry(net, q, i, r, j)
             best = max(best, total)
     return best
@@ -226,7 +256,7 @@ def reference_strict_values(net):
     for j in range(max(cfg.tx_antennas)):
         worst = 0.0
         for q in range(cfg.num_users):
-            for i in range(net.num_streams(q)):
+            for i in range(num_streams(net, q)):
                 s = 0.0
                 for r in range(cfg.num_users):
                     if r == q or j >= cfg.tx_antennas[r]:
@@ -242,7 +272,7 @@ def reference_strict_values(net):
             for j in range(cfg.tx_antennas[r]):
                 s = 0.0
                 for q in range(cfg.num_users):
-                    if q == r or i >= net.num_streams(q):
+                    if q == r or i >= num_streams(net, q):
                         continue
                     s += coupling_entry(net, q, i, r, j)
                 worst = max(worst, s)
@@ -330,9 +360,9 @@ def reference_random_profile(config, rng):
 
 def reference_best_response(net, view, q):
     """User q's response to a stacked view, from its own coupling rows."""
-    streams = net.num_streams(q)
+    streams = num_streams(net, q)
     start = net.offsets[q]
-    floors = net.noise_floor[q] + net.coupling[start : start + streams] @ view
+    floors = noise_floor(net, q) + net.coupling[start : start + streams] @ view
     out = np.zeros(net.config.tx_antennas[q])
     out[:streams] = reference_water_fill(floors, net.config.power_budget[q])
     return out
@@ -345,7 +375,7 @@ def reference_run_game(net, schedule, start, tol):
     is the stacked state after step n.
     """
     blocks = [slice(a, b) for a, b in zip(net.offsets, net.offsets[1:])]
-    states = [start.stacked()]
+    states = [np.array(start)]
     window = max(schedule.update_bound, 1)
     last_update = np.full(net.config.num_users, -1)
     residuals = []
@@ -354,10 +384,11 @@ def reference_run_game(net, schedule, start, tol):
         x = states[n]
         new = x.copy()
         residual = 0.0
-        for q in schedule.update_sets[n]:
+        members, delays = schedule.step(n)
+        for q in members:
             view = x
-            if schedule.delays is not None:
-                ages = np.minimum(schedule.delays[n, q], n)
+            if delays is not None:
+                ages = np.minimum(delays[q], n)
                 view = np.concatenate([states[n - a][b] for a, b in zip(ages, blocks)])
             p_new = reference_best_response(net, view, q)
             residual = max(residual, float(np.abs(p_new - x[blocks[q]]).max()))
@@ -378,8 +409,8 @@ def reference_run_game(net, schedule, start, tol):
     rates = []
     for q, b in enumerate(blocks):
         gap = max(gap, float(np.abs(final[b] - reference_best_response(net, final, q)).max()))
-        streams = net.num_streams(q)
-        floors = net.noise_floor[q] + net.coupling[b.start : b.start + streams] @ final
+        streams = num_streams(net, q)
+        floors = noise_floor(net, q) + net.coupling[b.start : b.start + streams] @ final
         rates.append(float(np.sum(np.log2(1.0 + final[b][:streams] / floors))))
     return states, residuals, converged, gap, np.array(rates)
 

@@ -53,7 +53,6 @@ def test_padding_rows_are_zero():
     im = build_interference_matrix(net)
     assert im.matrix.shape == (8, 8)
     assert im.tx_antennas == (4, 4)
-    assert [net.num_streams(q) for q in range(2)] == [2, 2]
     for q, start in enumerate(im.block_start):
         np.testing.assert_array_equal(im.matrix[start + 2 : start + 4, :], 0.0)
         # own coupling is excluded by construction
@@ -126,6 +125,10 @@ def test_spectral_radius_reports_exhaustion():
     cycle = np.array([[0.0, 1e-300, 0.0], [0.0, 0.0, 1e-300], [1e300, 0.0, 0.0]])
     with pytest.raises(PowerIterationError, match="iterations"):
         spectral_radius(cycle, max_iter=1)
+    # no iteration at all is refused up front, not left unbound
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            spectral_radius(cycle, max_iter=max_iter)
 
 
 def test_radius_bounded_by_weighted_norms():

@@ -14,15 +14,11 @@ from mimoiwf.engine import (
 )
 from mimoiwf.netmodel import sample_channels, symmetric_config
 from mimoiwf.precode import build_effective_network
-from mimoiwf.waterfill import (
-    PowerProfile,
-    greedy_profile,
-    random_profile,
-    uniform_profile,
-)
+from mimoiwf.waterfill import greedy_profile, random_profile, uniform_profile
 
 from oracles import (
     explicit_net,
+    num_streams,
     ragged_net,
     reference_async_schedule,
     reference_best_response,
@@ -35,34 +31,53 @@ def random_net(seed, cross=45.0):
     return build_effective_network(sample_channels(cfg, seed), cfg)
 
 
+def whole_plan(s):
+    """Every step of a schedule up to it_max: (update sets, list of view ages)."""
+    steps = [s.step(n) for n in range(s.it_max)]
+    return tuple(members for members, _ in steps), [ages for _, ages in steps]
+
+
+def assert_plan(s, sets, delays):
+    """s plans the given update sets and view ages; a fresh step (no ages)
+    matches ages that are all zero."""
+    got_sets, got_ages = whole_plan(s)
+    assert got_sets == tuple(sets)
+    for n, ages in enumerate(got_ages):
+        if ages is None:
+            np.testing.assert_array_equal(delays[n], 0)
+        else:
+            assert ages.dtype == delays.dtype
+            np.testing.assert_array_equal(ages, delays[n])
+
+
 def test_jacobi_schedule_updates_everyone():
     s = make_schedule("jacobi", 3, it_max=5)
-    assert s.update_sets == ((0, 1, 2),) * 5
+    assert whole_plan(s) == (((0, 1, 2),) * 5, [None] * 5)
     assert s.delay_bound == 0 and s.update_bound == 1
-    assert s.delays is None
 
 
 def test_gauss_seidel_schedule_cycles():
     s = make_schedule("gauss_seidel", 3, it_max=7)
-    assert s.update_sets == ((0,), (1,), (2,), (0,), (1,), (2,), (0,))
+    assert whole_plan(s) == (((0,), (1,), (2,), (0,), (1,), (2,), (0,)), [None] * 7)
     assert s.update_bound == 3
 
 
 def test_random_schedule_respects_bounds():
     s = make_schedule("random_async", 4, it_max=200, seed=11, delay_bound=3, update_bound=5)
+    sets, ages = whole_plan(s)
     last = {q: -1 for q in range(4)}
-    for n, members in enumerate(s.update_sets):
+    for n, members in enumerate(sets):
         for q in range(4):
             if q in members:
                 last[q] = n
             assert n - last[q] < 5, f"user {q} idle too long at step {n}"
-    assert s.delays.shape == (200, 4, 4)
-    assert s.delays.max() <= 3 and s.delays.min() >= 0
-    assert np.all(s.delays[:, range(4), range(4)] == 0)
+    delays = np.array(ages)
+    assert delays.shape == (200, 4, 4)
+    assert delays.max() <= 3 and delays.min() >= 0
+    assert np.all(delays[:, range(4), range(4)] == 0)
     # deterministic given the seed
     s2 = make_schedule("random_async", 4, it_max=200, seed=11, delay_bound=3, update_bound=5)
-    assert s.update_sets == s2.update_sets
-    np.testing.assert_array_equal(s.delays, s2.delays)
+    assert_plan(s2, sets, delays)
 
 
 def test_random_schedule_matches_step_by_step_loop():
@@ -81,28 +96,23 @@ def test_random_schedule_matches_step_by_step_loop():
                     sets, delays = reference_async_schedule(
                         num_users, 60, seed, delay_bound, update_bound
                     )
-                    assert s.update_sets == sets
-                    assert s.delays.dtype == delays.dtype
-                    np.testing.assert_array_equal(s.delays, delays)
+                    assert_plan(s, sets, delays)
+                    if delay_bound == 0:
+                        assert whole_plan(s)[1] == [None] * 60
 
 
 def test_schedule_read_after_an_early_stop_is_the_whole_plan():
     net = random_net(0)
     for delay_bound, update_bound in ((3, 5), (0, 1), (2, 3)):
         sets, delays = reference_async_schedule(4, 120, 9, delay_bound, update_bound)
-        for delays_first in (True, False):
-            sched = make_schedule(
-                "random_async", 4, it_max=120, seed=9, delay_bound=delay_bound,
-                update_bound=update_bound,
-            )
-            trace = run_game(net, sched, tol=1e-6)
-            assert trace.converged and trace.iterations_used < 120
-            assert trace.updated == list(sets[: trace.iterations_used])
-            if delays_first:
-                np.testing.assert_array_equal(sched.delays, delays)
-            assert sched.update_sets == sets
-            assert sched.delays.dtype == delays.dtype
-            np.testing.assert_array_equal(sched.delays, delays)
+        sched = make_schedule(
+            "random_async", 4, it_max=120, seed=9, delay_bound=delay_bound,
+            update_bound=update_bound,
+        )
+        trace = run_game(net, sched, tol=1e-6)
+        assert trace.converged and trace.iterations_used < 120
+        assert trace.updated == list(sets[: trace.iterations_used])
+        assert_plan(sched, sets, delays)
 
 
 def test_games_draw_only_the_steps_they_play():
@@ -114,12 +124,13 @@ def test_games_draw_only_the_steps_they_play():
             pulled.append(step)
             yield step
 
-    sched = Schedule("random_async", 100, [], 3, 5, 3, [], steps())
+    sched = Schedule(100, (), 3, 5, draws=steps())
     net = random_net(1)
     starts = (uniform_profile(net.config), greedy_profile(net.config))
     played = [run_game(net, sched, start).iterations_used for start in starts]
     assert len(pulled) == max(played) < 100
-    assert sched.update_sets == sets and len(pulled) == 100
+    assert_plan(sched, sets, delays)
+    assert len(pulled) == 100
 
 
 def assert_same_trace(a, b):
@@ -143,9 +154,9 @@ def test_start_order_does_not_change_an_on_demand_schedule():
                 )
 
             full = plan()
-            assert len(full.update_sets) == 80  # draws the whole horizon
             sets, delays = reference_async_schedule(3, 80, seed, delay_bound, update_bound)
-            by_hand = Schedule("random_async", 80, sets, delay_bound, update_bound, seed, delays)
+            assert_plan(full, sets, delays)  # draws the whole horizon
+            by_hand = Schedule(80, sets, delay_bound, update_bound, delays)
             expected = [run_game(net, full, start, tol=1e-9) for start in starts]
             for start, want in zip(starts, expected):
                 assert_same_trace(run_game(net, by_hand, start, tol=1e-9), want)
@@ -157,16 +168,58 @@ def test_start_order_does_not_change_an_on_demand_schedule():
 
 def test_random_schedule_degenerates_to_jacobi():
     s = make_schedule("random_async", 3, it_max=10, seed=5, delay_bound=0, update_bound=1)
-    assert s.update_sets == ((0, 1, 2),) * 10
+    assert whole_plan(s) == (((0, 1, 2),) * 10, [None] * 10)
 
 
 def test_schedule_validation():
     with pytest.raises(ScheduleError, match="kind"):
         make_schedule("roundrobin", 3)
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ScheduleError, match="num_users must be an integer >= 1, got 0"):
         make_schedule("jacobi", 0)
-    with pytest.raises(ScheduleError, match="delay_bound"):
+    with pytest.raises(ScheduleError, match="delay_bound must be an integer >= 0, got -1"):
         make_schedule("random_async", 3, delay_bound=-1)
+    with pytest.raises(ScheduleError, match="update_bound must be an integer >= 1, got 0"):
+        make_schedule("random_async", 3, update_bound=0)
+
+
+def test_schedule_counts_must_be_integers():
+    for name, kwargs in (
+        ("num_users", {"num_users": True}),
+        ("num_users", {"num_users": 2.0}),
+        ("it_max", {"it_max": 2.5}),
+        ("delay_bound", {"delay_bound": 1.5}),
+        ("update_bound", {"update_bound": False}),
+    ):
+        args = {"num_users": 2, **kwargs}
+        with pytest.raises(ScheduleError, match=f"{name} must be an integer >= "):
+            make_schedule("jacobi", **args)
+    s = make_schedule("random_async", np.int64(2), it_max=np.int64(3), delay_bound=np.int64(1))
+    assert len(whole_plan(s)[0]) == 3
+
+
+def test_hand_built_plan_is_checked():
+    with pytest.raises(ScheduleError, match="step 2: the plan ends before it_max = 3"):
+        Schedule(3, ((0, 1),) * 2)
+    with pytest.raises(ScheduleError, match="step 1: the plan ends before it_max = 3"):
+        Schedule(3, ((0, 1),) * 3, 1, 1, np.zeros((1, 2, 2), dtype=np.int64))
+    with pytest.raises(ScheduleError, match="step 1: user -1 is negative"):
+        Schedule(3, ((0, 1), (-1,), (0,)))
+    Schedule(3, ((0, 1),) * 4)  # steps past it_max are never played
+
+
+def test_game_rejects_a_schedule_for_another_network():
+    net = explicit_net([np.eye(1), np.eye(1)], {}, [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ScheduleError, match="step 1: user 5 is not in a 2-user network"):
+        run_game(net, Schedule(3, ((0,), (5,), (1,))))
+    with pytest.raises(ScheduleError, match="step 0: user 2 is not in a 2-user network"):
+        run_game(net, make_schedule("jacobi", 3))
+    delays = np.zeros((3, 3, 3), dtype=np.int64)
+    with pytest.raises(ScheduleError, match=r"step 0: view ages have shape \(3, 3\)"):
+        run_game(net, Schedule(3, ((0, 1),) * 3, 1, 1, delays))
+    with pytest.raises(ScheduleError, match=r"step 0: view ages have shape \(3,\)"):
+        run_game(net, Schedule(3, ((0, 1),) * 3, 1, 1, np.zeros((3, 3), dtype=np.int64)))
+    trace = run_game(net, Schedule(3, ((0, 1),) * 3, 1, 1, delays[:, :2, :2]))
+    assert trace.converged
 
 
 def test_view_ages_outside_the_bound_are_rejected():
@@ -174,15 +227,15 @@ def test_view_ages_outside_the_bound_are_rejected():
     delays = np.zeros((4, 2, 2), dtype=np.int64)
     delays[:, 0, 1] = -2  # a view from the future
     with pytest.raises(ScheduleError, match=r"step 0: user 0 views user 1 at age -2, outside 0\.\.3"):
-        Schedule("random_async", 4, sets, 3, 2, 0, delays)
+        Schedule(4, sets, 3, 2, delays)
     delays[:, 0, 1] = 0
     delays[2, 1, 0] = 4
     with pytest.raises(ScheduleError, match=r"step 2: user 1 views user 0 at age 4, outside 0\.\.3"):
-        Schedule("random_async", 4, sets, 3, 2, 0, delays)
+        Schedule(4, sets, 3, 2, delays)
     delays[2, 1, 0] = 3
-    Schedule("random_async", 4, sets, 3, 2, 0, delays)
+    Schedule(4, sets, 3, 2, delays)
     with pytest.raises(ScheduleError, match="delay_bound must be >= 0, got -1"):
-        Schedule("random_async", 4, sets, -1, 2, 0, None)
+        Schedule(4, sets, -1, 2)
 
 
 def test_zero_delay_async_game_reads_fresh_views():
@@ -192,11 +245,9 @@ def test_zero_delay_async_game_reads_fresh_views():
         start = greedy_profile(net.config)
         trace = run_game(net, sched, start, tol=1e-9)
         assert all(sched.step(n)[1] is None for n in range(trace.iterations_used))
-        assert sched.delays.dtype == np.int64
-        np.testing.assert_array_equal(sched.delays, 0)
         states, residuals, converged, gap, rates = reference_run_game(net, sched, start, 1e-9)
         assert (trace.converged, len(trace.residuals)) == (converged, len(residuals))
-        assert trace.updated == list(sched.update_sets[: trace.iterations_used])
+        assert trace.updated == [sched.step(n)[0] for n in range(trace.iterations_used)]
         np.testing.assert_allclose(trace.states, np.array(states), rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace.residuals, residuals, rtol=0, atol=1e-12)
         assert abs(trace.nash_gap - gap) <= 1e-12
@@ -223,7 +274,7 @@ def test_two_user_scalar_reaches_full_power_in_one_step():
         [2.0, 3.0],
         [1.0, 1.0],
     )
-    start = PowerProfile([np.array([0.5]), np.array([1.0])])
+    start = np.array([0.5, 1.0])
     trace = run_game(net, make_schedule("jacobi", 2), start)
     np.testing.assert_allclose(trace.profiles[1].stacked(), [2.0, 3.0], atol=1e-12)
     assert trace.converged
@@ -247,8 +298,8 @@ def test_stale_views_read_the_right_states():
     delays[1, 0, 1] = 3  # user 0 still sees the start at step 1
     delays[2, 0, 1] = 1  # user 0 sees the state after step 1
     delays[3, 1, 0] = 3  # user 1 sees the start at step 3
-    sched = Schedule("random_async", 4, ((0, 1), (0, 1), (0,), (0, 1)), 3, 2, 0, delays)
-    start = PowerProfile([np.array([2.0, 0.0]), np.array([0.0, 2.0])])
+    sched = Schedule(4, ((0, 1), (0, 1), (0,), (0, 1)), 3, 2, delays)
+    start = np.array([2.0, 0.0, 0.0, 2.0])
     trace = run_game(net, sched, start, tol=1e-12)
 
     # stream-0 powers (user 0, user 1) after each step, worked by hand:
@@ -267,7 +318,7 @@ def test_batched_game_matches_per_user_loop():
     starts = (uniform_profile, greedy_profile)
     for seed in range(6):
         net = ragged_net(seed)
-        assert [net.num_streams(q) for q in range(3)] == [2, 2, 1]
+        assert [num_streams(net, q) for q in range(3)] == [2, 2, 1]
         for kind, d, b in (
             ("jacobi", 0, 1),
             ("gauss_seidel", 0, 3),
@@ -295,7 +346,6 @@ def test_trace_shapes_and_residuals():
     assert not trace.states.flags.writeable
     for n, prof in enumerate(trace.profiles):
         np.testing.assert_array_equal(prof.stacked(), trace.states[n])
-    np.testing.assert_array_equal(trace.profile().stacked(), trace.states[-1])
     assert len(trace.residuals) == trace.iterations_used
     assert len(trace.updated) == trace.iterations_used
     assert trace.final_rates.shape == (4,)
@@ -362,23 +412,22 @@ def test_perturbed_profile_has_positive_gap():
     net = random_net(2)
     trace = run_game(net, make_schedule("jacobi", 4), tol=1e-9)
     assert trace.converged
-    prof = trace.profiles[-1].copy()
-    moved = prof.powers[0].copy()
+    x = trace.states[-1].copy()
+    moved = x[:2]  # user 0's antennas
     # shift mass between antennas so the budget stays binding
     hi = int(np.argmax(moved))
     lo = (hi + 1) % moved.size
     delta = 0.2 * moved[hi]
     moved[hi] -= delta
     moved[lo] += delta
-    prof.powers[0] = moved
-    assert check_nash(net, prof) > 1e-3
-    assert check_nash(net, trace.profiles[-1]) <= 1e-6
+    assert check_nash(net, x) > 1e-3
+    assert check_nash(net, trace.states[-1]) <= 1e-6
 
 
 def test_game_rejects_infeasible_start():
     net = random_net(3)
     bad = uniform_profile(net.config)
-    bad.powers[0] = bad.powers[0] * 3.0
+    bad[:2] *= 3.0  # user 0's antennas
     with pytest.raises(ValueError, match="budget"):
         run_game(net, make_schedule("jacobi", 4), bad)
 

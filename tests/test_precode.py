@@ -11,9 +11,12 @@ from mimoiwf.precode import (
 from oracles import (
     brute_force_cross_gain,
     explicit_net,
+    link_matrices,
+    num_streams,
     ragged_net,
     reference_build_effective_network,
     reference_sample_channels,
+    user_svd,
 )
 
 
@@ -57,8 +60,9 @@ def user_block(net, r, q):
     """Coupling from transmitter r into user q's streams, times sigma_sq[q]:
     the squared magnitudes of the rotated cross channel."""
     o = net.offsets
-    rows = slice(o[q], o[q] + net.num_streams(q))
-    return net.coupling[rows, o[r] : o[r + 1]] * net.sigma_sq[q][:, None]
+    sigma = user_svd(net, q).singular_values
+    rows = slice(o[q], o[q] + sigma.size)
+    return net.coupling[rows, o[r] : o[r + 1]] * sigma[:, None] ** 2
 
 
 def cross_pairs(net):
@@ -70,8 +74,8 @@ def test_single_user_network_has_no_cross_terms():
     net = explicit_net([np.diag([3.0, 1.0])], {}, [10.0], [1.0])
     assert net.offsets == (0, 2)
     np.testing.assert_array_equal(net.coupling, np.zeros((2, 2)))
-    np.testing.assert_allclose(net.sigma_sq[0], [9.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(net.noise_floor[0], [1.0 / 9.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(net.singular_values[0] ** 2, [9.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(net.stream_noise[0], [1.0 / 9.0, 1.0], atol=1e-12)
 
 
 def test_degenerate_direct_channel_rejected():
@@ -91,10 +95,12 @@ def test_stacked_build_matches_per_link_reference(tx, rx):
         ref = reference_build_effective_network(reference_sample_channels(cfg, seed), cfg)
         np.testing.assert_array_equal(net.coupling, ref.coupling)
         for q in range(4):
-            np.testing.assert_array_equal(net.svd[q].U, ref.svd[q].U)
-            np.testing.assert_array_equal(net.svd[q].V, ref.svd[q].V)
-            np.testing.assert_array_equal(net.sigma_sq[q], ref.sigma_sq[q])
-            np.testing.assert_array_equal(net.noise_floor[q], ref.noise_floor[q])
+            link = user_svd(net, q)
+            np.testing.assert_array_equal(link.U, ref.svd[q].U)
+            np.testing.assert_array_equal(link.V, ref.svd[q].V)
+            np.testing.assert_array_equal(link.singular_values**2, ref.sigma_sq[q])
+            streams = num_streams(net, q)
+            np.testing.assert_array_equal(net.stream_noise[q, :streams], ref.noise_floor[q])
 
 
 def test_ragged_build_matches_per_link_reference():
@@ -106,9 +112,13 @@ def test_ragged_build_matches_per_link_reference():
         )
         np.testing.assert_allclose(net.coupling, ref.coupling, rtol=0, atol=1e-12)
         for q in range(3):
-            np.testing.assert_allclose(net.svd[q].U, ref.svd[q].U, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(net.svd[q].V, ref.svd[q].V, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(net.noise_floor[q], ref.noise_floor[q], rtol=1e-12)
+            link = user_svd(net, q)
+            np.testing.assert_allclose(link.U, ref.svd[q].U, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(link.V, ref.svd[q].V, rtol=0, atol=1e-12)
+            streams = num_streams(net, q)
+            np.testing.assert_allclose(
+                net.stream_noise[q, :streams], ref.noise_floor[q], rtol=1e-12
+            )
         assert net.stream_noise.shape == (3, 3)
         assert np.isinf(net.stream_noise[[0, 1, 2, 2], [2, 2, 1, 2]]).all()
 
@@ -119,9 +129,9 @@ def test_cross_gain_matches_brute_force():
     net = build_effective_network(real, cfg)
     assert len(cross_pairs(net)) == 6
     for r, q in cross_pairs(net):
-        streams = net.num_streams(q)
+        streams = num_streams(net, q)
         expected = brute_force_cross_gain(
-            real.matrices[r][q], net.svd[q].U, net.svd[r].V, streams
+            link_matrices(real)[r][q], user_svd(net, q).U, user_svd(net, r).V, streams
         )
         gain = user_block(net, r, q)
         assert gain.shape == (streams, cfg.tx_antennas[r])
@@ -133,14 +143,14 @@ def test_cross_gain_energy_bounded_by_frobenius():
     real = sample_channels(cfg, 9)
     net = build_effective_network(real, cfg)
     for r, q in cross_pairs(net):
-        frob = float(np.sum(np.abs(real.matrices[r][q]) ** 2))
+        frob = float(np.sum(np.abs(link_matrices(real)[r][q]) ** 2))
         assert user_block(net, r, q).sum() <= frob + 1e-9
     # full receive basis keeps the energy exactly
     cfg2 = symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
     real2 = sample_channels(cfg2, 9)
     net2 = build_effective_network(real2, cfg2)
     for r, q in cross_pairs(net2):
-        frob = float(np.sum(np.abs(real2.matrices[r][q]) ** 2))
+        frob = float(np.sum(np.abs(link_matrices(real2)[r][q]) ** 2))
         assert user_block(net2, r, q).sum() == pytest.approx(frob, rel=1e-10)
 
 
@@ -151,9 +161,9 @@ def test_gains_invariant_under_basis_phases():
     net = build_effective_network(real, cfg)
     rng = np.random.default_rng(4)
     for r, q in cross_pairs(net):
-        u = net.svd[q].U * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
-        v = net.svd[r].V * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
-        rotated = np.abs(u.conj().T @ real.matrices[r][q] @ v) ** 2
+        u = user_svd(net, q).U * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+        v = user_svd(net, r).V * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+        rotated = np.abs(u.conj().T @ link_matrices(real)[r][q] @ v) ** 2
         np.testing.assert_allclose(rotated, user_block(net, r, q), atol=1e-12)
 
 
@@ -165,18 +175,19 @@ def test_coupling_normalization_and_stacking():
     assert net.coupling.shape == (6, 6)
     assert not net.coupling.flags.writeable
     for q in range(3):
-        np.testing.assert_allclose(
-            net.noise_floor[q], 2.0 / net.sigma_sq[q], atol=1e-15
-        )
+        sigma_sq = user_svd(net, q).singular_values ** 2
+        np.testing.assert_allclose(net.stream_noise[q], 2.0 / sigma_sq, atol=1e-15)
         rows = net.coupling[2 * q : 2 * q + 2]
         np.testing.assert_array_equal(rows[:, 2 * q : 2 * q + 2], 0.0)
         for r in range(3):
             if r == q:
                 continue
-            gain = brute_force_cross_gain(real.matrices[r][q], net.svd[q].U, net.svd[r].V, 2)
+            gain = brute_force_cross_gain(
+                link_matrices(real)[r][q], user_svd(net, q).U, user_svd(net, r).V, 2
+            )
             np.testing.assert_allclose(
                 rows[:, 2 * r : 2 * r + 2],
-                gain / net.sigma_sq[q][:, None],
+                gain / sigma_sq[:, None],
                 rtol=1e-12,
             )
 
@@ -184,7 +195,7 @@ def test_coupling_normalization_and_stacking():
 def test_more_tx_than_rx_truncates_streams():
     cfg = symmetric_config(2, 4, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
     net = build_effective_network(sample_channels(cfg, 31), cfg)
-    assert net.num_streams(0) == 2
+    assert num_streams(net, 0) == 2
     assert net.coupling.shape == (8, 8)
     assert user_block(net, 1, 0).shape == (2, 4)
     # rows of the antennas without a stream stay zero
