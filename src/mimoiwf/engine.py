@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .netmodel import _layout
 from .precode import EffectiveNetwork
 from .waterfill import (
     PowerProfile,
@@ -189,8 +190,8 @@ def run_game(
     lead = schedule.delay_bound
     history = np.empty((lead + schedule.it_max + 1, net.offsets[-1]))
     history[: lead + 1] = start
-    antennas = np.arange(net.offsets[-1])
-    owner = np.arange(cfg.num_users).repeat(cfg.tx_antennas)  # user of each antenna
+    layout = _layout(cfg)
+    antennas, owner = layout.antennas, layout.owner
     window = max(schedule.update_bound, 1)
     last_update = [-1] * cfg.num_users
     movers: dict[tuple[int, ...], np.ndarray | None] = {}  # antennas that move, None if all

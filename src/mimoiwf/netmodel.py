@@ -7,6 +7,7 @@ with a distance-based power-law attenuation applied per link.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +32,9 @@ class NetworkConfig:
             direct_distance by convention.
         pathloss_exponent: exponent of the power-law attenuation.
 
-    Construction runs validate_config, so every instance is consistent.
+    Construction stores the per-user fields and the cross_distance rows as
+    tuples, then runs validate_config, so every instance is consistent and
+    hashable.
     """
 
     num_users: int
@@ -44,7 +47,13 @@ class NetworkConfig:
     pathloss_exponent: float
 
     def __post_init__(self) -> None:
+        for name in _PER_USER:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "cross_distance", tuple(map(tuple, self.cross_distance)))
         validate_config(self)
+
+
+_PER_USER = ("tx_antennas", "rx_antennas", "power_budget", "noise_power", "direct_distance")
 
 
 @dataclass(frozen=True)
@@ -88,15 +97,6 @@ class ChannelRealization:
         return cls(links=links, tx_antennas=tx, rx_antennas=rx, seed=int(seed))
 
 
-def _link_mask(tx_antennas, rx_antennas) -> np.ndarray:
-    """(Q, Q, max rx, max tx) mask of the entries of every link, r-major."""
-    tx = np.asarray(tx_antennas)
-    rx = np.asarray(rx_antennas)
-    rows = np.arange(rx.max())[:, None] < rx[None, :, None, None]
-    cols = np.arange(tx.max()) < tx[:, None, None, None]
-    return rows & cols
-
-
 def validate_config(config: NetworkConfig) -> NetworkConfig:
     """Check a NetworkConfig for consistency and return it unchanged.
 
@@ -106,23 +106,17 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
         ConfigError: naming the offending field.
     """
     q_count = config.num_users
-    if not isinstance(q_count, int) or q_count < 1:
+    if not _is_count(q_count):
         raise ConfigError(f"num_users must be a positive integer, got {q_count!r}")
 
-    per_user = {
-        "tx_antennas": config.tx_antennas,
-        "rx_antennas": config.rx_antennas,
-        "power_budget": config.power_budget,
-        "noise_power": config.noise_power,
-        "direct_distance": config.direct_distance,
-    }
-    for name, values in per_user.items():
+    for name in _PER_USER:
+        values = getattr(config, name)
         if len(values) != q_count:
             raise ConfigError(f"{name} must have length {q_count}, got {len(values)}")
 
     for name in ("tx_antennas", "rx_antennas"):
         for k, v in enumerate(getattr(config, name)):
-            if not isinstance(v, int) or v < 1:
+            if not _is_count(v):
                 raise ConfigError(f"{name}[{k}] must be a positive integer, got {v!r}")
 
     for name in ("power_budget", "noise_power", "direct_distance"):
@@ -150,6 +144,11 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
             f"pathloss_exponent must be nonnegative, got {config.pathloss_exponent!r}"
         )
     return config
+
+
+def _is_count(value) -> bool:
+    """A positive int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def symmetric_config(
@@ -203,15 +202,12 @@ def sample_channels(config: NetworkConfig, seed: int) -> ChannelRealization:
     same matrices. All entries come from one draw, which the generator
     produces in that same order.
     """
-    mask = _link_mask(config.tx_antennas, config.rx_antennas)
+    layout = _layout(config)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(mask.sum()), 2))
-    gamma = config.pathloss_exponent
-    gain = [[pathloss_power_gain(d, gamma) for d in row] for row in config.cross_distance]
-    amp = np.sqrt(gain) / np.sqrt(2.0)
-    links = np.zeros(mask.shape, dtype=complex)
-    links[mask] = z[:, 0] + 1j * z[:, 1]  # boolean assignment fills in r, q, row, col order
-    links *= amp[:, :, None, None]
+    z = rng.standard_normal((layout.link_entries, 2))
+    links = np.zeros(layout.link_mask.shape, dtype=complex)
+    links[layout.link_mask] = z[:, 0] + 1j * z[:, 1]  # fills in r, q, row, col order
+    links *= layout.link_amp
     links.setflags(write=False)
     return ChannelRealization(
         links=links,
@@ -219,3 +215,59 @@ def sample_channels(config: NetworkConfig, seed: int) -> ChannelRealization:
         rx_antennas=config.rx_antennas,
         seed=int(seed),
     )
+
+
+class _Layout:
+    """Arrays that depend on a NetworkConfig alone, all read-only.
+
+    Every draw, network and game of a config reads the one instance that
+    _layout builds; nothing drawn per trial is kept. Q users, R = max rx,
+    T = max tx, N = sum(tx); antenna_mask, stream_index, leak_index and
+    budget are the EffectiveNetwork fields of those names.
+    """
+
+    def __init__(self, config: NetworkConfig):
+        n_users = config.num_users
+        tx, rx = np.array(config.tx_antennas), np.array(config.rx_antennas)
+        t_max, streams = tx.max(), min(tx.max(), rx.max())
+        slot = np.arange(t_max)
+        # (Q, Q, R, T) entries of every link, r-major, their count, and the
+        # (Q, Q, 1, 1) amplitude attenuation of each link over sqrt(2)
+        self.link_mask = (np.arange(rx.max())[:, None] < rx[None, :, None, None]) & (
+            slot < tx[:, None, None, None]
+        )
+        self.link_entries = int(self.link_mask.sum())
+        gamma = config.pathloss_exponent
+        gain = [[pathloss_power_gain(d, gamma) for d in row] for row in config.cross_distance]
+        self.link_amp = (np.sqrt(gain) / np.sqrt(2.0))[:, :, None, None]
+        shapes = list(zip(config.rx_antennas, config.tx_antennas))
+        # ((rx, tx), the users whose direct link has that shape) per shape
+        self.svd_groups = tuple(
+            (shape, np.flatnonzero([s == shape for s in shapes])) for shape in dict.fromkeys(shapes)
+        )
+        self.is_stream = slot < np.minimum(tx, rx)[:, None]
+        self.noise = np.array(config.noise_power, dtype=float)[:, None]
+        self.budget = np.array(config.power_budget, dtype=float)
+        ends = np.cumsum(tx)
+        self.offsets = (0, *ends.tolist())
+        self.starts = ends - tx
+        self.antennas = np.arange(ends[-1])
+        self.owner = np.arange(n_users).repeat(tx)  # user of each antenna
+        self.antenna_mask = slot < tx[:, None]
+        self.stream_index = np.where(self.antenna_mask, self.starts[:, None] + slot, -1)
+        self.leak_index = np.arange(n_users)[:, None] * ends[-1] + self.stream_index.clip(0)
+        # flat position of coupling entry (q, i), (r, j) in a (Q, Q, min(R, T), T)
+        # gain array indexed [r, q, i, j]; rows past min(R, T) read [0, 0, 0, 0],
+        # which the zeroed direct links keep at 0
+        q, i = self.owner, self.antennas - self.starts[self.owner]
+        flat = ((q * n_users + q[:, None]) * streams + i[:, None]) * t_max + i
+        self.coupling_index = np.where(i[:, None] < streams, flat, 0)
+        for a in (*vars(self).values(), *(group for _, group in self.svd_groups)):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+
+
+@lru_cache(maxsize=64)
+def _layout(config: NetworkConfig) -> _Layout:
+    """The layout of config, built on its first use and shared after it."""
+    return _Layout(config)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import ChannelRealization, NetworkConfig
+from .netmodel import ChannelRealization, NetworkConfig, _layout
 
 # Singular values at or below this are treated as a rank loss.
 SINGULAR_FLOOR = 1e-12
@@ -65,7 +65,10 @@ class EffectiveNetwork:
         leak_index: (Q, T) position of slot (q, s) in a raveled (Q, N)
             array: q * N + stream_index[q, s], or q * N where user q has no
             antenna s.
-        budget: (Q,) config.power_budget as an array.
+        budget: (Q,) config.power_budget as a float array.
+
+    offsets, stream_index, antenna_mask, leak_index and budget depend on
+    the config alone: every network of one config shares them, read-only.
     """
 
     config: NetworkConfig
@@ -117,18 +120,14 @@ def build_effective_network(
         config.rx_antennas,
     ):
         raise ValueError("channel realization does not match the config's antenna counts")
+    layout = _layout(config)
     links = realization.links
     n_users, _, r_max, t_max = links.shape
-    tx = np.array(config.tx_antennas)
-    slot = np.arange(t_max)
-    is_stream = slot < np.minimum(tx, config.rx_antennas)[:, None]
 
     rx_bases = np.zeros((n_users, r_max, r_max), dtype=complex)
     tx_bases = np.zeros((n_users, t_max, t_max), dtype=complex)
     singular = np.zeros((n_users, t_max))
-    shapes = list(zip(config.rx_antennas, config.tx_antennas))
-    for m, n in dict.fromkeys(shapes):
-        group = [q for q, shape in enumerate(shapes) if shape == (m, n)]
+    for (m, n), group in layout.svd_groups:
         try:
             u, sv, vh = np.linalg.svd(links[group, group, :m, :n], full_matrices=True)
         except np.linalg.LinAlgError as exc:
@@ -137,6 +136,7 @@ def build_effective_network(
         singular[group, : sv.shape[1]] = sv
         tx_bases[group, :n, :n] = vh.conj().transpose(0, 2, 1)
 
+    is_stream = layout.is_stream
     weak = np.where(is_stream, singular, np.inf).min(axis=1) <= SINGULAR_FLOOR
     if weak.any():
         raise DegenerateChannelError(
@@ -144,8 +144,9 @@ def build_effective_network(
             f"{SINGULAR_FLOOR:g}"
         )
     sigma_sq = singular**2
-    noise = np.array(config.noise_power)[:, None]
-    stream_noise = np.divide(noise, sigma_sq, out=np.full(sigma_sq.shape, np.inf), where=is_stream)
+    stream_noise = np.divide(
+        layout.noise, sigma_sq, out=np.full(sigma_sq.shape, np.inf), where=is_stream
+    )
     unbounded = (is_stream & (stream_noise == np.inf)).any(axis=1)
     if unbounded.any():
         raise DegenerateChannelError(f"noise floor of user {unbounded.argmax()} is not finite")
@@ -155,24 +156,11 @@ def build_effective_network(
     u_h = rx_bases.conj().transpose(0, 2, 1)[:, :streams]
     rotated = u_h @ links @ tx_bases[:, None]
     gain = np.abs(rotated) ** 2
-    users = np.arange(n_users)
-    gain[users, users] = 0.0
+    gain.reshape(n_users * n_users, -1)[:: n_users + 1] = 0.0  # the direct links
     # an infinite divisor zeroes the rows of slots without a stream
     divisor = np.where(is_stream, sigma_sq, np.inf)[:, :streams, None]
-    blocks = (gain / divisor).transpose(1, 2, 0, 3)  # [q, i, r, j]
-
-    ends = np.cumsum(tx)
-    offsets = (0, *ends.tolist())
-    antenna_mask = slot < tx[:, None]
-    stream_index = np.where(antenna_mask, (ends - tx)[:, None] + slot, -1)
-    leak_index = np.arange(n_users)[:, None] * ends[-1] + stream_index.clip(0)
-    valid = antenna_mask.ravel()
-    padded = np.zeros((valid.size, valid.size))
-    padded.reshape(n_users, t_max, n_users, t_max)[:, :streams] = blocks
-    coupling = padded.compress(valid, axis=0).compress(valid, axis=1)
-    budget = np.array(config.power_budget)
-    slot_arrays = (stream_index, stream_noise, antenna_mask, leak_index)
-    for a in (rx_bases, tx_bases, singular, coupling, budget, *slot_arrays):
+    coupling = (gain / divisor).take(layout.coupling_index)
+    for a in (rx_bases, tx_bases, singular, coupling, stream_noise):
         a.setflags(write=False)
 
     return EffectiveNetwork(
@@ -180,11 +168,11 @@ def build_effective_network(
         rx_bases=rx_bases,
         tx_bases=tx_bases,
         singular_values=singular,
-        offsets=offsets,
+        offsets=layout.offsets,
         coupling=coupling,
-        stream_index=stream_index,
+        stream_index=layout.stream_index,
         stream_noise=stream_noise,
-        antenna_mask=antenna_mask,
-        leak_index=leak_index,
-        budget=budget,
+        antenna_mask=layout.antenna_mask,
+        leak_index=layout.leak_index,
+        budget=layout.budget,
     )

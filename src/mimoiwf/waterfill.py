@@ -6,12 +6,11 @@ direct-link SVD.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import NetworkConfig
+from .netmodel import NetworkConfig, _layout
 from .precode import EffectiveNetwork
 
 BUDGET_TOL = 1e-9
@@ -47,23 +46,18 @@ def validate_profile(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
     which absorbs the rounding of a split that sums to it. The error names
     the first offending user. Returns x unchanged.
     """
-    n = sum(config.tx_antennas)
+    layout = _layout(config)
+    n = layout.offsets[-1]
     if np.shape(x) != (n,):
         raise ValueError(f"profile has shape {np.shape(x)}, expected ({n},)")
-    starts = np.array(_user_starts(config))
-    lows = np.minimum.reduceat(x, starts).tolist()
-    sums = np.add.reduceat(x, starts).tolist()
+    lows = np.minimum.reduceat(x, layout.starts).tolist()
+    sums = np.add.reduceat(x, layout.starts).tolist()
     for q, budget in enumerate(config.power_budget):
         if not lows[q] >= 0:  # also true for a NaN
             raise ValueError(f"user {q} has a negative or NaN power entry")
         if sums[q] > budget + BUDGET_TOL * max(1.0, budget):
             raise ValueError(f"user {q} exceeds its power budget: {sums[q]!r} > {budget!r}")
     return x
-
-
-def _user_starts(config: NetworkConfig) -> list[int]:
-    """Position of each user's first antenna in a stacked power vector."""
-    return list(itertools.accumulate(config.tx_antennas[:-1], initial=0))
 
 
 def uniform_profile(config: NetworkConfig) -> np.ndarray:
@@ -74,16 +68,18 @@ def uniform_profile(config: NetworkConfig) -> np.ndarray:
 
 def greedy_profile(config: NetworkConfig) -> np.ndarray:
     """Entire budget on the strongest stream (first antenna after rotation), stacked."""
-    x = np.zeros(sum(config.tx_antennas))
-    x[_user_starts(config)] = config.power_budget
+    layout = _layout(config)
+    x = np.zeros(layout.offsets[-1])
+    x[layout.starts] = config.power_budget
     return x
 
 
 def random_profile(config: NetworkConfig, rng: np.random.Generator) -> np.ndarray:
     """Random nonnegative split of each user's full budget, stacked, from one draw."""
-    x = rng.random(sum(config.tx_antennas))
-    for budget, a, t in zip(config.power_budget, _user_starts(config), config.tx_antennas):
-        part = x[a : a + t]
+    offsets = _layout(config).offsets
+    x = rng.random(offsets[-1])
+    for budget, a, b in zip(config.power_budget, offsets, offsets[1:]):
+        part = x[a:b]
         part[:] = budget * part / part.sum()
     return x
 

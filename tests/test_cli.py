@@ -245,12 +245,22 @@ def test_config_values_are_type_strict(tmp_path, capsys, doc, command, key):
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
 
 
-def test_cli_import_loads_no_scipy():
+def modules_after_cli_import(prefix):
+    """Modules under prefix that a fresh `import mimoiwf.cli` loads."""
     src = Path(mimoiwf.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, mimoiwf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, mimoiwf.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported by a sweep that asks for more than one job
+    assert modules_after_cli_import("concurrent.futures.process") == "[]"

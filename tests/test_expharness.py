@@ -78,6 +78,17 @@ def test_spec_validation():
         sweep_sumrate(TINY_UNIQ)
 
 
+@pytest.mark.parametrize(
+    "field", ["trials", "max_retries", "it_max", "delay_bound", "update_bound", "base_seed"]
+)
+def test_spec_counts_must_be_integers(field):
+    # a bool or a float count used to pass, and failed only at the first trial
+    for value in (True, 1.5, 2.0):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            dataclasses.replace(TINY_UNIQ, schedule="random_async", **{field: value})
+    dataclasses.replace(TINY_UNIQ, **{field: np.int64(2)})
+
+
 BUDGET = "power_budget_db"
 
 

@@ -56,6 +56,38 @@ def test_validate_rejects_and_names_field(overrides, field):
         validate_config(small_config(**overrides))
 
 
+def test_list_fields_are_stored_as_tuples():
+    lists = small_config(
+        tx_antennas=[2, 2],
+        power_budget=np.array([10.0, 10.0]),
+        cross_distance=[[15.0, 40.0], (40.0, 15.0)],
+    )
+    assert lists == small_config()
+    assert hash(lists) == hash(small_config())
+    assert isinstance(lists.cross_distance[0], tuple)
+    with pytest.raises(AttributeError):
+        lists.tx_antennas.append(5)
+    np.testing.assert_array_equal(
+        sample_channels(lists, 3).links, sample_channels(small_config(), 3).links
+    )
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: small_config(num_users=True, tx_antennas=(2,), rx_antennas=(2,)), "num_users"),
+        (lambda: small_config(tx_antennas=(True, 2)), r"tx_antennas\[0\]"),
+        (lambda: small_config(rx_antennas=(2, True)), r"rx_antennas\[1\]"),
+        (lambda: symmetric_config(True, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5), "num_users"),
+        (lambda: symmetric_config(2, True, 2, 10.0, 1.0, 15.0, 40.0, 2.5), "tx_antennas"),
+    ],
+    ids=["num_users", "tx_antennas", "rx_antennas", "symmetric_users", "symmetric_tx"],
+)
+def test_bool_counts_are_refused(build, field):
+    with pytest.raises(ConfigError, match=field):
+        build()
+
+
 def test_symmetric_config_fills_diagonal():
     cfg = symmetric_config(3, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5)
     assert cfg.cross_distance[1][1] == 15.0

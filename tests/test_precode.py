@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mimoiwf.netmodel import sample_channels, symmetric_config
+from mimoiwf.netmodel import NetworkConfig, _layout, sample_channels, symmetric_config
 from mimoiwf.precode import (
     DegenerateChannelError,
     build_effective_network,
@@ -201,3 +201,62 @@ def test_more_tx_than_rx_truncates_streams():
     # rows of the antennas without a stream stay zero
     np.testing.assert_array_equal(net.coupling[2:4], 0.0)
     np.testing.assert_array_equal(net.coupling[6:8], 0.0)
+
+
+def ragged_config(tx, rx):
+    n = len(tx)
+    cross = tuple(tuple(15.0 if r == q else 20.0 + 3 * r + q for q in range(n)) for r in range(n))
+    return NetworkConfig(n, tx, rx, (10.0,) * n, (1e-3,) * n, (15.0,) * n, cross, 2.5)
+
+
+@pytest.mark.parametrize("tx, rx", [((3, 2), (2, 4)), ((2, 3, 1, 4), (3, 2, 2, 1))])
+def test_cold_and_warm_layout_match_the_oracles(tx, rx):
+    cfg = ragged_config(tx, rx)
+    users = range(len(tx))
+    ref_links = reference_sample_channels(cfg, 0)
+    ref = reference_build_effective_network(ref_links, cfg)
+    _layout.cache_clear()
+    nets = []
+    for _ in range(2):  # the first call fills the cache, the second reads it
+        real = sample_channels(cfg, 0)
+        net = build_effective_network(real, cfg)
+        for r in users:
+            for q in users:
+                np.testing.assert_array_equal(link_matrices(real)[r][q], ref_links[r][q])
+        for q in users:
+            np.testing.assert_array_equal(user_svd(net, q).U, ref.svd[q].U)
+            np.testing.assert_array_equal(user_svd(net, q).V, ref.svd[q].V)
+            streams = num_streams(net, q)
+            np.testing.assert_array_equal(net.stream_noise[q, :streams], ref.noise_floor[q])
+        if len(tx) == 2:
+            np.testing.assert_array_equal(net.coupling, ref.coupling)
+        else:  # the padded 4x4 products round unlike the per-link ones
+            np.testing.assert_allclose(net.coupling, ref.coupling, rtol=1e-12, atol=0)
+        nets.append(net)
+    np.testing.assert_array_equal(nets[0].coupling, nets[1].coupling)
+
+
+def test_networks_of_one_config_share_a_read_only_layout():
+    cfg = ragged_config((3, 2), (2, 4))
+    a, b = (build_effective_network(sample_channels(cfg, s), cfg) for s in (1, 2))
+    assert a.offsets is b.offsets
+    for name in ("stream_index", "antenna_mask", "leak_index", "budget"):
+        assert getattr(a, name) is getattr(b, name)
+        assert not getattr(a, name).flags.writeable
+    layout = _layout(cfg)
+    for name, value in vars(layout).items():
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
+            with pytest.raises(ValueError):
+                value.flat[0] = value.flat[0]
+    assert all(not group.flags.writeable for _, group in layout.svd_groups)
+
+
+def test_antenna_counts_select_the_layout():
+    base = _layout(ragged_config((3, 2), (2, 4)))
+    assert _layout(ragged_config([3, 2], [2, 4])) is base  # equal configs share one
+    swapped_tx = _layout(ragged_config((2, 3), (2, 4)))
+    swapped_rx = _layout(ragged_config((3, 2), (4, 2)))
+    assert swapped_tx is not base and swapped_rx is not base
+    assert swapped_tx.offsets == (0, 2, 5) and base.offsets == (0, 3, 5)
+    assert not np.array_equal(swapped_rx.is_stream, base.is_stream)
