@@ -63,7 +63,7 @@ def build_interference_matrix(net: EffectiveNetwork) -> InterferenceMatrix:
     """Wrap the network's coupling array, without copying it."""
     return InterferenceMatrix(
         matrix=net.coupling,
-        block_start=net.offsets[:-1],
+        block_start=net.config.layout.offsets[:-1],
         tx_antennas=net.config.tx_antennas,
     )
 
@@ -190,7 +190,7 @@ def _slot_view(net: EffectiveNetwork) -> np.ndarray:
     n = net.coupling.shape[0]
     padded = np.zeros((n + 1, n + 1))  # index -1 of stream_index reads the zero row
     padded[:n, :n] = net.coupling
-    index = net.stream_index
+    index = net.config.layout.stream_index
     return padded[index[:, :, None, None], index]
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import _layout
 from .precode import EffectiveNetwork
 from .waterfill import (
     PowerProfile,
@@ -188,9 +187,9 @@ def run_game(
     # reads antenna j of user r at step n from history[lead + n - ages[q, r]],
     # the start when the age exceeds n)
     lead = schedule.delay_bound
-    history = np.empty((lead + schedule.it_max + 1, net.offsets[-1]))
+    layout = cfg.layout
+    history = np.empty((lead + schedule.it_max + 1, layout.offsets[-1]))
     history[: lead + 1] = start
-    layout = _layout(cfg)
     antennas, owner = layout.antennas, layout.owner
     window = max(schedule.update_bound, 1)
     last_update = [-1] * cfg.num_users
@@ -239,7 +238,7 @@ def run_game(
     states.setflags(write=False)
     return GameTrace(
         states=states,
-        offsets=net.offsets,
+        offsets=layout.offsets,
         updated=updated,
         residuals=residuals,
         converged=converged,

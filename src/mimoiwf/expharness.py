@@ -7,8 +7,8 @@ one CSV row per sweep point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -42,7 +42,9 @@ class SweepSpec:
     is not swept is fixed by power_budget_db or by interference_ratio_db,
     the received cross-to-direct power ratio that sets the cross distance.
 
-    Construction runs validate_spec, so every instance is consistent.
+    Construction stores sweep_values as a tuple and runs validate_spec, so
+    every instance is consistent and hashable. The points are not a field:
+    equality, hashing, repr, replace and pickling see the fields only.
     """
 
     num_users: int = 4
@@ -66,7 +68,25 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         validate_spec(self)
+
+    def __getstate__(self) -> dict:
+        # a pool worker's copy builds its own points, read-only, on its first read
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def points(self) -> tuple[tuple[float, NetworkConfig, np.ndarray, np.ndarray], ...]:
+        """(value, config, uniform start, greedy start) of each sweep point, built
+        on first read and shared by its trials; the starts are read-only."""
+        points = []
+        for value in self.sweep_values:
+            cfg = trial_config(self, float(value))
+            uniform, greedy = uniform_profile(cfg), greedy_profile(cfg)
+            uniform.setflags(write=False)
+            greedy.setflags(write=False)
+            points.append((float(value), cfg, uniform, greedy))
+        return tuple(points)
 
 
 @dataclass
@@ -168,23 +188,6 @@ def trial_config(spec: SweepSpec, point_value: float) -> NetworkConfig:
     )
 
 
-@lru_cache(maxsize=16)
-def _sweep_point(
-    spec: SweepSpec, point_index: int
-) -> tuple[float, NetworkConfig, np.ndarray, np.ndarray]:
-    """(value, config, uniform start, greedy start) of one sweep point.
-
-    Every trial of a point shares these, so they are built once per point
-    and process; the starts are read-only.
-    """
-    point_value = float(spec.sweep_values[point_index])
-    cfg = trial_config(spec, point_value)
-    uniform, greedy = uniform_profile(cfg), greedy_profile(cfg)
-    uniform.setflags(write=False)
-    greedy.setflags(write=False)
-    return point_value, cfg, uniform, greedy
-
-
 def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecord:
     """One seeded trial: draw, certify, replay from three starts.
 
@@ -193,7 +196,7 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
     Rank-deficient draws are redrawn up to max_retries times and the trial
     is marked failed when the budget is exhausted.
     """
-    point_value, cfg, uniform, greedy = _sweep_point(spec, point_index)
+    point_value, cfg, uniform, greedy = spec.points[point_index]
     root = np.random.SeedSequence((spec.base_seed, point_index, trial_index))
     draws = root.generate_state(spec.max_retries + 2, dtype=np.uint64)
 

@@ -6,8 +6,8 @@ with a distance-based power-law attenuation applied per link.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +34,8 @@ class NetworkConfig:
 
     Construction stores the per-user fields and the cross_distance rows as
     tuples, then runs validate_config, so every instance is consistent and
-    hashable.
+    hashable. The layout is not a field: equality, hashing, repr, replace
+    and pickling see the fields only.
     """
 
     num_users: int
@@ -51,6 +52,15 @@ class NetworkConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "cross_distance", tuple(map(tuple, self.cross_distance)))
         validate_config(self)
+
+    def __getstate__(self) -> dict:
+        # a copy builds its own layout, read-only, on its first read
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def layout(self) -> _Layout:
+        """Arrays that depend on this config alone, built on first read and kept."""
+        return _Layout(self)
 
 
 _PER_USER = ("tx_antennas", "rx_antennas", "power_budget", "noise_power", "direct_distance")
@@ -80,12 +90,12 @@ class ChannelRealization:
                 transmitter and per receiver.
         """
         n = len(matrices)
-        tx = tuple(np.shape(matrices[r][r])[1] for r in range(n))
-        rx = tuple(np.shape(matrices[q][q])[0] for q in range(n))
+        for r in range(n):
+            if len(matrices[r]) != n or np.ndim(matrices[r][r]) != 2:
+                raise ValueError(f"matrices[{r}] must have {n} entries, entry {r} a 2-D matrix")
+        rx, tx = zip(*(np.shape(matrices[r][r]) for r in range(n)))
         links = np.zeros((n, n, max(rx), max(tx)), dtype=complex)
         for r in range(n):
-            if len(matrices[r]) != n:
-                raise ValueError(f"matrices[{r}] must have {n} entries")
             for q in range(n):
                 h = np.asarray(matrices[r][q])
                 if h.shape != (rx[q], tx[r]):
@@ -202,7 +212,7 @@ def sample_channels(config: NetworkConfig, seed: int) -> ChannelRealization:
     same matrices. All entries come from one draw, which the generator
     produces in that same order.
     """
-    layout = _layout(config)
+    layout = config.layout
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((layout.link_entries, 2))
     links = np.zeros(layout.link_mask.shape, dtype=complex)
@@ -220,10 +230,19 @@ def sample_channels(config: NetworkConfig, seed: int) -> ChannelRealization:
 class _Layout:
     """Arrays that depend on a NetworkConfig alone, all read-only.
 
-    Every draw, network and game of a config reads the one instance that
-    _layout builds; nothing drawn per trial is kept. Q users, R = max rx,
-    T = max tx, N = sum(tx); antenna_mask, stream_index, leak_index and
-    budget are the EffectiveNetwork fields of those names.
+    Every draw, network and game of a config reads the one instance kept as
+    NetworkConfig.layout. Q users, R = max rx, T = max tx, N = sum(tx).
+
+    Attributes:
+        offsets: user q's antennas are offsets[q]:offsets[q + 1] of a
+            stacked power vector; offsets[-1] is N.
+        stream_index: (Q, T) stacked position of user q's antenna s, or -1
+            when s >= tx_antennas[q].
+        antenna_mask: (Q, T) stream_index >= 0; a (Q, T) array masked by it
+            lists its antenna slots in stacked order.
+        leak_index: (Q, T) position of slot (q, s) in a raveled (Q, N)
+            array: q * N + stream_index[q, s], or q * N without antenna s.
+        budget: (Q,) config.power_budget as a float array.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -266,8 +285,3 @@ class _Layout:
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
 
-
-@lru_cache(maxsize=64)
-def _layout(config: NetworkConfig) -> _Layout:
-    """The layout of config, built on its first use and shared after it."""
-    return _Layout(config)

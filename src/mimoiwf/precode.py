@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import ChannelRealization, NetworkConfig, _layout
+from .netmodel import ChannelRealization, NetworkConfig
 
 # Singular values at or below this are treated as a rank loss.
 SINGULAR_FLOOR = 1e-12
@@ -42,7 +42,9 @@ class EffectiveNetwork:
     """Interference network expressed in the per-user singular bases.
 
     Per-user arrays are stacked over users and zero-padded to the largest
-    antenna count; T = max(tx_antennas) and R = max(rx_antennas).
+    antenna count; T = max(tx_antennas) and R = max(rx_antennas). The fields
+    hold what a draw determines; what the config alone fixes, such as the
+    stacked offsets, is config.layout.
 
     Attributes:
         config: the validated network description.
@@ -50,38 +52,20 @@ class EffectiveNetwork:
         tx_bases: (Q, T, T) right singular bases V_q of the direct links.
         singular_values: (Q, T) descending singular values of each direct
             link; zero past its min(rx, tx) streams.
-        offsets: offsets[q]:offsets[q + 1] spans user q's antennas in a
-            stacked power vector; offsets[-1] is the total antenna count N.
         coupling: read-only (N, N) map from stacked interferer powers to
             normalized interference. Entry (offsets[q] + i, offsets[r] + j)
             is |U_q^H H_rq V_r|^2 at (i, j) divided by sigma_sq[q][i]; rows
             of user q beyond its streams and the diagonal blocks are zero.
-        stream_index: (Q, T) slot layout: entry (q, s) is the stacked
-            position of user q's antenna s, or -1 when s >= tx_antennas[q].
         stream_noise: (Q, T) noise floor of each slot; +inf where user q has
             no stream s, so water-filling gives such slots no power.
-        antenna_mask: (Q, T) stream_index >= 0; a (Q, T) array masked by it
-            lists its antenna slots in stacked order.
-        leak_index: (Q, T) position of slot (q, s) in a raveled (Q, N)
-            array: q * N + stream_index[q, s], or q * N where user q has no
-            antenna s.
-        budget: (Q,) config.power_budget as a float array.
-
-    offsets, stream_index, antenna_mask, leak_index and budget depend on
-    the config alone: every network of one config shares them, read-only.
     """
 
     config: NetworkConfig
     rx_bases: np.ndarray
     tx_bases: np.ndarray
     singular_values: np.ndarray
-    offsets: tuple[int, ...]
     coupling: np.ndarray
-    stream_index: np.ndarray
     stream_noise: np.ndarray
-    antenna_mask: np.ndarray
-    leak_index: np.ndarray
-    budget: np.ndarray
 
 
 def svd_decompose(channel: np.ndarray) -> LinkSVD:
@@ -120,7 +104,7 @@ def build_effective_network(
         config.rx_antennas,
     ):
         raise ValueError("channel realization does not match the config's antenna counts")
-    layout = _layout(config)
+    layout = config.layout
     links = realization.links
     n_users, _, r_max, t_max = links.shape
 
@@ -168,11 +152,6 @@ def build_effective_network(
         rx_bases=rx_bases,
         tx_bases=tx_bases,
         singular_values=singular,
-        offsets=layout.offsets,
         coupling=coupling,
-        stream_index=layout.stream_index,
         stream_noise=stream_noise,
-        antenna_mask=layout.antenna_mask,
-        leak_index=layout.leak_index,
-        budget=layout.budget,
     )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import NetworkConfig, _layout
+from .netmodel import NetworkConfig
 from .precode import EffectiveNetwork
 
 BUDGET_TOL = 1e-9
@@ -46,7 +46,7 @@ def validate_profile(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
     which absorbs the rounding of a split that sums to it. The error names
     the first offending user. Returns x unchanged.
     """
-    layout = _layout(config)
+    layout = config.layout
     n = layout.offsets[-1]
     if np.shape(x) != (n,):
         raise ValueError(f"profile has shape {np.shape(x)}, expected ({n},)")
@@ -68,7 +68,7 @@ def uniform_profile(config: NetworkConfig) -> np.ndarray:
 
 def greedy_profile(config: NetworkConfig) -> np.ndarray:
     """Entire budget on the strongest stream (first antenna after rotation), stacked."""
-    layout = _layout(config)
+    layout = config.layout
     x = np.zeros(layout.offsets[-1])
     x[layout.starts] = config.power_budget
     return x
@@ -76,7 +76,7 @@ def greedy_profile(config: NetworkConfig) -> np.ndarray:
 
 def random_profile(config: NetworkConfig, rng: np.random.Generator) -> np.ndarray:
     """Random nonnegative split of each user's full budget, stacked, from one draw."""
-    offsets = _layout(config).offsets
+    offsets = config.layout.offsets
     x = rng.random(offsets[-1])
     for budget, a, b in zip(config.power_budget, offsets, offsets[1:]):
         part = x[a:b]
@@ -93,10 +93,11 @@ def stream_floors(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     stream s of user q, divided by its squared singular value, plus the
     noise floor; slots without a stream are +inf.
     """
+    layout = net.config.layout
     if views.ndim == 1:
-        leak = (net.coupling @ views)[net.stream_index]
+        leak = (net.coupling @ views)[layout.stream_index]
     else:
-        leak = (views @ net.coupling.T).take(net.leak_index)
+        leak = (views @ net.coupling.T).take(layout.leak_index)
     return net.stream_noise + leak
 
 
@@ -146,15 +147,16 @@ def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
 
     views is as for stream_floors; user q responds to its own view.
     """
+    layout = net.config.layout
     floors = stream_floors(net, views)
-    return water_level(floors, net.budget).powers[net.antenna_mask]
+    return water_level(floors, layout.budget).powers[layout.antenna_mask]
 
 
 def user_rates(net: EffectiveNetwork, x: np.ndarray) -> np.ndarray:
     """Rate of every user at a stacked power vector x, as a (Q,) array."""
     floors = stream_floors(net, x)
     p = np.zeros(floors.shape)
-    p[net.antenna_mask] = x
+    p[net.config.layout.antenna_mask] = x
     return np.log2(1.0 + p / floors).sum(axis=1)
 
 

@@ -196,7 +196,7 @@ def reference_certify(net):
     the component-wise radius."""
     m = net.coupling
     cfg = net.config
-    starts = net.offsets[:-1]
+    starts = cfg.layout.offsets[:-1]
 
     def strict(mat):
         total = 0.0
@@ -216,7 +216,8 @@ def reference_certify(net):
 
 def coupling_entry(net, q, i, r, j):
     """Normalized leak from antenna j of transmitter r into stream i of user q."""
-    return float(net.coupling[net.offsets[q] + i, net.offsets[r] + j])
+    o = net.config.layout.offsets
+    return float(net.coupling[o[q] + i, o[r] + j])
 
 
 def reference_row_norm(net):
@@ -361,7 +362,7 @@ def reference_random_profile(config, rng):
 def reference_best_response(net, view, q):
     """User q's response to a stacked view, from its own coupling rows."""
     streams = num_streams(net, q)
-    start = net.offsets[q]
+    start = net.config.layout.offsets[q]
     floors = noise_floor(net, q) + net.coupling[start : start + streams] @ view
     out = np.zeros(net.config.tx_antennas[q])
     out[:streams] = reference_water_fill(floors, net.config.power_budget[q])
@@ -374,7 +375,8 @@ def reference_run_game(net, schedule, start, tol):
     Returns (states, residuals, converged, nash_gap, final_rates); states[n]
     is the stacked state after step n.
     """
-    blocks = [slice(a, b) for a, b in zip(net.offsets, net.offsets[1:])]
+    o = net.config.layout.offsets
+    blocks = [slice(a, b) for a, b in zip(o, o[1:])]
     states = [np.array(start)]
     window = max(schedule.update_bound, 1)
     last_update = np.full(net.config.num_users, -1)

@@ -330,21 +330,21 @@ def test_gate_09_residuals_decay_at_certified_rate(norm_pool):
 
 def test_gate_10_sweep_csv_is_deterministic(tmp_path):
     spec = SweepSpec(sweep_values=(15.0, 35.0, 55.0), trials=25, base_seed=7)
-    paths = [str(tmp_path / f"u{i}.csv") for i in range(3)]
-    write_csv(sweep_uniqueness(spec, jobs=1), paths[0])
-    write_csv(sweep_uniqueness(spec, jobs=1), paths[1])
-    write_csv(sweep_uniqueness(spec, jobs=2), paths[2])
-    blobs = [open(p, "rb").read() for p in paths]
+    paths = [tmp_path / f"u{i}.csv" for i in range(3)]
+    write_csv(sweep_uniqueness(spec, jobs=1), str(paths[0]))
+    write_csv(sweep_uniqueness(spec, jobs=1), str(paths[1]))
+    write_csv(sweep_uniqueness(spec, jobs=2), str(paths[2]))
+    blobs = [p.read_bytes() for p in paths]
     same_u = blobs[0] == blobs[1] == blobs[2]
 
     spec2 = SweepSpec(
         sweep_variable="power_budget_db", sweep_values=(0.0, 10.0), trials=20, base_seed=3
     )
-    pa = str(tmp_path / "r1.csv")
-    pb = str(tmp_path / "r2.csv")
-    write_csv(sweep_sumrate(spec2, jobs=1), pa)
-    write_csv(sweep_sumrate(spec2, jobs=2), pb)
-    same_r = open(pa, "rb").read() == open(pb, "rb").read()
+    pa = tmp_path / "r1.csv"
+    pb = tmp_path / "r2.csv"
+    write_csv(sweep_sumrate(spec2, jobs=1), str(pa))
+    write_csv(sweep_sumrate(spec2, jobs=2), str(pb))
+    same_r = pa.read_bytes() == pb.read_bytes()
     _verdict(
         10,
         "sweep output byte-identical across reruns and jobs",

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -242,3 +243,39 @@ def test_trial_records_do_not_depend_on_call_order():
     forward = [run_trial(TINY_UNIQ, p, t) for p in (0, 1) for t in (0, 1)]
     backward = [run_trial(dataclasses.replace(TINY_UNIQ), p, t) for p in (1, 0) for t in (1, 0)]
     assert forward == backward[::-1]
+
+
+def test_list_sweep_values_give_the_tuple_spec(tmp_path):
+    listed = SweepSpec(sweep_values=[20.0, 45.0], trials=3, base_seed=7)
+    tupled = dataclasses.replace(TINY_UNIQ, trials=3)
+    assert listed.sweep_values == (20.0, 45.0)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    paths = tmp_path / "listed.csv", tmp_path / "tupled.csv"
+    write_csv(sweep_uniqueness(listed), str(paths[0]))
+    write_csv(sweep_uniqueness(tupled), str(paths[1]))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_replace_gives_a_spec_fresh_points():
+    spec = dataclasses.replace(TINY_UNIQ)
+    old = spec.points
+    louder = dataclasses.replace(spec, power_budget_db=20.0)
+    assert "points" not in vars(louder)
+    for (value, cfg, uniform, greedy), (_, old_cfg, _, _) in zip(louder.points, old):
+        assert cfg.power_budget == (100.0,) * 4 and old_cfg.power_budget == (10.0,) * 4
+        assert cfg == trial_config(louder, value)
+        assert uniform.sum() == greedy.sum() == 400.0
+    assert spec.points is old
+
+
+def test_pickled_spec_rebuilds_read_only_points():
+    spec = dataclasses.replace(TINY_RATE)
+    assert len(spec.points) == 3
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and "points" not in vars(copy)
+    for (value, cfg, uniform, greedy), built in zip(copy.points, spec.points):
+        assert value == built[0] and cfg == built[1]
+        assert "layout" in vars(cfg)  # the greedy start read it
+        for start, old in ((uniform, built[2]), (greedy, built[3])):
+            np.testing.assert_array_equal(start, old)
+            assert not start.flags.writeable

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -212,3 +215,41 @@ def test_realization_from_matrices_round_trips():
     bad[0][1] = np.zeros((2, 2))
     with pytest.raises(ValueError, match=r"matrices\[0\]\[1\]"):
         ChannelRealization.from_matrices(bad, seed=8)
+    h = np.eye(2)
+    with pytest.raises(ValueError, match=r"matrices\[1\] must have 2 entries"):
+        ChannelRealization.from_matrices([[h, h], [h]], seed=8)
+    with pytest.raises(ValueError, match=r"matrices\[1\] .* entry 1 a 2-D matrix"):
+        ChannelRealization.from_matrices([[h, h], [h, np.ones(2)]], seed=8)
+
+
+def test_replace_gives_a_config_a_fresh_layout():
+    cfg = small_config()
+    old = cfg.layout
+    richer = dataclasses.replace(cfg, power_budget=(20.0, 5.0))
+    assert "layout" not in vars(richer)
+    np.testing.assert_array_equal(richer.layout.budget, [20.0, 5.0])
+    np.testing.assert_array_equal(old.budget, [10.0, 10.0])
+    wider = dataclasses.replace(cfg, tx_antennas=(3, 2))
+    assert wider.layout.offsets == (0, 3, 5) and old.offsets == (0, 2, 4)
+    assert cfg.layout is old
+
+
+def test_pickled_config_rebuilds_a_read_only_layout():
+    cfg = small_config()
+    assert cfg.layout.offsets == (0, 2, 4)
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and "layout" not in vars(copy)
+    assert copy.layout.offsets == cfg.layout.offsets
+    for name, value in vars(copy.layout).items():
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
+
+
+def test_equal_configs_hash_equal_and_have_equal_layouts():
+    a, b = small_config(), small_config(tx_antennas=[2, 2], power_budget=[10.0, 10.0])
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.layout is not b.layout
+    built_a, built_b = vars(a.layout), vars(b.layout)
+    assert built_a.keys() == built_b.keys()
+    for name in built_a:
+        np.testing.assert_equal(built_a[name], built_b[name], err_msg=name)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mimoiwf.netmodel import NetworkConfig, _layout, sample_channels, symmetric_config
+from mimoiwf.netmodel import NetworkConfig, sample_channels, symmetric_config
 from mimoiwf.precode import (
     DegenerateChannelError,
     build_effective_network,
@@ -59,7 +59,7 @@ def test_svd_rejects_bad_input():
 def user_block(net, r, q):
     """Coupling from transmitter r into user q's streams, times sigma_sq[q]:
     the squared magnitudes of the rotated cross channel."""
-    o = net.offsets
+    o = net.config.layout.offsets
     sigma = user_svd(net, q).singular_values
     rows = slice(o[q], o[q] + sigma.size)
     return net.coupling[rows, o[r] : o[r + 1]] * sigma[:, None] ** 2
@@ -72,7 +72,7 @@ def cross_pairs(net):
 
 def test_single_user_network_has_no_cross_terms():
     net = explicit_net([np.diag([3.0, 1.0])], {}, [10.0], [1.0])
-    assert net.offsets == (0, 2)
+    assert net.config.layout.offsets == (0, 2)
     np.testing.assert_array_equal(net.coupling, np.zeros((2, 2)))
     np.testing.assert_allclose(net.singular_values[0] ** 2, [9.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(net.stream_noise[0], [1.0 / 9.0, 1.0], atol=1e-12)
@@ -171,7 +171,7 @@ def test_coupling_normalization_and_stacking():
     cfg = symmetric_config(3, 2, 2, 10.0, 2.0, 15.0, 30.0, 2.5)
     real = sample_channels(cfg, 13)
     net = build_effective_network(real, cfg)
-    assert net.offsets == (0, 2, 4, 6)
+    assert net.config.layout.offsets == (0, 2, 4, 6)
     assert net.coupling.shape == (6, 6)
     assert not net.coupling.flags.writeable
     for q in range(3):
@@ -215,9 +215,9 @@ def test_cold_and_warm_layout_match_the_oracles(tx, rx):
     users = range(len(tx))
     ref_links = reference_sample_channels(cfg, 0)
     ref = reference_build_effective_network(ref_links, cfg)
-    _layout.cache_clear()
+    assert "layout" not in vars(cfg)
     nets = []
-    for _ in range(2):  # the first call fills the cache, the second reads it
+    for _ in range(2):  # the first call builds the layout, the second reads it
         real = sample_channels(cfg, 0)
         net = build_effective_network(real, cfg)
         for r in users:
@@ -239,11 +239,8 @@ def test_cold_and_warm_layout_match_the_oracles(tx, rx):
 def test_networks_of_one_config_share_a_read_only_layout():
     cfg = ragged_config((3, 2), (2, 4))
     a, b = (build_effective_network(sample_channels(cfg, s), cfg) for s in (1, 2))
-    assert a.offsets is b.offsets
-    for name in ("stream_index", "antenna_mask", "leak_index", "budget"):
-        assert getattr(a, name) is getattr(b, name)
-        assert not getattr(a, name).flags.writeable
-    layout = _layout(cfg)
+    layout = cfg.layout
+    assert a.config.layout is layout and b.config.layout is layout
     for name, value in vars(layout).items():
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable, name
@@ -253,10 +250,9 @@ def test_networks_of_one_config_share_a_read_only_layout():
 
 
 def test_antenna_counts_select_the_layout():
-    base = _layout(ragged_config((3, 2), (2, 4)))
-    assert _layout(ragged_config([3, 2], [2, 4])) is base  # equal configs share one
-    swapped_tx = _layout(ragged_config((2, 3), (2, 4)))
-    swapped_rx = _layout(ragged_config((3, 2), (4, 2)))
+    base = ragged_config((3, 2), (2, 4)).layout
+    swapped_tx = ragged_config((2, 3), (2, 4)).layout
+    swapped_rx = ragged_config((3, 2), (4, 2)).layout
     assert swapped_tx is not base and swapped_rx is not base
     assert swapped_tx.offsets == (0, 2, 5) and base.offsets == (0, 3, 5)
     assert not np.array_equal(swapped_rx.is_stream, base.is_stream)

@@ -252,8 +252,8 @@ def test_best_response_is_a_row_of_the_batched_step():
         batch = best_responses(net, x)
         rates = user_rates(net, x)
         for q in range(3):
-            start, streams = net.offsets[q], num_streams(net, q)
-            block = slice(start, net.offsets[q + 1])
+            start, streams = net.config.layout.offsets[q], num_streams(net, q)
+            block = slice(start, net.config.layout.offsets[q + 1])
             own = noise_floor(net, q) + net.coupling[start : start + streams] @ x
             np.testing.assert_allclose(floors[q, :streams], own, rtol=1e-14)
             np.testing.assert_array_equal(floors[q, streams:], np.inf)
