@@ -34,52 +34,64 @@ class ScheduleError(ValueError):
 class Schedule:
     """Update plan for the iterated game.
 
-    Step n of the plan is a pair (members, ages): the users revising their
-    power at step n, and a (Q, Q) array holding at [q, r] the age of the
-    view user q has of user r, from 0 to delay_bound, or None when every
-    view is fresh. No user goes more than update_bound steps without an
-    update. A hand-built plan gives update_sets[n] and, for stale views,
-    delays[n, q, r] for every step up to it_max; a plan with draws instead
-    takes each step from that iterator of (members, ages) pairs, in order,
-    the first time step(n) reaches it.
+    steps yields the plan in order, from a list (a hand-built plan) or an
+    iterator (a drawn one). Step n is a pair (members, ages): the users
+    revising their power at step n, and a (Q, Q) integer array holding at
+    [q, r] the age, 0..delay_bound, of user q's view of user r, or None when
+    every view is fresh, as it is when delay_bound is 0. No user goes more
+    than update_bound steps without an update. step(n) pulls and checks each
+    step the first time it reaches it, so games draw only what they play.
 
     Raises:
-        ScheduleError: on a negative delay_bound; on a hand-built plan with
-            fewer than it_max steps; or on a negative user or an age outside
-            0..delay_bound, naming the first such step (and user pair).
+        ScheduleError: on a count or bound that is not an integer (a bool is
+            not) or is out of range, naming it; and, naming the step (and user
+            pair), on a user outside 0..num_users-1, on view ages that are not
+            (Q, Q) integers in 0..delay_bound, or on a plan shorter than it_max.
     """
 
-    def __init__(self, it_max, update_sets=(), delay_bound=0, update_bound=1, delays=None,
-                 draws=None):
-        if delay_bound < 0:
-            raise ScheduleError(f"delay_bound must be >= 0, got {delay_bound}")
-        planned = len(update_sets) if delays is None else min(len(update_sets), len(delays))
-        if draws is None and planned < it_max:
-            raise ScheduleError(f"step {planned}: the plan ends before it_max = {it_max}")
-        for n, members in enumerate(update_sets):
-            if min(members, default=0) < 0:
-                raise ScheduleError(f"step {n}: user {min(members)} is negative")
-        ages = None if delays is None else np.asarray(delays)
-        if ages is not None:
-            bad = np.argwhere((ages < 0) | (ages > delay_bound))
-            if bad.size:
-                n, q, r = bad[0].tolist()
-                raise ScheduleError(
-                    f"step {n}: user {q} views user {r} at age {ages[n, q, r]}, "
-                    f"outside 0..{delay_bound}"
-                )
-        fresh = ages is None or delay_bound == 0
-        self.it_max, self.delay_bound, self.update_bound = it_max, delay_bound, update_bound
-        self._steps = [
-            (tuple(members), None if fresh else ages[n]) for n, members in enumerate(update_sets)
-        ]
-        self._draws = draws
+    def __init__(self, num_users, it_max, steps, delay_bound=0, update_bound=1):
+        self.num_users, self.it_max = num_users, it_max
+        self.delay_bound, self.update_bound = delay_bound, update_bound
+        _check_counts(**vars(self))
+        self._source = iter(steps)
+        self._steps: list[tuple[tuple[int, ...], np.ndarray | None]] = []
 
     def step(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
-        """Users updating at step n and their (Q, Q) view ages, None if fresh."""
-        while n >= len(self._steps) and self._draws is not None:
-            self._steps.append(next(self._draws))
+        """Users updating at step n < it_max and their (Q, Q) view ages, None if fresh."""
+        while len(self._steps) <= n < self.it_max:
+            self._steps.append(self._pull(len(self._steps)))
         return self._steps[n]
+
+    def _pull(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
+        try:
+            members, ages = next(self._source)
+        except StopIteration:
+            raise ScheduleError(f"step {n}: the plan ends before it_max = {self.it_max}") from None
+        members, users, bound = tuple(members), self.num_users, self.delay_bound
+        for q in members:
+            if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or not 0 <= q < users:
+                raise ScheduleError(f"step {n}: user {q!r} is not in a {users}-user network")
+        if ages is not None:
+            ages = np.asarray(ages)
+            if ages.shape != (users, users) or ages.dtype.kind not in "iu":
+                raise ScheduleError(
+                    f"step {n}: view ages have shape {ages.shape} and dtype {ages.dtype}, "
+                    "not one integer age per user pair"
+                )
+            if ages.min() < 0 or ages.max() > bound:
+                q, r = np.argwhere((ages < 0) | (ages > bound))[0].tolist()
+                raise ScheduleError(
+                    f"step {n}: user {q} views user {r} at age {ages[q, r]}, outside 0..{bound}"
+                )
+        return members, (ages if bound else None)
+
+
+def _check_counts(**counts) -> None:
+    """Name the first count that is not an integer (a bool is not) at or above its least."""
+    for name, value in counts.items():
+        low = 0 if name in ("seed", "delay_bound") else 1
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -94,7 +106,6 @@ class GameTrace:
 
     states: np.ndarray
     offsets: tuple[int, ...]
-    updated: list[tuple[int, ...]]
     residuals: list[float]
     converged: bool
     iterations_used: int
@@ -124,25 +135,23 @@ def make_schedule(
     when first read, so games that stop early draw only what they play.
 
     Raises:
-        ScheduleError: on an unknown kind, or on a count or bound that is
-            not an integer (a bool is not) or is out of range; names it.
+        ScheduleError: on an unknown kind, or on a count, bound or seed that
+            is not an integer (a bool is not) or is out of range; names it.
     """
     if kind not in SCHEDULE_KINDS:
         raise ScheduleError(f"unknown schedule kind {kind!r}, expected one of {SCHEDULE_KINDS}")
-    least = {"num_users": 1, "it_max": 1, "delay_bound": 0, "update_bound": 1}
-    for (name, low), value in zip(least.items(), (num_users, it_max, delay_bound, update_bound)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
+    _check_counts(seed=seed, delay_bound=delay_bound, update_bound=update_bound)
 
-    if kind == "jacobi":
-        return Schedule(it_max, draws=itertools.repeat((tuple(range(num_users)), None)))
+    if kind == "jacobi":  # steps are built lazily, after Schedule checks num_users
+        steps = ((tuple(range(num_users)), None) for _ in itertools.count())
+        return Schedule(num_users, it_max, steps)
 
     if kind == "gauss_seidel":
-        steps = [((q,), None) for q in range(num_users)]
-        return Schedule(it_max, update_bound=num_users, draws=itertools.cycle(steps))
+        steps = (((q,), None) for _ in itertools.count() for q in range(num_users))
+        return Schedule(num_users, it_max, steps, update_bound=num_users)
 
-    draws = _async_steps(num_users, it_max, seed, delay_bound, update_bound)
-    return Schedule(it_max, (), delay_bound, update_bound, draws=draws)
+    steps = _async_steps(num_users, it_max, seed, delay_bound, update_bound)
+    return Schedule(num_users, it_max, steps, delay_bound, update_bound)
 
 
 def _async_steps(num_users: int, it_max: int, seed: int, delay_bound: int, update_bound: int):
@@ -175,10 +184,12 @@ def run_game(
 
     Raises:
         ValueError: on an infeasible start.
-        ScheduleError: when a step names a user the network does not have,
-            or gives view ages that are not (Q, Q); names the step.
+        ScheduleError: on a schedule for another number of users, or on a
+            plan step the schedule refuses.
     """
     cfg = net.config
+    if schedule.num_users != cfg.num_users:
+        raise ScheduleError(f"schedule for {schedule.num_users} users, network of {cfg.num_users}")
     start = uniform_profile(cfg) if start is None else start
     validate_profile(start, cfg)
 
@@ -191,24 +202,15 @@ def run_game(
     history = np.empty((lead + schedule.it_max + 1, layout.offsets[-1]))
     history[: lead + 1] = start
     antennas, owner = layout.antennas, layout.owner
-    window = max(schedule.update_bound, 1)
+    window = schedule.update_bound
     last_update = [-1] * cfg.num_users
     movers: dict[tuple[int, ...], np.ndarray | None] = {}  # antennas that move, None if all
-    updated: list[tuple[int, ...]] = []
     residuals: list[float] = []
     converged = False
 
     for n in range(schedule.it_max):
         members, ages = schedule.step(n)
         if members not in movers:
-            if max(members, default=-1) >= cfg.num_users:
-                raise ScheduleError(
-                    f"step {n}: user {max(members)} is not in a {cfg.num_users}-user network"
-                )
-            if ages is not None and ages.shape != (cfg.num_users, cfg.num_users):
-                raise ScheduleError(
-                    f"step {n}: view ages have shape {ages.shape}, not one age per user pair"
-                )
             users = np.zeros(cfg.num_users, dtype=bool)
             users[list(members)] = True
             movers[members] = None if users.all() else users[owner]
@@ -220,7 +222,6 @@ def run_game(
             new = best_responses(net, history[now - ages[:, owner], antennas])
         if movers[members] is not None:
             new = np.where(movers[members], new, x)
-        updated.append(members)
         residuals.append(float(np.abs(new - x).max()))
         history[now + 1] = new
         for q in members:
@@ -239,7 +240,6 @@ def run_game(
     return GameTrace(
         states=states,
         offsets=layout.offsets,
-        updated=updated,
         residuals=residuals,
         converged=converged,
         iterations_used=len(residuals),

@@ -285,10 +285,12 @@ def _run_sweep(spec: SweepSpec, jobs: int, name: str, variable: str) -> SweepRes
         raise ConfigError(
             f"{name} sweep needs sweep_variable {variable!r}, got {spec.sweep_variable!r}"
         )
+    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     tasks = [
         (pi, ti) for pi in range(len(spec.sweep_values)) for ti in range(spec.trials)
     ]
-    if jobs <= 1:
+    if jobs == 1:
         records = [run_trial(spec, pi, ti) for pi, ti in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # imported here: ~20 ms of start-up

@@ -195,6 +195,18 @@ def test_negative_seed_rejected_before_any_trial(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, TINY_SWEEP)
+    out_csv = tmp_path / "x.csv"
+    argv = ["sweep-uniqueness", "--config", cfg, "--out", str(out_csv), "--jobs", jobs]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"jobs must be an integer >= 1, got {jobs}" in captured.err
+    assert captured.out == ""
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("command", ["play", "certify"])
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_negative_play_and_certify_seed_names_the_field(tmp_path, capsys, command, where):

@@ -111,7 +111,8 @@ def test_schedule_read_after_an_early_stop_is_the_whole_plan():
         )
         trace = run_game(net, sched, tol=1e-6)
         assert trace.converged and trace.iterations_used < 120
-        assert trace.updated == list(sets[: trace.iterations_used])
+        played = [sched.step(n)[0] for n in range(trace.iterations_used)]
+        assert played == list(sets[: trace.iterations_used])
         assert_plan(sched, sets, delays)
 
 
@@ -124,7 +125,7 @@ def test_games_draw_only_the_steps_they_play():
             pulled.append(step)
             yield step
 
-    sched = Schedule(100, (), 3, 5, draws=steps())
+    sched = Schedule(4, 100, steps(), 3, 5)
     net = random_net(1)
     starts = (uniform_profile(net.config), greedy_profile(net.config))
     played = [run_game(net, sched, start).iterations_used for start in starts]
@@ -135,7 +136,7 @@ def test_games_draw_only_the_steps_they_play():
 
 def assert_same_trace(a, b):
     np.testing.assert_array_equal(a.states, b.states)
-    assert a.residuals == b.residuals and a.updated == b.updated
+    assert a.residuals == b.residuals
     assert (a.converged, a.iterations_used, a.nash_gap) == (b.converged, b.iterations_used, b.nash_gap)
     np.testing.assert_array_equal(a.final_rates, b.final_rates)
 
@@ -156,14 +157,16 @@ def test_start_order_does_not_change_an_on_demand_schedule():
             full = plan()
             sets, delays = reference_async_schedule(3, 80, seed, delay_bound, update_bound)
             assert_plan(full, sets, delays)  # draws the whole horizon
-            by_hand = Schedule(80, sets, delay_bound, update_bound, delays)
+            by_hand = Schedule(3, 80, list(zip(sets, delays)), delay_bound, update_bound)
             expected = [run_game(net, full, start, tol=1e-9) for start in starts]
             for start, want in zip(starts, expected):
                 assert_same_trace(run_game(net, by_hand, start, tol=1e-9), want)
+            assert_plan(by_hand, sets, delays)
             for order in itertools.permutations(range(3)):
                 lazy = plan()
                 for i in order:
                     assert_same_trace(run_game(net, lazy, starts[i], tol=1e-9), expected[i])
+                assert_plan(lazy, sets, delays)
 
 
 def test_random_schedule_degenerates_to_jacobi():
@@ -197,28 +200,56 @@ def test_schedule_counts_must_be_integers():
     assert len(whole_plan(s)[0]) == 3
 
 
+def test_schedule_seed_is_checked_when_built():
+    for seed in (-1, 2.5, "7", True):
+        with pytest.raises(ScheduleError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            make_schedule("random_async", 2, seed=seed)
+    s = make_schedule("random_async", 2, it_max=3, seed=np.uint64(7))
+    assert whole_plan(s) == whole_plan(make_schedule("random_async", 2, it_max=3, seed=7))
+
+
+def fresh_plan(*sets):
+    """A hand-built plan: each update set with fresh views."""
+    return [(members, None) for members in sets]
+
+
 def test_hand_built_plan_is_checked():
     with pytest.raises(ScheduleError, match="step 2: the plan ends before it_max = 3"):
-        Schedule(3, ((0, 1),) * 2)
-    with pytest.raises(ScheduleError, match="step 1: the plan ends before it_max = 3"):
-        Schedule(3, ((0, 1),) * 3, 1, 1, np.zeros((1, 2, 2), dtype=np.int64))
-    with pytest.raises(ScheduleError, match="step 1: user -1 is negative"):
-        Schedule(3, ((0, 1), (-1,), (0,)))
-    Schedule(3, ((0, 1),) * 4)  # steps past it_max are never played
+        whole_plan(Schedule(2, 3, fresh_plan((0, 1), (0, 1))))
+    with pytest.raises(ScheduleError, match="step 1: user -1 is not in a 2-user network"):
+        whole_plan(Schedule(2, 3, fresh_plan((0, 1), (-1,), (0,))))
+    for bad in (True, 1.0, "0"):
+        with pytest.raises(ScheduleError, match=f"step 0: user {bad!r} is not in a 2-user network"):
+            Schedule(2, 3, fresh_plan((0, bad))).step(0)
+    s = Schedule(2, 3, fresh_plan(*[(0, 1)] * 4))  # steps past it_max are never pulled
+    assert whole_plan(s) == (((0, 1),) * 3, [None] * 3)
+    with pytest.raises(IndexError):
+        s.step(3)
+    for name, args in (
+        ("num_users", (True, 3)),
+        ("num_users", (0, 3)),
+        ("it_max", (2, 2.0)),
+        ("it_max", (2, 0)),
+    ):
+        with pytest.raises(ScheduleError, match=f"{name} must be an integer >= 1"):
+            Schedule(*args, fresh_plan((0,)))
+    with pytest.raises(ScheduleError, match="update_bound must be an integer >= 1, got 0"):
+        Schedule(2, 3, fresh_plan((0,)), 1, 0)
 
 
 def test_game_rejects_a_schedule_for_another_network():
     net = explicit_net([np.eye(1), np.eye(1)], {}, [1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ScheduleError, match="step 1: user 5 is not in a 2-user network"):
-        run_game(net, Schedule(3, ((0,), (5,), (1,))))
-    with pytest.raises(ScheduleError, match="step 0: user 2 is not in a 2-user network"):
+        run_game(net, Schedule(2, 3, fresh_plan((0,), (5,), (1,))))
+    with pytest.raises(ScheduleError, match="schedule for 3 users, network of 2"):
         run_game(net, make_schedule("jacobi", 3))
-    delays = np.zeros((3, 3, 3), dtype=np.int64)
     with pytest.raises(ScheduleError, match=r"step 0: view ages have shape \(3, 3\)"):
-        run_game(net, Schedule(3, ((0, 1),) * 3, 1, 1, delays))
+        run_game(net, Schedule(2, 3, [((0, 1), np.zeros((3, 3), dtype=np.int64))] * 3, 1, 1))
     with pytest.raises(ScheduleError, match=r"step 0: view ages have shape \(3,\)"):
-        run_game(net, Schedule(3, ((0, 1),) * 3, 1, 1, np.zeros((3, 3), dtype=np.int64)))
-    trace = run_game(net, Schedule(3, ((0, 1),) * 3, 1, 1, delays[:, :2, :2]))
+        run_game(net, Schedule(2, 3, [((0, 1), np.zeros(3, dtype=np.int64))] * 3, 1, 1))
+    with pytest.raises(ScheduleError, match=r"step 0: view ages .* dtype float64"):
+        run_game(net, Schedule(2, 3, [((0, 1), np.zeros((2, 2)))] * 3, 1, 1))
+    trace = run_game(net, Schedule(2, 3, [((0, 1), np.zeros((2, 2), dtype=np.int64))] * 3, 1, 1))
     assert trace.converged
 
 
@@ -227,15 +258,51 @@ def test_view_ages_outside_the_bound_are_rejected():
     delays = np.zeros((4, 2, 2), dtype=np.int64)
     delays[:, 0, 1] = -2  # a view from the future
     with pytest.raises(ScheduleError, match=r"step 0: user 0 views user 1 at age -2, outside 0\.\.3"):
-        Schedule(4, sets, 3, 2, delays)
+        whole_plan(Schedule(2, 4, list(zip(sets, delays)), 3, 2))
     delays[:, 0, 1] = 0
     delays[2, 1, 0] = 4
     with pytest.raises(ScheduleError, match=r"step 2: user 1 views user 0 at age 4, outside 0\.\.3"):
-        Schedule(4, sets, 3, 2, delays)
+        whole_plan(Schedule(2, 4, list(zip(sets, delays)), 3, 2))
     delays[2, 1, 0] = 3
-    Schedule(4, sets, 3, 2, delays)
-    with pytest.raises(ScheduleError, match="delay_bound must be >= 0, got -1"):
-        Schedule(4, sets, -1, 2)
+    assert_plan(Schedule(2, 4, list(zip(sets, delays)), 3, 2), sets, delays)
+    with pytest.raises(ScheduleError, match="delay_bound must be an integer >= 0, got -1"):
+        Schedule(2, 4, list(zip(sets, delays)), -1, 2)
+    # with delay_bound 0 the ages must all be 0, and the views are fresh
+    with pytest.raises(ScheduleError, match=r"step 2: user 1 views user 0 at age 3, outside 0\.\.0"):
+        whole_plan(Schedule(2, 4, list(zip(sets, delays)), 0, 2))
+    delays[2, 1, 0] = 0
+    assert whole_plan(Schedule(2, 4, list(zip(sets, delays)), 0, 2)) == (sets, [None] * 4)
+
+
+def test_drawn_plan_steps_are_checked_when_pulled():
+    net = explicit_net([np.eye(1), np.eye(1)], {}, [1.0, 1.0], [1.0, 1.0])
+    ok = np.zeros((2, 2), dtype=np.int64)
+
+    def ages(q, r, age):
+        out = ok.copy()
+        out[q, r] = age
+        return out
+
+    # a user below 0 no longer updates the last user
+    with pytest.raises(ScheduleError, match="step 0: user -1 is not in a 2-user network"):
+        run_game(net, Schedule(2, 3, iter(fresh_plan((-1,), (0,), (1,))), 0, 2))
+    # a view from the future no longer reads an unwritten history row
+    with pytest.raises(ScheduleError, match=r"step 0: user 0 views user 1 at age -2, outside 0\.\.3"):
+        run_game(net, Schedule(2, 3, iter([((0, 1), ages(0, 1, -2))] * 3), 3, 1))
+    # an age past delay_bound no longer raises IndexError or reads history row -1
+    with pytest.raises(ScheduleError, match=r"step 0: user 1 views user 0 at age 3, outside 0\.\.1"):
+        run_game(net, Schedule(2, 3, iter([((0, 1), ages(1, 0, 3))] * 3), 1, 1))
+    steps = iter([((0, 1), ok), ((0, 1), ages(1, 0, 3)), ((0, 1), ok)])
+    with pytest.raises(ScheduleError, match=r"step 1: user 1 views user 0 at age 3, outside 0\.\.1"):
+        run_game(net, Schedule(2, 3, steps, 1, 1), tol=0.0)
+    # a plan shorter than it_max no longer escapes as StopIteration
+    with pytest.raises(ScheduleError, match="step 2: the plan ends before it_max = 5"):
+        run_game(net, Schedule(2, 5, iter(fresh_plan((0,), (1,))), 0, 2), tol=0.0)
+    # ages of the wrong shape are refused at every step, not only at the first
+    # step with those members
+    steps = iter([((0, 1), ok), ((0, 1), np.zeros((3, 3), dtype=np.int64)), ((0, 1), ok)])
+    with pytest.raises(ScheduleError, match=r"step 1: view ages have shape \(3, 3\)"):
+        run_game(net, Schedule(2, 3, steps, 1, 1), tol=0.0)
 
 
 def test_zero_delay_async_game_reads_fresh_views():
@@ -247,7 +314,8 @@ def test_zero_delay_async_game_reads_fresh_views():
         assert all(sched.step(n)[1] is None for n in range(trace.iterations_used))
         states, residuals, converged, gap, rates = reference_run_game(net, sched, start, 1e-9)
         assert (trace.converged, len(trace.residuals)) == (converged, len(residuals))
-        assert trace.updated == [sched.step(n)[0] for n in range(trace.iterations_used)]
+        played = [sched.step(n)[0] for n in range(trace.iterations_used)]
+        assert played == list(reference_async_schedule(3, 80, seed, 0, 3)[0][: len(played)])
         np.testing.assert_allclose(trace.states, np.array(states), rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace.residuals, residuals, rtol=0, atol=1e-12)
         assert abs(trace.nash_gap - gap) <= 1e-12
@@ -298,7 +366,7 @@ def test_stale_views_read_the_right_states():
     delays[1, 0, 1] = 3  # user 0 still sees the start at step 1
     delays[2, 0, 1] = 1  # user 0 sees the state after step 1
     delays[3, 1, 0] = 3  # user 1 sees the start at step 3
-    sched = Schedule(4, ((0, 1), (0, 1), (0,), (0, 1)), 3, 2, delays)
+    sched = Schedule(2, 4, list(zip(((0, 1), (0, 1), (0,), (0, 1)), delays)), 3, 2)
     start = np.array([2.0, 0.0, 0.0, 2.0])
     trace = run_game(net, sched, start, tol=1e-12)
 
@@ -307,7 +375,8 @@ def test_stale_views_read_the_right_states():
     # a4 = g(b3), b4 = g(a0)
     p0 = [(2.0, 0.0), (1.375, 0.875), (1.375, 1.03125), (1.15625, 1.03125), (1.1171875, 0.875)]
     assert trace.iterations_used == 4 and not trace.converged
-    assert trace.updated == [(0, 1), (0, 1), (0,), (0, 1)]
+    played = [sched.step(n)[0] for n in range(trace.iterations_used)]
+    assert played == [(0, 1), (0, 1), (0,), (0, 1)]
     for n, (a, b) in enumerate(p0):
         np.testing.assert_allclose(
             trace.profiles[n].stacked(), [a, 2.0 - a, b, 2.0 - b], atol=1e-12, err_msg=f"step {n}"
@@ -340,14 +409,16 @@ def test_batched_game_matches_per_user_loop():
 
 def test_trace_shapes_and_residuals():
     net = random_net(1)
-    trace = run_game(net, make_schedule("jacobi", 4, it_max=50))
+    sched = make_schedule("jacobi", 4, it_max=50)
+    trace = run_game(net, sched)
     assert len(trace.profiles) == trace.iterations_used + 1
     assert trace.states.shape == (trace.iterations_used + 1, 8)
     assert not trace.states.flags.writeable
     for n, prof in enumerate(trace.profiles):
         np.testing.assert_array_equal(prof.stacked(), trace.states[n])
     assert len(trace.residuals) == trace.iterations_used
-    assert len(trace.updated) == trace.iterations_used
+    played = [sched.step(n)[0] for n in range(trace.iterations_used)]
+    assert played == [(0, 1, 2, 3)] * trace.iterations_used
     assert trace.final_rates.shape == (4,)
     if trace.converged:
         assert trace.residuals[-1] < 1e-6

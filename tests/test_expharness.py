@@ -224,6 +224,15 @@ def test_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_jobs_must_be_a_count():
+    one = dataclasses.replace(TINY_UNIQ, trials=1)
+    for jobs in (0, -3, True, 2.5, "2"):
+        for sweep, spec in ((sweep_uniqueness, one), (sweep_sumrate, TINY_RATE)):
+            with pytest.raises(ConfigError, match=f"jobs must be an integer >= 1, got {jobs!r}"):
+                sweep(spec, jobs=jobs)
+    assert sweep_uniqueness(one, jobs=np.int64(1)).rows == sweep_uniqueness(one).rows
+
+
 def test_csv_write_failure_names_path(tmp_path):
     res = sweep_uniqueness(dataclasses.replace(TINY_UNIQ, trials=1))
     missing = tmp_path / "nope" / "out.csv"
