@@ -119,6 +119,11 @@ def channels_from_dict(doc: dict, cfg: NetworkConfig) -> ChannelRealization:
             raise ConfigError(f"channels[{r}] must have {cfg.num_users} entries")
         row = []
         for q in range(cfg.num_users):
+            for leaf in _leaves(raw[r][q]):
+                if type(leaf) not in (int, float) or not abs(leaf) <= sys.float_info.max:
+                    raise ConfigError(
+                        f"channels[{r}][{q}] entries must be finite numbers, got {leaf!r}"
+                    )
             mat = np.asarray(raw[r][q], dtype=float)
             want = (cfg.rx_antennas[q], cfg.tx_antennas[r], 2)
             if mat.shape != want:
@@ -129,6 +134,13 @@ def channels_from_dict(doc: dict, cfg: NetworkConfig) -> ChannelRealization:
             row.append(mat[..., 0] + 1j * mat[..., 1])
         rows.append(row)
     return ChannelRealization.from_matrices(rows, seed=-1)
+
+
+def _leaves(value):
+    """The non-list items of a nested list, depth first; a non-list is its own leaf."""
+    if not isinstance(value, list):
+        return [value]
+    return [leaf for item in value for leaf in _leaves(item)]
 
 
 def sweep_from_dict(doc: dict) -> SweepSpec:

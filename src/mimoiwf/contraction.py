@@ -70,8 +70,8 @@ def build_interference_matrix(net: EffectiveNetwork) -> InterferenceMatrix:
 
 def _as_square_nonneg(matrix: np.ndarray | InterferenceMatrix) -> np.ndarray:
     m = matrix.matrix if isinstance(matrix, InterferenceMatrix) else np.asarray(matrix, float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"matrix must be square, or a stack of them, got shape {m.shape}")
     if m.size and (not np.all(np.isfinite(m)) or np.any(m < 0)):
         raise ValueError("matrix must be nonnegative and finite")
     return m
@@ -84,28 +84,34 @@ def _perron_start(block: np.ndarray) -> np.ndarray:
     real part, from a dense eigensolver: for an irreducible nonnegative
     block that is the Perron vector, so the bounds below usually meet at the
     first check. Falls back to the uniform vector when the estimate is not
-    strictly positive.
+    strictly positive. block is (n, n) or a (K, n, n) stack, which gets one
+    start per matrix from one batched eigensolver call.
     """
-    n = block.shape[0]
+    n = block.shape[-1]
     try:
         values, vectors = np.linalg.eig(block)
     except np.linalg.LinAlgError:
-        return np.full(n, 1.0 / n)
-    x = np.abs(vectors[:, np.argmax(values.real)])
-    if not 0 < x.min() <= x.max() < np.inf:
-        return np.full(n, 1.0 / n)
-    return x / x.sum()
+        if block.ndim == 2:
+            return np.full(n, 1.0 / n)
+        return np.array([_perron_start(b) for b in block])
+    top = values.real.argmax(axis=-1)[..., None, None]
+    x = np.abs(np.take_along_axis(vectors, top, axis=-1))[..., 0]
+    positive = (x.min(axis=-1) > 0) & (x.max(axis=-1) < np.inf)
+    start = np.full(x.shape, 1.0 / n)
+    start[positive] = x[positive] / x[positive].sum(axis=-1, keepdims=True)
+    return start
 
 
-def _bounds(block: np.ndarray, x: np.ndarray) -> tuple[float, float, np.ndarray]:
+def _bounds(block: np.ndarray, x: np.ndarray) -> tuple:
     """Collatz-Wielandt bounds min_i (Bx)_i/x_i <= rho <= max_i (Bx)_i/x_i.
 
     They hold for every nonnegative B and positive x, reducible or not.
-    Returns (lower, upper, Bx).
+    block is (n, n) with x (n,), or a (K, n, n) stack with x (K, n).
+    Returns (lower, upper, Bx), one bound per matrix.
     """
-    y = block @ x
+    y = (block @ x[..., None])[..., 0]
     ratios = y / x
-    return float(ratios.min()), float(ratios.max()), y
+    return ratios.min(axis=-1), ratios.max(axis=-1), y
 
 
 def _irreducible_radius(block: np.ndarray, tol: float, max_iter: int) -> float:
@@ -120,7 +126,7 @@ def _irreducible_radius(block: np.ndarray, tol: float, max_iter: int) -> float:
     for _ in range(max_iter):
         lo, up, y = _bounds(block, x)
         if up - lo <= tol * max(1.0, up):
-            return 0.5 * (lo + up)
+            return float(0.5 * (lo + up))
         shift = 0.5 * (lo + up)
         x = y + shift * x
         x /= x.sum()
@@ -130,37 +136,10 @@ def _irreducible_radius(block: np.ndarray, tol: float, max_iter: int) -> float:
     )
 
 
-def spectral_radius(
-    matrix: np.ndarray | InterferenceMatrix,
-    tol: float = SPECTRAL_TOL,
-    max_iter: int = MAX_POWER_ITER,
-) -> float:
-    """Largest eigenvalue magnitude of a nonnegative matrix.
-
-    The bounds are first checked on the whole matrix from its Perron start,
-    which settles most irreducible matrices at once. Otherwise the matrix is
-    split into its strongly connected components, whose largest block
-    radius equals the radius of the whole matrix; each nontrivial block is
-    handled by certified power iteration.
-
-    Raises:
-        PowerIterationError: if some block fails to certify within max_iter.
-        ValueError: on a matrix that is not square, nonnegative and finite,
-            a non-positive tol, or a max_iter below one.
-    """
-    m = _as_square_nonneg(matrix)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+def _component_radius(m: np.ndarray, tol: float, max_iter: int) -> float:
+    """Radius of one matrix as the largest over its strongly connected
+    components, each nontrivial block by certified power iteration."""
     n = m.shape[0]
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return float(m[0, 0])
-    lo, up, _ = _bounds(m, _perron_start(m))
-    if up - lo <= tol * max(1.0, up):
-        return 0.5 * (lo + up)
     # reach[i, j]: j is reachable from i; squaring doubles the path length
     reach = np.eye(n, dtype=bool) | (m > 0)
     for _ in range((n - 1).bit_length()):
@@ -181,44 +160,96 @@ def spectral_radius(
     return radius
 
 
-def _slot_view(net: EffectiveNetwork) -> np.ndarray:
-    """The coupling as a (Q, T, Q, T) array over (user, antenna slot) pairs.
+def spectral_radius(
+    matrix: np.ndarray | InterferenceMatrix,
+    tol: float = SPECTRAL_TOL,
+    max_iter: int = MAX_POWER_ITER,
+) -> float | np.ndarray:
+    """Largest eigenvalue magnitude of a nonnegative matrix.
+
+    The bounds are first checked on the whole matrix from its Perron start,
+    which settles most irreducible matrices at once. Otherwise the matrix is
+    split into its strongly connected components, whose largest block
+    radius equals the radius of the whole matrix; each nontrivial block is
+    handled by certified power iteration. A (K, n, n) stack gets the whole-
+    matrix check of every matrix from one batched start and one batched
+    product, a (K,) array of radii, and the split only where its check
+    fails; a single matrix is the stack of one.
+
+    Raises:
+        PowerIterationError: if some block fails to certify within max_iter.
+        ValueError: on a matrix that is not square, nonnegative and finite,
+            a non-positive tol, or a max_iter below one.
+    """
+    m = _as_square_nonneg(matrix)
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    stack = m if m.ndim == 3 else m[None]
+    n = stack.shape[-1]
+    if n <= 1:
+        radii = np.array(stack[:, 0, 0]) if n else np.zeros(len(stack))
+    else:
+        lo, up, _ = _bounds(stack, _perron_start(stack))
+        radii = 0.5 * (lo + up)
+        for k in np.flatnonzero(~(up - lo <= tol * np.maximum(1.0, up))):
+            radii[k] = _component_radius(stack[k], tol, max_iter)
+    return float(radii[0]) if m.ndim == 2 else radii
+
+
+def _slot_view(coupling: np.ndarray, layout) -> np.ndarray:
+    """A (K, N, N) coupling stack as (K, Q, T, Q, T) over (user, antenna slot) pairs.
 
     T = max(tx_antennas); slots past a user's antennas are zero rows and
     columns, so every user block has the same shape.
     """
-    n = net.coupling.shape[0]
-    padded = np.zeros((n + 1, n + 1))  # index -1 of stream_index reads the zero row
-    padded[:n, :n] = net.coupling
-    index = net.config.layout.stream_index
-    return padded[index[:, :, None, None], index]
+    k, n, _ = coupling.shape
+    padded = np.zeros((k, n + 1, n + 1))  # index -1 of stream_index reads the zero row
+    padded[:, :n, :n] = coupling
+    index = layout.stream_index
+    # C order, so that each reduction below adds in the order it does on one matrix
+    return np.ascontiguousarray(padded[:, index[:, :, None, None], index])
 
 
-def _strict_values(view: np.ndarray) -> tuple[float, float]:
-    """Sums over antenna slots of the worst aggregate coupling in that slot.
+def certify(
+    net: EffectiveNetwork | list[EffectiveNetwork], tol: float = SPECTRAL_TOL
+) -> UniquenessCertificate | list[UniquenessCertificate]:
+    """Run every uniqueness test on one effective network, or on each of a list.
 
-    For slot j the row aggregate of a row is the sum of its entries in
-    column j of every user block; summing the per-slot maxima dominates
-    every row sum, so a value below one implies the row norm is below one.
-    The column value is the same for the transpose. Returns (row, column).
+    The networks of a list share one config. Their couplings are checked
+    as one stack, by one spectral_radius call; the norms and the strict
+    values come from one padded slot view of the stack. The strict value
+    of a slot sums the worst aggregate coupling in that slot: for slot j the
+    row aggregate of a row is the sum of its entries in column j of every
+    user block, and summing the per-slot maxima dominates every row sum, so
+    a value below one implies the row norm is below one. The column value
+    is the same for the transpose. A single network is the list of one.
+
+    Raises:
+        ValueError: when the networks of a list do not share one config.
     """
-    row = view.sum(axis=2).max(axis=(0, 1)).sum()
-    col = view.sum(axis=0).max(axis=(1, 2)).sum()
-    return float(row), float(col)
+    nets = [net] if isinstance(net, EffectiveNetwork) else list(net)
+    if not nets:
+        return []
+    config = nets[0].config
+    if any(other.config != config for other in nets[1:]):
+        raise ValueError("networks certified together must share one config")
+    coupling = np.stack([n.coupling for n in nets])
+    rho = spectral_radius(coupling, tol=tol)
+    view = _slot_view(coupling, config.layout)
+    columns = (
+        rho,
+        view.sum(axis=(3, 4)).max(axis=(1, 2)),  # row norm
+        view.sum(axis=(1, 2)).max(axis=(1, 2)),  # column norm
+        view.sum(axis=3).max(axis=(1, 2)).sum(axis=-1),  # strict row value
+        view.sum(axis=1).max(axis=(2, 3)).sum(axis=-1),  # strict column value
+    )
+    certs = [_certificate(*values) for values in zip(*(c.tolist() for c in columns))]
+    return certs[0] if isinstance(net, EffectiveNetwork) else certs
 
 
-def certify(net: EffectiveNetwork, tol: float = SPECTRAL_TOL) -> UniquenessCertificate:
-    """Run every uniqueness test on one effective network.
-
-    The coupling is checked once, by spectral_radius; the norms and the
-    strict values come from one padded slot view of it.
-    """
-    rho = spectral_radius(net.coupling, tol=tol)
-    view = _slot_view(net)
-    row = float(view.sum(axis=(2, 3)).max())
-    col = float(view.sum(axis=(0, 1)).max())
-    row_value, col_value = _strict_values(view)
-    norm_unique = row < 1.0 or col < 1.0
+def _certificate(rho, row, col, row_value, col_value) -> UniquenessCertificate:
     modulus = min(row, col)
     return UniquenessCertificate(
         row_norm=row,
@@ -228,7 +259,7 @@ def certify(net: EffectiveNetwork, tol: float = SPECTRAL_TOL) -> UniquenessCerti
         strict_col_value=col_value,
         strict_row_cond=row_value < 1.0,
         strict_col_cond=col_value < 1.0,
-        norm_unique=norm_unique,
+        norm_unique=row < 1.0 or col < 1.0,
         spectral_unique=rho < 1.0,
         contraction_modulus=modulus if modulus < 1.0 else None,
     )

@@ -78,7 +78,7 @@ class Schedule:
                     f"step {n}: view ages have shape {ages.shape} and dtype {ages.dtype}, "
                     "not one integer age per user pair"
                 )
-            if ages.min() < 0 or ages.max() > bound:
+            if min(flat := ages.ravel().tolist()) < 0 or max(flat) > bound:
                 q, r = np.argwhere((ages < 0) | (ages > bound))[0].tolist()
                 raise ScheduleError(
                     f"step {n}: user {q} views user {r} at age {ages[q, r]}, outside 0..{bound}"

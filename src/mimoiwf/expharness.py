@@ -188,39 +188,71 @@ def trial_config(spec: SweepSpec, point_value: float) -> NetworkConfig:
     )
 
 
+# Trials of a chunk are drawn, rotated and certified as one stack.
+CHUNK_TRIALS = 64
+
+# (id(spec), point index, trial index) -> prepared trial of the chunk being
+# played. run_trial keeps its (spec, point, trial) call, which perfbench's
+# tracer and self-check wrap, so a chunk hands each trial its draw here.
+_ready: dict = {}
+
+
+def _prepare(spec: SweepSpec, point_index: int, trials) -> list[tuple]:
+    """(seeds, network or None, certificate, retries) of each given trial of
+    one sweep point, drawn, rotated and certified as one stack.
+
+    Each trial draws first with its own seed; a degenerate draw is redrawn
+    alone with the trial's next seeds, up to max_retries draws in all.
+    """
+    cfg = spec.points[point_index][1]
+    seeds = [
+        np.random.SeedSequence((spec.base_seed, point_index, t))
+        .generate_state(spec.max_retries + 2, dtype=np.uint64)
+        .tolist()
+        for t in trials
+    ]
+    nets = build_effective_network(sample_channels(cfg, [s[0] for s in seeds]), cfg)
+    retries = []
+    for k, trial_seeds in enumerate(seeds):
+        attempt = 0
+        while nets[k] is None and attempt + 1 < spec.max_retries:
+            attempt += 1
+            try:
+                nets[k] = build_effective_network(sample_channels(cfg, trial_seeds[attempt]), cfg)
+            except DegenerateChannelError:
+                pass
+        retries.append(attempt if nets[k] is not None else spec.max_retries)
+    certs = iter(certify([net for net in nets if net is not None]))
+    return [
+        (trial_seeds, net, None if net is None else next(certs), r)
+        for trial_seeds, net, r in zip(seeds, nets, retries)
+    ]
+
+
 def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecord:
     """One seeded trial: draw, certify, replay from three starts.
 
     The trial seed is derived from (base_seed, point_index, trial_index)
-    alone, so results do not depend on execution order or worker count.
-    Rank-deficient draws are redrawn up to max_retries times and the trial
-    is marked failed when the budget is exhausted.
+    alone, so results do not depend on execution order, chunking or worker
+    count. Rank-deficient draws are redrawn up to max_retries times and the
+    trial is marked failed when the budget is exhausted. Called alone, the
+    trial is a stack of one; within a sweep its chunk has prepared it.
     """
     point_value, cfg, uniform, greedy = spec.points[point_index]
-    root = np.random.SeedSequence((spec.base_seed, point_index, trial_index))
-    draws = root.generate_state(spec.max_retries + 2, dtype=np.uint64)
-
-    net = None
-    retries = 0
-    for attempt in range(spec.max_retries):
-        try:
-            net = build_effective_network(sample_channels(cfg, int(draws[attempt])), cfg)
-            break
-        except DegenerateChannelError:
-            retries += 1
+    prepared = _ready.pop((id(spec), point_index, trial_index), None)
+    seeds, net, cert, retries = prepared or _prepare(spec, point_index, [trial_index])[0]
     if net is None:
         return TrialRecord(point_index, point_value, trial_index, failed=True, retries=retries)
 
-    cert = certify(net)
     schedule = make_schedule(
         spec.schedule,
         cfg.num_users,
         it_max=spec.it_max,
-        seed=int(draws[spec.max_retries + 1]),
+        seed=seeds[spec.max_retries + 1],
         delay_bound=spec.delay_bound if spec.schedule == "random_async" else 0,
         update_bound=spec.update_bound if spec.schedule == "random_async" else 1,
     )
-    init_rng = np.random.default_rng(int(draws[spec.max_retries]))
+    init_rng = np.random.default_rng(seeds[spec.max_retries])
     starts = [uniform, greedy, random_profile(cfg, init_rng)]
     traces = [run_game(net, schedule, start, tol=spec.game_tol) for start in starts]
 
@@ -248,6 +280,17 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
         sum_rate_value=sum_rate(net, traces[0].states[-1]),
         iterations=traces[0].iterations_used,
     )
+
+
+def _run_chunk(spec: SweepSpec, point_index: int, trials: range) -> list[TrialRecord]:
+    """Records of some trials of one sweep point, prepared as one stack and
+    then played one run_trial call each."""
+    for t, prepared in zip(trials, _prepare(spec, point_index, trials)):
+        _ready[id(spec), point_index, t] = prepared
+    try:
+        return [run_trial(spec, point_index, t) for t in trials]
+    finally:
+        _ready.clear()
 
 
 def _aggregate(spec: SweepSpec, records: list[TrialRecord]) -> list[dict]:
@@ -287,21 +330,23 @@ def _run_sweep(spec: SweepSpec, jobs: int, name: str, variable: str) -> SweepRes
         )
     if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
-    tasks = [
-        (pi, ti) for pi in range(len(spec.sweep_values)) for ti in range(spec.trials)
+    size = CHUNK_TRIALS
+    if jobs > 1:  # at least four chunks a worker, when the sweep has that many trials
+        size = max(1, min(size, len(spec.sweep_values) * spec.trials // (4 * jobs)))
+    chunks = [
+        (pi, range(start, min(start + size, spec.trials)))
+        for pi in range(len(spec.sweep_values))
+        for start in range(0, spec.trials, size)
     ]
+    run_chunk = partial(_run_chunk, spec)
     if jobs == 1:
-        records = [run_trial(spec, pi, ti) for pi, ti in tasks]
+        done = list(map(run_chunk, *zip(*chunks)))
     else:
         from concurrent.futures import ProcessPoolExecutor  # imported here: ~20 ms of start-up
 
-        point_ids = [pi for pi, _ in tasks]
-        trial_ids = [ti for _, ti in tasks]
-        chunk = max(1, len(tasks) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(partial(run_trial, spec), point_ids, trial_ids, chunksize=chunk)
-            )
+            done = list(pool.map(run_chunk, *zip(*chunks)))
+    records = [rec for chunk in done for rec in chunk]
     return SweepResult(spec=spec, rows=_aggregate(spec, records), records=records)
 
 

@@ -68,18 +68,19 @@ _PER_USER = ("tx_antennas", "rx_antennas", "power_budget", "noise_power", "direc
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of all channel matrices, stacked.
+    """One draw of all channel matrices, stacked, or a stack of K draws.
 
     links[r, q] holds the matrix that maps the signal of transmitter r into
     receiver q, of shape (rx_antennas[q], tx_antennas[r]), in its top-left
-    corner; the rest of the (max rx, max tx) slot is zero. The array is
-    read-only.
+    corner; the rest of the (max rx, max tx) slot is zero. A stack of K
+    draws has links of shape (K, Q, Q, max rx, max tx) and one seed per
+    draw. The array is read-only.
     """
 
     links: np.ndarray
     tx_antennas: tuple[int, ...]
     rx_antennas: tuple[int, ...]
-    seed: int
+    seed: int | tuple[int, ...]
 
     @classmethod
     def from_matrices(cls, matrices, seed: int) -> "ChannelRealization":
@@ -201,8 +202,8 @@ def pathloss_power_gain(distance: float, exponent: float) -> float:
     return float(distance) ** -float(exponent)
 
 
-def sample_channels(config: NetworkConfig, seed: int) -> ChannelRealization:
-    """Draw one realization of every channel matrix.
+def sample_channels(config: NetworkConfig, seed) -> ChannelRealization:
+    """Draw one realization of every channel matrix, or a stack of them.
 
     Entries are complex Gaussian with unit power (real and imaginary parts
     each have variance 1/2) scaled by the amplitude attenuation
@@ -211,19 +212,25 @@ def sample_channels(config: NetworkConfig, seed: int) -> ChannelRealization:
     drawn before the imaginary part, so a given seed always produces the
     same matrices. All entries come from one draw, which the generator
     produces in that same order.
+
+    A sequence of K seeds gives a stack of K realizations, each drawn by its
+    own generator exactly as a call with its one seed would draw it.
     """
     layout = config.layout
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((layout.link_entries, 2))
-    links = np.zeros(layout.link_mask.shape, dtype=complex)
-    links[layout.link_mask] = z[:, 0] + 1j * z[:, 1]  # fills in r, q, row, col order
+    stacked = np.ndim(seed) == 1
+    seeds = list(seed) if stacked else [seed]
+    z = np.empty((len(seeds), layout.link_entries, 2))
+    for k, s in enumerate(seeds):
+        np.random.default_rng(s).standard_normal(out=z[k])
+    links = np.zeros((len(seeds), *layout.link_mask.shape), dtype=complex)
+    links[:, layout.link_mask] = z[..., 0] + 1j * z[..., 1]  # fills in r, q, row, col order
     links *= layout.link_amp
     links.setflags(write=False)
     return ChannelRealization(
-        links=links,
+        links=links if stacked else links[0],
         tx_antennas=config.tx_antennas,
         rx_antennas=config.rx_antennas,
-        seed=int(seed),
+        seed=tuple(map(int, seeds)) if stacked else int(seed),
     )
 
 

@@ -87,15 +87,19 @@ def svd_decompose(channel: np.ndarray) -> LinkSVD:
 
 def build_effective_network(
     realization: ChannelRealization, config: NetworkConfig
-) -> EffectiveNetwork:
+) -> EffectiveNetwork | list[EffectiveNetwork | None]:
     """Rotate a channel realization into the per-user singular bases.
 
     The direct links are factorized in one batched SVD per distinct link
-    shape, and every cross link is rotated in one batched product.
+    shape, and every cross link is rotated in one batched product. A stack
+    of K realizations is rotated in the same calls and gives a list of K
+    networks, each a view into the stacked arrays, with None in place of
+    each degenerate draw; a single realization is the stack of one.
 
     Raises:
-        DegenerateChannelError: when some direct channel is rank deficient,
-            so the realization should be redrawn; names the first such user.
+        DegenerateChannelError: when some direct channel of a single
+            realization is rank deficient, so it should be redrawn; names
+            the first such user.
         SvdError: if the SVD routine fails to converge.
         ValueError: when the realization does not have the config's shapes.
     """
@@ -105,53 +109,54 @@ def build_effective_network(
     ):
         raise ValueError("channel realization does not match the config's antenna counts")
     layout = config.layout
-    links = realization.links
-    n_users, _, r_max, t_max = links.shape
+    stacked = realization.links.ndim == 5
+    links = realization.links if stacked else realization.links[None]
+    n_draws, n_users, _, r_max, t_max = links.shape
 
-    rx_bases = np.zeros((n_users, r_max, r_max), dtype=complex)
-    tx_bases = np.zeros((n_users, t_max, t_max), dtype=complex)
-    singular = np.zeros((n_users, t_max))
+    rx_bases = np.zeros((n_draws, n_users, r_max, r_max), dtype=complex)
+    tx_bases = np.zeros((n_draws, n_users, t_max, t_max), dtype=complex)
+    singular = np.zeros((n_draws, n_users, t_max))
     for (m, n), group in layout.svd_groups:
         try:
-            u, sv, vh = np.linalg.svd(links[group, group, :m, :n], full_matrices=True)
+            u, sv, vh = np.linalg.svd(links[:, group, group, :m, :n], full_matrices=True)
         except np.linalg.LinAlgError as exc:
             raise SvdError(f"SVD failed to converge for a {(m, n)} channel") from exc
-        rx_bases[group, :m, :m] = u
-        singular[group, : sv.shape[1]] = sv
-        tx_bases[group, :n, :n] = vh.conj().transpose(0, 2, 1)
+        rx_bases[:, group, :m, :m] = u
+        singular[:, group, : sv.shape[-1]] = sv
+        tx_bases[:, group, :n, :n] = vh.conj().swapaxes(-1, -2)
 
     is_stream = layout.is_stream
-    weak = np.where(is_stream, singular, np.inf).min(axis=1) <= SINGULAR_FLOOR
-    if weak.any():
+    weak = np.where(is_stream, singular, np.inf).min(axis=-1) <= SINGULAR_FLOOR
+    if not stacked and weak.any():
         raise DegenerateChannelError(
-            f"direct channel of user {weak.argmax()} has a singular value at or below "
+            f"direct channel of user {weak[0].argmax()} has a singular value at or below "
             f"{SINGULAR_FLOOR:g}"
         )
+    # a weak user's slots count as stream-less, so its zero gains divide nothing
+    is_stream = is_stream & ~weak[..., None]
     sigma_sq = singular**2
     stream_noise = np.divide(
         layout.noise, sigma_sq, out=np.full(sigma_sq.shape, np.inf), where=is_stream
     )
-    unbounded = (is_stream & (stream_noise == np.inf)).any(axis=1)
-    if unbounded.any():
-        raise DegenerateChannelError(f"noise floor of user {unbounded.argmax()} is not finite")
+    unbounded = (is_stream & (stream_noise == np.inf)).any(axis=-1)
+    if not stacked and unbounded.any():
+        raise DegenerateChannelError(f"noise floor of user {unbounded[0].argmax()} is not finite")
 
-    # rotated[r, q] = U_q^H H_rq V_r, first min(R, T) rows
+    # rotated[k, r, q] = U_q^H H_rq V_r of draw k, first min(R, T) rows
     streams = min(r_max, t_max)
-    u_h = rx_bases.conj().transpose(0, 2, 1)[:, :streams]
-    rotated = u_h @ links @ tx_bases[:, None]
+    u_h = rx_bases.conj().swapaxes(-1, -2)[:, :, :streams]
+    rotated = u_h[:, None] @ links @ tx_bases[:, :, None]
     gain = np.abs(rotated) ** 2
-    gain.reshape(n_users * n_users, -1)[:: n_users + 1] = 0.0  # the direct links
+    gain.reshape(n_draws, n_users * n_users, -1)[:, :: n_users + 1] = 0.0  # the direct links
     # an infinite divisor zeroes the rows of slots without a stream
-    divisor = np.where(is_stream, sigma_sq, np.inf)[:, :streams, None]
-    coupling = (gain / divisor).take(layout.coupling_index)
-    for a in (rx_bases, tx_bases, singular, coupling, stream_noise):
+    divisor = np.where(is_stream, sigma_sq, np.inf)[:, None, :, :streams, None]
+    coupling = (gain / divisor).reshape(n_draws, -1).take(layout.coupling_index, axis=1)
+    stacks = (rx_bases, tx_bases, singular, coupling, stream_noise)  # in field order
+    for a in stacks:
         a.setflags(write=False)
 
-    return EffectiveNetwork(
-        config=config,
-        rx_bases=rx_bases,
-        tx_bases=tx_bases,
-        singular_values=singular,
-        coupling=coupling,
-        stream_noise=stream_noise,
-    )
+    nets = [
+        None if bad else EffectiveNetwork(config, *(a[k] for a in stacks))
+        for k, bad in enumerate((weak | unbounded).any(axis=-1).tolist())
+    ]
+    return nets if stacked else nets[0]

@@ -315,26 +315,27 @@ def explicit_net(direct, cross, budgets, noise):
     return build_effective_network(realization, cfg)
 
 
-def ragged_net(seed):
-    """Sampled 3-user network whose users differ in antenna and stream counts.
+# A 3-user network whose users differ in antenna and stream counts: tx
+# (3, 2, 2) and rx (2, 4, 1) give streams (2, 2, 1), so users 0 and 2 each
+# have an antenna without a stream, and user 2 has one stream where the
+# others have two. Interference-limited, so games run several steps.
+RAGGED = NetworkConfig(
+    num_users=3,
+    tx_antennas=(3, 2, 2),
+    rx_antennas=(2, 4, 1),
+    power_budget=(10.0, 3.0, 5.0),
+    noise_power=(1e-3, 1e-3, 1e-3),
+    direct_distance=(15.0, 15.0, 15.0),
+    cross_distance=((15.0, 20.0, 25.0), (22.0, 15.0, 18.0), (30.0, 19.0, 15.0)),
+    pathloss_exponent=2.5,
+)
 
-    tx (3, 2, 2) and rx (2, 4, 1) give streams (2, 2, 1): users 0 and 2
-    each have an antenna without a stream, and user 2 has one stream where
-    the others have two. Interference-limited, so games run several steps.
-    """
-    cfg = NetworkConfig(
-        num_users=3,
-        tx_antennas=(3, 2, 2),
-        rx_antennas=(2, 4, 1),
-        power_budget=(10.0, 3.0, 5.0),
-        noise_power=(1e-3, 1e-3, 1e-3),
-        direct_distance=(15.0, 15.0, 15.0),
-        cross_distance=((15.0, 20.0, 25.0), (22.0, 15.0, 18.0), (30.0, 19.0, 15.0)),
-        pathloss_exponent=2.5,
-    )
+
+def ragged_net(seed):
+    """Sampled network of the RAGGED config."""
     for attempt in range(8):
         try:
-            return build_effective_network(sample_channels(cfg, 1000 * seed + attempt), cfg)
+            return build_effective_network(sample_channels(RAGGED, 1000 * seed + attempt), RAGGED)
         except DegenerateChannelError:
             continue
     raise AssertionError("all channel redraws degenerate")

@@ -276,3 +276,19 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_process_pool():
     # the pool is imported by a sweep that asks for more than one job
     assert modules_after_cli_import("concurrent.futures.process") == "[]"
+
+
+@pytest.mark.parametrize("command", ["play", "certify"])
+@pytest.mark.parametrize(
+    "leaf",
+    [True, "0.5", float("nan"), float("inf"), float("-inf")],
+    ids=["bool", "string", "nan", "inf", "minus_inf"],
+)
+def test_channel_entries_must_be_finite_numbers(tmp_path, capsys, command, leaf):
+    # these used to be read as 1.0 and 0.5, or to fail later with a message
+    # about floors or about the coupling matrix
+    doc = json.loads(json.dumps(SCALAR_QUARTER))
+    doc["channels"][1][0][0][0][0] = leaf
+    assert main([command, "--config", write_config(tmp_path, doc), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: channels[1][0] entries must be finite numbers, got {leaf!r}"]

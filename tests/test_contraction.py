@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mimoiwf import contraction
 from mimoiwf.contraction import (
     PowerIterationError,
     _bounds,
@@ -260,3 +261,33 @@ def test_reducible_coupling_falls_back_to_components():
         rho = spectral_radius(m)
         assert rho == reference_spectral_radius(m)
         assert rho == pytest.approx(eig_spectral_radius(m), rel=1e-8)
+
+
+def test_stacked_certificates_equal_single_ones(monkeypatch):
+    # antennas without a stream give zero rows, so the ragged and the 3 tx x 2 rx
+    # couplings are reducible: their whole-matrix bounds never meet, and each
+    # matrix is split into components; the shipped geometry needs no split
+    groups = {
+        "shipped": [random_net(seed, cross=37.7) for seed in range(12)],
+        "ragged": [ragged_net(seed) for seed in range(12)],
+        "reducible": [random_net(seed, num_users=3, tx=3, rx=2, cross=25.0) for seed in range(6)],
+    }
+    split = contraction._component_radius
+    calls = []
+    monkeypatch.setattr(
+        contraction, "_component_radius", lambda m, *args: calls.append(m) or split(m, *args)
+    )
+    for name, nets in groups.items():
+        singles = [certify(net) for net in nets]
+        calls.clear()
+        stacked = certify(nets)
+        assert stacked == singles, name
+        assert len(calls) == (0 if name == "shipped" else len(nets)), name
+        radii = spectral_radius(np.stack([net.coupling for net in nets]))
+        assert radii.tolist() == [c.spectral_radius for c in singles], name
+
+
+def test_certified_together_means_one_config():
+    assert certify([]) == []
+    with pytest.raises(ValueError, match="one config"):
+        certify([random_net(0), random_net(1, cross=41.0)])

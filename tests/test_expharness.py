@@ -4,6 +4,8 @@ import pickle
 import numpy as np
 import pytest
 
+from mimoiwf import expharness
+from mimoiwf.contraction import certify
 from mimoiwf.expharness import (
     SweepSpec,
     db_to_linear,
@@ -14,7 +16,8 @@ from mimoiwf.expharness import (
     validate_spec,
     write_csv,
 )
-from mimoiwf.netmodel import ConfigError
+from mimoiwf.netmodel import ConfigError, sample_channels
+from mimoiwf.precode import DegenerateChannelError, build_effective_network
 
 TINY_UNIQ = SweepSpec(sweep_values=(20.0, 45.0), trials=12, base_seed=7)
 TINY_RATE = SweepSpec(
@@ -288,3 +291,52 @@ def test_pickled_spec_rebuilds_read_only_points():
         for start, old in ((uniform, built[2]), (greedy, built[3])):
             np.testing.assert_array_equal(start, old)
             assert not start.flags.writeable
+
+
+# A direct link 1e9 away sits near the singular-value floor: of these 40
+# trials 4 redraw and 1 runs out of draws, spread over the point's chunks.
+MIXED = SweepSpec(direct_distance=1e9, sweep_values=(15.0,), trials=40, max_retries=2)
+
+
+@pytest.fixture(scope="module")
+def mixed_singles():
+    return [run_trial(MIXED, 0, t) for t in range(MIXED.trials)]
+
+
+def test_degenerate_draws_are_redrawn_with_the_next_seeds(mixed_singles):
+    # the trial's seeds, drawn one by one: the first network that is not
+    # degenerate is the trial's, and the draws before it are its retries
+    cfg = MIXED.points[0][1]
+    for rec in mixed_singles:
+        root = np.random.SeedSequence((MIXED.base_seed, 0, rec.trial_index))
+        seeds = root.generate_state(MIXED.max_retries + 2, dtype=np.uint64).tolist()
+        cert, retries = None, 0
+        for seed in seeds[: MIXED.max_retries]:
+            try:
+                cert = certify(build_effective_network(sample_channels(cfg, seed), cfg))
+                break
+            except DegenerateChannelError:
+                retries += 1
+        assert (rec.retries, rec.failed) == (retries, cert is None), rec.trial_index
+        if cert is not None:
+            assert rec.spectral == cert.spectral_radius and rec.row_norm == cert.row_norm
+
+
+def same_record(a, b):
+    return all(
+        x == y or (x != x and y != y) for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b))
+    )
+
+
+@pytest.mark.parametrize("chunk", [None, 3], ids=["default_chunks", "uneven_chunks"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_mixed_degenerate_chunks_equal_single_trials(monkeypatch, mixed_singles, jobs, chunk):
+    assert sum(r.retries > 0 for r in mixed_singles) == 4
+    assert sum(r.failed for r in mixed_singles) == 1
+    if chunk is not None:
+        monkeypatch.setattr(expharness, "CHUNK_TRIALS", chunk)
+    records = sweep_uniqueness(MIXED, jobs=jobs).records
+    assert [r.trial_index for r in records] == list(range(MIXED.trials))
+    for rec, single in zip(records, mixed_singles):
+        assert same_record(rec, single), rec.trial_index
+    assert not expharness._ready

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mimoiwf.cli import network_from_dict
 from mimoiwf.netmodel import NetworkConfig, sample_channels, symmetric_config
 from mimoiwf.precode import (
     DegenerateChannelError,
@@ -9,6 +13,7 @@ from mimoiwf.precode import (
 )
 
 from oracles import (
+    RAGGED,
     brute_force_cross_gain,
     explicit_net,
     link_matrices,
@@ -256,3 +261,47 @@ def test_antenna_counts_select_the_layout():
     assert swapped_tx is not base and swapped_rx is not base
     assert swapped_tx.offsets == (0, 2, 5) and base.offsets == (0, 3, 5)
     assert not np.array_equal(swapped_rx.is_stream, base.is_stream)
+
+
+NET_FIELDS = ("rx_bases", "tx_bases", "singular_values", "coupling", "stream_noise")
+
+
+def shipped_config():
+    with open(Path(__file__).resolve().parent.parent / "configs" / "network.json") as fh:
+        return network_from_dict(json.load(fh))
+
+
+@pytest.mark.parametrize("cfg", [shipped_config(), RAGGED], ids=["shipped", "ragged"])
+def test_stacked_draws_and_networks_equal_single_ones(cfg):
+    seeds = [1, 17, 4, 250, 9]
+    stack = sample_channels(cfg, seeds)
+    assert stack.seed == tuple(seeds) and not stack.links.flags.writeable
+    nets = build_effective_network(stack, cfg)
+    assert len(nets) == len(seeds)
+    for k, seed in enumerate(seeds):
+        single = sample_channels(cfg, seed)
+        assert stack.links[k].tobytes() == single.links.tobytes()
+        one = build_effective_network(single, cfg)
+        for name in NET_FIELDS:
+            got, want = getattr(nets[k], name), getattr(one, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, name)
+            assert not got.flags.writeable
+
+
+def test_stacked_build_marks_degenerate_draws():
+    # a direct link 1e9 away sits near the singular-value floor, so some
+    # draws are degenerate; a single call raises for them, a stack keeps going
+    cfg = symmetric_config(4, 2, 2, 10.0, 1.0, 1e9, 15.0, 2.5)
+    seeds = list(range(40))
+    nets = build_effective_network(sample_channels(cfg, seeds), cfg)
+    degenerate = 0
+    for seed, net in zip(seeds, nets):
+        try:
+            one = build_effective_network(sample_channels(cfg, seed), cfg)
+        except DegenerateChannelError:
+            assert net is None, seed
+            degenerate += 1
+            continue
+        for name in NET_FIELDS:
+            assert getattr(net, name).tobytes() == getattr(one, name).tobytes(), (seed, name)
+    assert 0 < degenerate < len(seeds)
