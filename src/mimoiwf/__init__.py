@@ -1,16 +1,13 @@
 """Distributed power control by iterative water-filling in MIMO interference networks."""
 
 from .contraction import (
-    InterferenceMatrix,
     PowerIterationError,
-    UniquenessCertificate,
     build_interference_matrix,
     certify,
     spectral_radius,
     write_matrix_csv,
 )
 from .engine import (
-    GameTrace,
     Schedule,
     ScheduleError,
     check_nash,
@@ -19,9 +16,7 @@ from .engine import (
     trace_to_csv,
 )
 from .expharness import (
-    SweepResult,
     SweepSpec,
-    TrialRecord,
     run_trial,
     sweep_sumrate,
     sweep_uniqueness,
@@ -38,15 +33,11 @@ from .netmodel import (
 )
 from .precode import (
     DegenerateChannelError,
-    EffectiveNetwork,
-    LinkSVD,
     SvdError,
     build_effective_network,
     svd_decompose,
 )
 from .waterfill import (
-    PowerProfile,
-    WaterfillResult,
     greedy_profile,
     random_profile,
     sum_rate,

@@ -2,7 +2,11 @@
 
 Subcommands: play one game, certify one realization, or run the two Monte
 Carlo sweeps. Configs are JSON documents whose keys mirror the NetworkConfig
-and SweepSpec fields one-to-one; unknown keys are rejected.
+and SweepSpec fields one-to-one; unknown keys are rejected. This module maps
+JSON shape only: missing keys, scalars broadcast to every user, and a scalar
+or a matrix cross_distance. The types check their own fields, so a value of
+the wrong type is refused by the same check here as in the library. A JSON
+float that is integral reads as an int, so a count may be written 2.0.
 """
 from __future__ import annotations
 
@@ -22,6 +26,8 @@ from .netmodel import (
     ChannelRealization,
     ConfigError,
     NetworkConfig,
+    check_count,
+    is_number,
     sample_channels,
 )
 from .precode import DegenerateChannelError, SvdError, build_effective_network
@@ -42,28 +48,11 @@ _NET_KEYS = {
 }
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
-
-
-def _typed(key: str, value, kind: type):
-    """value as kind, without the coercions of int() and float(): bools are
-    not numbers, strings are not numbers, and a count must be integral."""
-    if kind is int and isinstance(value, float) and value.is_integer():
-        return int(value)
-    if kind is float and type(value) is int:
-        return float(value)
-    if type(value) is not kind:
-        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
-
-
-def _per_user(doc: dict, key: str, q_count: int, kind: type) -> tuple:
+def _per_user(doc: dict, key: str, q_count: int) -> tuple:
     if key not in doc:
         raise ConfigError(f"missing config key {key!r}")
     v = doc[key]
-    if isinstance(v, list):
-        return tuple(_typed(f"{key}[{k}]", x, kind) for k, x in enumerate(v))
-    return (_typed(key, v, kind),) * q_count
+    return tuple(v) if isinstance(v, list) else (v,) * q_count
 
 
 def network_from_dict(doc: dict) -> NetworkConfig:
@@ -75,36 +64,29 @@ def network_from_dict(doc: dict) -> NetworkConfig:
         raise ConfigError(f"unknown network config keys: {', '.join(unknown)}")
     if "num_users" not in doc:
         raise ConfigError("missing config key 'num_users'")
-    q_count = _typed("num_users", doc["num_users"], int)
-    if q_count < 1:
-        raise ConfigError(f"num_users must be a positive integer, got {q_count!r}")
+    q_count = doc["num_users"]
+    check_count("num_users", q_count, 1)  # scalars broadcast to this many users
 
-    direct = _per_user(doc, "direct_distance", q_count, float)
+    direct = _per_user(doc, "direct_distance", q_count)
     cross_in = doc.get("cross_distance")
     if cross_in is None:
         raise ConfigError("missing config key 'cross_distance'")
     if isinstance(cross_in, list):
         if not all(isinstance(row, list) for row in cross_in):
             raise ConfigError("cross_distance must be a number or a list of rows")
-        cross = tuple(
-            tuple(_typed(f"cross_distance[{r}][{q}]", x, float) for q, x in enumerate(row))
-            for r, row in enumerate(cross_in)
-        )
+        cross = cross_in
     else:
-        d = _typed("cross_distance", cross_in, float)
-        cross = tuple(
-            tuple(direct[r] if r == q else d for q in range(q_count)) for r in range(q_count)
-        )
+        cross = [[d if r == q else cross_in for q in range(q_count)] for r, d in enumerate(direct)]
 
     return NetworkConfig(
         num_users=q_count,
-        tx_antennas=_per_user(doc, "tx_antennas", q_count, int),
-        rx_antennas=_per_user(doc, "rx_antennas", q_count, int),
-        power_budget=_per_user(doc, "power_budget", q_count, float),
-        noise_power=_per_user(doc, "noise_power", q_count, float),
+        tx_antennas=_per_user(doc, "tx_antennas", q_count),
+        rx_antennas=_per_user(doc, "rx_antennas", q_count),
+        power_budget=_per_user(doc, "power_budget", q_count),
+        noise_power=_per_user(doc, "noise_power", q_count),
         direct_distance=direct,
         cross_distance=cross,
-        pathloss_exponent=_typed("pathloss_exponent", doc.get("pathloss_exponent", 2.5), float),
+        pathloss_exponent=doc.get("pathloss_exponent", 2.5),
     )
 
 
@@ -120,17 +102,18 @@ def channels_from_dict(doc: dict, cfg: NetworkConfig) -> ChannelRealization:
         row = []
         for q in range(cfg.num_users):
             for leaf in _leaves(raw[r][q]):
-                if type(leaf) not in (int, float) or not abs(leaf) <= sys.float_info.max:
+                if not (is_number(leaf) and abs(leaf) <= sys.float_info.max):
                     raise ConfigError(
                         f"channels[{r}][{q}] entries must be finite numbers, got {leaf!r}"
                     )
-            mat = np.asarray(raw[r][q], dtype=float)
             want = (cfg.rx_antennas[q], cfg.tx_antennas[r], 2)
+            expected = f"channels[{r}][{q}] must have shape {want} ([re, im] leaf pairs), got"
+            try:
+                mat = np.asarray(raw[r][q], dtype=float)
+            except ValueError:  # numpy refuses rows of unequal length
+                raise ConfigError(f"{expected} a ragged list") from None
             if mat.shape != want:
-                raise ConfigError(
-                    f"channels[{r}][{q}] must have shape {want} "
-                    f"([re, im] leaf pairs), got {mat.shape}"
-                )
+                raise ConfigError(f"{expected} {mat.shape}")
             row.append(mat[..., 0] + 1j * mat[..., 1])
         rows.append(row)
     return ChannelRealization.from_matrices(rows, seed=-1)
@@ -147,25 +130,24 @@ def sweep_from_dict(doc: dict) -> SweepSpec:
     """Strict mapping of a JSON document onto a SweepSpec."""
     if not isinstance(doc, dict):
         raise ConfigError("sweep config must be a JSON object")
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(SweepSpec)}
-    unknown = sorted(set(doc) - set(kinds))
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(SweepSpec)})
     if unknown:
         raise ConfigError(f"unknown sweep config keys: {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in doc.items():
-        if key != "sweep_values":
-            kwargs[key] = _typed(key, value, kinds[key])
-        elif isinstance(value, list):
-            kwargs[key] = tuple(_typed(f"{key}[{k}]", v, float) for k, v in enumerate(value))
-        else:
-            raise ConfigError(f"sweep_values must be a list, got {value!r}")
-    return SweepSpec(**kwargs)
+    if not isinstance(doc.get("sweep_values", []), list):
+        raise ConfigError(f"sweep_values must be a list, got {doc['sweep_values']!r}")
+    return SweepSpec(**doc)
+
+
+def _json_float(text: str) -> int | float:
+    """A JSON float, read as the int it equals when integral, so a count may be written 2.0."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_json_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -173,9 +155,8 @@ def _load_json(path: str) -> dict:
 
 
 def _seed(doc: dict, seed_flag: int | None) -> int:
-    seed = seed_flag if seed_flag is not None else _typed("seed", doc.get("seed", 0), int)
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = seed_flag if seed_flag is not None else doc.get("seed", 0)
+    check_count("seed", seed, 0)
     return seed
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .netmodel import check_count, is_number
 from .precode import EffectiveNetwork
 
 SPECTRAL_TOL = 1e-9
@@ -179,13 +180,13 @@ def spectral_radius(
     Raises:
         PowerIterationError: if some block fails to certify within max_iter.
         ValueError: on a matrix that is not square, nonnegative and finite,
-            a non-positive tol, or a max_iter below one.
+            a tol that is not a positive finite number, or a max_iter that
+            is not an integer (a bool is not) of at least one.
     """
     m = _as_square_nonneg(matrix)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if not (is_number(tol) and 0 < tol < np.inf):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    check_count("max_iter", max_iter, 1, ValueError)
     stack = m if m.ndim == 3 else m[None]
     n = stack.shape[-1]
     if n <= 1:
@@ -213,7 +214,7 @@ def _slot_view(coupling: np.ndarray, layout) -> np.ndarray:
 
 
 def certify(
-    net: EffectiveNetwork | list[EffectiveNetwork], tol: float = SPECTRAL_TOL
+    net: EffectiveNetwork | list[EffectiveNetwork],
 ) -> UniquenessCertificate | list[UniquenessCertificate]:
     """Run every uniqueness test on one effective network, or on each of a list.
 
@@ -236,7 +237,7 @@ def certify(
     if any(other.config != config for other in nets[1:]):
         raise ValueError("networks certified together must share one config")
     coupling = np.stack([n.coupling for n in nets])
-    rho = spectral_radius(coupling, tol=tol)
+    rho = spectral_radius(coupling)
     view = _slot_view(coupling, config.layout)
     columns = (
         rho,

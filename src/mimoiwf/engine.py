@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .netmodel import check_count, is_integer
 from .precode import EffectiveNetwork
 from .waterfill import (
     PowerProfile,
@@ -69,7 +70,7 @@ class Schedule:
             raise ScheduleError(f"step {n}: the plan ends before it_max = {self.it_max}") from None
         members, users, bound = tuple(members), self.num_users, self.delay_bound
         for q in members:
-            if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or not 0 <= q < users:
+            if not (is_integer(q) and 0 <= q < users):
                 raise ScheduleError(f"step {n}: user {q!r} is not in a {users}-user network")
         if ages is not None:
             ages = np.asarray(ages)
@@ -89,9 +90,7 @@ class Schedule:
 def _check_counts(**counts) -> None:
     """Name the first count that is not an integer (a bool is not) at or above its least."""
     for name, value in counts.items():
-        low = 0 if name in ("seed", "delay_bound") else 1
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_count(name, value, 0 if name in ("seed", "delay_bound") else 1, ScheduleError)
 
 
 @dataclass

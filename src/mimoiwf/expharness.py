@@ -14,7 +14,7 @@ import numpy as np
 
 from .contraction import certify
 from .engine import SCHEDULE_KINDS, make_schedule, run_game
-from .netmodel import ConfigError, NetworkConfig, symmetric_config
+from .netmodel import ConfigError, NetworkConfig, check_count, is_number, symmetric_config
 from .netmodel import sample_channels
 from .precode import DegenerateChannelError, build_effective_network
 from .waterfill import greedy_profile, random_profile, sum_rate, uniform_profile
@@ -43,8 +43,10 @@ class SweepSpec:
     the received cross-to-direct power ratio that sets the cross distance.
 
     Construction stores sweep_values as a tuple and runs validate_spec, so
-    every instance is consistent and hashable. The points are not a field:
-    equality, hashing, repr, replace and pickling see the fields only.
+    every instance is consistent and hashable: a field annotated int must be
+    a count, and one annotated float, like each sweep value, a number. The
+    points are not a field: equality, hashing, repr, replace and pickling
+    see the fields only.
     """
 
     num_users: int = 4
@@ -137,13 +139,17 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         )
     if len(spec.sweep_values) == 0:
         raise ConfigError("sweep_values must be non-empty")
+    for f in fields(spec):  # annotations are strings under the __future__ import
+        value = getattr(spec, f.name)
+        if f.type == "int":
+            check_count(f.name, value, 0 if f.name in ("delay_bound", "base_seed") else 1)
+        elif f.type == "float" and not is_number(value):
+            raise ConfigError(f"{f.name} must be a number, got {value!r}")
+    for k, v in enumerate(spec.sweep_values):
+        if not is_number(v):
+            raise ConfigError(f"sweep_values[{k}] must be a number, got {v!r}")
     if any(b <= a for a, b in zip(spec.sweep_values, spec.sweep_values[1:])):
         raise ConfigError("sweep_values must be strictly increasing")
-    least = dict(trials=1, max_retries=1, it_max=1, delay_bound=0, update_bound=1, base_seed=0)
-    for name, low in least.items():
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
     if not 0 < spec.game_tol < np.inf:
         raise ConfigError(f"game_tol must be positive and finite, got {spec.game_tol!r}")
     if not 0 <= spec.agreement_tol < np.inf:
@@ -328,8 +334,7 @@ def _run_sweep(spec: SweepSpec, jobs: int, name: str, variable: str) -> SweepRes
         raise ConfigError(
             f"{name} sweep needs sweep_variable {variable!r}, got {spec.sweep_variable!r}"
         )
-    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
-        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
+    check_count("jobs", jobs, 1)
     size = CHUNK_TRIALS
     if jobs > 1:  # at least four chunks a worker, when the sweep has that many trials
         size = max(1, min(size, len(spec.sweep_values) * spec.trials // (4 * jobs)))

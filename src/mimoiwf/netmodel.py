@@ -117,8 +117,7 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
         ConfigError: naming the offending field.
     """
     q_count = config.num_users
-    if not _is_count(q_count):
-        raise ConfigError(f"num_users must be a positive integer, got {q_count!r}")
+    check_count("num_users", q_count, 1)
 
     for name in _PER_USER:
         values = getattr(config, name)
@@ -127,13 +126,12 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
 
     for name in ("tx_antennas", "rx_antennas"):
         for k, v in enumerate(getattr(config, name)):
-            if not _is_count(v):
-                raise ConfigError(f"{name}[{k}] must be a positive integer, got {v!r}")
+            check_count(f"{name}[{k}]", v, 1)
 
     for name in ("power_budget", "noise_power", "direct_distance"):
         for k, v in enumerate(getattr(config, name)):
-            if not np.isfinite(v) or v <= 0:
-                raise ConfigError(f"{name}[{k}] must be positive and finite, got {v!r}")
+            if not (is_number(v) and 0 < v < np.inf):
+                raise ConfigError(f"{name}[{k}] must be a positive finite number, got {v!r}")
 
     cross = config.cross_distance
     if len(cross) != q_count:
@@ -142,24 +140,36 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
         if len(row) != q_count:
             raise ConfigError(f"cross_distance[{r}] must have length {q_count}")
         for q, d in enumerate(row):
-            if not np.isfinite(d) or d <= 0:
-                raise ConfigError(f"cross_distance[{r}][{q}] must be positive and finite")
+            if not (is_number(d) and 0 < d < np.inf):
+                raise ConfigError(
+                    f"cross_distance[{r}][{q}] must be a positive finite number, got {d!r}"
+                )
         if row[r] != config.direct_distance[r]:
             raise ConfigError(
                 f"cross_distance[{r}][{r}] must equal direct_distance[{r}] "
                 f"({row[r]!r} != {config.direct_distance[r]!r})"
             )
 
-    if not np.isfinite(config.pathloss_exponent) or config.pathloss_exponent < 0:
-        raise ConfigError(
-            f"pathloss_exponent must be nonnegative, got {config.pathloss_exponent!r}"
-        )
+    gamma = config.pathloss_exponent
+    if not (is_number(gamma) and 0 <= gamma < np.inf):
+        raise ConfigError(f"pathloss_exponent must be a nonnegative finite number, got {gamma!r}")
     return config
 
 
-def _is_count(value) -> bool:
-    """A positive int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def is_integer(value) -> bool:
+    """An int, numpy's included, that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """An int or a float, numpy's included, that is not a bool (nor a string)."""
+    return is_integer(value) or isinstance(value, (float, np.floating))
+
+
+def check_count(name: str, value, low: int, error: type[Exception] = ConfigError) -> None:
+    """Raise error naming a count that is not an integer (a bool is not) at least low."""
+    if not (is_integer(value) and value >= low):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def symmetric_config(
@@ -181,11 +191,11 @@ def symmetric_config(
         num_users=num_users,
         tx_antennas=(tx_antennas,) * num_users,
         rx_antennas=(rx_antennas,) * num_users,
-        power_budget=(float(power_budget),) * num_users,
-        noise_power=(float(noise_power),) * num_users,
-        direct_distance=(float(direct_distance),) * num_users,
+        power_budget=(power_budget,) * num_users,
+        noise_power=(noise_power,) * num_users,
+        direct_distance=(direct_distance,) * num_users,
         cross_distance=cross,
-        pathloss_exponent=float(pathloss_exponent),
+        pathloss_exponent=pathloss_exponent,
     )
 
 
@@ -193,12 +203,13 @@ def pathloss_power_gain(distance: float, exponent: float) -> float:
     """Power attenuation distance**-exponent of a link.
 
     Raises:
-        ConfigError: if distance is not strictly positive or exponent negative.
+        ConfigError: if distance is not a positive finite number or exponent
+            not a nonnegative finite one.
     """
-    if not 0 < distance < np.inf:
-        raise ConfigError(f"distance must be positive and finite, got {distance!r}")
-    if not 0 <= exponent < np.inf:
-        raise ConfigError(f"exponent must be nonnegative, got {exponent!r}")
+    if not (is_number(distance) and 0 < distance < np.inf):
+        raise ConfigError(f"distance must be a positive finite number, got {distance!r}")
+    if not (is_number(exponent) and 0 <= exponent < np.inf):
+        raise ConfigError(f"exponent must be a nonnegative finite number, got {exponent!r}")
     return float(distance) ** -float(exponent)
 
 

@@ -245,8 +245,18 @@ def test_usage_errors_exit_two(tmp_path):
         ({**TINY_SWEEP, "trials": "3"}, "sweep-uniqueness", "trials"),
         ({**RANDOM_NET, "cross_distance": [40.0] * 4}, "certify", "cross_distance"),
         ({**SCALAR_QUARTER, "channels": [1, 2]}, "certify", "channels"),
+        ({**RANDOM_NET, "direct_distance": [15.0]}, "certify", "direct_distance"),
+        ({**TINY_SWEEP, "power_budget_db": True}, "sweep-uniqueness", "power_budget_db"),
     ],
-    ids=["bool_count", "fractional_count", "string_number", "flat_matrix", "flat_channels"],
+    ids=[
+        "bool_count",
+        "fractional_count",
+        "string_number",
+        "flat_matrix",
+        "flat_channels",
+        "short_per_user_list",
+        "bool_number",
+    ],
 )
 def test_config_values_are_type_strict(tmp_path, capsys, doc, command, key):
     argv = [command, "--config", write_config(tmp_path, doc), "--quiet"]
@@ -292,3 +302,26 @@ def test_channel_entries_must_be_finite_numbers(tmp_path, capsys, command, leaf)
     assert main([command, "--config", write_config(tmp_path, doc), "--quiet"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: channels[1][0] entries must be finite numbers, got {leaf!r}"]
+
+
+@pytest.mark.parametrize("command", ["play", "certify"])
+def test_ragged_channel_matrix_names_the_field(tmp_path, capsys, command):
+    # numpy's "inhomogeneous shape" text used to be the whole message
+    doc = json.loads(json.dumps(SCALAR_QUARTER))
+    doc["channels"][1][0] = [[[1.0, 0.0], [0.5, 0.0]], [[1.0, 0.0]]]
+    assert main([command, "--config", write_config(tmp_path, doc), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: channels[1][0] must have shape (1, 1, 2) ([re, im] leaf pairs), got a ragged list"
+    ]
+
+
+def test_integral_float_count_reads_as_an_int(tmp_path, capsys):
+    out = {}
+    for trials in (2.0, 2):
+        cfg = write_config(tmp_path, {**TINY_SWEEP, "trials": trials}, f"{trials}.json")
+        out[trials] = tmp_path / f"{trials}.csv"
+        assert main(["sweep-uniqueness", "--config", cfg, "--out", str(out[trials]), "--quiet"]) == 0
+    capsys.readouterr()
+    assert out[2.0].read_bytes() == out[2].read_bytes()
+    assert '"trials": 2.0' in (tmp_path / "2.0.json").read_text()

@@ -128,8 +128,20 @@ def test_spectral_radius_reports_exhaustion():
         spectral_radius(cycle, max_iter=1)
     # no iteration at all is refused up front, not left unbound
     for max_iter in (0, -1):
-        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+        with pytest.raises(ValueError, match=f"max_iter must be an integer >= 1, got {max_iter}"):
             spectral_radius(cycle, max_iter=max_iter)
+
+
+def test_spectral_radius_refuses_loose_arguments():
+    # a NaN tol used to run every iteration and then report exhaustion, a
+    # string tol raised TypeError, and a bool or fractional max_iter ran
+    for tol in (float("nan"), float("inf"), "1e-9", True):
+        with pytest.raises(ValueError, match=f"tol must be a positive finite number, got {tol!r}"):
+            spectral_radius(np.eye(2), tol=tol)
+    for max_iter in (True, 2.5, "5"):
+        with pytest.raises(ValueError, match=f"max_iter must be an integer >= 1, got {max_iter!r}"):
+            spectral_radius(np.eye(2), max_iter=max_iter)
+    assert spectral_radius(0.5 * np.eye(2), max_iter=np.int64(3)) == 0.5
 
 
 def test_radius_bounded_by_weighted_norms():

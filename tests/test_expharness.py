@@ -83,7 +83,18 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "field", ["trials", "max_retries", "it_max", "delay_bound", "update_bound", "base_seed"]
+    "field",
+    [
+        "trials",
+        "max_retries",
+        "it_max",
+        "delay_bound",
+        "update_bound",
+        "base_seed",
+        "num_users",
+        "tx_antennas",
+        "rx_antennas",
+    ],
 )
 def test_spec_counts_must_be_integers(field):
     # a bool or a float count used to pass, and failed only at the first trial
@@ -91,6 +102,46 @@ def test_spec_counts_must_be_integers(field):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             dataclasses.replace(TINY_UNIQ, schedule="random_async", **{field: value})
     dataclasses.replace(TINY_UNIQ, **{field: np.int64(2)})
+
+
+def test_numpy_integer_counts_sweep_like_ints():
+    # np.int64(4) users used to be refused while np.int64 trials passed
+    ints = SweepSpec(num_users=3, sweep_values=(20.0,), trials=2, base_seed=7)
+    numpy = dataclasses.replace(
+        ints, num_users=np.int64(3), tx_antennas=np.int32(2), rx_antennas=np.int64(2)
+    )
+    assert numpy == ints
+    assert sweep_uniqueness(numpy).rows == sweep_uniqueness(ints).rows
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"power_budget_db": True}, "power_budget_db must be a number, got True"),
+        ({"power_budget_db": "10"}, "power_budget_db must be a number, got '10'"),
+        ({"noise_power": True}, "noise_power must be a number, got True"),
+        ({"game_tol": True}, "game_tol must be a number, got True"),
+        ({"interference_ratio_db": None}, "interference_ratio_db must be a number, got None"),
+        ({"sweep_values": ("15",)}, r"sweep_values\[0\] must be a number, got '15'"),
+        (
+            {"sweep_variable": "power_budget_db", "direct_distance": "15"},
+            "direct_distance must be a number, got '15'",
+        ),
+    ],
+    ids=[
+        "bool_budget",
+        "string_budget",
+        "bool_noise",
+        "bool_tol",
+        "no_ratio",
+        "string_point",
+        "string_distance",
+    ],
+)
+def test_spec_reals_must_be_numbers(fields, message):
+    # these were accepted, or escaped as a raw TypeError
+    with pytest.raises(ConfigError, match=message):
+        SweepSpec(**fields)
 
 
 BUDGET = "power_budget_db"

@@ -52,6 +52,12 @@ def test_validate_accepts_consistent_config():
         (dict(cross_distance=((15.0, 0.0), (40.0, 15.0))), "cross_distance"),
         (dict(cross_distance=((14.0, 40.0), (40.0, 15.0))), "cross_distance"),
         (dict(pathloss_exponent=-2.5), "pathloss_exponent"),
+        # a bool, a string or None is not a number, and is refused by name
+        (dict(power_budget=(True, 10.0)), "power_budget"),
+        (dict(noise_power=(1.0, None)), "noise_power"),
+        (dict(direct_distance=("15", 15.0)), "direct_distance"),
+        (dict(cross_distance=((15.0, True), (40.0, 15.0))), "cross_distance"),
+        (dict(pathloss_exponent=True), "pathloss_exponent"),
     ],
 )
 def test_validate_rejects_and_names_field(overrides, field):
@@ -91,6 +97,24 @@ def test_bool_counts_are_refused(build, field):
         build()
 
 
+def test_numpy_integer_counts_are_accepted():
+    cfg = small_config(
+        num_users=np.int64(2), tx_antennas=(np.int64(2), 2), rx_antennas=(2, np.int32(2))
+    )
+    assert cfg == small_config()
+    links = sample_channels(cfg, 3).links
+    np.testing.assert_array_equal(links, sample_channels(small_config(), 3).links)
+
+
+def test_symmetric_config_does_not_coerce():
+    # float() used to turn these into 15.0 and 1.0 before the check
+    for bad in ("15", True):
+        with pytest.raises(ConfigError, match=rf"power_budget\[0\] .* got {bad!r}"):
+            symmetric_config(2, 2, 2, bad, 1.0, 15.0, 40.0, 2.5)
+        with pytest.raises(ConfigError, match=rf"direct_distance\[0\] .* got {bad!r}"):
+            symmetric_config(2, 2, 2, 10.0, 1.0, bad, 40.0, 2.5)
+
+
 def test_symmetric_config_fills_diagonal():
     cfg = symmetric_config(3, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5)
     assert cfg.cross_distance[1][1] == 15.0
@@ -115,6 +139,15 @@ def test_pathloss_rejects_bad_distance(distance):
 def test_pathloss_rejects_negative_exponent():
     with pytest.raises(ConfigError):
         pathloss_power_gain(10.0, -1.0)
+
+
+@pytest.mark.parametrize("bad", ["15", True, None])
+def test_pathloss_refuses_non_numbers(bad):
+    # a string used to raise TypeError, and a bool distance gave a gain of 1.0
+    with pytest.raises(ConfigError, match=f"distance must be a positive finite number, got {bad!r}"):
+        pathloss_power_gain(bad, 2.0)
+    with pytest.raises(ConfigError, match=f"exponent must be a nonnegative finite number, got {bad!r}"):
+        pathloss_power_gain(2.0, bad)
 
 
 def test_sample_shapes_and_immutability():
