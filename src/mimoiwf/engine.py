@@ -203,26 +203,31 @@ def run_game(
     antennas, owner = layout.antennas, layout.owner
     window = schedule.update_bound
     last_update = [-1] * cfg.num_users
-    movers: dict[tuple[int, ...], np.ndarray | None] = {}  # antennas that move, None if all
+    # antennas that keep their power at a step, per set of members; False
+    # when every user moves, so the step needs no mask
+    stays: dict[tuple[int, ...], np.ndarray | bool] = {}
     residuals: list[float] = []
     converged = False
+    step = schedule.step
 
     for n in range(schedule.it_max):
-        members, ages = schedule.step(n)
-        if members not in movers:
-            users = np.zeros(cfg.num_users, dtype=bool)
-            users[list(members)] = True
-            movers[members] = None if users.all() else users[owner]
+        members, ages = step(n)
+        stay = stays.get(members)
+        if stay is None:
+            idle = np.ones(cfg.num_users, dtype=bool)
+            idle[list(members)] = False
+            stay = stays[members] = idle[owner] if idle.any() else False
         now = lead + n
         x = history[now]
         if ages is None:
             new = best_responses(net, x)
         else:
-            new = best_responses(net, history[now - ages[:, owner], antennas])
-        if movers[members] is not None:
-            new = np.where(movers[members], new, x)
-        residuals.append(float(np.abs(new - x).max()))
+            new = best_responses(net, history[now - ages.take(owner, axis=1), antennas])
+        if stay is not False:
+            np.copyto(new, x, where=stay)
         history[now + 1] = new
+        new -= x  # the fresh response becomes the residual
+        residuals.append(float(np.maximum.reduce(np.abs(new, out=new))))
         for q in members:
             last_update[q] = n
 

@@ -16,6 +16,11 @@ class ConfigError(ValueError):
     """Raised when a network description is inconsistent or out of range."""
 
 
+# the largest finite float; an int above it passes a "< inf" test but cannot
+# become a float
+FLOAT_MAX = float(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Static description of an interference network.
@@ -49,8 +54,10 @@ class NetworkConfig:
 
     def __post_init__(self) -> None:
         for name in _PER_USER:
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "cross_distance", tuple(map(tuple, self.cross_distance)))
+            object.__setattr__(self, name, _as_tuple(name, getattr(self, name)))
+        rows = _as_tuple("cross_distance", self.cross_distance)
+        rows = tuple(_as_tuple(f"cross_distance[{r}]", row) for r, row in enumerate(rows))
+        object.__setattr__(self, "cross_distance", rows)
         validate_config(self)
 
     def __getstate__(self) -> dict:
@@ -64,6 +71,14 @@ class NetworkConfig:
 
 
 _PER_USER = ("tx_antennas", "rx_antennas", "power_budget", "noise_power", "direct_distance")
+
+
+def _as_tuple(name: str, values) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        message = f"{name} must be a sequence, one entry per user, got {values!r}"
+        raise ConfigError(message) from None
 
 
 @dataclass(frozen=True)
@@ -130,7 +145,7 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
 
     for name in ("power_budget", "noise_power", "direct_distance"):
         for k, v in enumerate(getattr(config, name)):
-            if not (is_number(v) and 0 < v < np.inf):
+            if not (is_number(v) and 0 < v <= FLOAT_MAX):
                 raise ConfigError(f"{name}[{k}] must be a positive finite number, got {v!r}")
 
     cross = config.cross_distance
@@ -140,7 +155,7 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
         if len(row) != q_count:
             raise ConfigError(f"cross_distance[{r}] must have length {q_count}")
         for q, d in enumerate(row):
-            if not (is_number(d) and 0 < d < np.inf):
+            if not (is_number(d) and 0 < d <= FLOAT_MAX):
                 raise ConfigError(
                     f"cross_distance[{r}][{q}] must be a positive finite number, got {d!r}"
                 )
@@ -151,7 +166,7 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
             )
 
     gamma = config.pathloss_exponent
-    if not (is_number(gamma) and 0 <= gamma < np.inf):
+    if not (is_number(gamma) and 0 <= gamma <= FLOAT_MAX):
         raise ConfigError(f"pathloss_exponent must be a nonnegative finite number, got {gamma!r}")
     return config
 
@@ -182,7 +197,12 @@ def symmetric_config(
     cross_distance: float,
     pathloss_exponent: float,
 ) -> NetworkConfig:
-    """Build a config where every user shares the same scalar parameters."""
+    """Build a config where every user shares the same scalar parameters.
+
+    Raises:
+        ConfigError: naming the offending field.
+    """
+    check_count("num_users", num_users, 1)
     cross = tuple(
         tuple(direct_distance if r == q else cross_distance for q in range(num_users))
         for r in range(num_users)
@@ -206,9 +226,9 @@ def pathloss_power_gain(distance: float, exponent: float) -> float:
         ConfigError: if distance is not a positive finite number or exponent
             not a nonnegative finite one.
     """
-    if not (is_number(distance) and 0 < distance < np.inf):
+    if not (is_number(distance) and 0 < distance <= FLOAT_MAX):
         raise ConfigError(f"distance must be a positive finite number, got {distance!r}")
-    if not (is_number(exponent) and 0 <= exponent < np.inf):
+    if not (is_number(exponent) and 0 <= exponent <= FLOAT_MAX):
         raise ConfigError(f"exponent must be a nonnegative finite number, got {exponent!r}")
     return float(distance) ** -float(exponent)
 

@@ -26,7 +26,7 @@ class PowerProfile:
         return np.concatenate(self.powers)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WaterfillResult:
     """Solution of one water-filling problem, or of a batch of them.
 
@@ -111,35 +111,42 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     (budget + k lowest floors) / k; no iteration is involved.
 
     Raises:
-        ValueError: on an empty floor vector, a budget that is neither a
+        ValueError: on an empty floor array, a budget that is neither a
             scalar nor one entry per row, a NaN or negative floor, a row
             without a finite floor, or a non-positive budget.
     """
     c = np.asarray(floors, dtype=float)
-    if c.ndim not in (1, 2) or c.shape[-1] == 0:
+    if c.ndim not in (1, 2) or c.size == 0:
         raise ValueError(f"floors must be a non-empty vector or (Q, S) array, got {c.shape}")
-    rows = c.reshape(-1, c.shape[-1])
-    n_rows, size = rows.shape
+    rows = c if c.ndim == 2 else c[None]
     b = np.asarray(budget, dtype=float)
-    if b.shape not in ((), (n_rows,)):
+    if b.shape not in ((), (len(rows),)):
         raise ValueError(f"budget of shape {b.shape} does not fit floors of shape {c.shape}")
-    order = np.sort(rows, axis=1)
-    # a NaN sorts last, and hi != hi only for a NaN
-    lowest, highest = order[:, 0].tolist(), order[:, -1].tolist()
-    if not all(0 <= lo < np.inf and hi == hi for lo, hi in zip(lowest, highest)):
+    # one sorted copy, which the arithmetic below overwrites in place
+    order = rows.copy()
+    order.sort()
+    # a NaN sorts last, and a sum is unequal to itself only when it is NaN;
+    # finite floors whose sum overflows give inf, which is equal to itself
+    lowest, highest = order[:, 0].tolist(), sum(order[:, -1].tolist())
+    if not (0 <= min(lowest) and max(lowest) < np.inf and highest == highest):
         raise ValueError("floors must be nonnegative, with a finite floor in every row")
-    if not all(0 < v < np.inf for v in b.ravel().tolist()):
+    budgets = b.ravel().tolist()
+    total = sum(budgets)
+    if not (0 < min(budgets) and max(budgets) < np.inf and total == total):
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
 
     # levels[:, k-1] = (budget + k lowest floors) / k. Filling the k lowest
     # floors up to the water level spends at most the budget, so every level
     # is at least the water level, and the level of the active set equals it.
-    levels = np.add.accumulate(order, axis=1)
+    levels = np.add.accumulate(order, axis=1, out=order)
     levels += b.reshape(-1, 1)
-    levels /= np.arange(1.0, size + 1)
-    mu = levels.min(axis=1)
-    powers = np.maximum(mu[:, None] - rows, 0.0).reshape(c.shape)
-    return WaterfillResult(powers=powers, water_level=float(mu[0]) if c.ndim == 1 else mu)
+    levels /= np.arange(1.0, levels.shape[1] + 1)
+    mu = np.minimum.reduce(levels, axis=1, keepdims=True)
+    powers = np.subtract(mu, rows, out=order)
+    np.maximum(powers, 0.0, out=powers)
+    if c.ndim == 1:
+        return WaterfillResult(powers=powers[0], water_level=float(mu[0, 0]))
+    return WaterfillResult(powers=powers, water_level=mu[:, 0])
 
 
 def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:

@@ -325,3 +325,14 @@ def test_integral_float_count_reads_as_an_int(tmp_path, capsys):
     capsys.readouterr()
     assert out[2.0].read_bytes() == out[2].read_bytes()
     assert '"trials": 2.0' in (tmp_path / "2.0.json").read_text()
+
+
+def test_an_int_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
+    # used to end in an OverflowError traceback
+    text = json.dumps(RANDOM_NET).replace('"power_budget": 10.0', '"power_budget": 1' + "0" * 400)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    for command in ("certify", "play"):
+        assert main([command, "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: power_budget[0] must be a positive finite number, got {10**400!r}"]

@@ -144,6 +144,26 @@ def test_spectral_radius_refuses_loose_arguments():
     assert spectral_radius(0.5 * np.eye(2), max_iter=np.int64(3)) == 0.5
 
 
+def test_whole_matrix_bounds_are_accepted_only_within_tol(monkeypatch):
+    # a start about 1e-6 off the Perron vector leaves a first bound gap far
+    # above tol, so a looser acceptance would return a radius that far off
+    rng = np.random.default_rng(21)
+    stack = rng.random((4, 6, 6)) * (rng.random((4, 6, 6)) < 0.8) + 0.01 * np.ones((6, 6))
+    exact = np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+
+    def nudged(block):
+        x = _perron_start(block)
+        return x * (1.0 + 1e-6 * np.cos(np.arange(x.shape[-1])))
+
+    lo, up, _ = _bounds(stack, nudged(stack))
+    gap = (up - lo) / up
+    assert np.all((gap > 1e-9) & (gap < 1e-3)), gap
+    monkeypatch.setattr(contraction, "_perron_start", nudged)
+    np.testing.assert_allclose(spectral_radius(stack), exact, rtol=1e-9, atol=0)
+    for m, radius in zip(stack, exact):
+        assert spectral_radius(m) == pytest.approx(radius, rel=1e-9, abs=0)
+
+
 def test_radius_bounded_by_weighted_norms():
     rng = np.random.default_rng(12)
     for seed in range(20):

@@ -14,7 +14,7 @@ from mimoiwf.engine import (
 )
 from mimoiwf.netmodel import sample_channels, symmetric_config
 from mimoiwf.precode import build_effective_network
-from mimoiwf.waterfill import greedy_profile, random_profile, uniform_profile
+from mimoiwf.waterfill import best_responses, greedy_profile, random_profile, uniform_profile
 
 from oracles import (
     explicit_net,
@@ -235,6 +235,29 @@ def test_hand_built_plan_is_checked():
             Schedule(*args, fresh_plan((0,)))
     with pytest.raises(ScheduleError, match="update_bound must be an integer >= 1, got 0"):
         Schedule(2, 3, fresh_plan((0,)), 1, 0)
+
+
+def test_a_repeated_member_plays_like_one_entry():
+    # (0, 0) names as many users as the network has, yet only user 0 moves
+    cfg = symmetric_config(2, 2, 2, 1e4, 1.0, 15.0, 20.0, 2.5)
+    net = build_effective_network(sample_channels(cfg, 4), cfg)
+    start = uniform_profile(cfg)
+    assert not np.array_equal(best_responses(net, start)[2:], start[2:])
+    once = [(0,), (1,)] * 20
+    twice = [(0, 0), (1, 1)] * 20
+    ages = [np.array([[0, 1], [1, 0]]) * (n % 2) for n in range(40)]
+    for bound in (0, 1):
+        views = ages if bound else [None] * 40
+        want = run_game(net, Schedule(2, 40, zip(once, views), bound, 2), start, tol=1e-9)
+        got = run_game(net, Schedule(2, 40, zip(twice, views), bound, 2), start, tol=1e-9)
+        np.testing.assert_array_equal(got.states[1, 2:], start[2:])
+        np.testing.assert_array_equal(got.states, want.states)
+        assert (got.residuals, got.converged, got.nash_gap) == (
+            want.residuals,
+            want.converged,
+            want.nash_gap,
+        )
+        np.testing.assert_array_equal(got.final_rates, want.final_rates)
 
 
 def test_game_rejects_a_schedule_for_another_network():

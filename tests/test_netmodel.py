@@ -115,6 +115,81 @@ def test_symmetric_config_does_not_coerce():
             symmetric_config(2, 2, 2, 10.0, 1.0, bad, 40.0, 2.5)
 
 
+SEQUENCE = "must be a sequence, one entry per user, got"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: small_config(power_budget=10.0), f"power_budget {SEQUENCE} 10.0"),
+        (lambda: small_config(tx_antennas=2), f"tx_antennas {SEQUENCE} 2"),
+        (lambda: small_config(cross_distance=40.0), f"cross_distance {SEQUENCE} 40.0"),
+        (lambda: small_config(cross_distance=(40.0, 15.0)), f"cross_distance[0] {SEQUENCE} 40.0"),
+        (
+            lambda: symmetric_config("3", 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5),
+            "num_users must be an integer >= 1, got '3'",
+        ),
+        (
+            lambda: symmetric_config(2.0, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5),
+            "num_users must be an integer >= 1, got 2.0",
+        ),
+    ],
+    ids=["scalar_budget", "scalar_count", "scalar_matrix", "flat_matrix", "string_users", "float_users"],
+)
+def test_a_value_that_is_not_a_sequence_is_named(build, message):
+    # these used to raise a raw TypeError from tuple() or from (x,) * "3"
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
+
+
+HUGE = 10**400  # an int that passes "< inf" but cannot become a float
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: symmetric_config(2, 2, 2, HUGE, 1.0, 15.0, 40.0, 2.5),
+            f"power_budget[0] must be a positive finite number, got {HUGE!r}",
+        ),
+        (
+            lambda: symmetric_config(2, 2, 2, 10.0, HUGE, 15.0, 40.0, 2.5),
+            f"noise_power[0] must be a positive finite number, got {HUGE!r}",
+        ),
+        (
+            lambda: symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, HUGE, 2.5),
+            f"cross_distance[0][1] must be a positive finite number, got {HUGE!r}",
+        ),
+        (
+            lambda: symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 40.0, HUGE),
+            f"pathloss_exponent must be a nonnegative finite number, got {HUGE!r}",
+        ),
+        (
+            lambda: pathloss_power_gain(HUGE, 2.0),
+            f"distance must be a positive finite number, got {HUGE!r}",
+        ),
+        (
+            lambda: pathloss_power_gain(2.0, HUGE),
+            f"exponent must be a nonnegative finite number, got {HUGE!r}",
+        ),
+    ],
+    ids=["budget", "noise", "cross", "exponent", "pathloss_distance", "pathloss_exponent"],
+)
+def test_an_int_too_large_for_a_float_is_refused_when_built(build, message):
+    # the config used to build, and its layout then raised OverflowError
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_the_largest_float_sized_int_is_accepted():
+    largest = int(np.finfo(float).max)
+    cfg = symmetric_config(2, 2, 2, largest, 1.0, 15.0, 40.0, 2.5)
+    np.testing.assert_array_equal(cfg.layout.budget, np.finfo(float).max)
+    assert cfg == symmetric_config(2, 2, 2, np.finfo(float).max, 1.0, 15.0, 40.0, 2.5)
+
+
 def test_symmetric_config_fills_diagonal():
     cfg = symmetric_config(3, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5)
     assert cfg.cross_distance[1][1] == 15.0

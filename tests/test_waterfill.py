@@ -431,3 +431,92 @@ def test_budget_tolerance_is_relative_to_the_budget():
     cfg = symmetric_config(1, 2, 2, 1e-3, 1.0, 15.0, 15.0, 2.5)
     with pytest.raises(ValueError, match="budget"):
         validate_profile(np.array([1e-3 + 1e-8, 0.0]), cfg)
+
+
+def _error_message(floors, budget):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            water_level(floors, budget)
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0.5, np.nan, 2.0],
+        [np.nan, np.nan, np.nan],
+        [np.inf, np.inf, np.inf],
+        [0.5, -np.inf, 2.0],
+        [0.5, -1e-300, 2.0],
+    ],
+    ids=["nan_slot", "all_nan", "all_inf", "minus_inf", "negative"],
+)
+def test_each_bad_floor_row_gives_the_floor_message_alone_and_in_a_batch(row):
+    row = np.array(row)
+    assert _error_message(row, 1.0) == FLOOR_MESSAGE
+    for batch in (np.stack([[1.0, 2.0, np.inf], row]), np.stack([row, [1.0, 2.0, np.inf]])):
+        assert _error_message(batch, np.array([1.0, 1.0])) == FLOOR_MESSAGE
+    # the floors are checked before the budget
+    assert _error_message(row, np.nan) == FLOOR_MESSAGE
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+def test_each_bad_budget_gives_the_budget_message_alone_and_in_a_batch(bad):
+    assert _error_message(np.array([1.0, 2.0]), bad) == f"budget must be positive and finite, got {bad!r}"
+    floors = np.array([[1.0, 2.0], [0.5, np.inf]])
+    for budgets in (np.array([1.0, bad]), np.array([bad, 1.0]), np.array(bad)):
+        assert _error_message(floors, budgets) == f"budget must be positive and finite, got {budgets!r}"
+
+
+@pytest.mark.parametrize(
+    "floors, budget",
+    [
+        (np.ones(3), np.ones(2)),
+        (np.ones(3), np.ones((1, 1))),
+        (np.ones((2, 3)), np.ones(3)),
+        (np.ones((2, 3)), np.ones((2, 1))),
+    ],
+)
+def test_a_budget_of_the_wrong_shape_is_named_with_both_shapes(floors, budget):
+    message = f"budget of shape {budget.shape} does not fit floors of shape {floors.shape}"
+    assert _error_message(floors, budget) == message
+    # the shape is checked before the values
+    assert _error_message(floors, np.full(budget.shape, np.nan)) == message
+
+
+@pytest.mark.parametrize("floors", [np.array([]), np.ones((0, 2)), np.ones((2, 0)), np.ones((1, 1, 1))])
+def test_empty_or_deep_floors_are_refused(floors):
+    message = f"floors must be a non-empty vector or (Q, S) array, got {floors.shape}"
+    assert _error_message(floors, 1.0) == message
+
+
+def test_finite_floors_and_budgets_whose_sum_overflows_are_accepted():
+    big = np.finfo(float).max / 1.5
+    with np.errstate(all="raise"):
+        res = water_level(np.array([[1.0, big], [1.0, big], [2.0, big]]), 1.0)
+        np.testing.assert_array_equal(res.powers, [[1.0, 0.0]] * 3)
+        res = water_level(np.array([[1.0, np.inf], [1.0, np.inf]]), np.array([big, big]))
+        np.testing.assert_array_equal(res.powers[:, 0], [big, big])
+        np.testing.assert_array_equal(res.water_level, [big + 1.0, big + 1.0])
+
+
+def test_batch_equals_the_sort_cumsum_min_formula_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for size in range(1, 7):
+        floors = 10.0 ** rng.uniform(-4, 4, (50, size))
+        floors[:, 1:][rng.random((50, size - 1)) < 0.3] = np.inf
+        budgets = 10.0 ** rng.uniform(-3, 3, 50)
+        order = np.sort(floors, axis=1)
+        levels = (np.cumsum(order, axis=1) + budgets[:, None]) / np.arange(1.0, size + 1)
+        mu = levels.min(axis=1)
+        want = np.maximum(mu[:, None] - floors, 0.0)
+        kept = floors.copy()
+        res = water_level(floors, budgets)
+        np.testing.assert_array_equal(floors, kept)  # the caller's floors are not sorted
+        np.testing.assert_array_equal(res.powers, want)
+        np.testing.assert_array_equal(res.water_level, mu)
+        for q in range(0, 50, 7):
+            row = water_level(floors[q], budgets[q])
+            np.testing.assert_array_equal(row.powers, want[q])
+            assert row.water_level == mu[q] and type(row.water_level) is float
