@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import check_count, is_number
+from .netmodel import check_count, is_number, stack_configs
 from .precode import EffectiveNetwork
 
 SPECTRAL_TOL = 1e-9
@@ -218,7 +218,9 @@ def certify(
 ) -> UniquenessCertificate | list[UniquenessCertificate]:
     """Run every uniqueness test on one effective network, or on each of a list.
 
-    The networks of a list share one config. Their couplings are checked
+    The networks of a list share their antenna counts and noise, as the
+    draws of one stack do (netmodel.stack_configs); their configs may differ
+    otherwise, say in cross distance. Their couplings are checked
     as one stack, by one spectral_radius call; the norms and the strict
     values come from one padded slot view of the stack. The strict value
     of a slot sums the worst aggregate coupling in that slot: for slot j the
@@ -228,17 +230,16 @@ def certify(
     is the same for the transpose. A single network is the list of one.
 
     Raises:
-        ValueError: when the networks of a list do not share one config.
+        ValueError: naming the antenna count or noise on which the
+            networks of a list differ.
     """
     nets = [net] if isinstance(net, EffectiveNetwork) else list(net)
     if not nets:
         return []
-    config = nets[0].config
-    if any(other.config != config for other in nets[1:]):
-        raise ValueError("networks certified together must share one config")
+    layout = stack_configs([n.config for n in nets], len(nets))[0].layout
     coupling = np.stack([n.coupling for n in nets])
     rho = spectral_radius(coupling)
-    view = _slot_view(coupling, config.layout)
+    view = _slot_view(coupling, layout)
     columns = (
         rho,
         view.sum(axis=(3, 4)).max(axis=(1, 2)),  # row norm

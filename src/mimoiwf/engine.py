@@ -8,7 +8,8 @@ moves the profile.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,7 +101,8 @@ class GameTrace:
     states is a read-only (steps + 1, N) array: states[0] is the stacked
     starting point and states[n] the stacked state after step n, with
     offsets splitting a state into users. residuals[n-1] is the largest
-    power change made at step n.
+    power change made at step n. net is the network played, which
+    final_rates reads.
     """
 
     states: np.ndarray
@@ -108,8 +110,13 @@ class GameTrace:
     residuals: list[float]
     converged: bool
     iterations_used: int
-    final_rates: np.ndarray
     nash_gap: float
+    net: EffectiveNetwork = field(repr=False, compare=False)
+
+    @cached_property
+    def final_rates(self) -> np.ndarray:
+        """Rate of every user at the last state, built on first read and kept."""
+        return user_rates(self.net, self.states[-1])
 
     @property
     def profiles(self) -> list[PowerProfile]:
@@ -204,7 +211,8 @@ def run_game(
     window = schedule.update_bound
     last_update = [-1] * cfg.num_users
     # antennas that keep their power at a step, per set of members; False
-    # when every user moves, so the step needs no mask
+    # when every user moves (Schedule has checked each member's range), so
+    # the step needs no mask
     stays: dict[tuple[int, ...], np.ndarray | bool] = {}
     residuals: list[float] = []
     converged = False
@@ -214,9 +222,13 @@ def run_game(
         members, ages = step(n)
         stay = stays.get(members)
         if stay is None:
-            idle = np.ones(cfg.num_users, dtype=bool)
-            idle[list(members)] = False
-            stay = stays[members] = idle[owner] if idle.any() else False
+            if len(set(members)) == cfg.num_users:
+                stay = False
+            else:
+                idle = np.ones(cfg.num_users, dtype=bool)
+                idle[list(members)] = False
+                stay = idle[owner]
+            stays[members] = stay
         now = lead + n
         x = history[now]
         if ages is None:
@@ -247,8 +259,8 @@ def run_game(
         residuals=residuals,
         converged=converged,
         iterations_used=len(residuals),
-        final_rates=user_rates(net, states[-1]),
         nash_gap=check_nash(net, states[-1]),
+        net=net,
     )
 
 

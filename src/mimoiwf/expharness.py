@@ -14,8 +14,8 @@ import numpy as np
 
 from .contraction import certify
 from .engine import SCHEDULE_KINDS, make_schedule, run_game
-from .netmodel import ConfigError, NetworkConfig, check_count, is_number, symmetric_config
-from .netmodel import sample_channels
+from .netmodel import FLOAT_MAX, ConfigError, NetworkConfig, check_count, is_number
+from .netmodel import sample_channels, symmetric_config
 from .precode import DegenerateChannelError, build_effective_network
 from .waterfill import greedy_profile, random_profile, sum_rate, uniform_profile
 
@@ -150,9 +150,9 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
             raise ConfigError(f"sweep_values[{k}] must be a number, got {v!r}")
     if any(b <= a for a, b in zip(spec.sweep_values, spec.sweep_values[1:])):
         raise ConfigError("sweep_values must be strictly increasing")
-    if not 0 < spec.game_tol < np.inf:
+    if not 0 < spec.game_tol <= FLOAT_MAX:
         raise ConfigError(f"game_tol must be positive and finite, got {spec.game_tol!r}")
-    if not 0 <= spec.agreement_tol < np.inf:
+    if not 0 <= spec.agreement_tol <= FLOAT_MAX:
         raise ConfigError(
             f"agreement_tol must be nonnegative and finite, got {spec.agreement_tol!r}"
         )
@@ -194,7 +194,8 @@ def trial_config(spec: SweepSpec, point_value: float) -> NetworkConfig:
     )
 
 
-# Trials of a chunk are drawn, rotated and certified as one stack.
+# A chunk is a run of at most this many consecutive (point, trial) keys,
+# in point-major order, drawn, rotated and certified as one stack.
 CHUNK_TRIALS = 64
 
 # (id(spec), point index, trial index) -> prepared trial of the chunk being
@@ -203,23 +204,25 @@ CHUNK_TRIALS = 64
 _ready: dict = {}
 
 
-def _prepare(spec: SweepSpec, point_index: int, trials) -> list[tuple]:
-    """(seeds, network or None, certificate, retries) of each given trial of
-    one sweep point, drawn, rotated and certified as one stack.
+def _prepare(spec: SweepSpec, keys) -> list[tuple]:
+    """(seeds, network or None, certificate, retries) of each (point, trial)
+    key, drawn, rotated and certified as one stack, each draw under the
+    config of its own sweep point.
 
     Each trial draws first with its own seed; a degenerate draw is redrawn
-    alone with the trial's next seeds, up to max_retries draws in all.
+    alone, under its point's config, with the trial's next seeds, up to
+    max_retries draws in all.
     """
-    cfg = spec.points[point_index][1]
+    configs = [spec.points[p][1] for p, _ in keys]
     seeds = [
-        np.random.SeedSequence((spec.base_seed, point_index, t))
+        np.random.SeedSequence((spec.base_seed, p, t))
         .generate_state(spec.max_retries + 2, dtype=np.uint64)
         .tolist()
-        for t in trials
+        for p, t in keys
     ]
-    nets = build_effective_network(sample_channels(cfg, [s[0] for s in seeds]), cfg)
+    nets = build_effective_network(sample_channels(configs, [s[0] for s in seeds]), configs)
     retries = []
-    for k, trial_seeds in enumerate(seeds):
+    for k, (cfg, trial_seeds) in enumerate(zip(configs, seeds)):
         attempt = 0
         while nets[k] is None and attempt + 1 < spec.max_retries:
             attempt += 1
@@ -246,7 +249,7 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
     """
     point_value, cfg, uniform, greedy = spec.points[point_index]
     prepared = _ready.pop((id(spec), point_index, trial_index), None)
-    seeds, net, cert, retries = prepared or _prepare(spec, point_index, [trial_index])[0]
+    seeds, net, cert, retries = prepared or _prepare(spec, [(point_index, trial_index)])[0]
     if net is None:
         return TrialRecord(point_index, point_value, trial_index, failed=True, retries=retries)
 
@@ -288,13 +291,13 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
     )
 
 
-def _run_chunk(spec: SweepSpec, point_index: int, trials: range) -> list[TrialRecord]:
-    """Records of some trials of one sweep point, prepared as one stack and
-    then played one run_trial call each."""
-    for t, prepared in zip(trials, _prepare(spec, point_index, trials)):
-        _ready[id(spec), point_index, t] = prepared
+def _run_chunk(spec: SweepSpec, keys: list[tuple[int, int]]) -> list[TrialRecord]:
+    """Records of some (point, trial) keys, prepared as one stack and then
+    played one run_trial call each."""
+    for key, prepared in zip(keys, _prepare(spec, keys)):
+        _ready[(id(spec), *key)] = prepared
     try:
-        return [run_trial(spec, point_index, t) for t in trials]
+        return [run_trial(spec, p, t) for p, t in keys]
     finally:
         _ready.clear()
 
@@ -338,19 +341,16 @@ def _run_sweep(spec: SweepSpec, jobs: int, name: str, variable: str) -> SweepRes
     size = CHUNK_TRIALS
     if jobs > 1:  # at least four chunks a worker, when the sweep has that many trials
         size = max(1, min(size, len(spec.sweep_values) * spec.trials // (4 * jobs)))
-    chunks = [
-        (pi, range(start, min(start + size, spec.trials)))
-        for pi in range(len(spec.sweep_values))
-        for start in range(0, spec.trials, size)
-    ]
+    keys = [(pi, t) for pi in range(len(spec.sweep_values)) for t in range(spec.trials)]
+    chunks = [keys[start : start + size] for start in range(0, len(keys), size)]
     run_chunk = partial(_run_chunk, spec)
     if jobs == 1:
-        done = list(map(run_chunk, *zip(*chunks)))
+        done = list(map(run_chunk, chunks))
     else:
         from concurrent.futures import ProcessPoolExecutor  # imported here: ~20 ms of start-up
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(run_chunk, *zip(*chunks)))
+            done = list(pool.map(run_chunk, chunks))
     records = [rec for chunk in done for rec in chunk]
     return SweepResult(spec=spec, rows=_aggregate(spec, records), records=records)
 

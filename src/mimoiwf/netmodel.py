@@ -233,7 +233,45 @@ def pathloss_power_gain(distance: float, exponent: float) -> float:
     return float(distance) ** -float(exponent)
 
 
-def sample_channels(config: NetworkConfig, seed) -> ChannelRealization:
+# What the configs of one stack must share: all that a rotation reads
+# besides the drawn links, so that the first config's layout serves every
+# draw. A certificate's slot view needs only the tx counts, but networks
+# rotated in one stack share all three anyway.
+_STACK_SHARED = ("tx_antennas", "rx_antennas", "noise_power")
+
+
+def stack_configs(
+    config: NetworkConfig | list[NetworkConfig], count: int
+) -> list[NetworkConfig]:
+    """The config of each of count stacked draws: config itself for every draw,
+    or a sequence of one config per draw.
+
+    Raises:
+        ValueError: on a sequence of another length, or naming the first
+            antenna count or noise on which two configs differ.
+    """
+    if isinstance(config, NetworkConfig):
+        return [config] * count
+    configs = list(config)
+    if not configs or len(configs) != count:
+        raise ValueError(f"a stack of {count} draws needs one config per draw, got {len(configs)}")
+    first = configs[0]
+    for k in range(1, count):
+        other = configs[k]
+        if other is configs[k - 1]:
+            continue  # checked as the draw before
+        for name in _STACK_SHARED:
+            if getattr(other, name) != getattr(first, name):
+                raise ValueError(
+                    f"configs of one stack must share {name}: config {k} has "
+                    f"{getattr(other, name)!r}, config 0 {getattr(first, name)!r}"
+                )
+    return configs
+
+
+def sample_channels(
+    config: NetworkConfig | list[NetworkConfig], seed
+) -> ChannelRealization:
     """Draw one realization of every channel matrix, or a stack of them.
 
     Entries are complex Gaussian with unit power (real and imaginary parts
@@ -245,22 +283,27 @@ def sample_channels(config: NetworkConfig, seed) -> ChannelRealization:
     produces in that same order.
 
     A sequence of K seeds gives a stack of K realizations, each drawn by its
-    own generator exactly as a call with its one seed would draw it.
+    own generator exactly as a call with its one seed would draw it. config
+    is one NetworkConfig for every draw, or a list of one per draw (of one,
+    for a single seed), as for stack_configs; each draw is scaled by its own
+    config's attenuation.
     """
-    layout = config.layout
     stacked = np.ndim(seed) == 1
     seeds = list(seed) if stacked else [seed]
+    configs = stack_configs(config, len(seeds))
+    base = configs[0] if configs else config  # an empty stack of one config
+    layout = base.layout
     z = np.empty((len(seeds), layout.link_entries, 2))
     for k, s in enumerate(seeds):
         np.random.default_rng(s).standard_normal(out=z[k])
     links = np.zeros((len(seeds), *layout.link_mask.shape), dtype=complex)
     links[:, layout.link_mask] = z[..., 0] + 1j * z[..., 1]  # fills in r, q, row, col order
-    links *= layout.link_amp
+    links *= np.concatenate([c.layout.link_amp for c in configs] or [layout.link_amp])
     links.setflags(write=False)
     return ChannelRealization(
         links=links if stacked else links[0],
-        tx_antennas=config.tx_antennas,
-        rx_antennas=config.rx_antennas,
+        tx_antennas=base.tx_antennas,
+        rx_antennas=base.rx_antennas,
         seed=tuple(map(int, seeds)) if stacked else int(seed),
     )
 
@@ -289,14 +332,15 @@ class _Layout:
         t_max, streams = tx.max(), min(tx.max(), rx.max())
         slot = np.arange(t_max)
         # (Q, Q, R, T) entries of every link, r-major, their count, and the
-        # (Q, Q, 1, 1) amplitude attenuation of each link over sqrt(2)
+        # (1, Q, Q, 1, 1) amplitude attenuation of each link over sqrt(2), as
+        # for a stack of one draw
         self.link_mask = (np.arange(rx.max())[:, None] < rx[None, :, None, None]) & (
             slot < tx[:, None, None, None]
         )
         self.link_entries = int(self.link_mask.sum())
         gamma = config.pathloss_exponent
         gain = [[pathloss_power_gain(d, gamma) for d in row] for row in config.cross_distance]
-        self.link_amp = (np.sqrt(gain) / np.sqrt(2.0))[:, :, None, None]
+        self.link_amp = (np.sqrt(gain) / np.sqrt(2.0))[None, :, :, None, None]
         shapes = list(zip(config.rx_antennas, config.tx_antennas))
         # ((rx, tx), the users whose direct link has that shape) per shape
         self.svd_groups = tuple(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import ChannelRealization, NetworkConfig
+from .netmodel import ChannelRealization, NetworkConfig, stack_configs
 
 # Singular values at or below this are treated as a rank loss.
 SINGULAR_FLOOR = 1e-12
@@ -86,7 +86,7 @@ def svd_decompose(channel: np.ndarray) -> LinkSVD:
 
 
 def build_effective_network(
-    realization: ChannelRealization, config: NetworkConfig
+    realization: ChannelRealization, config: NetworkConfig | list[NetworkConfig]
 ) -> EffectiveNetwork | list[EffectiveNetwork | None]:
     """Rotate a channel realization into the per-user singular bases.
 
@@ -94,24 +94,26 @@ def build_effective_network(
     shape, and every cross link is rotated in one batched product. A stack
     of K realizations is rotated in the same calls and gives a list of K
     networks, each a view into the stacked arrays, with None in place of
-    each degenerate draw; a single realization is the stack of one.
+    each degenerate draw; a single realization is the stack of one. config
+    is one NetworkConfig for every draw, or a list of one per draw, as for
+    netmodel.stack_configs; each network holds its own.
 
     Raises:
         DegenerateChannelError: when some direct channel of a single
             realization is rank deficient, so it should be redrawn; names
             the first such user.
         SvdError: if the SVD routine fails to converge.
-        ValueError: when the realization does not have the config's shapes.
+        ValueError: when the realization does not have the config's shapes,
+            or the configs of a stack differ in a field the rotation reads.
     """
-    if (realization.tx_antennas, realization.rx_antennas) != (
-        config.tx_antennas,
-        config.rx_antennas,
-    ):
-        raise ValueError("channel realization does not match the config's antenna counts")
-    layout = config.layout
     stacked = realization.links.ndim == 5
     links = realization.links if stacked else realization.links[None]
     n_draws, n_users, _, r_max, t_max = links.shape
+    configs = stack_configs(config, n_draws)
+    base = configs[0] if configs else config  # an empty stack of one config
+    if (realization.tx_antennas, realization.rx_antennas) != (base.tx_antennas, base.rx_antennas):
+        raise ValueError("channel realization does not match the config's antenna counts")
+    layout = base.layout
 
     rx_bases = np.zeros((n_draws, n_users, r_max, r_max), dtype=complex)
     tx_bases = np.zeros((n_draws, n_users, t_max, t_max), dtype=complex)
@@ -156,7 +158,7 @@ def build_effective_network(
         a.setflags(write=False)
 
     nets = [
-        None if bad else EffectiveNetwork(config, *(a[k] for a in stacks))
+        None if bad else EffectiveNetwork(configs[k], *(a[k] for a in stacks))
         for k, bad in enumerate((weak | unbounded).any(axis=-1).tolist())
     ]
     return nets if stacked else nets[0]

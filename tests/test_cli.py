@@ -88,6 +88,30 @@ def test_play_deterministic_output(tmp_path, capsys):
     assert capsys.readouterr().out != first
 
 
+# play at 40 dB, where the game runs for a while: its output under each
+# schedule, as printed before the rates were built on first read
+LOUD_PLAY = {
+    "jacobi": ("converged true in 12 iterations", "nash_gap 5.47e-08"),
+    "gauss-seidel": ("converged true in 31 iterations", "nash_gap 1.99e-08"),
+    "async": ("converged true in 48 iterations", "nash_gap 1.03e-08"),
+}
+LOUD_RATES = (
+    "user 0 rate 5.62134022",
+    "user 1 rate 2.4688129",
+    "user 2 rate 3.58165245",
+    "user 3 rate 3.82405447",
+    "sum_rate 15.49586",
+)
+
+
+@pytest.mark.parametrize("kind", list(LOUD_PLAY))
+def test_play_output_is_pinned(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path, {**RANDOM_NET, "power_budget": 10000.0})
+    assert main(["play", "--config", cfg, "--quiet", "--schedule", kind]) == 0
+    verdict, gap = LOUD_PLAY[kind]
+    assert capsys.readouterr().out.splitlines() == [f"schedule {kind}", verdict, *LOUD_RATES, gap]
+
+
 def test_play_schedules_agree(tmp_path, capsys):
     cfg = write_config(tmp_path, RANDOM_NET)
     rates = {}
@@ -336,3 +360,13 @@ def test_an_int_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
         assert main([command, "--config", str(path), "--quiet"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: power_budget[0] must be a positive finite number, got {10**400!r}"]
+    # a sweep whose game_tol no float can hold used to run, every game
+    # "converged" after one step
+    for key, bound in (("game_tol", "positive"), ("agreement_tol", "nonnegative")):
+        doc = json.dumps({**TINY_SWEEP, key: 1}).replace(f'"{key}": 1', f'"{key}": 1' + "0" * 400)
+        path.write_text(doc)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep-uniqueness", "--config", str(path), "--out", str(out), "--quiet"]
+        assert main(argv) == 1 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {key} must be {bound} and finite, got {10**400!r}"]

@@ -35,8 +35,8 @@ def scalar_net(a, b, budgets=(10.0, 10.0), noise=(1.0, 1.0)):
     )
 
 
-def random_net(seed, num_users=4, tx=2, rx=2, cross=40.0):
-    cfg = symmetric_config(num_users, tx, rx, 10.0, 1.0, 15.0, cross, 2.5)
+def random_net(seed, num_users=4, tx=2, rx=2, cross=40.0, noise=1.0):
+    cfg = symmetric_config(num_users, tx, rx, 10.0, noise, 15.0, cross, 2.5)
     return build_effective_network(sample_channels(cfg, seed), cfg)
 
 
@@ -320,6 +320,18 @@ def test_stacked_certificates_equal_single_ones(monkeypatch):
 
 
 def test_certified_together_means_one_config():
+    # what one stack shares, that is: networks of other cross distances (or
+    # budgets) certify together, and networks of other antenna counts or
+    # noise are refused
     assert certify([]) == []
-    with pytest.raises(ValueError, match="one config"):
-        certify([random_net(0), random_net(1, cross=41.0)])
+    with pytest.raises(ValueError, match="must share tx_antennas"):
+        certify([random_net(0), random_net(1, tx=3)])
+    with pytest.raises(ValueError, match="must share rx_antennas"):
+        certify([random_net(0), random_net(1), random_net(2, rx=3)])
+    with pytest.raises(ValueError, match="must share noise_power"):
+        certify([random_net(0), random_net(1, noise=2.0)])
+
+
+def test_certificates_across_cross_distances_equal_single_ones():
+    nets = [random_net(seed, cross=cross) for seed, cross in enumerate((15.0, 37.7, 55.0, 25.0))]
+    assert certify(nets) == [certify(net) for net in nets]

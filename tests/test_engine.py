@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from mimoiwf import engine
 from mimoiwf.contraction import certify
 from mimoiwf.engine import (
     Schedule,
@@ -14,7 +16,13 @@ from mimoiwf.engine import (
 )
 from mimoiwf.netmodel import sample_channels, symmetric_config
 from mimoiwf.precode import build_effective_network
-from mimoiwf.waterfill import best_responses, greedy_profile, random_profile, uniform_profile
+from mimoiwf.waterfill import (
+    best_responses,
+    greedy_profile,
+    random_profile,
+    uniform_profile,
+    user_rates,
+)
 
 from oracles import (
     explicit_net,
@@ -445,6 +453,25 @@ def test_trace_shapes_and_residuals():
     assert trace.final_rates.shape == (4,)
     if trace.converged:
         assert trace.residuals[-1] < 1e-6
+
+
+def test_final_rates_are_built_once_when_read(monkeypatch):
+    calls = []
+    rates = engine.user_rates
+    monkeypatch.setattr(engine, "user_rates", lambda *a: calls.append(a) or rates(*a))
+    net = ragged_net(2)
+    trace = run_game(net, make_schedule("random_async", 3, seed=4, delay_bound=2, update_bound=3))
+    assert calls == []  # a game builds no rates
+    assert trace.net is net and "net=" not in repr(trace)
+    first = trace.final_rates
+    assert first is trace.final_rates and len(calls) == 1
+    assert first.tobytes() == user_rates(net, trace.states[-1]).tobytes()
+
+    # a trace replaced as perfbench's self-check does builds its own, equal rates
+    marked = dataclasses.replace(trace, converged=True, nash_gap=1e3)
+    assert (marked.converged, marked.nash_gap, marked.net) == (True, 1e3, net)
+    assert marked.final_rates.tobytes() == first.tobytes() and len(calls) == 2
+    assert marked == dataclasses.replace(trace, converged=True, nash_gap=1e3, net=None)
 
 
 def test_converged_games_sit_at_fixed_point():

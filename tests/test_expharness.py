@@ -65,9 +65,11 @@ def test_spec_validation():
         ("game_tol", -1.0),
         ("game_tol", float("nan")),
         ("game_tol", float("inf")),
+        ("game_tol", 10**400),  # an int no float holds; it used to pass
         ("agreement_tol", -1.0),
         ("agreement_tol", float("nan")),
         ("agreement_tol", float("inf")),
+        ("agreement_tol", 10**400),
         ("it_max", 0),
         ("schedule", "gauss-seidel"),
         ("delay_bound", -1),
@@ -390,4 +392,61 @@ def test_mixed_degenerate_chunks_equal_single_trials(monkeypatch, mixed_singles,
     assert [r.trial_index for r in records] == list(range(MIXED.trials))
     for rec, single in zip(records, mixed_singles):
         assert same_record(rec, single), rec.trial_index
+    assert not expharness._ready
+
+
+# Three points whose direct links sit 1e9 away, near the singular-value
+# floor, so chunks that span points hold draws that redraw or run out.
+# 13 trials a point: chunks of 3, of 7 and the smaller ones of two jobs
+# all end inside a point.
+ACROSS_POINTS = {
+    "uniqueness": SweepSpec(
+        direct_distance=1e9, sweep_values=(15.0, 30.0, 60.0), trials=13, max_retries=2
+    ),
+    "sumrate": SweepSpec(
+        sweep_variable="power_budget_db",
+        direct_distance=1e9,
+        sweep_values=(0.0, 20.0, 40.0),
+        trials=13,
+        max_retries=2,
+        base_seed=5,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def across_singles():
+    return {
+        name: [run_trial(spec, p, t) for p in range(3) for t in range(spec.trials)]
+        for name, spec in ACROSS_POINTS.items()
+    }
+
+
+@pytest.mark.parametrize("name", list(ACROSS_POINTS))
+@pytest.mark.parametrize("chunk", [None, 3, 7], ids=["default", "chunk_3", "chunk_7"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_chunks_across_points_equal_single_trials(monkeypatch, across_singles, name, chunk, jobs):
+    spec, singles = ACROSS_POINTS[name], across_singles[name]
+    redrawn = {r.point_index for r in singles if r.retries > 0 and not r.failed}
+    assert len(redrawn) >= 2 and any(r.failed for r in singles)
+    if chunk is not None:
+        monkeypatch.setattr(expharness, "CHUNK_TRIALS", chunk)
+    stacks = []
+    draw = expharness.sample_channels
+    monkeypatch.setattr(
+        expharness,
+        "sample_channels",
+        lambda cfg, seed: stacks.append(np.ndim(seed) and len(seed)) or draw(cfg, seed),
+    )
+    sweep = sweep_uniqueness if name == "uniqueness" else sweep_sumrate
+    records = sweep(spec, jobs=jobs).records
+    assert [(r.point_index, r.trial_index) for r in records] == [
+        (r.point_index, r.trial_index) for r in singles
+    ]
+    for rec, single in zip(records, singles):
+        assert same_record(rec, single), (rec.point_index, rec.trial_index)
+    if jobs == 1:  # one stacked draw per chunk of consecutive keys, across points
+        size = chunk or expharness.CHUNK_TRIALS
+        whole, rest = divmod(len(singles), size)
+        assert [k for k in stacks if k] == [size] * whole + ([rest] if rest else [])
     assert not expharness._ready

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -271,21 +272,85 @@ def shipped_config():
         return network_from_dict(json.load(fh))
 
 
-@pytest.mark.parametrize("cfg", [shipped_config(), RAGGED], ids=["shipped", "ragged"])
-def test_stacked_draws_and_networks_equal_single_ones(cfg):
-    seeds = [1, 17, 4, 250, 9]
-    stack = sample_channels(cfg, seeds)
-    assert stack.seed == tuple(seeds) and not stack.links.flags.writeable
-    nets = build_effective_network(stack, cfg)
-    assert len(nets) == len(seeds)
-    for k, seed in enumerate(seeds):
+def with_cross(cfg, scale, budget=1.0):
+    """cfg with every cross link scale times as far and budgets times budget."""
+    return dataclasses.replace(
+        cfg,
+        cross_distance=[
+            [d if r == q else d * scale for q, d in enumerate(row)]
+            for r, row in enumerate(cfg.cross_distance)
+        ],
+        power_budget=[b * budget for b in cfg.power_budget],
+    )
+
+
+SEEDS = [1, 17, 4, 250, 9]
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [
+        shipped_config(),
+        RAGGED,
+        [
+            with_cross(shipped_config(), scale, budget)
+            for scale, budget in zip((1, 0.4, 0.4, 1.5, 0.8), (1, 1, 10, 1, 3))
+        ],
+        [with_cross(RAGGED, s) for s in (1.0, 0.7, 2.0, 2.0, 1.3)],
+    ],
+    ids=["shipped", "ragged", "shipped_mixed_cross", "ragged_mixed_cross"],
+)
+def test_stacked_draws_and_networks_equal_single_ones(configs):
+    # one config for the whole stack, or one per draw: each draw, and its
+    # network, is bit for bit the single call under its own config
+    per_draw = configs if isinstance(configs, list) else [configs] * len(SEEDS)
+    stack = sample_channels(configs, SEEDS)
+    assert stack.seed == tuple(SEEDS) and not stack.links.flags.writeable
+    nets = build_effective_network(stack, configs)
+    assert len(nets) == len(SEEDS)
+    for k, (cfg, seed) in enumerate(zip(per_draw, SEEDS)):
         single = sample_channels(cfg, seed)
         assert stack.links[k].tobytes() == single.links.tobytes()
         one = build_effective_network(single, cfg)
+        assert nets[k].config is cfg
         for name in NET_FIELDS:
             got, want = getattr(nets[k], name), getattr(one, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, name)
             assert not got.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "field, other",
+    [
+        ("tx_antennas", symmetric_config(4, 3, 2, 10.0, 1.0, 15.0, 37.7, 2.5)),
+        ("rx_antennas", symmetric_config(4, 2, 3, 10.0, 1.0, 15.0, 37.7, 2.5)),
+        ("noise_power", symmetric_config(4, 2, 2, 10.0, 2.0, 15.0, 37.7, 2.5)),
+    ],
+)
+def test_a_stack_refuses_configs_that_differ_in_what_rotation_reads(field, other):
+    cfg = shipped_config()
+    configs = [cfg, with_cross(cfg, 0.5), other]
+    with pytest.raises(ValueError, match=f"configs of one stack must share {field}: config 2"):
+        sample_channels(configs, SEEDS[:3])
+    stack = sample_channels(cfg, SEEDS[:3])
+    with pytest.raises(ValueError, match=f"must share {field}"):
+        build_effective_network(stack, configs)
+    with pytest.raises(ValueError, match="3 draws needs one config per draw, got 2"):
+        build_effective_network(stack, configs[:2])
+
+
+def test_a_single_draw_takes_a_list_of_one_config():
+    cfg = with_cross(shipped_config(), 0.4)
+    single = sample_channels(cfg, 17)
+    listed = sample_channels([cfg], 17)
+    assert listed.seed == 17 and listed.links.tobytes() == single.links.tobytes()
+    net = build_effective_network(single, [cfg])
+    assert net.config is cfg
+    assert net.coupling.tobytes() == build_effective_network(single, cfg).coupling.tobytes()
+    with pytest.raises(ValueError, match="1 draws needs one config per draw, got 2"):
+        sample_channels([cfg, cfg], 17)
+    with pytest.raises(ValueError, match="1 draws needs one config per draw, got 0"):
+        build_effective_network(single, [])
 
 
 def test_stacked_build_marks_degenerate_draws():
