@@ -94,6 +94,22 @@ def _check_counts(**counts) -> None:
         check_count(name, value, 0 if name in ("seed", "delay_bound") else 1, ScheduleError)
 
 
+class _NashGap:
+    """GameTrace.nash_gap: check_nash at the last state, built on first read and
+    kept unless given (replace may); the class-level default means not built."""
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return self
+        if "nash_gap" not in vars(trace):
+            vars(trace)["nash_gap"] = check_nash(trace.net, trace.states[-1])
+        return vars(trace)["nash_gap"]
+
+    def __set__(self, trace, gap):
+        if gap is not self:
+            vars(trace)["nash_gap"] = gap
+
+
 @dataclass
 class GameTrace:
     """Full record of one game run.
@@ -101,8 +117,8 @@ class GameTrace:
     states is a read-only (steps + 1, N) array: states[0] is the stacked
     starting point and states[n] the stacked state after step n, with
     offsets splitting a state into users. residuals[n-1] is the largest
-    power change made at step n. net is the network played, which
-    final_rates reads.
+    power change made at step n. net is the network played; final_rates
+    and nash_gap are built from it on first read and kept.
     """
 
     states: np.ndarray
@@ -110,8 +126,8 @@ class GameTrace:
     residuals: list[float]
     converged: bool
     iterations_used: int
-    nash_gap: float
     net: EffectiveNetwork = field(repr=False, compare=False)
+    nash_gap: float = _NashGap()
 
     @cached_property
     def final_rates(self) -> np.ndarray:
@@ -259,7 +275,6 @@ def run_game(
         residuals=residuals,
         converged=converged,
         iterations_used=len(residuals),
-        nash_gap=check_nash(net, states[-1]),
         net=net,
     )
 

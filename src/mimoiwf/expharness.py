@@ -13,7 +13,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .contraction import certify
-from .engine import SCHEDULE_KINDS, make_schedule, run_game
+from .engine import SCHEDULE_KINDS, Schedule, make_schedule, run_game
 from .netmodel import FLOAT_MAX, ConfigError, NetworkConfig, check_count, is_number
 from .netmodel import sample_channels, symmetric_config
 from .precode import DegenerateChannelError, build_effective_network
@@ -45,8 +45,8 @@ class SweepSpec:
     Construction stores sweep_values as a tuple and runs validate_spec, so
     every instance is consistent and hashable: a field annotated int must be
     a count, and one annotated float, like each sweep value, a number. The
-    points are not a field: equality, hashing, repr, replace and pickling
-    see the fields only.
+    points and the plan are not fields: equality, hashing, repr, replace and
+    pickling see the fields only.
     """
 
     num_users: int = 4
@@ -74,7 +74,7 @@ class SweepSpec:
         validate_spec(self)
 
     def __getstate__(self) -> dict:
-        # a pool worker's copy builds its own points, read-only, on its first read
+        # a pool worker's copy builds its own points and plan on its first read
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
@@ -89,6 +89,14 @@ class SweepSpec:
             greedy.setflags(write=False)
             points.append((float(value), cfg, uniform, greedy))
         return tuple(points)
+
+    @cached_property
+    def plan(self) -> Schedule | None:
+        """The one jacobi or gauss_seidel plan every trial plays, built on first
+        read; None for random_async, whose trials draw their own."""
+        if self.schedule == "random_async":
+            return None
+        return make_schedule(self.schedule, self.num_users, it_max=self.it_max)
 
 
 @dataclass
@@ -253,13 +261,13 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
     if net is None:
         return TrialRecord(point_index, point_value, trial_index, failed=True, retries=retries)
 
-    schedule = make_schedule(
+    schedule = spec.plan or make_schedule(
         spec.schedule,
         cfg.num_users,
         it_max=spec.it_max,
         seed=seeds[spec.max_retries + 1],
-        delay_bound=spec.delay_bound if spec.schedule == "random_async" else 0,
-        update_bound=spec.update_bound if spec.schedule == "random_async" else 1,
+        delay_bound=spec.delay_bound,
+        update_bound=spec.update_bound,
     )
     init_rng = np.random.default_rng(seeds[spec.max_retries])
     starts = [uniform, greedy, random_profile(cfg, init_rng)]

@@ -253,11 +253,10 @@ def stack_configs(
     if isinstance(config, NetworkConfig):
         return [config] * count
     configs = list(config)
-    if not configs or len(configs) != count:
+    if len(configs) != count:
         raise ValueError(f"a stack of {count} draws needs one config per draw, got {len(configs)}")
-    first = configs[0]
     for k in range(1, count):
-        other = configs[k]
+        first, other = configs[0], configs[k]
         if other is configs[k - 1]:
             continue  # checked as the draw before
         for name in _STACK_SHARED:
@@ -286,12 +285,17 @@ def sample_channels(
     own generator exactly as a call with its one seed would draw it. config
     is one NetworkConfig for every draw, or a list of one per draw (of one,
     for a single seed), as for stack_configs; each draw is scaled by its own
-    config's attenuation.
+    config's attenuation. No seeds and an empty list of configs give an
+    empty stack with no antennas.
     """
     stacked = np.ndim(seed) == 1
     seeds = list(seed) if stacked else [seed]
     configs = stack_configs(config, len(seeds))
     base = configs[0] if configs else config  # an empty stack of one config
+    if not isinstance(base, NetworkConfig):  # no draws and no config: no antennas either
+        links = np.zeros((0,) * 5, dtype=complex)
+        links.setflags(write=False)
+        return ChannelRealization(links=links, tx_antennas=(), rx_antennas=(), seed=())
     layout = base.layout
     z = np.empty((len(seeds), layout.link_entries, 2))
     for k, s in enumerate(seeds):

@@ -110,7 +110,9 @@ def build_effective_network(
     links = realization.links if stacked else realization.links[None]
     n_draws, n_users, _, r_max, t_max = links.shape
     configs = stack_configs(config, n_draws)
-    base = configs[0] if configs else config  # an empty stack of one config
+    if not configs:  # an empty stack rotates into no networks, as certify([]) checks none
+        return []
+    base = configs[0]
     if (realization.tx_antennas, realization.rx_antennas) != (base.tx_antennas, base.rx_antennas):
         raise ValueError("channel realization does not match the config's antenna counts")
     layout = base.layout

@@ -76,11 +76,12 @@ def greedy_profile(config: NetworkConfig) -> np.ndarray:
 
 def random_profile(config: NetworkConfig, rng: np.random.Generator) -> np.ndarray:
     """Random nonnegative split of each user's full budget, stacked, from one draw."""
-    offsets = config.layout.offsets
-    x = rng.random(offsets[-1])
-    for budget, a, b in zip(config.power_budget, offsets, offsets[1:]):
-        part = x[a:b]
-        part[:] = budget * part / part.sum()
+    layout = config.layout
+    x = rng.random(layout.offsets[-1])
+    # each user's own sum: np.add.reduceat may sum 3 or more antennas in another order
+    sums = np.array([x[a:b].sum() for a, b in zip(layout.offsets, layout.offsets[1:])])
+    x *= layout.budget[layout.owner]  # (budget * weight) / sum, as per user
+    x /= sums[layout.owner]
     return x
 
 

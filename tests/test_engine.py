@@ -474,6 +474,30 @@ def test_final_rates_are_built_once_when_read(monkeypatch):
     assert marked == dataclasses.replace(trace, converged=True, nash_gap=1e3, net=None)
 
 
+@pytest.mark.parametrize(
+    "kind, bounds", [("jacobi", {}), ("random_async", {"delay_bound": 2, "update_bound": 3})]
+)
+def test_nash_gap_is_built_once_when_read(monkeypatch, kind, bounds):
+    calls = []
+    monkeypatch.setattr(engine, "check_nash", lambda *a: calls.append(a) or check_nash(*a))
+    net = ragged_net(2)
+    trace = run_game(net, make_schedule(kind, 3, seed=4, **bounds))
+    assert calls == []  # a game checks no gap
+    gap = trace.nash_gap
+    assert len(calls) == 1 and calls[0][0] is net
+    assert calls[0][1].tobytes() == trace.states[-1].tobytes()
+    assert np.float64(gap).tobytes() == np.float64(check_nash(net, trace.states[-1])).tobytes()
+    assert trace.nash_gap == gap and len(calls) == 1
+
+    # perfbench's self-check sets the gap; a replace without it keeps the built one
+    marked = dataclasses.replace(trace, converged=True, nash_gap=1e3)
+    assert marked.nash_gap == 1e3 and len(calls) == 1
+    kept = dataclasses.replace(trace, converged=True)
+    assert kept.nash_gap == gap and len(calls) == 1
+    assert f"nash_gap={gap!r}" in repr(trace) and "nash_gap=1000.0" in repr(marked)
+    assert marked != kept and kept == dataclasses.replace(marked, nash_gap=gap)
+
+
 def test_converged_games_sit_at_fixed_point():
     for seed in range(10):
         net = random_net(seed)

@@ -346,6 +346,29 @@ def test_pickled_spec_rebuilds_read_only_points():
             assert not start.flags.writeable
 
 
+@pytest.mark.parametrize("kind", ["jacobi", "gauss_seidel", "random_async"])
+def test_deterministic_schedules_share_one_plan(monkeypatch, kind):
+    spec = SweepSpec(sweep_values=(15.0, 30.0, 45.0), trials=5, power_budget_db=30.0, schedule=kind)
+    singles = [run_trial(dataclasses.replace(spec), p, t) for p in range(3) for t in range(5)]
+    calls = []
+    build = expharness.make_schedule
+    monkeypatch.setattr(expharness, "make_schedule", lambda *a, **k: calls.append(a) or build(*a, **k))
+    records = sweep_uniqueness(spec).records
+    drawn = sum(not r.failed for r in records)
+    assert len(calls) == (drawn if kind == "random_async" else 1) and drawn == 15
+    for rec, single in zip(records, singles, strict=True):
+        assert same_record(rec, single), (rec.point_index, rec.trial_index)
+
+    if kind == "random_async":
+        assert spec.plan is None
+    else:
+        assert spec.plan is spec.plan and spec.plan.it_max == spec.it_max and len(calls) == 1
+    assert "plan" in vars(spec) and "plan" not in {f.name for f in dataclasses.fields(spec)}
+    fresh = dataclasses.replace(spec)
+    assert "plan" not in repr(spec) and spec == fresh and hash(spec) == hash(fresh)
+    assert "plan" not in spec.__getstate__() and "plan" not in vars(pickle.loads(pickle.dumps(spec)))
+
+
 # A direct link 1e9 away sits near the singular-value floor: of these 40
 # trials 4 redraw and 1 runs out of draws, spread over the point's chunks.
 MIXED = SweepSpec(direct_distance=1e9, sweep_values=(15.0,), trials=40, max_retries=2)

@@ -361,3 +361,13 @@ def test_equal_configs_hash_equal_and_have_equal_layouts():
     assert built_a.keys() == built_b.keys()
     for name in built_a:
         np.testing.assert_equal(built_a[name], built_b[name], err_msg=name)
+
+
+def test_an_empty_list_of_configs_draws_an_empty_stack():
+    empty = sample_channels([], [])
+    assert empty.links.shape == (0, 0, 0, 0, 0) and not empty.links.flags.writeable
+    assert (empty.tx_antennas, empty.rx_antennas, empty.seed) == ((), (), ())
+    with pytest.raises(ValueError, match="a stack of 0 draws needs one config per draw, got 1"):
+        sample_channels([small_config()], [])
+    with pytest.raises(ValueError, match="a stack of 2 draws needs one config per draw, got 0"):
+        sample_channels([], [1, 2])

@@ -353,6 +353,16 @@ def test_a_single_draw_takes_a_list_of_one_config():
         build_effective_network(single, [])
 
 
+@pytest.mark.parametrize("config", [shipped_config(), RAGGED], ids=["shipped", "ragged"])
+def test_an_empty_stack_builds_no_networks(config):
+    empty = sample_channels(config, [])
+    q = config.num_users
+    assert empty.links.shape == (0, q, q, max(config.rx_antennas), max(config.tx_antennas))
+    assert build_effective_network(empty, config) == []
+    assert build_effective_network(empty, []) == []
+    assert build_effective_network(sample_channels([], []), []) == []
+
+
 def test_stacked_build_marks_degenerate_draws():
     # a direct link 1e9 away sits near the singular-value floor, so some
     # draws are degenerate; a single call raises for them, a stack keeps going
