@@ -238,7 +238,11 @@ def certify(
         return []
     layout = stack_configs([n.config for n in nets], len(nets))[0].layout
     coupling = np.stack([n.coupling for n in nets])
-    rho = spectral_radius(coupling)
+    # an antenna without a stream has a zero row, which only adds a zero to
+    # the spectrum but makes the matrix reducible; C order, so that a stack
+    # computes as its single matrices do
+    streams = layout.streams
+    rho = spectral_radius(np.ascontiguousarray(coupling[:, streams[:, None], streams]))
     view = _slot_view(coupling, layout)
     columns = (
         rho,

@@ -15,9 +15,9 @@ import numpy as np
 from .contraction import certify
 from .engine import SCHEDULE_KINDS, Schedule, make_schedule, run_game
 from .netmodel import FLOAT_MAX, ConfigError, NetworkConfig, check_count, is_number
-from .netmodel import sample_channels, symmetric_config
+from .netmodel import sample_channels, seed_words, seeded_draws, symmetric_config
 from .precode import DegenerateChannelError, build_effective_network
-from .waterfill import greedy_profile, random_profile, sum_rate, uniform_profile
+from .waterfill import greedy_profile, split_budgets, sum_rate, uniform_profile
 
 SWEEP_VARIABLES = ("cross_distance", "power_budget_db")
 
@@ -213,21 +213,19 @@ _ready: dict = {}
 
 
 def _prepare(spec: SweepSpec, keys) -> list[tuple]:
-    """(seeds, network or None, certificate, retries) of each (point, trial)
-    key, drawn, rotated and certified as one stack, each draw under the
-    config of its own sweep point.
+    """(seeds, network or None, certificate, retries, random start) of each
+    (point, trial) key, drawn, rotated and certified as one stack, each draw
+    under the config of its own sweep point.
 
-    Each trial draws first with its own seed; a degenerate draw is redrawn
-    alone, under its point's config, with the trial's next seeds, up to
-    max_retries draws in all.
+    A trial's max_retries + 2 seeds are those of
+    np.random.SeedSequence((base_seed, point, trial)), all derived in one
+    pass. Each trial draws first with its own seed; a degenerate draw is
+    redrawn alone, under its point's config, with the trial's next seeds,
+    up to max_retries draws in all. Seed max_retries draws the random start,
+    seed max_retries + 1 an async trial's plan.
     """
     configs = [spec.points[p][1] for p, _ in keys]
-    seeds = [
-        np.random.SeedSequence((spec.base_seed, p, t))
-        .generate_state(spec.max_retries + 2, dtype=np.uint64)
-        .tolist()
-        for p, t in keys
-    ]
+    seeds = seed_words([(spec.base_seed, p, t) for p, t in keys], spec.max_retries + 2).tolist()
     nets = build_effective_network(sample_channels(configs, [s[0] for s in seeds]), configs)
     retries = []
     for k, (cfg, trial_seeds) in enumerate(zip(configs, seeds)):
@@ -240,9 +238,12 @@ def _prepare(spec: SweepSpec, keys) -> list[tuple]:
                 pass
         retries.append(attempt if nets[k] is not None else spec.max_retries)
     certs = iter(certify([net for net in nets if net is not None]))
+    n = configs[0].layout.offsets[-1]
+    weights = seeded_draws([s[spec.max_retries] for s in seeds], "random", np.empty((len(keys), n)))
+    starts = split_budgets(weights, configs)
     return [
-        (trial_seeds, net, None if net is None else next(certs), r)
-        for trial_seeds, net, r in zip(seeds, nets, retries)
+        (trial_seeds, net, None if net is None else next(certs), r, start)
+        for trial_seeds, net, r, start in zip(seeds, nets, retries, starts)
     ]
 
 
@@ -257,7 +258,9 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
     """
     point_value, cfg, uniform, greedy = spec.points[point_index]
     prepared = _ready.pop((id(spec), point_index, trial_index), None)
-    seeds, net, cert, retries = prepared or _prepare(spec, [(point_index, trial_index)])[0]
+    seeds, net, cert, retries, random_start = (
+        prepared or _prepare(spec, [(point_index, trial_index)])[0]
+    )
     if net is None:
         return TrialRecord(point_index, point_value, trial_index, failed=True, retries=retries)
 
@@ -269,13 +272,13 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
         delay_bound=spec.delay_bound,
         update_bound=spec.update_bound,
     )
-    init_rng = np.random.default_rng(seeds[spec.max_retries])
-    starts = [uniform, greedy, random_profile(cfg, init_rng)]
+    starts = (uniform, greedy, random_start)
     traces = [run_game(net, schedule, start, tol=spec.game_tol) for start in starts]
 
     # the largest spread of any antenna's final power is the largest
     # pairwise distance between the three final states
-    disagreement = float(np.ptp([t.states[-1] for t in traces], axis=0).max())
+    a, b, c = (t.states[-1] for t in traces)
+    disagreement = float((np.maximum(np.maximum(a, b), c) - np.minimum(np.minimum(a, b), c)).max())
     converged_all = all(t.converged for t in traces)
     unique = converged_all and disagreement <= spec.agreement_tol
 

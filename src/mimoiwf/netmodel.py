@@ -6,6 +6,7 @@ with a distance-based power-law attenuation applied per link.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -268,6 +269,181 @@ def stack_configs(
     return configs
 
 
+# numpy's SeedSequence: its hash constants and multipliers, the 32-bit
+# xorshift of its hashes, and the pool of four words. NEP 19 keeps
+# SeedSequence and PCG64 seeding stable across numpy versions.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+# 0-d arrays: numpy applies them faster than numpy scalars
+_MIX_L, _MIX_R, _XSHIFT = (np.array(v, dtype=np.uint32) for v in (0xCA01F9DD, 0x4973F715, 16))
+_POOL = 4
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """The count + 1 running hash constants init * mult**i, mod 2**32."""
+    c = [init]
+    for _ in range(count):
+        c.append(c[-1] * mult & _M32)
+    return c
+
+
+def _columns(values) -> np.ndarray:
+    """(len(values), 1) uint32 constants, one per row of a (rows, K) array."""
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of every row of v, row i with constants xor[i], mult[i]."""
+    v = v ^ xor
+    v *= mult
+    v ^= v >> _XSHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _stir_constants(a: list[int]) -> tuple:
+    """(xor, mult) columns of the hashes that stir the pool, one pair per word.
+
+    After the pool is filled by hashes 0-3, each word src in turn is hashed
+    into the three others, hash i taking constants a[i] and a[i + 1]. The
+    pair of word src holds the constants of its three hashes in the rows of
+    the words they go into; row src is a spare whose result is put back.
+    """
+    stir = []
+    for src in range(_POOL):
+        xor, mult = [0] * _POOL, [0] * _POOL
+        others = [d for d in range(_POOL) if d != src]
+        for i, dst in enumerate(others, start=_POOL + (_POOL - 1) * src):
+            xor[dst], mult[dst] = a[i], a[i + 1]
+        stir.append((_columns(xor), _columns(mult)))
+    return tuple(stir)
+
+
+# the constants of SeedSequence's first 16 hashes, which fill and stir the
+# pool whatever the entropy
+_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_FILL = _columns(_A[:_POOL]), _columns(_A[1 : _POOL + 1])
+_STIR = _stir_constants(_A)
+
+
+def _pool_words(entropy: np.ndarray, count: int) -> np.ndarray:
+    """(count, K) uint32 generate_state words of the (L, K) entropy words, L >= 4.
+
+    Every SeedSequence of one word count makes the same hashes in the same
+    order, so each step runs on all K columns at once. The arithmetic is on
+    uint32 arrays, which wrap without a warning.
+    """
+    pool = _hashmix(entropy[:_POOL], *_FILL)
+    for src, (xor, mult) in enumerate(_STIR):
+        new = _mix(pool, _hashmix(pool[src], xor, mult))
+        new[src] = pool[src]
+        pool = new
+    # words past the pool, each hashed into every pool word
+    rest = _hash_constants(_A[-1], _MULT_A, _POOL * (len(entropy) - _POOL))
+    for k, word in enumerate(entropy[_POOL:]):
+        c = rest[_POOL * k : _POOL * k + _POOL + 1]
+        pool = _mix(pool, _hashmix(word, _columns(c[:-1]), _columns(c[1:])))
+    out = _hash_constants(_INIT_B, _MULT_B, count)
+    return _hashmix(pool[np.arange(count) % _POOL], _columns(out[:-1]), _columns(out[1:]))
+
+
+def _word_count(value: int) -> int:
+    """32-bit words of a nonnegative integer as numpy coerces it: 0 is one word."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def seed_words(entropies, n: int) -> np.ndarray:
+    """(K, n) uint64 array whose row k is
+    np.random.SeedSequence(entropies[k]).generate_state(n, np.uint64).
+
+    The entropies are K nonnegative integers, or K tuples of m of them. As
+    numpy does, each integer becomes its little-endian 32-bit words (0 is
+    one word) and a tuple's words are concatenated; the pool pads entropy of
+    fewer than four words with zero words. Entropies whose integers have the
+    same word counts share one pass, and there is one pass per such set.
+
+    Raises:
+        ValueError: on a negative integer, or on tuples of several lengths.
+        TypeError: on a non-integer.
+    """
+    table = [e if isinstance(e, tuple) else (e,) for e in entropies]
+    if len(set(map(len, table))) > 1:
+        raise ValueError("entropies must be integers or tuples of one length")
+    columns = [list(map(operator.index, c)) for c in zip(*table)]
+    if columns and min(map(min, columns)) < 0:
+        raise ValueError("expected non-negative integers")
+    # the word count grows with the integer, so a column has one count when
+    # its smallest and largest entries do; otherwise rows split by their counts
+    mixed = [c for c in columns if _word_count(min(c)) != _word_count(max(c))]
+    if mixed:
+        layouts: dict[tuple, list[int]] = {}
+        for k, counts in enumerate(zip(*([_word_count(v) for v in c] for c in mixed))):
+            layouts.setdefault(counts, []).append(k)
+        out = np.empty((len(table), n), dtype=np.uint64)
+        for rows in layouts.values():
+            out[rows] = seed_words([table[k] for k in rows], n)
+        return out
+    words = []
+    for c in columns:
+        width = _word_count(max(c))
+        if width == 1:
+            words.append(c)
+        else:
+            words += ([v >> s & _M32 for v in c] for s in range(0, 32 * width, 32))
+    entropy = np.zeros((max(len(words), _POOL), len(table)), dtype=np.uint32)
+    for i, w in enumerate(words):
+        entropy[i] = w
+    # each pair of words is one uint64, low word first, as numpy reads them
+    state = np.ascontiguousarray(_pool_words(entropy, 2 * n).T, dtype="<u4")
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+def pcg64_states(seeds) -> list[dict]:
+    """np.random.PCG64(seed).state of every seed, from one seed_words pass.
+
+    PCG64 seeds itself from generate_state(4, uint64) = (s0, s1, i0, i1),
+    read as the 128-bit words s = s0:s1 and i = i0:i1, high word first:
+    inc = (i << 1) | 1 and state = ((inc + s) * MULT + inc) mod 2**128,
+    with no buffered 32-bit output.
+    """
+    states = []
+    for s0, s1, i0, i1 in seed_words(seeds, 4).tolist():
+        inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
+
+
+def seeded_draws(seeds, method: str, out: np.ndarray) -> np.ndarray:
+    """Fill out[k] as np.random.default_rng(seeds[k]).<method>(out=out[k])
+    would, for every k, and return out.
+
+    One PCG64 is built per call and re-stated for each seed.
+    """
+    bitgen = np.random.PCG64(0)
+    fill = getattr(np.random.Generator(bitgen), method)
+    for k, state in enumerate(pcg64_states(seeds)):
+        bitgen.state = state
+        fill(out=out[k])
+    return out
+
+
 def sample_channels(
     config: NetworkConfig | list[NetworkConfig], seed
 ) -> ChannelRealization:
@@ -281,8 +457,10 @@ def sample_channels(
     same matrices. All entries come from one draw, which the generator
     produces in that same order.
 
-    A sequence of K seeds gives a stack of K realizations, each drawn by its
-    own generator exactly as a call with its one seed would draw it. config
+    A seed is a nonnegative integer, and draw k reads the stream of
+    np.random.default_rng(seed): the generators come from seeded_draws.
+    A sequence of K seeds gives a stack of K realizations, each drawn
+    exactly as a call with its one seed would draw it. config
     is one NetworkConfig for every draw, or a list of one per draw (of one,
     for a single seed), as for stack_configs; each draw is scaled by its own
     config's attenuation. No seeds and an empty list of configs give an
@@ -297,9 +475,7 @@ def sample_channels(
         links.setflags(write=False)
         return ChannelRealization(links=links, tx_antennas=(), rx_antennas=(), seed=())
     layout = base.layout
-    z = np.empty((len(seeds), layout.link_entries, 2))
-    for k, s in enumerate(seeds):
-        np.random.default_rng(s).standard_normal(out=z[k])
+    z = seeded_draws(seeds, "standard_normal", np.empty((len(seeds), layout.link_entries, 2)))
     links = np.zeros((len(seeds), *layout.link_mask.shape), dtype=complex)
     links[:, layout.link_mask] = z[..., 0] + 1j * z[..., 1]  # fills in r, q, row, col order
     links *= np.concatenate([c.layout.link_amp for c in configs] or [layout.link_amp])
@@ -328,6 +504,8 @@ class _Layout:
         leak_index: (Q, T) position of slot (q, s) in a raveled (Q, N)
             array: q * N + stream_index[q, s], or q * N without antenna s.
         budget: (Q,) config.power_budget as a float array.
+        streams: stacked positions of the antennas that carry a stream,
+            user q's first min(tx, rx) antennas, in stacked order.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -360,6 +538,7 @@ class _Layout:
         self.owner = np.arange(n_users).repeat(tx)  # user of each antenna
         self.antenna_mask = slot < tx[:, None]
         self.stream_index = np.where(self.antenna_mask, self.starts[:, None] + slot, -1)
+        self.streams = self.stream_index[self.is_stream]
         self.leak_index = np.arange(n_users)[:, None] * ends[-1] + self.stream_index.clip(0)
         # flat position of coupling entry (q, i), (r, j) in a (Q, Q, min(R, T), T)
         # gain array indexed [r, q, i, j]; rows past min(R, T) read [0, 0, 0, 0],

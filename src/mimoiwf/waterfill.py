@@ -76,13 +76,23 @@ def greedy_profile(config: NetworkConfig) -> np.ndarray:
 
 def random_profile(config: NetworkConfig, rng: np.random.Generator) -> np.ndarray:
     """Random nonnegative split of each user's full budget, stacked, from one draw."""
-    layout = config.layout
-    x = rng.random(layout.offsets[-1])
-    # each user's own sum: np.add.reduceat may sum 3 or more antennas in another order
-    sums = np.array([x[a:b].sum() for a, b in zip(layout.offsets, layout.offsets[1:])])
-    x *= layout.budget[layout.owner]  # (budget * weight) / sum, as per user
-    x /= sums[layout.owner]
-    return x
+    return split_budgets(rng.random((1, config.layout.offsets[-1])), [config])[0]
+
+
+def split_budgets(weights: np.ndarray, configs: list[NetworkConfig]) -> np.ndarray:
+    """Scale a (K, N) stack of nonnegative weights in place, row k into a split
+    of the full budget of every user of configs[k], and return it.
+
+    The configs share their antenna counts. An antenna gets its user's
+    (budget * weight) / (sum of the user's weights), the sum taken over the
+    user's own antennas of the row, as a one-user sum adds them.
+    """
+    layout = configs[0].layout
+    # np.add.reduceat may sum 3 or more antennas in another order
+    sums = [weights[:, a:b].sum(axis=1) for a, b in zip(layout.offsets, layout.offsets[1:])]
+    weights *= np.stack([c.layout.budget for c in configs])[:, layout.owner]
+    weights /= np.stack(sums, axis=1)[:, layout.owner]
+    return weights
 
 
 def stream_floors(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:

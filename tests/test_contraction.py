@@ -297,8 +297,9 @@ def test_reducible_coupling_falls_back_to_components():
 
 def test_stacked_certificates_equal_single_ones(monkeypatch):
     # antennas without a stream give zero rows, so the ragged and the 3 tx x 2 rx
-    # couplings are reducible: their whole-matrix bounds never meet, and each
-    # matrix is split into components; the shipped geometry needs no split
+    # couplings are reducible and their whole-matrix bounds never meet; certify
+    # checks the stream rows and columns only, so no matrix is split into
+    # components, and each radius equals the split's radius of the whole matrix
     groups = {
         "shipped": [random_net(seed, cross=37.7) for seed in range(12)],
         "ragged": [ragged_net(seed) for seed in range(12)],
@@ -314,8 +315,9 @@ def test_stacked_certificates_equal_single_ones(monkeypatch):
         calls.clear()
         stacked = certify(nets)
         assert stacked == singles, name
-        assert len(calls) == (0 if name == "shipped" else len(nets)), name
+        assert not calls, name
         radii = spectral_radius(np.stack([net.coupling for net in nets]))
+        assert len(calls) == (0 if name == "shipped" else len(nets)), name
         assert radii.tolist() == [c.spectral_radius for c in singles], name
 
 

@@ -19,6 +19,8 @@ from mimoiwf.expharness import (
 from mimoiwf.netmodel import ConfigError, sample_channels
 from mimoiwf.precode import DegenerateChannelError, build_effective_network
 
+from oracles import reference_random_profile
+
 TINY_UNIQ = SweepSpec(sweep_values=(20.0, 45.0), trials=12, base_seed=7)
 TINY_RATE = SweepSpec(
     sweep_variable="power_budget_db", sweep_values=(0.0, 10.0, 20.0), trials=10, base_seed=7
@@ -396,6 +398,43 @@ def test_degenerate_draws_are_redrawn_with_the_next_seeds(mixed_singles):
         assert (rec.retries, rec.failed) == (retries, cert is None), rec.trial_index
         if cert is not None:
             assert rec.spectral == cert.spectral_radius and rec.row_norm == cert.row_norm
+
+
+@pytest.mark.parametrize("base_seed", [3, 2**32 + 5, 2**70])
+def test_a_chunk_derives_the_seeds_and_random_starts_of_its_trials(base_seed):
+    # one chunk across the three budgets of a sum-rate sweep: each key's seeds
+    # are its SeedSequence's, and its random start is the one its own
+    # generator draws under its point's budget
+    spec = dataclasses.replace(TINY_RATE, base_seed=base_seed)
+    keys = [(p, t) for p in range(3) for t in range(spec.trials)]
+    for (p, t), (seeds, *_, start) in zip(keys, expharness._prepare(spec, keys)):
+        root = np.random.SeedSequence((base_seed, p, t))
+        assert seeds == root.generate_state(spec.max_retries + 2, np.uint64).tolist()
+        rng = np.random.default_rng(seeds[spec.max_retries])
+        want = reference_random_profile(spec.points[p][1], rng)
+        np.testing.assert_array_equal(start, np.concatenate(want))
+
+
+def test_disagreement_is_the_spread_of_all_three_final_states(monkeypatch):
+    # interference-limited, so the starts end apart by rounding, and in two of
+    # these trials the random start's final state sets the spread
+    spec = SweepSpec(sweep_values=(25.0,), trials=12, base_seed=7, power_budget_db=30.0)
+    traces = []
+    play = expharness.run_game
+
+    def keep(*args, **kwargs):
+        traces.append(play(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(expharness, "run_game", keep)
+    random_start_widest = 0
+    for t in range(spec.trials):
+        traces.clear()
+        rec = run_trial(spec, 0, t)
+        finals = np.array([trace.states[-1] for trace in traces])
+        assert rec.max_disagreement == float(np.ptp(finals, axis=0).max()), t
+        random_start_widest += np.ptp(finals[:2], axis=0).max() < rec.max_disagreement
+    assert random_start_widest == 2
 
 
 def same_record(a, b):

@@ -9,7 +9,10 @@ from mimoiwf.netmodel import (
     ConfigError,
     NetworkConfig,
     pathloss_power_gain,
+    pcg64_states,
     sample_channels,
+    seed_words,
+    seeded_draws,
     symmetric_config,
     validate_config,
 )
@@ -371,3 +374,62 @@ def test_an_empty_list_of_configs_draws_an_empty_stack():
         sample_channels([small_config()], [])
     with pytest.raises(ValueError, match="a stack of 2 draws needs one config per draw, got 0"):
         sample_channels([], [1, 2])
+
+
+# Entropies by tuple length, one seed_words call each, and each call mixes
+# word counts. (base_seed, point, trial) as a sweep forms it, with base seeds
+# of one word, of its largest value, of two words (2**32, 2**64 - 1 being the
+# largest) and of three (2**64, 2**70), and tuples of more words than the pool
+# of four; plain integers, as a stack of draw seeds; and empty entropy.
+SEED_ENTROPIES = {
+    3: [
+        (0, 0, 0),
+        *((base, p, t) for base in (2**32 - 1, 2**32, 2**64, 2**70) for p, t in ((0, 0), (3, 17))),
+        (2**70, 2**40, 7),
+        (5, 2**32, 2**33 + 1),
+    ],
+    6: [(1, 2, 3, 4, 5, 6), (2**64, 0, 0, 1, 2**40, 3)],
+    1: [5, 0, 2**32, 2**64 - 1, (2**100,)],
+    0: [(), ()],
+}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("length", list(SEED_ENTROPIES))
+def test_seed_words_match_numpy_seed_sequence(length, n):
+    entropies = SEED_ENTROPIES[length]
+    got = seed_words(entropies, n)
+    assert got.shape == (len(entropies), n) and got.dtype == np.uint64
+    for row, entropy in zip(got, entropies):
+        want = np.random.SeedSequence(entropy).generate_state(n, np.uint64)
+        np.testing.assert_array_equal(row, want, err_msg=repr(entropy))
+
+
+def test_seed_words_refuse_what_numpy_refuses():
+    with pytest.raises(ValueError, match="non-negative"):
+        seed_words([(0, -1, 2)], 4)
+    with pytest.raises(TypeError):
+        seed_words([(0, 1.5)], 4)
+    with pytest.raises(ValueError, match="one length"):
+        seed_words([(0, 1), (0, 1, 2)], 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_channels(small_config(), -1)
+    assert seed_words([], 3).shape == (0, 3)
+
+
+def test_pcg64_states_match_numpy():
+    # one-word entropy (seeds below 2**32) is what a table seed gives only with
+    # odds of about 2**-32, so those seeds are listed by hand beside a table
+    by_hand = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    table = seed_words([(11, p, t) for p in range(3) for t in range(40)], 1)[:, 0].tolist()
+    for seeds in (by_hand, table):
+        assert pcg64_states(seeds) == [np.random.PCG64(s).state for s in seeds]
+
+
+def test_seeded_draws_match_default_rng():
+    seeds = [0, 2**32 - 1, 2**32, *seed_words(range(20), 1)[:, 0].tolist()]
+    normal = seeded_draws(seeds, "standard_normal", np.empty((len(seeds), 6, 2)))
+    uniform = seeded_draws(seeds, "random", np.empty((len(seeds), 7)))
+    for k, seed in enumerate(seeds):
+        np.testing.assert_array_equal(normal[k], np.random.default_rng(seed).standard_normal((6, 2)))
+        np.testing.assert_array_equal(uniform[k], np.random.default_rng(seed).random(7))

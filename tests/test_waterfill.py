@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from mimoiwf.waterfill import (
     best_responses,
     greedy_profile,
     random_profile,
+    split_budgets,
     stream_floors,
     sum_rate,
     uniform_profile,
@@ -15,9 +17,10 @@ from mimoiwf.waterfill import (
     water_level,
 )
 
-from mimoiwf.netmodel import NetworkConfig, symmetric_config
+from mimoiwf.netmodel import NetworkConfig, seed_words, seeded_draws, symmetric_config
 
 from oracles import (
+    RAGGED,
     bisect_water_level,
     explicit_net,
     kkt_water_allocation,
@@ -241,6 +244,33 @@ def test_random_profile_matches_one_draw_per_user():
     random_profile(cfg, rng)
     reference_random_profile(cfg, ref)
     assert rng.random() == ref.random()
+
+
+# a user of 11 antennas, whose weight sum numpy adds pairwise, beside one of 3
+WIDE = NetworkConfig(
+    num_users=2,
+    tx_antennas=(11, 3),
+    rx_antennas=(11, 3),
+    power_budget=(7.0, 0.3),
+    noise_power=(1.0, 1.0),
+    direct_distance=(15.0, 15.0),
+    cross_distance=((15.0, 30.0), (30.0, 15.0)),
+    pathloss_exponent=2.5,
+)
+
+
+@pytest.mark.parametrize("config", [RAGGED, WIDE], ids=["ragged", "wide"])
+def test_stacked_random_starts_match_one_generator_each(config):
+    # a sweep chunk draws its random starts as one stack of seeded rows, each
+    # split under its own config's budgets, as a budget sweep's chunk spans points
+    budgets = tuple(10.0 * b for b in config.power_budget)
+    configs = [config, dataclasses.replace(config, power_budget=budgets)] * 21
+    seeds = [0, 2**32 - 1, *seed_words(range(40), 1)[:, 0].tolist()]
+    n = sum(config.tx_antennas)
+    starts = split_budgets(seeded_draws(seeds, "random", np.empty((len(seeds), n))), configs)
+    for start, cfg, seed in zip(starts, configs, seeds):
+        want = reference_random_profile(cfg, np.random.default_rng(seed))
+        np.testing.assert_array_equal(start, np.concatenate(want))
 
 
 def test_best_response_is_a_row_of_the_batched_step():
