@@ -116,7 +116,7 @@ def channels_from_dict(doc: dict, cfg: NetworkConfig) -> ChannelRealization:
                 raise ConfigError(f"{expected} {mat.shape}")
             row.append(mat[..., 0] + 1j * mat[..., 1])
         rows.append(row)
-    return ChannelRealization.from_matrices(rows, seed=-1)
+    return ChannelRealization.from_matrices(rows)
 
 
 def _leaves(value):

@@ -7,6 +7,7 @@ one CSV row per sweep point.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
@@ -15,7 +16,7 @@ import numpy as np
 from .contraction import certify
 from .engine import SCHEDULE_KINDS, Schedule, make_schedule, run_game
 from .netmodel import FLOAT_MAX, ConfigError, NetworkConfig, check_count, is_number
-from .netmodel import sample_channels, seed_words, seeded_draws, symmetric_config
+from .netmodel import default_rngs, sample_channels, seed_words, symmetric_config
 from .precode import DegenerateChannelError, build_effective_network
 from .waterfill import greedy_profile, split_budgets, sum_rate, uniform_profile
 
@@ -219,14 +220,17 @@ def _prepare(spec: SweepSpec, keys) -> list[tuple]:
 
     A trial's max_retries + 2 seeds are those of
     np.random.SeedSequence((base_seed, point, trial)), all derived in one
-    pass. Each trial draws first with its own seed; a degenerate draw is
-    redrawn alone, under its point's config, with the trial's next seeds,
-    up to max_retries draws in all. Seed max_retries draws the random start,
-    seed max_retries + 1 an async trial's plan.
+    seed_words pass; one default_rngs pass then seeds the generators of
+    every key's first draw and random start. Each trial draws first with
+    seed 0; a degenerate draw is redrawn alone, under its point's config,
+    with the trial's next seeds, up to max_retries draws in all. Seed
+    max_retries draws the random start, seed max_retries + 1 an async
+    trial's plan.
     """
     configs = [spec.points[p][1] for p, _ in keys]
     seeds = seed_words([(spec.base_seed, p, t) for p, t in keys], spec.max_retries + 2).tolist()
-    nets = build_effective_network(sample_channels(configs, [s[0] for s in seeds]), configs)
+    rngs = default_rngs([s[0] for s in seeds] + [s[spec.max_retries] for s in seeds])
+    nets = build_effective_network(sample_channels(configs, rngs[: len(keys)]), configs)
     retries = []
     for k, (cfg, trial_seeds) in enumerate(zip(configs, seeds)):
         attempt = 0
@@ -238,8 +242,9 @@ def _prepare(spec: SweepSpec, keys) -> list[tuple]:
                 pass
         retries.append(attempt if nets[k] is not None else spec.max_retries)
     certs = iter(certify([net for net in nets if net is not None]))
-    n = configs[0].layout.offsets[-1]
-    weights = seeded_draws([s[spec.max_retries] for s in seeds], "random", np.empty((len(keys), n)))
+    weights = np.empty((len(keys), configs[0].layout.offsets[-1]))
+    for rng, row in zip(rngs[len(keys) :], weights):
+        rng.random(out=row)
     starts = split_budgets(weights, configs)
     return [
         (trial_seeds, net, None if net is None else next(certs), r, start)
@@ -252,9 +257,10 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
 
     The trial seed is derived from (base_seed, point_index, trial_index)
     alone, so results do not depend on execution order, chunking or worker
-    count. Rank-deficient draws are redrawn up to max_retries times and the
-    trial is marked failed when the budget is exhausted. Called alone, the
-    trial is a stack of one; within a sweep its chunk has prepared it.
+    count. A rank-deficient draw is redrawn, up to max_retries draws in all,
+    and the trial is marked failed when every one is rank-deficient. Called
+    alone, the trial is a stack of one; within a sweep its chunk has
+    prepared it.
     """
     point_value, cfg, uniform, greedy = spec.points[point_index]
     prepared = _ready.pop((id(spec), point_index, trial_index), None)
@@ -349,10 +355,11 @@ def _run_sweep(spec: SweepSpec, jobs: int, name: str, variable: str) -> SweepRes
             f"{name} sweep needs sweep_variable {variable!r}, got {spec.sweep_variable!r}"
         )
     check_count("jobs", jobs, 1)
-    size = CHUNK_TRIALS
-    if jobs > 1:  # at least four chunks a worker, when the sweep has that many trials
-        size = max(1, min(size, len(spec.sweep_values) * spec.trials // (4 * jobs)))
     keys = [(pi, t) for pi in range(len(spec.sweep_values)) for t in range(spec.trials)]
+    # no more workers than CPUs, and at least four chunks a worker when the
+    # sweep has that many trials
+    workers = min(jobs, os.cpu_count() or 1)
+    size = CHUNK_TRIALS if jobs == 1 else max(1, min(CHUNK_TRIALS, len(keys) // (4 * workers)))
     chunks = [keys[start : start + size] for start in range(0, len(keys), size)]
     run_chunk = partial(_run_chunk, spec)
     if jobs == 1:
@@ -360,7 +367,7 @@ def _run_sweep(spec: SweepSpec, jobs: int, name: str, variable: str) -> SweepRes
     else:
         from concurrent.futures import ProcessPoolExecutor  # imported here: ~20 ms of start-up
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             done = list(pool.map(run_chunk, chunks))
     records = [rec for chunk in done for rec in chunk]
     return SweepResult(spec=spec, rows=_aggregate(spec, records), records=records)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -89,17 +89,16 @@ class ChannelRealization:
     links[r, q] holds the matrix that maps the signal of transmitter r into
     receiver q, of shape (rx_antennas[q], tx_antennas[r]), in its top-left
     corner; the rest of the (max rx, max tx) slot is zero. A stack of K
-    draws has links of shape (K, Q, Q, max rx, max tx) and one seed per
-    draw. The array is read-only.
+    draws has links of shape (K, Q, Q, max rx, max tx). The array is
+    read-only.
     """
 
     links: np.ndarray
     tx_antennas: tuple[int, ...]
     rx_antennas: tuple[int, ...]
-    seed: int | tuple[int, ...]
 
     @classmethod
-    def from_matrices(cls, matrices, seed: int) -> "ChannelRealization":
+    def from_matrices(cls, matrices) -> "ChannelRealization":
         """Stack matrices[r][q] of shape (rx[q], tx[r]) into one realization.
 
         Raises:
@@ -121,7 +120,7 @@ class ChannelRealization:
                     )
                 links[r, q, : rx[q], : tx[r]] = h
         links.setflags(write=False)
-        return cls(links=links, tx_antennas=tx, rx_antennas=rx, seed=int(seed))
+        return cls(links=links, tx_antennas=tx, rx_antennas=rx)
 
 
 def validate_config(config: NetworkConfig) -> NetworkConfig:
@@ -271,15 +270,12 @@ def stack_configs(
 
 # numpy's SeedSequence: its hash constants and multipliers, the 32-bit
 # xorshift of its hashes, and the pool of four words. NEP 19 keeps
-# SeedSequence and PCG64 seeding stable across numpy versions.
+# SeedSequence seeding stable across numpy versions.
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 # 0-d arrays: numpy applies them faster than numpy scalars
 _MIX_L, _MIX_R, _XSHIFT = (np.array(v, dtype=np.uint32) for v in (0xCA01F9DD, 0x4973F715, 16))
 _POOL = 4
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[int]:
@@ -407,41 +403,32 @@ def seed_words(entropies, n: int) -> np.ndarray:
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
-def pcg64_states(seeds) -> list[dict]:
-    """np.random.PCG64(seed).state of every seed, from one seed_words pass.
+def default_rngs(seeds) -> list[np.random.Generator]:
+    """np.random.default_rng(seed) of every nonnegative integer seed, from one
+    seed_words pass.
 
-    PCG64 seeds itself from generate_state(4, uint64) = (s0, s1, i0, i1),
-    read as the 128-bit words s = s0:s1 and i = i0:i1, high word first:
-    inc = (i << 1) | 1 and state = ((inc + s) * MULT + inc) mod 2**128,
-    with no buffered 32-bit output.
+    Each generator's PCG64 is handed its seed's four words through an
+    ISeedSequence, so numpy's own set-seed runs on them.
     """
-    states = []
-    for s0, s1, i0, i1 in seed_words(seeds, 4).tolist():
-        inc = ((i0 << 64 | i1) << 1 | 1) & _M128
-        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
+    given = _given_words()
+    return [np.random.Generator(np.random.PCG64(given(w))) for w in seed_words(seeds, 4)]
 
 
-def seeded_draws(seeds, method: str, out: np.ndarray) -> np.ndarray:
-    """Fill out[k] as np.random.default_rng(seeds[k]).<method>(out=out[k])
-    would, for every k, and return out.
+@cache
+def _given_words() -> type:
+    """The ISeedSequence class that hands PCG64 words already generated, built
+    on first use: importing the package does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    One PCG64 is built per call and re-stated for each seed.
-    """
-    bitgen = np.random.PCG64(0)
-    fill = getattr(np.random.Generator(bitgen), method)
-    for k, state in enumerate(pcg64_states(seeds)):
-        bitgen.state = state
-        fill(out=out[k])
-    return out
+    class GivenWords(ISeedSequence):
+        # PCG64 asks for generate_state(4, np.uint64) once, when it is built
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return GivenWords
 
 
 def sample_channels(
@@ -457,9 +444,9 @@ def sample_channels(
     same matrices. All entries come from one draw, which the generator
     produces in that same order.
 
-    A seed is a nonnegative integer, and draw k reads the stream of
-    np.random.default_rng(seed): the generators come from seeded_draws.
-    A sequence of K seeds gives a stack of K realizations, each drawn
+    A seed is a nonnegative integer or a Generator, and the draw reads the
+    stream of np.random.default_rng(seed), which advances a Generator. A
+    sequence of K seeds gives a stack of K realizations, each drawn
     exactly as a call with its one seed would draw it. config
     is one NetworkConfig for every draw, or a list of one per draw (of one,
     for a single seed), as for stack_configs; each draw is scaled by its own
@@ -473,9 +460,11 @@ def sample_channels(
     if not isinstance(base, NetworkConfig):  # no draws and no config: no antennas either
         links = np.zeros((0,) * 5, dtype=complex)
         links.setflags(write=False)
-        return ChannelRealization(links=links, tx_antennas=(), rx_antennas=(), seed=())
+        return ChannelRealization(links=links, tx_antennas=(), rx_antennas=())
     layout = base.layout
-    z = seeded_draws(seeds, "standard_normal", np.empty((len(seeds), layout.link_entries, 2)))
+    z = np.empty((len(seeds), layout.link_entries, 2))
+    for s, row in zip(seeds, z):
+        np.random.default_rng(s).standard_normal(out=row)
     links = np.zeros((len(seeds), *layout.link_mask.shape), dtype=complex)
     links[:, layout.link_mask] = z[..., 0] + 1j * z[..., 1]  # fills in r, q, row, col order
     links *= np.concatenate([c.layout.link_amp for c in configs] or [layout.link_amp])
@@ -484,7 +473,6 @@ def sample_channels(
         links=links if stacked else links[0],
         tx_antennas=base.tx_antennas,
         rx_antennas=base.rx_antennas,
-        seed=tuple(map(int, seeds)) if stacked else int(seed),
     )
 
 

@@ -311,7 +311,7 @@ def explicit_net(direct, cross, budgets, noise):
                 h = np.zeros((cfg.rx_antennas[q], cfg.tx_antennas[r]), dtype=complex)
             row.append(h)
         rows.append(tuple(row))
-    realization = ChannelRealization.from_matrices(rows, seed=-1)
+    realization = ChannelRealization.from_matrices(rows)
     return build_effective_network(realization, cfg)
 
 

@@ -307,6 +307,11 @@ def test_cli_import_loads_no_scipy():
     assert modules_after_cli_import("scipy") == "[]"
 
 
+def test_cli_import_loads_no_numpy_random():
+    # the generators and their seed-sequence class are built on first use
+    assert modules_after_cli_import("numpy.random") == "[]"
+
+
 def test_cli_import_loads_no_process_pool():
     # the pool is imported by a sweep that asks for more than one job
     assert modules_after_cli_import("concurrent.futures.process") == "[]"

@@ -1,10 +1,11 @@
+import concurrent.futures
 import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
-from mimoiwf import expharness
+from mimoiwf import expharness, netmodel
 from mimoiwf.contraction import certify
 from mimoiwf.expharness import (
     SweepSpec,
@@ -415,6 +416,31 @@ def test_a_chunk_derives_the_seeds_and_random_starts_of_its_trials(base_seed):
         np.testing.assert_array_equal(start, np.concatenate(want))
 
 
+@pytest.mark.parametrize(
+    "spec", [TINY_RATE, dataclasses.replace(MIXED, schedule="random_async")], ids=["rate", "async"]
+)
+def test_a_chunk_and_a_lone_trial_hash_seeds_in_two_passes(monkeypatch, spec):
+    # one seed_words pass for the seed table, one for the generators of every
+    # key's draw and random start; redraws and async plans seed from ints
+    passes = []
+    words = netmodel.seed_words
+
+    def counted(entropies, n):
+        passes.append((len(entropies), n))
+        return words(entropies, n)
+
+    monkeypatch.setattr(netmodel, "seed_words", counted)
+    monkeypatch.setattr(expharness, "seed_words", counted)
+    keys = [(p, t) for p in range(len(spec.sweep_values)) for t in range(spec.trials)]
+    records = expharness._run_chunk(spec, keys)
+    assert passes == [(len(keys), spec.max_retries + 2), (2 * len(keys), 4)]
+    if spec is not TINY_RATE:  # the chunk redrew some draws
+        assert any(r.retries for r in records)
+    passes.clear()
+    run_trial(spec, 0, 3)
+    assert passes == [(1, spec.max_retries + 2), (2, 4)]
+
+
 def test_disagreement_is_the_spread_of_all_three_final_states(monkeypatch):
     # interference-limited, so the starts end apart by rounding, and in two of
     # these trials the random start's final state sets the spread
@@ -512,3 +538,48 @@ def test_chunks_across_points_equal_single_trials(monkeypatch, across_singles, n
         whole, rest = divmod(len(singles), size)
         assert [k for k in stacks if k] == [size] * whole + ([rest] if rest else [])
     assert not expharness._ready
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, trials, workers, size",
+    [
+        (10**6, 3, 12, 3, 2),  # capped at the CPU count; four chunks a worker
+        (10**6, None, 12, 1, 6),  # an unknown CPU count is one
+        (2, 8, 12, 2, 3),
+        (4, 64, 1, 2, 1),  # capped at the chunk count
+    ],
+)
+def test_a_pool_starts_no_more_workers_than_cpus_or_chunks(
+    monkeypatch, jobs, cpus, trials, workers, size
+):
+    pools = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: keeps max_workers and the
+        chunks, and runs them in this process."""
+
+        def __init__(self, max_workers):
+            self.max_workers, self.chunks = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            self.chunks = list(chunks)
+            return map(fn, self.chunks)
+
+    spec = dataclasses.replace(TINY_UNIQ, trials=trials)
+    serial = sweep_uniqueness(spec).records
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(expharness.os, "cpu_count", lambda: cpus)
+    records = sweep_uniqueness(spec, jobs=jobs).records
+    [pool] = pools
+    assert pool.max_workers == workers
+    assert [len(c) for c in pool.chunks[:-1]] == [size] * (len(pool.chunks) - 1)
+    assert sum(map(len, pool.chunks)) == len(serial) and len(pool.chunks[-1]) <= size
+    for rec, single in zip(records, serial, strict=True):
+        assert same_record(rec, single), (rec.point_index, rec.trial_index)

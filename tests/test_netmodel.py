@@ -8,11 +8,10 @@ from mimoiwf.netmodel import (
     ChannelRealization,
     ConfigError,
     NetworkConfig,
+    default_rngs,
     pathloss_power_gain,
-    pcg64_states,
     sample_channels,
     seed_words,
-    seeded_draws,
     symmetric_config,
     validate_config,
 )
@@ -247,7 +246,6 @@ def test_sample_shapes_and_immutability():
             assert h.dtype == complex
             with pytest.raises(ValueError):
                 h[0, 0] = 0.0
-    assert real.seed == 3
 
 
 def test_sample_determinism():
@@ -319,18 +317,18 @@ def test_ragged_links_are_zero_padded():
 def test_realization_from_matrices_round_trips():
     cfg = ragged_net(0).config
     real = sample_channels(cfg, 8)
-    back = ChannelRealization.from_matrices(link_matrices(real), seed=8)
+    back = ChannelRealization.from_matrices(link_matrices(real))
     np.testing.assert_array_equal(back.links, real.links)
     assert (back.tx_antennas, back.rx_antennas) == (cfg.tx_antennas, cfg.rx_antennas)
     bad = link_matrices(real)
     bad[0][1] = np.zeros((2, 2))
     with pytest.raises(ValueError, match=r"matrices\[0\]\[1\]"):
-        ChannelRealization.from_matrices(bad, seed=8)
+        ChannelRealization.from_matrices(bad)
     h = np.eye(2)
     with pytest.raises(ValueError, match=r"matrices\[1\] must have 2 entries"):
-        ChannelRealization.from_matrices([[h, h], [h]], seed=8)
+        ChannelRealization.from_matrices([[h, h], [h]])
     with pytest.raises(ValueError, match=r"matrices\[1\] .* entry 1 a 2-D matrix"):
-        ChannelRealization.from_matrices([[h, h], [h, np.ones(2)]], seed=8)
+        ChannelRealization.from_matrices([[h, h], [h, np.ones(2)]])
 
 
 def test_replace_gives_a_config_a_fresh_layout():
@@ -369,7 +367,7 @@ def test_equal_configs_hash_equal_and_have_equal_layouts():
 def test_an_empty_list_of_configs_draws_an_empty_stack():
     empty = sample_channels([], [])
     assert empty.links.shape == (0, 0, 0, 0, 0) and not empty.links.flags.writeable
-    assert (empty.tx_antennas, empty.rx_antennas, empty.seed) == ((), (), ())
+    assert (empty.tx_antennas, empty.rx_antennas) == ((), ())
     with pytest.raises(ValueError, match="a stack of 0 draws needs one config per draw, got 1"):
         sample_channels([small_config()], [])
     with pytest.raises(ValueError, match="a stack of 2 draws needs one config per draw, got 0"):
@@ -423,13 +421,34 @@ def test_pcg64_states_match_numpy():
     by_hand = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
     table = seed_words([(11, p, t) for p in range(3) for t in range(40)], 1)[:, 0].tolist()
     for seeds in (by_hand, table):
-        assert pcg64_states(seeds) == [np.random.PCG64(s).state for s in seeds]
+        states = [rng.bit_generator.state for rng in default_rngs(seeds)]
+        assert states == [np.random.PCG64(s).state for s in seeds]
+    assert default_rngs([]) == []
 
 
 def test_seeded_draws_match_default_rng():
     seeds = [0, 2**32 - 1, 2**32, *seed_words(range(20), 1)[:, 0].tolist()]
-    normal = seeded_draws(seeds, "standard_normal", np.empty((len(seeds), 6, 2)))
-    uniform = seeded_draws(seeds, "random", np.empty((len(seeds), 7)))
+    rngs = default_rngs(seeds)
+    assert len(rngs) == len(seeds)
+    for rng, seed in zip(rngs, seeds):
+        want = np.random.default_rng(seed)
+        np.testing.assert_array_equal(rng.standard_normal((6, 2)), want.standard_normal((6, 2)))
+        np.testing.assert_array_equal(rng.random(7), want.random(7))
+
+
+def test_a_generator_seed_draws_what_its_int_seed_draws():
+    cfg = ragged_net(0).config
+    seeds = [5, 2**32 + 1, 2**64 - 1]
+    rng = np.random.default_rng(5)
+    alone = sample_channels(cfg, rng)
+    assert alone.links.tobytes() == sample_channels(cfg, 5).links.tobytes()
+    # the caller's generator has moved past the draw
+    again = np.random.default_rng(5)
+    again.standard_normal(cfg.layout.link_entries * 2)
+    assert rng.bit_generator.state == again.bit_generator.state
+    stack = sample_channels(cfg, [np.random.default_rng(s) for s in seeds])
+    assert stack.links.tobytes() == sample_channels(cfg, seeds).links.tobytes()
     for k, seed in enumerate(seeds):
-        np.testing.assert_array_equal(normal[k], np.random.default_rng(seed).standard_normal((6, 2)))
-        np.testing.assert_array_equal(uniform[k], np.random.default_rng(seed).random(7))
+        assert stack.links[k].tobytes() == sample_channels(cfg, seed).links.tobytes()
+    mixed = sample_channels(cfg, (seeds[0], *default_rngs(seeds[1:])))
+    assert mixed.links.tobytes() == stack.links.tobytes()

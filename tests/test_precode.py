@@ -305,7 +305,7 @@ def test_stacked_draws_and_networks_equal_single_ones(configs):
     # network, is bit for bit the single call under its own config
     per_draw = configs if isinstance(configs, list) else [configs] * len(SEEDS)
     stack = sample_channels(configs, SEEDS)
-    assert stack.seed == tuple(SEEDS) and not stack.links.flags.writeable
+    assert not stack.links.flags.writeable
     nets = build_effective_network(stack, configs)
     assert len(nets) == len(SEEDS)
     for k, (cfg, seed) in enumerate(zip(per_draw, SEEDS)):
@@ -343,7 +343,7 @@ def test_a_single_draw_takes_a_list_of_one_config():
     cfg = with_cross(shipped_config(), 0.4)
     single = sample_channels(cfg, 17)
     listed = sample_channels([cfg], 17)
-    assert listed.seed == 17 and listed.links.tobytes() == single.links.tobytes()
+    assert listed.links.tobytes() == single.links.tobytes()
     net = build_effective_network(single, [cfg])
     assert net.config is cfg
     assert net.coupling.tobytes() == build_effective_network(single, cfg).coupling.tobytes()

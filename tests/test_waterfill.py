@@ -17,7 +17,7 @@ from mimoiwf.waterfill import (
     water_level,
 )
 
-from mimoiwf.netmodel import NetworkConfig, seed_words, seeded_draws, symmetric_config
+from mimoiwf.netmodel import NetworkConfig, default_rngs, seed_words, symmetric_config
 
 from oracles import (
     RAGGED,
@@ -261,13 +261,17 @@ WIDE = NetworkConfig(
 
 @pytest.mark.parametrize("config", [RAGGED, WIDE], ids=["ragged", "wide"])
 def test_stacked_random_starts_match_one_generator_each(config):
-    # a sweep chunk draws its random starts as one stack of seeded rows, each
-    # split under its own config's budgets, as a budget sweep's chunk spans points
+    # a sweep chunk draws its random starts as one stack of rows, each from its
+    # own generator and split under its own config's budgets, as a budget
+    # sweep's chunk spans points
     budgets = tuple(10.0 * b for b in config.power_budget)
     configs = [config, dataclasses.replace(config, power_budget=budgets)] * 21
     seeds = [0, 2**32 - 1, *seed_words(range(40), 1)[:, 0].tolist()]
     n = sum(config.tx_antennas)
-    starts = split_budgets(seeded_draws(seeds, "random", np.empty((len(seeds), n))), configs)
+    weights = np.empty((len(seeds), n))
+    for rng, row in zip(default_rngs(seeds), weights):
+        rng.random(out=row)
+    starts = split_budgets(weights, configs)
     for start, cfg, seed in zip(starts, configs, seeds):
         want = reference_random_profile(cfg, np.random.default_rng(seed))
         np.testing.assert_array_equal(start, np.concatenate(want))
