@@ -15,7 +15,7 @@ import dataclasses
 import json
 import sys
 import time
-from functools import partial
+from functools import cache
 
 import numpy as np
 
@@ -221,7 +221,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace, runner) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec = sweep_from_dict(_load_json(args.config))
     overrides = {}
@@ -233,6 +233,9 @@ def _cmd_sweep(args: argparse.Namespace, runner) -> int:
         overrides["schedule"] = _SCHEDULE_FLAG[args.schedule]
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
+    # looked up at each call, not when the parser is built, so a sweep
+    # function swapped into this module after the first call is the one that runs
+    runner = {"sweep-uniqueness": sweep_uniqueness, "sweep-sumrate": sweep_sumrate}[args.command]
     result = runner(spec, jobs=args.jobs)
     write_csv(result, args.out)
     if not args.quiet:
@@ -247,7 +250,9 @@ def _cmd_sweep(args: argparse.Namespace, runner) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="mimoiwf",
         description="Distributed power control by iterative water-filling "
@@ -277,10 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--out", default=None, help="write the coupling matrix CSV here")
     p_cert.set_defaults(func=_cmd_certify)
 
-    for name, runner in (
-        ("sweep-uniqueness", sweep_uniqueness),
-        ("sweep-sumrate", sweep_sumrate),
-    ):
+    for name in ("sweep-uniqueness", "sweep-sumrate"):
         p_sweep = sub.add_parser(name, help=f"run the {name.split('-')[1]} sweep")
         common(p_sweep, None)
         p_sweep.add_argument(
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_sweep.add_argument("--out", required=True, help="output CSV path")
         p_sweep.add_argument("--trials", type=int, default=None, help="override trial count")
         p_sweep.add_argument("--jobs", type=int, default=1, help="worker process count")
-        p_sweep.set_defaults(func=partial(_cmd_sweep, runner=runner))
+        p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser
 

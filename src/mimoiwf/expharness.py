@@ -46,8 +46,8 @@ class SweepSpec:
     Construction stores sweep_values as a tuple and runs validate_spec, so
     every instance is consistent and hashable: a field annotated int must be
     a count, and one annotated float, like each sweep value, a number. The
-    points and the plan are not fields: equality, hashing, repr, replace and
-    pickling see the fields only.
+    configs, points and plan are not fields: equality, hashing, repr,
+    replace and pickling see the fields only.
     """
 
     num_users: int = 4
@@ -75,16 +75,32 @@ class SweepSpec:
         validate_spec(self)
 
     def __getstate__(self) -> dict:
-        # a pool worker's copy builds its own points and plan on its first read
+        # a pool worker's copy builds its own configs, points and plan on
+        # their first read
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def configs(self) -> tuple[NetworkConfig, ...]:
+        """The network of each sweep point, built and checked on first read,
+        which validate_spec makes.
+
+        Raises:
+            ConfigError: naming the sweep value whose network is refused.
+        """
+        configs = []
+        for v in self.sweep_values:
+            try:
+                configs.append(trial_config(self, float(v)))
+            except (ConfigError, ArithmeticError) as exc:
+                raise ConfigError(f"at {self.sweep_variable} = {v!r}: {exc}") from exc
+        return tuple(configs)
 
     @cached_property
     def points(self) -> tuple[tuple[float, NetworkConfig, np.ndarray, np.ndarray], ...]:
         """(value, config, uniform start, greedy start) of each sweep point, built
         on first read and shared by its trials; the starts are read-only."""
         points = []
-        for value in self.sweep_values:
-            cfg = trial_config(self, float(value))
+        for value, cfg in zip(self.sweep_values, self.configs):
             uniform, greedy = uniform_profile(cfg), greedy_profile(cfg)
             uniform.setflags(write=False)
             greedy.setflags(write=False)
@@ -167,11 +183,7 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         )
     if spec.schedule not in SCHEDULE_KINDS:
         raise ConfigError(f"schedule must be one of {SCHEDULE_KINDS}, got {spec.schedule!r}")
-    for v in spec.sweep_values:
-        try:
-            trial_config(spec, v)
-        except (ConfigError, ArithmeticError) as exc:
-            raise ConfigError(f"at {spec.sweep_variable} = {v!r}: {exc}") from exc
+    spec.configs  # builds and checks the network of every sweep point
     return spec
 
 

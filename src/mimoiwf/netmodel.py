@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -168,7 +168,32 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
     gamma = config.pathloss_exponent
     if not (is_number(gamma) and 0 <= gamma <= FLOAT_MAX):
         raise ConfigError(f"pathloss_exponent must be a nonnegative finite number, got {gamma!r}")
+    _link_gains(config)
     return config
+
+
+def _link_gains(config: NetworkConfig) -> list[list[float]]:
+    """[r][q] power gain distance**-exponent of every link of a config whose
+    distances and exponent are checked numbers; as pathloss_power_gain.
+
+    Raises:
+        ConfigError: naming the first link whose gain passes the largest
+            float, which only a link shorter than 1 can.
+    """
+    gamma = -float(config.pathloss_exponent)
+    gains: list[list[float]] = []
+    for r, row in enumerate(config.cross_distance):
+        gains.append([])
+        for q, d in enumerate(row):
+            try:
+                gains[r].append(float(d) ** gamma)
+            except OverflowError:
+                link = f"direct_distance[{r}]" if r == q else f"cross_distance[{r}][{q}]"
+                raise ConfigError(
+                    f"{link} = {d!r} with pathloss_exponent {config.pathloss_exponent!r} "
+                    "gives a path-loss gain too large for a float"
+                ) from None
+    return gains
 
 
 def is_integer(value) -> bool:
@@ -480,7 +505,10 @@ class _Layout:
     """Arrays that depend on a NetworkConfig alone, all read-only.
 
     Every draw, network and game of a config reads the one instance kept as
-    NetworkConfig.layout. Q users, R = max rx, T = max tx, N = sum(tx).
+    NetworkConfig.layout. Three arrays are the config's own: link_amp,
+    noise and budget. The others depend on the antenna counts alone and are
+    those of _Shape, shared by every config with the same counts. Q users,
+    R = max rx, T = max tx, N = sum(tx).
 
     Attributes:
         offsets: user q's antennas are offsets[q]:offsets[q + 1] of a
@@ -497,28 +525,43 @@ class _Layout:
     """
 
     def __init__(self, config: NetworkConfig):
-        n_users = config.num_users
-        tx, rx = np.array(config.tx_antennas), np.array(config.rx_antennas)
+        vars(self).update(vars(_shape_of(config.tx_antennas, config.rx_antennas)))
+        gain = _link_gains(config)
+        # the (1, Q, Q, 1, 1) amplitude attenuation of each link over sqrt(2),
+        # as for a stack of one draw
+        self.link_amp = (np.sqrt(gain) / np.sqrt(2.0))[None, :, :, None, None]
+        self.noise = np.array(config.noise_power, dtype=float)[:, None]
+        self.budget = np.array(config.power_budget, dtype=float)
+        for a in (self.link_amp, self.noise, self.budget):
+            a.setflags(write=False)
+
+
+@lru_cache(maxsize=64)
+def _shape_of(tx_antennas: tuple[int, ...], rx_antennas: tuple[int, ...]) -> _Shape:
+    """The _Shape of some antenna counts, built on their first use and kept
+    while they are among the 64 counts used last."""
+    return _Shape(tx_antennas, rx_antennas)
+
+
+class _Shape:
+    """The read-only arrays of a _Layout that depend on the antenna counts alone."""
+
+    def __init__(self, tx_antennas: tuple[int, ...], rx_antennas: tuple[int, ...]):
+        n_users = len(tx_antennas)
+        tx, rx = np.array(tx_antennas), np.array(rx_antennas)
         t_max, streams = tx.max(), min(tx.max(), rx.max())
         slot = np.arange(t_max)
-        # (Q, Q, R, T) entries of every link, r-major, their count, and the
-        # (1, Q, Q, 1, 1) amplitude attenuation of each link over sqrt(2), as
-        # for a stack of one draw
+        # (Q, Q, R, T) entries of every link, r-major, and their count
         self.link_mask = (np.arange(rx.max())[:, None] < rx[None, :, None, None]) & (
             slot < tx[:, None, None, None]
         )
         self.link_entries = int(self.link_mask.sum())
-        gamma = config.pathloss_exponent
-        gain = [[pathloss_power_gain(d, gamma) for d in row] for row in config.cross_distance]
-        self.link_amp = (np.sqrt(gain) / np.sqrt(2.0))[None, :, :, None, None]
-        shapes = list(zip(config.rx_antennas, config.tx_antennas))
+        shapes = list(zip(rx_antennas, tx_antennas))
         # ((rx, tx), the users whose direct link has that shape) per shape
         self.svd_groups = tuple(
             (shape, np.flatnonzero([s == shape for s in shapes])) for shape in dict.fromkeys(shapes)
         )
         self.is_stream = slot < np.minimum(tx, rx)[:, None]
-        self.noise = np.array(config.noise_power, dtype=float)[:, None]
-        self.budget = np.array(config.power_budget, dtype=float)
         ends = np.cumsum(tx)
         self.offsets = (0, *ends.tolist())
         self.starts = ends - tx
@@ -537,4 +580,3 @@ class _Layout:
         for a in (*vars(self).values(), *(group for _, group in self.svd_groups)):
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
-

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mimoiwf
+from mimoiwf import cli
 from mimoiwf.cli import main
 
 SCALAR_QUARTER = {
@@ -291,10 +292,16 @@ def test_config_values_are_type_strict(tmp_path, capsys, doc, command, key):
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
 
 
+def fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this package."""
+    src = Path(mimoiwf.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def modules_after_cli_import(prefix):
     """Modules under prefix that a fresh `import mimoiwf.cli` loads."""
-    src = Path(mimoiwf.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env = fresh_env()
     code = f"import sys, mimoiwf.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
@@ -375,3 +382,105 @@ def test_an_int_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
         assert main(argv) == 1 and not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {key} must be {bound} and finite, got {10**400!r}"]
+
+
+@pytest.mark.parametrize("command", ["play", "certify", "sweep-uniqueness", "sweep-sumrate"])
+@pytest.mark.parametrize(
+    "fields, link",
+    [
+        ({"direct_distance": 1e-300}, "direct_distance[0] = 1e-300 with pathloss_exponent 2.5"),
+        (
+            {"direct_distance": 0.5, "pathloss_exponent": 2000},
+            "direct_distance[0] = 0.5 with pathloss_exponent 2000",
+        ),
+    ],
+    ids=["tiny_distance", "huge_exponent"],
+)
+def test_an_overflowing_pathloss_gain_is_one_error_line(tmp_path, capsys, command, fields, link):
+    # used to end in an OverflowError traceback when the layout was first read
+    if command == "sweep-uniqueness":
+        doc, where = {**TINY_SWEEP, **fields}, "at cross_distance = 20: "
+    elif command == "sweep-sumrate":
+        doc = {**TINY_SWEEP, "sweep_variable": "power_budget_db", "sweep_values": [0.0, 10.0]}
+        doc, where = {**doc, **fields}, "at power_budget_db = 0: "
+    else:
+        doc, where = {**RANDOM_NET, **fields}, ""
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", write_config(tmp_path, doc), "--quiet"]
+    if command.startswith("sweep"):
+        argv += ["--out", str(out)]
+    assert main(argv) == 1 and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {where}{link} gives a path-loss gain too large for a float"
+    ]
+
+
+def test_main_called_in_sequence_repeats_first_calls(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; each call must still parse,
+    # run and fail as the first call of a fresh interpreter does
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this
+    uniq = write_config(tmp_path, {**TINY_SWEEP, "trials": 4}, "uniq.json")
+    rate = {"sweep_variable": "power_budget_db", "sweep_values": [0.0, 20.0], "trials": 4}
+    rate = write_config(tmp_path, rate, "rate.json")
+    net = write_config(tmp_path, RANDOM_NET, "net.json")
+    async_sweep = ["sweep-uniqueness", "--config", uniq, "--schedule", "async", "--quiet"]
+    calls = [
+        (async_sweep, "u.csv"),
+        (["sweep-sumrate", "--config", rate, "--schedule", "jacobi", "--quiet"], "r.csv"),
+        (["certify", "--config", net, "--quiet"], None),
+        (["play", "--config", net, "--schedule", "chaotic"], None),  # an argparse error
+        (async_sweep, "u-again.csv"),
+    ]
+    first, again = tmp_path / "first", tmp_path / "again"
+    first.mkdir()
+    again.mkdir()
+    codes = []
+    for argv, csv in calls:
+        fresh_argv, again_argv = argv, argv
+        if csv:
+            fresh_argv = argv + ["--out", str(first / csv)]
+            again_argv = argv + ["--out", str(again / csv)]
+        done = subprocess.run(
+            [sys.executable, "-m", "mimoiwf.cli", *fresh_argv],
+            env=fresh_env(COLUMNS="80"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        try:
+            code = main(again_argv)
+        except SystemExit as exc:
+            code = exc.code
+        stdout, stderr = capsys.readouterr()
+        assert code == done.returncode, argv
+        assert stdout.replace(str(again), "DIR") == done.stdout.replace(str(first), "DIR"), argv
+        assert stderr == done.stderr, argv
+        if csv:
+            assert (again / csv).read_bytes() == (first / csv).read_bytes(), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("command", ["sweep-uniqueness", "sweep-sumrate"])
+def test_a_sweep_function_swapped_in_later_is_the_one_run(tmp_path, capsys, monkeypatch, command):
+    doc = dict(TINY_SWEEP)
+    if command == "sweep-sumrate":
+        doc["sweep_variable"] = "power_budget_db"
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"]
+    assert main(argv) == 0  # builds the parser, if no earlier call did
+    before = out.read_bytes()
+    name = command.replace("-", "_")
+    real, seen = getattr(cli, name), []
+
+    def wrapped(spec, jobs):
+        seen.append(jobs)
+        return real(spec, jobs=jobs)
+
+    monkeypatch.setattr(cli, name, wrapped)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert seen == [1] and out.read_bytes() == before

@@ -349,6 +349,21 @@ def test_pickled_spec_rebuilds_read_only_points():
             assert not start.flags.writeable
 
 
+@pytest.mark.parametrize("spec", [TINY_UNIQ, TINY_RATE], ids=["uniqueness", "sumrate"])
+def test_each_point_config_is_built_once_per_spec(monkeypatch, spec):
+    calls = []
+    build = expharness.trial_config
+    monkeypatch.setattr(expharness, "trial_config", lambda s, v: calls.append(v) or build(s, v))
+    fresh = dataclasses.replace(spec)  # built and checked here
+    assert calls == list(spec.sweep_values)
+    assert all(cfg is built for (_, cfg, _, _), built in zip(fresh.points, fresh.configs))
+    run = sweep_uniqueness if spec.sweep_variable == "cross_distance" else sweep_sumrate
+    run(fresh)
+    assert validate_spec(fresh) is fresh
+    assert calls == list(spec.sweep_values)
+    assert "configs" not in fresh.__getstate__() and "configs" not in repr(fresh)
+
+
 @pytest.mark.parametrize("kind", ["jacobi", "gauss_seidel", "random_async"])
 def test_deterministic_schedules_share_one_plan(monkeypatch, kind):
     spec = SweepSpec(sweep_values=(15.0, 30.0, 45.0), trials=5, power_budget_db=30.0, schedule=kind)

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from mimoiwf import netmodel
 from mimoiwf.netmodel import (
     ChannelRealization,
     ConfigError,
@@ -185,6 +186,41 @@ def test_an_int_too_large_for_a_float_is_refused_when_built(build, message):
     assert str(err.value) == message
 
 
+OVERFLOW = "with pathloss_exponent {} gives a path-loss gain too large for a float"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: symmetric_config(2, 2, 2, 1.0, 1.0, 1e-300, 20.0, 2.5),
+            "direct_distance[0] = 1e-300 " + OVERFLOW.format(2.5),
+        ),
+        (
+            lambda: symmetric_config(2, 2, 2, 1.0, 1.0, 0.5, 20.0, 2000),
+            "direct_distance[0] = 0.5 " + OVERFLOW.format(2000),
+        ),
+        (
+            lambda: small_config(cross_distance=((15.0, 40.0), (1e-300, 15.0))),
+            "cross_distance[1][0] = 1e-300 " + OVERFLOW.format(2.5),
+        ),
+    ],
+    ids=["tiny_direct", "huge_exponent", "tiny_cross"],
+)
+def test_an_overflowing_pathloss_gain_is_refused_when_built(build, message):
+    # the config used to build, and its layout then raised OverflowError
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_a_pathloss_gain_that_fits_a_float_is_accepted():
+    cfg = symmetric_config(2, 2, 2, 1.0, 1.0, 1e-100, 20.0, 3.0)
+    amp = cfg.layout.link_amp[0]
+    assert np.isfinite(amp).all()
+    assert amp[0, 0, 0, 0] == np.sqrt(pathloss_power_gain(1e-100, 3.0)) / np.sqrt(2.0)
+
+
 def test_the_largest_float_sized_int_is_accepted():
     largest = int(np.finfo(float).max)
     cfg = symmetric_config(2, 2, 2, largest, 1.0, 15.0, 40.0, 2.5)
@@ -362,6 +398,52 @@ def test_equal_configs_hash_equal_and_have_equal_layouts():
     assert built_a.keys() == built_b.keys()
     for name in built_a:
         np.testing.assert_equal(built_a[name], built_b[name], err_msg=name)
+
+
+# the layout arrays each config builds; the others depend on antenna counts alone
+OWN_ARRAYS = ("link_amp", "noise", "budget")
+
+
+def read_only(layout) -> bool:
+    arrays = [v for v in vars(layout).values() if isinstance(v, np.ndarray)]
+    arrays += [group for _, group in layout.svd_groups]
+    return not any(a.flags.writeable for a in arrays)
+
+
+def test_configs_with_the_same_antenna_counts_share_their_shape_arrays():
+    a = small_config()
+    b = small_config(
+        power_budget=(5.0, 20.0),
+        noise_power=(2.0, 0.5),
+        cross_distance=((15.0, 30.0), (30.0, 15.0)),
+        pathloss_exponent=3.0,
+    )
+    ragged = small_config(tx_antennas=(3, 2))
+    first, other, own = a.layout, b.layout, ragged.layout
+    assert vars(first).keys() == vars(other).keys() == vars(own).keys()
+    shared = sorted(set(vars(first)) - set(OWN_ARRAYS))
+    assert "stream_index" in shared and "coupling_index" in shared
+    for name in shared:
+        assert getattr(other, name) is getattr(first, name), name
+        if isinstance(getattr(first, name), (np.ndarray, tuple)):
+            assert getattr(own, name) is not getattr(first, name), name
+    for name in OWN_ARRAYS:
+        assert getattr(other, name) is not getattr(first, name), name
+        assert not np.array_equal(getattr(other, name), getattr(first, name)), name
+    np.testing.assert_array_equal(other.budget, [5.0, 20.0])
+    assert own.offsets == (0, 3, 5) and first.offsets == (0, 2, 4)
+    assert all(map(read_only, (first, other, own)))
+    # a pickled copy builds its own layout on the shape arrays of its counts
+    copy = pickle.loads(pickle.dumps(b))
+    assert copy.layout is not other and copy.layout.stream_index is first.stream_index
+
+
+def test_the_shape_cache_is_bounded():
+    bound = netmodel._shape_of.cache_info().maxsize
+    assert bound is not None
+    for tx in range(1, bound + 6):
+        assert read_only(small_config(tx_antennas=(tx, 1)).layout)
+    assert netmodel._shape_of.cache_info().currsize <= bound
 
 
 def test_an_empty_list_of_configs_draws_an_empty_stack():
