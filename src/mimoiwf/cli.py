@@ -223,16 +223,17 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    spec = sweep_from_dict(_load_json(args.config))
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.schedule is not None:
-        overrides["schedule"] = _SCHEDULE_FLAG[args.schedule]
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    doc = _load_json(args.config)
+    # a flag replaces its key before the one spec is built and checked, so
+    # the value it replaces is never checked
+    flags = {
+        "trials": args.trials,
+        "base_seed": args.seed,
+        "schedule": _SCHEDULE_FLAG.get(args.schedule),
+    }
+    if isinstance(doc, dict):  # sweep_from_dict refuses any other document
+        doc.update((key, value) for key, value in flags.items() if value is not None)
+    spec = sweep_from_dict(doc)
     # looked up at each call, not when the parser is built, so a sweep
     # function swapped into this module after the first call is the one that runs
     runner = {"sweep-uniqueness": sweep_uniqueness, "sweep-sumrate": sweep_sumrate}[args.command]

@@ -6,14 +6,13 @@ direct-link SVD.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .netmodel import NetworkConfig
 from .precode import EffectiveNetwork
-
-BUDGET_TOL = 1e-9
 
 
 @dataclass
@@ -52,10 +51,15 @@ def validate_profile(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
         raise ValueError(f"profile has shape {np.shape(x)}, expected ({n},)")
     lows = np.minimum.reduceat(x, layout.starts).tolist()
     sums = np.add.reduceat(x, layout.starts).tolist()
+    limits = layout.budget_limit.tolist()
+    # one test of every user; a NaN entry makes its user's sum NaN, which
+    # fails it, so only a refused profile is walked to name its first offender
+    if min(lows) >= 0 and all(map(operator.le, sums, limits)):
+        return x
     for q, budget in enumerate(config.power_budget):
         if not lows[q] >= 0:  # also true for a NaN
             raise ValueError(f"user {q} has a negative or NaN power entry")
-        if sums[q] > budget + BUDGET_TOL * max(1.0, budget):
+        if sums[q] > limits[q]:
             raise ValueError(f"user {q} exceeds its power budget: {sums[q]!r} > {budget!r}")
     return x
 
@@ -106,7 +110,7 @@ def stream_floors(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     """
     layout = net.config.layout
     if views.ndim == 1:
-        leak = (net.coupling @ views)[layout.stream_index]
+        leak = (net.coupling @ views).take(layout.stream_index)
     else:
         leak = (views @ net.coupling.T).take(layout.leak_index)
     return net.stream_noise + leak
@@ -121,6 +125,8 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     floors, and its water level is the lowest of its prefix levels
     (budget + k lowest floors) / k; no iteration is involved.
 
+    Every input is checked here, then _fill does the arithmetic.
+
     Raises:
         ValueError: on an empty floor array, a budget that is neither a
             scalar nor one entry per row, a NaN or negative floor, a row
@@ -133,7 +139,25 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     b = np.asarray(budget, dtype=float)
     if b.shape not in ((), (len(rows),)):
         raise ValueError(f"budget of shape {b.shape} does not fit floors of shape {c.shape}")
-    # one sorted copy, which the arithmetic below overwrites in place
+    order = _sorted_floors(rows)
+    budgets = b.ravel().tolist()
+    total = sum(budgets)
+    if not (0 < min(budgets) and max(budgets) < np.inf and total == total):
+        raise ValueError(f"budget must be positive and finite, got {budget!r}")
+    powers, mu = _fill(order, rows, b.reshape(-1, 1), np.arange(1.0, rows.shape[1] + 1))
+    if c.ndim == 1:
+        return WaterfillResult(powers=powers[0], water_level=float(mu[0, 0]))
+    return WaterfillResult(powers=powers, water_level=mu[:, 0])
+
+
+def _sorted_floors(rows: np.ndarray) -> np.ndarray:
+    """A sorted copy of a (Q, S) floor batch, which _fill overwrites in place.
+
+    Raises:
+        ValueError: on a NaN or negative floor, or a row without a finite
+            floor; the check the game keeps in every step, since the
+            interference of a finite profile can overflow.
+    """
     order = rows.copy()
     order.sort()
     # a NaN sorts last, and a sum is unequal to itself only when it is NaN;
@@ -141,33 +165,41 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     lowest, highest = order[:, 0].tolist(), sum(order[:, -1].tolist())
     if not (0 <= min(lowest) and max(lowest) < np.inf and highest == highest):
         raise ValueError("floors must be nonnegative, with a finite floor in every row")
-    budgets = b.ravel().tolist()
-    total = sum(budgets)
-    if not (0 < min(budgets) and max(budgets) < np.inf and total == total):
-        raise ValueError(f"budget must be positive and finite, got {budget!r}")
+    return order
 
-    # levels[:, k-1] = (budget + k lowest floors) / k. Filling the k lowest
-    # floors up to the water level spends at most the budget, so every level
-    # is at least the water level, and the level of the active set equals it.
+
+def _fill(
+    order: np.ndarray, rows: np.ndarray, budgets: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, (Q, 1) water levels) of the checked (Q, S) floor rows, whose
+    sorted copy order becomes the powers; budgets is a (Q, 1) column and
+    counts is 1.0, 2.0, ..., S.
+
+    levels[:, k-1] = (budget + k lowest floors) / k. Filling the k lowest
+    floors up to the water level spends at most the budget, so every level
+    is at least the water level, and the level of the active set equals it.
+    """
     levels = np.add.accumulate(order, axis=1, out=order)
-    levels += b.reshape(-1, 1)
-    levels /= np.arange(1.0, levels.shape[1] + 1)
+    levels += budgets
+    levels /= counts
     mu = np.minimum.reduce(levels, axis=1, keepdims=True)
     powers = np.subtract(mu, rows, out=order)
     np.maximum(powers, 0.0, out=powers)
-    if c.ndim == 1:
-        return WaterfillResult(powers=powers[0], water_level=float(mu[0, 0]))
-    return WaterfillResult(powers=powers, water_level=mu[:, 0])
+    return powers, mu
 
 
 def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     """Stacked water-filling response of every user, in one batched step.
 
-    views is as for stream_floors; user q responds to its own view.
+    views is as for stream_floors; user q responds to its own view. The
+    floors are checked in every step; the budgets and shapes are those
+    validate_config and the layout fixed, so _fill runs without
+    water_level's other checks.
     """
     layout = net.config.layout
     floors = stream_floors(net, views)
-    return water_level(floors, layout.budget).powers[layout.antenna_mask]
+    powers, _ = _fill(_sorted_floors(floors), floors, layout.budget_column, layout.prefix_counts)
+    return powers[layout.antenna_mask]
 
 
 def user_rates(net: EffectiveNetwork, x: np.ndarray) -> np.ndarray:

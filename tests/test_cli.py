@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mimoiwf
-from mimoiwf import cli
+from mimoiwf import cli, expharness
 from mimoiwf.cli import main
 
 SCALAR_QUARTER = {
@@ -113,6 +113,30 @@ def test_play_output_is_pinned(tmp_path, capsys, kind):
     assert capsys.readouterr().out.splitlines() == [f"schedule {kind}", verdict, *LOUD_RATES, gap]
 
 
+RAGGED_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "network_ragged.json")
+
+# play on the shipped ragged network (tx 3, 2, 1 against rx 2, 2, 3), as
+# printed before a game step ran the water-filling core without its checks
+RAGGED_PLAY = {
+    "jacobi": ("converged true in 8 iterations", "nash_gap 2.78e-08"),
+    "gauss-seidel": ("converged true in 13 iterations", "nash_gap 7.23e-10"),
+    "async": ("converged true in 22 iterations", "nash_gap 1.09e-10"),
+}
+RAGGED_RATES = (
+    "user 0 rate 3.20866856",
+    "user 1 rate 1.72574352",
+    "user 2 rate 2.68114176",
+    "sum_rate 7.61555385",
+)
+
+
+@pytest.mark.parametrize("kind", list(RAGGED_PLAY))
+def test_ragged_play_output_is_pinned(capsys, kind):
+    assert main(["play", "--config", RAGGED_CONFIG, "--quiet", "--schedule", kind]) == 0
+    verdict, gap = RAGGED_PLAY[kind]
+    assert capsys.readouterr().out.splitlines() == [f"schedule {kind}", verdict, *RAGGED_RATES, gap]
+
+
 def test_play_schedules_agree(tmp_path, capsys):
     cfg = write_config(tmp_path, RANDOM_NET)
     rates = {}
@@ -160,6 +184,36 @@ def test_sweep_trials_override(tmp_path, capsys):
     ) == 0
     capsys.readouterr()
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_sweep_flags_build_the_spec_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = expharness.trial_config
+    monkeypatch.setattr(expharness, "trial_config", lambda *a: calls.append(a) or build(*a))
+    doc = {**TINY_SWEEP, "sweep_values": [15.0, 25.0, 35.0, 45.0, 55.0]}
+    out = tmp_path / "s.csv"
+    flags = ["--trials", "1", "--seed", "3", "--schedule", "gauss-seidel"]
+    argv = ["sweep-uniqueness", "--config", write_config(tmp_path, doc), "--out", str(out)]
+    assert main(argv + flags + ["--quiet"]) == 0
+    assert len(calls) == 5
+    capsys.readouterr()
+
+
+def test_a_config_value_that_a_flag_replaces_is_not_checked(tmp_path, capsys):
+    flagged = {**TINY_SWEEP, "trials": 0, "base_seed": -1, "schedule": "chaotic"}
+    valid = {**TINY_SWEEP, "trials": 2, "base_seed": 5, "schedule": "random_async"}
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["sweep-uniqueness", "--quiet", "--config"]
+    flags = ["--trials", "2", "--seed", "5", "--schedule", "async"]
+    assert main(argv + [write_config(tmp_path, flagged, "f.json"), "--out", str(a)] + flags) == 0
+    assert main(argv + [write_config(tmp_path, valid, "v.json"), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    # a bad flag is refused with the message the same config key gets
+    zero = write_config(tmp_path, {**valid, "trials": 0}, "z.json")
+    assert main(argv + [str(tmp_path / "v.json"), "--out", str(a), "--trials", "0"]) == 1
+    assert main(argv + [zero, "--out", str(a)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: trials must be an integer >= 1, got 0"] * 2
 
 
 def test_sweep_sumrate_cli(tmp_path, capsys):

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mimoiwf import engine
+from mimoiwf import engine, waterfill
 from mimoiwf.contraction import certify
 from mimoiwf.engine import (
     Schedule,
@@ -14,7 +14,7 @@ from mimoiwf.engine import (
     run_game,
     trace_to_csv,
 )
-from mimoiwf.netmodel import sample_channels, symmetric_config
+from mimoiwf.netmodel import NetworkConfig, sample_channels, symmetric_config
 from mimoiwf.precode import build_effective_network
 from mimoiwf.waterfill import (
     best_responses,
@@ -496,6 +496,101 @@ def test_nash_gap_is_built_once_when_read(monkeypatch, kind, bounds):
     assert kept.nash_gap == gap and len(calls) == 1
     assert f"nash_gap={gap!r}" in repr(trace) and "nash_gap=1000.0" in repr(marked)
     assert marked != kept and kept == dataclasses.replace(marked, nash_gap=gap)
+
+
+def test_a_game_runs_the_core_and_check_nash_the_checked_water_level(monkeypatch):
+    calls = []
+    checked = waterfill.water_level
+    monkeypatch.setattr(waterfill, "water_level", lambda *a: calls.append(a) or checked(*a))
+    net = ragged_net(2)
+    for kind, bounds in (("jacobi", {}), ("random_async", {"delay_bound": 2, "update_bound": 3})):
+        calls.clear()
+        trace = run_game(net, make_schedule(kind, 3, seed=4, **bounds))
+        assert trace.iterations_used > 1 and calls == []
+        gap = trace.nash_gap
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0][1], net.config.layout.budget)
+        assert check_nash(net, trace.states[-1]) == gap and len(calls) == 2
+
+
+def other_layout_net(seed):
+    """A 3-user network whose tx counts differ from the RAGGED ones."""
+    cfg = NetworkConfig(
+        num_users=3,
+        tx_antennas=(1, 2, 3),
+        rx_antennas=(2, 2, 2),
+        power_budget=(3000.0, 1000.0, 6000.0),
+        noise_power=(1.0, 0.5, 2.0),
+        direct_distance=(15.0, 12.0, 15.0),
+        cross_distance=((15.0, 25.0, 30.0), (22.0, 12.0, 28.0), (26.0, 24.0, 15.0)),
+        pathloss_exponent=2.5,
+    )
+    return build_effective_network(sample_channels(cfg, seed), cfg)
+
+
+@pytest.mark.parametrize(
+    "kind, bounds",
+    [
+        ("jacobi", {}),
+        ("gauss_seidel", {}),
+        ("random_async", {"delay_bound": 3, "update_bound": 5}),
+        ("random_async", {"delay_bound": 0, "update_bound": 2}),
+    ],
+)
+def test_one_plan_serves_two_antenna_layouts(monkeypatch, kind, bounds):
+    prepared = []
+    prepare = Schedule._prepare
+
+    def counted(self, n, layout):
+        prepared.append((self, n, layout.offsets))
+        return prepare(self, n, layout)
+
+    monkeypatch.setattr(Schedule, "_prepare", counted)
+    nets = [ragged_net(1), other_layout_net(3), ragged_net(4), other_layout_net(5)]
+    assert nets[0].config.layout.offsets != nets[1].config.layout.offsets
+
+    def plan():
+        return make_schedule(kind, 3, it_max=60, seed=8, **bounds)
+
+    shared = plan()
+    played = {}
+    for net in nets:
+        offsets = net.config.layout.offsets
+        for start in (uniform_profile(net.config), greedy_profile(net.config)):
+            trace = run_game(net, shared, start)
+            assert_same_trace(trace, run_game(net, plan(), start))
+            played[offsets] = max(played.get(offsets, 0), trace.iterations_used)
+    # each step prepared once per layout, and only the steps some game reached
+    mine = [(n, offsets) for s, n, offsets in prepared if s is shared]
+    assert len(mine) == len(set(mine)) == sum(played.values())
+    for offsets, steps in played.items():
+        assert sorted(n for n, o in mine if o == offsets) == list(range(steps))
+    for members, keep, gather in itertools.islice(shared.prepared(nets[0].config.layout), 5):
+        assert all(a is None or not a.flags.writeable for a in (keep, gather))
+
+
+def test_narrow_integer_ages_play_past_their_largest_value():
+    # int8 ages met history rows past 127 and raised numpy's OverflowError
+    net = ragged_net(1)
+    ages = np.zeros((3, 3), dtype=np.int64)
+    ages[0, 1] = ages[2, 0] = 1
+    wide, narrow = ([((0, 1, 2), ages.astype(dtype))] * 200 for dtype in (np.int64, np.int8))
+    a, b = (run_game(net, Schedule(3, 200, plan, 1, 1), tol=0.0) for plan in (wide, narrow))
+    assert a.iterations_used == 200
+    assert_same_trace(a, b)
+
+
+def test_floors_that_overflow_across_a_row_still_raise():
+    # a cross gain of 100 on powers near 1e307 leaks past the largest float
+    loud = np.full((1, 1), 10.0)
+    net = explicit_net([np.eye(1), np.eye(1)], {(0, 1): loud, (1, 0): loud}, [1e307] * 2, [1.0] * 2)
+    floors = "floors must be nonnegative, with a finite floor in every row"
+    with np.errstate(over="ignore"):  # numpy warns of the overflow; the step refuses it
+        for kind, bounds in (("jacobi", {}), ("random_async", {"delay_bound": 2, "update_bound": 2})):
+            with pytest.raises(ValueError, match=floors):
+                run_game(net, make_schedule(kind, 2, seed=1, **bounds))
+        with pytest.raises(ValueError, match=floors):
+            check_nash(net, uniform_profile(net.config))
 
 
 def test_converged_games_sit_at_fixed_point():

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+import mimoiwf
 from mimoiwf import netmodel
 from mimoiwf.netmodel import (
     ChannelRealization,
@@ -214,6 +215,17 @@ def test_an_overflowing_pathloss_gain_is_refused_when_built(build, message):
     assert str(err.value) == message
 
 
+def test_pathloss_power_gain_refuses_a_gain_too_large_for_a_float():
+    # it raised a bare OverflowError, which its docstring does not name
+    for distance, exponent in ((1e-300, 2.5), (0.5, 2000)):
+        with pytest.raises(ConfigError) as err:
+            mimoiwf.pathloss_power_gain(distance, exponent)
+        assert str(err.value) == (
+            f"distance = {distance!r} with exponent {exponent!r} "
+            "gives a path-loss gain too large for a float"
+        )
+
+
 def test_a_pathloss_gain_that_fits_a_float_is_accepted():
     cfg = symmetric_config(2, 2, 2, 1.0, 1.0, 1e-100, 20.0, 3.0)
     amp = cfg.layout.link_amp[0]
@@ -401,7 +413,7 @@ def test_equal_configs_hash_equal_and_have_equal_layouts():
 
 
 # the layout arrays each config builds; the others depend on antenna counts alone
-OWN_ARRAYS = ("link_amp", "noise", "budget")
+OWN_ARRAYS = ("link_amp", "noise", "budget", "budget_column", "budget_limit")
 
 
 def read_only(layout) -> bool:

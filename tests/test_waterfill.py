@@ -17,7 +17,14 @@ from mimoiwf.waterfill import (
     water_level,
 )
 
-from mimoiwf.netmodel import NetworkConfig, default_rngs, seed_words, symmetric_config
+from mimoiwf.netmodel import (
+    NetworkConfig,
+    default_rngs,
+    sample_channels,
+    seed_words,
+    symmetric_config,
+)
+from mimoiwf.precode import build_effective_network
 
 from oracles import (
     RAGGED,
@@ -277,6 +284,32 @@ def test_stacked_random_starts_match_one_generator_each(config):
         np.testing.assert_array_equal(start, np.concatenate(want))
 
 
+def shipped_net(seed):
+    """A draw of the configs/network.json geometry."""
+    cfg = symmetric_config(4, 2, 2, 10.0, 1.0, 15.0, 37.7, 2.5)
+    return build_effective_network(sample_channels(cfg, seed), cfg)
+
+
+def tx_over_rx_net(seed):
+    """Three users with three transmit antennas and two streams each."""
+    cfg = symmetric_config(3, 3, 2, 100.0, 1.0, 15.0, 25.0, 2.5)
+    return build_effective_network(sample_channels(cfg, seed), cfg)
+
+
+@pytest.mark.parametrize("make_net", [shipped_net, ragged_net, tx_over_rx_net])
+def test_the_step_core_equals_the_checked_water_level_bit_for_bit(make_net):
+    for seed in range(4):
+        net = make_net(seed)
+        cfg, layout = net.config, net.config.layout
+        rng = np.random.default_rng(seed)
+        stale = np.stack([random_profile(cfg, rng) for _ in range(cfg.num_users)])
+        for views in (uniform_profile(cfg), greedy_profile(cfg), random_profile(cfg, rng), stale):
+            got = best_responses(net, views)
+            want = water_level(stream_floors(net, views), layout.budget).powers[layout.antenna_mask]
+            assert got.shape == want.shape == (layout.offsets[-1],)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_best_response_is_a_row_of_the_batched_step():
     for seed in range(4):
         net = ragged_net(seed)
@@ -448,6 +481,24 @@ def test_validate_profile_names_the_first_offender():
         validate_profile(np.array([9.0, 9.0, -1.0, 1.0, 2.0, 3.0]), cfg)
     with pytest.raises(ValueError, match=r"profile has shape \(7,\), expected \(6,\)"):
         validate_profile(np.ones(7), cfg)
+
+
+def test_a_nan_entry_of_any_user_is_refused():
+    cfg = NetworkConfig(
+        num_users=3,
+        tx_antennas=(2, 2, 2),
+        rx_antennas=(2, 2, 2),
+        power_budget=(5.0, 5.0, 5.0),
+        noise_power=(1.0, 1.0, 1.0),
+        direct_distance=(15.0, 15.0, 15.0),
+        cross_distance=((15.0, 30.0, 30.0), (30.0, 15.0, 30.0), (30.0, 30.0, 15.0)),
+        pathloss_exponent=2.5,
+    )
+    for k in range(6):
+        x = np.ones(6)
+        x[k] = np.nan
+        with pytest.raises(ValueError, match=f"user {k // 2} has a negative or NaN power entry"):
+            validate_profile(x, cfg)
 
 
 def test_budget_tolerance_is_relative_to_the_budget():
