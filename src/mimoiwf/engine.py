@@ -45,8 +45,6 @@ class Schedule:
     every view is fresh, as it is when delay_bound is 0. No user goes more
     than update_bound steps without an update. step(n) pulls and checks each
     step the first time it reaches it, so games draw only what they play.
-    prepared(layout) serves the steps as a game plays them, each step's
-    arrays built once per antenna layout and shared by every game.
 
     Raises:
         ScheduleError: on a count or bound that is not an integer (a bool is
@@ -61,44 +59,12 @@ class Schedule:
         _check_counts(**vars(self))
         self._source = iter(steps)
         self._steps: list[tuple[tuple[int, ...], np.ndarray | None]] = []
-        # the steps prepared so far for each antenna layout, keyed by its offsets
-        self._prepared: dict[tuple[int, ...], list] = {}
 
     def step(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
         """Users updating at step n < it_max and their (Q, Q) view ages, None if fresh."""
         while len(self._steps) <= n < self.it_max:
             self._steps.append(self._pull(len(self._steps)))
         return self._steps[n]
-
-    def prepared(self, layout):
-        """Yield (members, keep, gather) for steps 0..it_max-1 of a game on a
-        network of this layout, preparing each step when a game first reaches it.
-
-        keep is the read-only mask of the antennas whose power stays, None
-        when every user moves. gather is None for fresh views; otherwise the
-        read-only (Q, N) flat positions, in a (delay_bound + it_max + 1, N)
-        history whose row delay_bound + m holds the state after step m (the
-        start below it), of the entries user q reads at the step.
-        """
-        steps = self._prepared.setdefault(layout.offsets, [])
-        for n in range(self.it_max):
-            if n == len(steps):
-                steps.append(self._prepare(n, layout))
-            yield steps[n]
-
-    def _prepare(self, n: int, layout) -> tuple:
-        members, ages = self.step(n)
-        keep = gather = None
-        if len(set(members)) < self.num_users:  # members are in range, so some user stays
-            moves = np.zeros(self.num_users, dtype=bool)
-            moves[list(members)] = True
-            keep = ~moves[layout.owner]
-            keep.setflags(write=False)
-        if ages is not None:
-            rows = self.delay_bound + n - ages.astype(np.intp).take(layout.owner, axis=1)
-            gather = rows * layout.offsets[-1] + layout.antennas
-            gather.setflags(write=False)
-        return members, keep, gather
 
     def _pull(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
         try:
@@ -121,7 +87,9 @@ class Schedule:
                 raise ScheduleError(
                     f"step {n}: user {q} views user {r} at age {ages[q, r]}, outside 0..{bound}"
                 )
-        return members, (ages if bound else None)
+        # index-width ages, so that history rows past a narrow type's range
+        # stay reachable
+        return members, (ages.astype(np.intp, copy=False) if bound else None)
 
 
 def _check_counts(**counts) -> None:
@@ -252,24 +220,43 @@ def run_game(
     validate_profile(start, cfg)
 
     # history[lead + n] is the stacked state after step n, behind lead copies
-    # of the start: the trace and, for stale views, the delay buffer that a
-    # prepared step's gather positions read
+    # of the start: the trace and, for stale views, the delay buffer (user q
+    # reads antenna j of user r at step n from history[lead + n - ages[q, r]],
+    # the start when the age exceeds n)
     lead = schedule.delay_bound
     layout = cfg.layout
     history = np.empty((lead + schedule.it_max + 1, layout.offsets[-1]))
     history[: lead + 1] = start
-    flat = history.reshape(-1)
+    antennas, owner = layout.antennas, layout.owner
     window = schedule.update_bound
     last_update = [-1] * cfg.num_users
+    # antennas that keep their power at a step, per set of members; False
+    # when every user moves (Schedule has checked each member's range), so
+    # the step needs no mask
+    stays: dict[tuple[int, ...], np.ndarray | bool] = {}
     residuals: list[float] = []
     converged = False
+    step = schedule.step
 
-    for n, (members, keep, gather) in enumerate(schedule.prepared(layout)):
+    for n in range(schedule.it_max):
+        members, ages = step(n)
+        stay = stays.get(members)
+        if stay is None:
+            if len(set(members)) == cfg.num_users:
+                stay = False
+            else:
+                idle = np.ones(cfg.num_users, dtype=bool)
+                idle[list(members)] = False
+                stay = idle[owner]
+            stays[members] = stay
         now = lead + n
         x = history[now]
-        new = best_responses(net, x if gather is None else flat.take(gather))
-        if keep is not None:
-            np.copyto(new, x, where=keep)
+        if ages is None:
+            new = best_responses(net, x)
+        else:
+            new = best_responses(net, history[now - ages.take(owner, axis=1), antennas])
+        if stay is not False:
+            np.copyto(new, x, where=stay)
         history[now + 1] = new
         new -= x  # the fresh response becomes the residual
         residuals.append(float(np.maximum.reduce(np.abs(new, out=new))))
@@ -300,7 +287,9 @@ def check_nash(net: EffectiveNetwork, x: np.ndarray) -> float:
     """Largest distance of any user's power in x from its own best response.
 
     The checked verifier: the responses come from waterfill.water_level,
-    with every input check, where a game step runs the unchecked core.
+    with every input check, where a game step runs the unchecked core. It
+    reads water_level through the module attribute so that a tracer which
+    wraps waterfill.water_level still times one call per verified state.
     """
     layout = net.config.layout
     response = waterfill.water_level(stream_floors(net, x), layout.budget).powers

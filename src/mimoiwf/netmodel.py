@@ -21,10 +21,6 @@ class ConfigError(ValueError):
 # become a float
 FLOAT_MAX = float(np.finfo(float).max)
 
-# a user's powers may sum to its budget plus BUDGET_TOL times the larger of
-# one and the budget, which absorbs the rounding of a split that sums to it
-BUDGET_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -516,10 +512,10 @@ class _Layout:
     """Arrays that depend on a NetworkConfig alone, all read-only.
 
     Every draw, network and game of a config reads the one instance kept as
-    NetworkConfig.layout. Five arrays are the config's own: link_amp,
-    noise, budget, budget_column and budget_limit. The others depend on the
-    antenna counts alone and are those of _Shape, shared by every config
-    with the same counts. Q users, R = max rx, T = max tx, N = sum(tx).
+    NetworkConfig.layout. Three arrays are the config's own: link_amp,
+    noise and budget. The others depend on the antenna counts alone and are
+    those of _Shape, shared by every config with the same counts. Q users,
+    R = max rx, T = max tx, N = sum(tx).
 
     Attributes:
         offsets: user q's antennas are offsets[q]:offsets[q + 1] of a
@@ -531,12 +527,6 @@ class _Layout:
         leak_index: (Q, T) position of slot (q, s) in a raveled (Q, N)
             array: q * N + stream_index[q, s], or q * N without antenna s.
         budget: (Q,) config.power_budget as a float array.
-        budget_column: (Q, 1) view of budget, one water-filling budget per
-            row of a (Q, T) batch.
-        budget_limit: (Q,) most a user's stacked powers may sum to, budget
-            + BUDGET_TOL * max(1, budget), computed in Python floats.
-        prefix_counts: (T,) 1.0, 2.0, ..., T, the divisors of a row's
-            prefix sums in water-filling.
         streams: stacked positions of the antennas that carry a stream,
             user q's first min(tx, rx) antennas, in stacked order.
     """
@@ -549,11 +539,7 @@ class _Layout:
         self.link_amp = (np.sqrt(gain) / np.sqrt(2.0))[None, :, :, None, None]
         self.noise = np.array(config.noise_power, dtype=float)[:, None]
         self.budget = np.array(config.power_budget, dtype=float)
-        self.budget_column = self.budget[:, None]
-        self.budget_limit = np.array(
-            [b + BUDGET_TOL * max(1.0, b) for b in config.power_budget], dtype=float
-        )
-        for a in (self.link_amp, self.noise, self.budget, self.budget_column, self.budget_limit):
+        for a in (self.link_amp, self.noise, self.budget):
             a.setflags(write=False)
 
 
@@ -591,7 +577,6 @@ class _Shape:
         self.antenna_mask = slot < tx[:, None]
         self.stream_index = np.where(self.antenna_mask, self.starts[:, None] + slot, -1)
         self.streams = self.stream_index[self.is_stream]
-        self.prefix_counts = np.arange(1.0, t_max + 1)
         self.leak_index = np.arange(n_users)[:, None] * ends[-1] + self.stream_index.clip(0)
         # flat position of coupling entry (q, i), (r, j) in a (Q, Q, min(R, T), T)
         # gain array indexed [r, q, i, j]; rows past min(R, T) read [0, 0, 0, 0],

@@ -6,13 +6,14 @@ direct-link SVD.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .netmodel import NetworkConfig
 from .precode import EffectiveNetwork
+
+BUDGET_TOL = 1e-9
 
 
 @dataclass
@@ -51,15 +52,10 @@ def validate_profile(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
         raise ValueError(f"profile has shape {np.shape(x)}, expected ({n},)")
     lows = np.minimum.reduceat(x, layout.starts).tolist()
     sums = np.add.reduceat(x, layout.starts).tolist()
-    limits = layout.budget_limit.tolist()
-    # one test of every user; a NaN entry makes its user's sum NaN, which
-    # fails it, so only a refused profile is walked to name its first offender
-    if min(lows) >= 0 and all(map(operator.le, sums, limits)):
-        return x
     for q, budget in enumerate(config.power_budget):
         if not lows[q] >= 0:  # also true for a NaN
             raise ValueError(f"user {q} has a negative or NaN power entry")
-        if sums[q] > limits[q]:
+        if sums[q] > budget + BUDGET_TOL * max(1.0, budget):
             raise ValueError(f"user {q} exceeds its power budget: {sums[q]!r} > {budget!r}")
     return x
 
@@ -144,7 +140,7 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     total = sum(budgets)
     if not (0 < min(budgets) and max(budgets) < np.inf and total == total):
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
-    powers, mu = _fill(order, rows, b.reshape(-1, 1), np.arange(1.0, rows.shape[1] + 1))
+    powers, mu = _fill(order, rows, b.reshape(-1, 1))
     if c.ndim == 1:
         return WaterfillResult(powers=powers[0], water_level=float(mu[0, 0]))
     return WaterfillResult(powers=powers, water_level=mu[:, 0])
@@ -168,12 +164,9 @@ def _sorted_floors(rows: np.ndarray) -> np.ndarray:
     return order
 
 
-def _fill(
-    order: np.ndarray, rows: np.ndarray, budgets: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _fill(order: np.ndarray, rows: np.ndarray, budgets: np.ndarray) -> tuple:
     """(powers, (Q, 1) water levels) of the checked (Q, S) floor rows, whose
-    sorted copy order becomes the powers; budgets is a (Q, 1) column and
-    counts is 1.0, 2.0, ..., S.
+    sorted copy order becomes the powers; budgets is a (Q, 1) column.
 
     levels[:, k-1] = (budget + k lowest floors) / k. Filling the k lowest
     floors up to the water level spends at most the budget, so every level
@@ -181,7 +174,7 @@ def _fill(
     """
     levels = np.add.accumulate(order, axis=1, out=order)
     levels += budgets
-    levels /= counts
+    levels /= np.arange(1.0, levels.shape[1] + 1)
     mu = np.minimum.reduce(levels, axis=1, keepdims=True)
     powers = np.subtract(mu, rows, out=order)
     np.maximum(powers, 0.0, out=powers)
@@ -198,7 +191,7 @@ def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     """
     layout = net.config.layout
     floors = stream_floors(net, views)
-    powers, _ = _fill(_sorted_floors(floors), floors, layout.budget_column, layout.prefix_counts)
+    powers, _ = _fill(_sorted_floors(floors), floors, layout.budget[:, None])
     return powers[layout.antenna_mask]
 
 
