@@ -34,18 +34,7 @@ from .precode import DegenerateChannelError, SvdError, build_effective_network
 
 _SCHEDULE_FLAG = {"jacobi": "jacobi", "gauss-seidel": "gauss_seidel", "async": "random_async"}
 
-_NET_KEYS = {
-    "num_users",
-    "tx_antennas",
-    "rx_antennas",
-    "power_budget",
-    "noise_power",
-    "direct_distance",
-    "cross_distance",
-    "pathloss_exponent",
-    "seed",
-    "channels",
-}
+_NET_KEYS = {f.name for f in dataclasses.fields(NetworkConfig)} | {"seed", "channels"}
 
 
 def _per_user(doc: dict, key: str, q_count: int) -> tuple:

@@ -42,9 +42,12 @@ class Schedule:
     iterator (a drawn one). Step n is a pair (members, ages): the users
     revising their power at step n, and a (Q, Q) integer array holding at
     [q, r] the age, 0..delay_bound, of user q's view of user r, or None when
-    every view is fresh, as it is when delay_bound is 0. No user goes more
-    than update_bound steps without an update. step(n) pulls and checks each
-    step the first time it reaches it, so games draw only what they play.
+    every view is fresh, as it is when delay_bound is 0. step(n) pulls and
+    checks each step the first time it reaches it, so games draw only what
+    they play. A drawn plan updates every user at least once in every
+    update_bound steps; a hand-built one is not held to that, but a game
+    declares convergence only at a step where every user has moved inside
+    the last update_bound steps.
 
     Raises:
         ScheduleError: on a count or bound that is not an integer (a bool is
@@ -58,15 +61,23 @@ class Schedule:
         self.delay_bound, self.update_bound = delay_bound, update_bound
         _check_counts(**vars(self))
         self._source = iter(steps)
-        self._steps: list[tuple[tuple[int, ...], np.ndarray | None]] = []
+        self._last_moves = [-1] * num_users  # the step each user last moved at
+        self._steps: list[tuple] = []
 
     def step(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
         """Users updating at step n < it_max and their (Q, Q) view ages, None if fresh."""
+        return self._play(n)[:2]
+
+    def _play(self, n: int) -> tuple:
+        """Step n as every game of the plan plays it: (members, ages, idle,
+        settled). idle is the (Q,) mask of the users that keep their power,
+        None when every user moves; settled says that every user has moved
+        inside the update_bound steps that end at n."""
         while len(self._steps) <= n < self.it_max:
             self._steps.append(self._pull(len(self._steps)))
         return self._steps[n]
 
-    def _pull(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
+    def _pull(self, n: int) -> tuple:
         try:
             members, ages = next(self._source)
         except StopIteration:
@@ -87,9 +98,15 @@ class Schedule:
                 raise ScheduleError(
                     f"step {n}: user {q} views user {r} at age {ages[q, r]}, outside 0..{bound}"
                 )
+        last, window = self._last_moves, self.update_bound
+        for q in members:
+            last[q] = n
+        idle = np.array([m < n for m in last])
+        settled = n + 1 >= window and min(last) > n - window
         # index-width ages, so that history rows past a narrow type's range
         # stay reachable
-        return members, (ages.astype(np.intp, copy=False) if bound else None)
+        ages = ages.astype(np.intp, copy=False) if bound else None
+        return members, ages, idle if idle.any() else None, settled
 
 
 def _check_counts(**counts) -> None:
@@ -207,9 +224,12 @@ def run_game(
     start is a stacked power vector, the uniform split by default.
     Convergence is declared once every user has updated inside the last
     update_bound steps and no power moved by more than tol across them.
+    The step's residual is its one check: interference or a water level
+    too large for a float makes it inf or NaN.
 
     Raises:
-        ValueError: on an infeasible start.
+        ValueError: on an infeasible start, or at a step whose residual is
+            not finite, naming the float overflow.
         ScheduleError: on a schedule for another number of users, or on a
             plan step the schedule refuses.
     """
@@ -229,47 +249,34 @@ def run_game(
     history[: lead + 1] = start
     antennas, owner = layout.antennas, layout.owner
     window = schedule.update_bound
-    last_update = [-1] * cfg.num_users
-    # antennas that keep their power at a step, per set of members; False
-    # when every user moves (Schedule has checked each member's range), so
-    # the step needs no mask
-    stays: dict[tuple[int, ...], np.ndarray | bool] = {}
     residuals: list[float] = []
     converged = False
-    step = schedule.step
+    play = schedule._play
 
-    for n in range(schedule.it_max):
-        members, ages = step(n)
-        stay = stays.get(members)
-        if stay is None:
-            if len(set(members)) == cfg.num_users:
-                stay = False
+    # an overflow shows in the residual, which the step checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(schedule.it_max):
+            _, ages, idle, settled = play(n)
+            now = lead + n
+            x = history[now]
+            if ages is None:
+                new = best_responses(net, x)
             else:
-                idle = np.ones(cfg.num_users, dtype=bool)
-                idle[list(members)] = False
-                stay = idle[owner]
-            stays[members] = stay
-        now = lead + n
-        x = history[now]
-        if ages is None:
-            new = best_responses(net, x)
-        else:
-            new = best_responses(net, history[now - ages.take(owner, axis=1), antennas])
-        if stay is not False:
-            np.copyto(new, x, where=stay)
-        history[now + 1] = new
-        new -= x  # the fresh response becomes the residual
-        residuals.append(float(np.maximum.reduce(np.abs(new, out=new))))
-        for q in members:
-            last_update[q] = n
-
-        if (
-            n + 1 >= window
-            and max(residuals[-window:]) < tol
-            and min(last_update) > n - window
-        ):
-            converged = True
-            break
+                new = best_responses(net, history[now - ages.take(owner, axis=1), antennas])
+            if idle is not None:
+                np.copyto(new, x, where=idle[owner])
+            history[now + 1] = new
+            new -= x  # the fresh response becomes the residual
+            residual = float(np.maximum.reduce(np.abs(new, out=new)))
+            if not residual < np.inf:  # inf or NaN
+                raise ValueError(
+                    f"step {n}: float overflow: the interference or water level "
+                    "at these powers is too large for a float"
+                )
+            residuals.append(residual)
+            if settled and max(residuals[-window:]) < tol:
+                converged = True
+                break
 
     states = history[lead : lead + len(residuals) + 1]
     states.setflags(write=False)

@@ -200,6 +200,11 @@ def trial_config(spec: SweepSpec, point_value: float) -> NetworkConfig:
     else:
         budget = db_to_linear(float(point_value))
         # received cross/direct power ratio fixes the distance ratio
+        if spec.pathloss_exponent == 0:
+            raise ConfigError(
+                "interference_ratio_db cannot set the cross distance at pathloss_exponent 0, "
+                "where every link has the same gain"
+            )
         cross = spec.direct_distance * 10.0 ** (
             -spec.interference_ratio_db / (10.0 * spec.pathloss_exponent)
         )

@@ -135,7 +135,13 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     b = np.asarray(budget, dtype=float)
     if b.shape not in ((), (len(rows),)):
         raise ValueError(f"budget of shape {b.shape} does not fit floors of shape {c.shape}")
-    order = _sorted_floors(rows)
+    order = rows.copy()
+    order.sort()
+    # a NaN sorts last, and a sum is unequal to itself only when it is NaN;
+    # finite floors whose sum overflows give inf, which is equal to itself
+    lowest, highest = order[:, 0].tolist(), sum(order[:, -1].tolist())
+    if not (0 <= min(lowest) and max(lowest) < np.inf and highest == highest):
+        raise ValueError("floors must be nonnegative, with a finite floor in every row")
     budgets = b.ravel().tolist()
     total = sum(budgets)
     if not (0 < min(budgets) and max(budgets) < np.inf and total == total):
@@ -146,27 +152,10 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     return WaterfillResult(powers=powers, water_level=mu[:, 0])
 
 
-def _sorted_floors(rows: np.ndarray) -> np.ndarray:
-    """A sorted copy of a (Q, S) floor batch, which _fill overwrites in place.
-
-    Raises:
-        ValueError: on a NaN or negative floor, or a row without a finite
-            floor; the check the game keeps in every step, since the
-            interference of a finite profile can overflow.
-    """
-    order = rows.copy()
-    order.sort()
-    # a NaN sorts last, and a sum is unequal to itself only when it is NaN;
-    # finite floors whose sum overflows give inf, which is equal to itself
-    lowest, highest = order[:, 0].tolist(), sum(order[:, -1].tolist())
-    if not (0 <= min(lowest) and max(lowest) < np.inf and highest == highest):
-        raise ValueError("floors must be nonnegative, with a finite floor in every row")
-    return order
-
-
 def _fill(order: np.ndarray, rows: np.ndarray, budgets: np.ndarray) -> tuple:
-    """(powers, (Q, 1) water levels) of the checked (Q, S) floor rows, whose
-    sorted copy order becomes the powers; budgets is a (Q, 1) column.
+    """(powers, (Q, 1) water levels) of the (Q, S) floor rows, whose sorted
+    copy order becomes the powers; budgets is a (Q, 1) column. A +inf row,
+    a NaN or a level past the largest float gives inf or NaN powers.
 
     levels[:, k-1] = (budget + k lowest floors) / k. Filling the k lowest
     floors up to the water level spends at most the budget, so every level
@@ -185,13 +174,15 @@ def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     """Stacked water-filling response of every user, in one batched step.
 
     views is as for stream_floors; user q responds to its own view. The
-    floors are checked in every step; the budgets and shapes are those
-    validate_config and the layout fixed, so _fill runs without
-    water_level's other checks.
+    budgets and shapes are those validate_config and the layout fixed, so
+    _fill runs without water_level's checks; floors that overflow give
+    responses that are not finite, which the game's residual catches.
     """
     layout = net.config.layout
     floors = stream_floors(net, views)
-    powers, _ = _fill(_sorted_floors(floors), floors, layout.budget[:, None])
+    order = floors.copy()
+    order.sort()
+    powers, _ = _fill(order, floors, layout.budget[:, None])
     return powers[layout.antenna_mask]
 
 

@@ -471,6 +471,19 @@ def test_an_overflowing_pathloss_gain_is_one_error_line(tmp_path, capsys, comman
     ]
 
 
+def test_play_on_interference_that_overflows_is_one_error_line(tmp_path, capsys):
+    # a cross gain of 100 on budgets of 1e307 leaks past the largest float;
+    # numpy's RuntimeWarning used to come first, then a floors message
+    loud = {**SCALAR_QUARTER, "power_budget": 1e307}
+    loud["channels"] = [[[[[1.0, 0.0]]], [[[10.0, 0.0]]]], [[[[10.0, 0.0]]], [[[1.0, 0.0]]]]]
+    assert main(["play", "--config", write_config(tmp_path, loud), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: step 0: float overflow:")
+    assert line.endswith("too large for a float")
+
+
 def test_main_called_in_sequence_repeats_first_calls(tmp_path, capsys, monkeypatch):
     # the parser is built once per process; each call must still parse,
     # run and fail as the first call of a fresh interpreter does

@@ -20,6 +20,7 @@ from mimoiwf.waterfill import (
     best_responses,
     greedy_profile,
     random_profile,
+    stream_floors,
     uniform_profile,
     user_rates,
 )
@@ -562,16 +563,45 @@ def test_narrow_integer_ages_play_past_their_largest_value():
 
 
 def test_floors_that_overflow_across_a_row_still_raise():
-    # a cross gain of 100 on powers near 1e307 leaks past the largest float
+    # a cross gain of 100 on powers near 1e307 leaks past the largest float;
+    # a game names the overflow at the step whose residual is not finite,
+    # and no RuntimeWarning escapes it (the test suite fails on warnings)
     loud = np.full((1, 1), 10.0)
     net = explicit_net([np.eye(1), np.eye(1)], {(0, 1): loud, (1, 0): loud}, [1e307] * 2, [1.0] * 2)
+    overflow = r"step \d+: float overflow: .* too large for a float"
+    for kind, bounds in (("jacobi", {}), ("random_async", {"delay_bound": 2, "update_bound": 2})):
+        with pytest.raises(ValueError, match=overflow):
+            run_game(net, make_schedule(kind, 2, seed=1, **bounds))
+    # the checked verifier keeps water_level's floor check
     floors = "floors must be nonnegative, with a finite floor in every row"
-    with np.errstate(over="ignore"):  # numpy warns of the overflow; the step refuses it
-        for kind, bounds in (("jacobi", {}), ("random_async", {"delay_bound": 2, "update_bound": 2})):
-            with pytest.raises(ValueError, match=floors):
-                run_game(net, make_schedule(kind, 2, seed=1, **bounds))
+    with np.errstate(over="ignore"):  # numpy warns of the overflow; the check refuses it
         with pytest.raises(ValueError, match=floors):
             check_nash(net, uniform_profile(net.config))
+
+
+def test_a_water_level_past_the_largest_float_raises_at_its_own_step():
+    # finite floors near 1.76e308 plus a budget of 1e307 pass the largest
+    # float in the water level; the floors of the next step used to refuse it
+    loud = np.full((1, 1), 4.2)
+    net = explicit_net([np.eye(1), np.eye(1)], {(0, 1): loud, (1, 0): loud}, [1e307] * 2, [1.0] * 2)
+    assert np.isfinite(stream_floors(net, uniform_profile(net.config))).all()
+    with pytest.raises(ValueError, match=r"^step 0: float overflow"):
+        run_game(net, make_schedule("jacobi", 2))
+
+
+def test_a_hand_built_plan_that_starves_a_user_never_converges():
+    # only drawn plans keep the update bound; a hand-built plan that never
+    # moves user 1 is accepted, and its game plays to it_max unconverged
+    net = explicit_net([np.eye(1), np.eye(1)], {}, [1.0] * 2, [1.0] * 2)
+    sched = Schedule(2, 20, [((0,), None)] * 20, 0, 1)
+    trace = run_game(net, sched)
+    assert not trace.converged and trace.iterations_used == 20
+    assert max(trace.residuals) == 0.0
+    # the plan answers once per step who keeps its power and whether every
+    # user moved inside the window; the game reads both
+    for n in range(20):
+        _, ages, idle, settled = sched._play(n)
+        assert ages is None and idle.tolist() == [False, True] and settled is False
 
 
 def test_converged_games_sit_at_fixed_point():

@@ -179,6 +179,18 @@ def test_spec_is_checked_when_built(fields, name):
         dataclasses.replace(TINY_UNIQ, **fields)
 
 
+def test_a_budget_sweep_at_pathloss_exponent_0_names_both_fields():
+    # a distance sweep at exponent 0 still builds; a budget sweep cannot set
+    # its cross distance from interference_ratio_db
+    assert SweepSpec(pathloss_exponent=0.0, sweep_values=(20.0,), trials=1).configs
+    with pytest.raises(ConfigError) as info:
+        SweepSpec(sweep_variable=BUDGET, sweep_values=(10.0, 20.0), pathloss_exponent=0.0)
+    assert str(info.value) == (
+        "at power_budget_db = 10.0: interference_ratio_db cannot set the cross distance "
+        "at pathloss_exponent 0, where every link has the same gain"
+    )
+
+
 def test_failed_trials_keep_no_outcome(tmp_path):
     # a direct link 1e12 away has singular values near 1e-15, under the floor
     spec = SweepSpec(direct_distance=1e12, sweep_values=(15.0,), trials=2, max_retries=2)
