@@ -44,7 +44,8 @@ class Schedule:
     [q, r] the age, 0..delay_bound, of user q's view of user r, or None when
     every view is fresh, as it is when delay_bound is 0. step(n) pulls and
     checks each step the first time it reaches it, so games draw only what
-    they play. A drawn plan updates every user at least once in every
+    they play, and games read each step as prepared once for their antenna
+    layout. A drawn plan updates every user at least once in every
     update_bound steps; a hand-built one is not held to that, but a game
     declares convergence only at a step where every user has moved inside
     the last update_bound steps.
@@ -63,6 +64,7 @@ class Schedule:
         self._source = iter(steps)
         self._last_moves = [-1] * num_users  # the step each user last moved at
         self._steps: list[tuple] = []
+        self._prepared: list[tuple] = []  # per step as _prepare last built it, else (None,)
 
     def step(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
         """Users updating at step n < it_max and their (Q, Q) view ages, None if fresh."""
@@ -75,7 +77,32 @@ class Schedule:
         inside the update_bound steps that end at n."""
         while len(self._steps) <= n < self.it_max:
             self._steps.append(self._pull(len(self._steps)))
+            self._prepared.append((None,))
         return self._steps[n]
+
+    def _prepare(self, n: int, layout) -> tuple:
+        """Step n as a game on an antenna layout plays it: (owner, gather,
+        keep, settled), owner being the layout's. It is built once and kept
+        while games play on layouts with that owner array, compared by
+        identity; another layout rebuilds it.
+
+        gather is None when every view is fresh, else the (Q, N) positions
+        of the stale views in the raveled history rows that start at row n
+        (see run_game): user q reads antenna j at
+        (delay_bound - ages[q, owner[j]]) * N + j. keep is the (N,) mask of
+        the antennas whose user keeps its power, None when every user moves.
+        """
+        owner = layout.owner
+        if n < len(self._prepared) and (step := self._prepared[n])[0] is owner:
+            return step
+        _, ages, idle, settled = self._play(n)
+        gather = keep = None
+        if ages is not None:
+            gather = (self.delay_bound - ages.take(owner, axis=1)) * len(owner) + layout.antennas
+        if idle is not None:
+            keep = idle[owner]
+        step = self._prepared[n] = (owner, gather, keep, settled)
+        return step
 
     def _pull(self, n: int) -> tuple:
         try:
@@ -84,8 +111,11 @@ class Schedule:
             raise ScheduleError(f"step {n}: the plan ends before it_max = {self.it_max}") from None
         members, users, bound = tuple(members), self.num_users, self.delay_bound
         for q in members:
-            if not (is_integer(q) and 0 <= q < users):
-                raise ScheduleError(f"step {n}: user {q!r} is not in a {users}-user network")
+            if type(q) is not int or not 0 <= q < users:  # a numpy integer may still pass
+                for r in members:
+                    if not (is_integer(r) and 0 <= r < users):
+                        raise ScheduleError(f"step {n}: user {r!r} is not in a {users}-user network")
+                break
         if ages is not None:
             ages = np.asarray(ages)
             if ages.shape != (users, users) or ages.dtype.kind not in "iu":
@@ -101,12 +131,12 @@ class Schedule:
         last, window = self._last_moves, self.update_bound
         for q in members:
             last[q] = n
-        idle = np.array([m < n for m in last])
+        idle = [m < n for m in last]
         settled = n + 1 >= window and min(last) > n - window
         # index-width ages, so that history rows past a narrow type's range
         # stay reachable
         ages = ages.astype(np.intp, copy=False) if bound else None
-        return members, ages, idle if idle.any() else None, settled
+        return members, ages, np.array(idle) if True in idle else None, settled
 
 
 def _check_counts(**counts) -> None:
@@ -223,7 +253,7 @@ def run_game(
 
     start is a stacked power vector, the uniform split by default.
     Convergence is declared once every user has updated inside the last
-    update_bound steps and no power moved by more than tol across them.
+    update_bound steps and the residuals of those steps are all below tol.
     The step's residual is its one check: interference or a water level
     too large for a float makes it inf or NaN.
 
@@ -242,29 +272,26 @@ def run_game(
     # history[lead + n] is the stacked state after step n, behind lead copies
     # of the start: the trace and, for stale views, the delay buffer (user q
     # reads antenna j of user r at step n from history[lead + n - ages[q, r]],
-    # the start when the age exceeds n)
+    # the start when the age exceeds n, which the step's gather positions
+    # address in the rows history[n:], raveled)
     lead = schedule.delay_bound
     layout = cfg.layout
     history = np.empty((lead + schedule.it_max + 1, layout.offsets[-1]))
     history[: lead + 1] = start
-    antennas, owner = layout.antennas, layout.owner
     window = schedule.update_bound
     residuals: list[float] = []
     converged = False
-    play = schedule._play
+    prepare = schedule._prepare
 
     # an overflow shows in the residual, which the step checks
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(schedule.it_max):
-            _, ages, idle, settled = play(n)
+            _, gather, keep, settled = prepare(n, layout)
             now = lead + n
             x = history[now]
-            if ages is None:
-                new = best_responses(net, x)
-            else:
-                new = best_responses(net, history[now - ages.take(owner, axis=1), antennas])
-            if idle is not None:
-                np.copyto(new, x, where=idle[owner])
+            new = best_responses(net, x if gather is None else history[n:].take(gather))
+            if keep is not None:
+                np.copyto(new, x, where=keep)
             history[now + 1] = new
             new -= x  # the fresh response becomes the residual
             residual = float(np.maximum.reduce(np.abs(new, out=new)))

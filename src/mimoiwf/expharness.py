@@ -205,9 +205,18 @@ def trial_config(spec: SweepSpec, point_value: float) -> NetworkConfig:
                 "interference_ratio_db cannot set the cross distance at pathloss_exponent 0, "
                 "where every link has the same gain"
             )
-        cross = spec.direct_distance * 10.0 ** (
-            -spec.interference_ratio_db / (10.0 * spec.pathloss_exponent)
-        )
+        try:
+            cross = spec.direct_distance * 10.0 ** (
+                -spec.interference_ratio_db / (10.0 * spec.pathloss_exponent)
+            )
+        except OverflowError:
+            cross = np.inf
+        if not 0.0 < cross < np.inf:
+            raise ConfigError(
+                f"interference_ratio_db {spec.interference_ratio_db!r} cannot set the cross "
+                f"distance at pathloss_exponent {spec.pathloss_exponent!r}, where it comes out "
+                f"as {cross!r}, not a positive finite float"
+            )
     return symmetric_config(
         num_users=spec.num_users,
         tx_antennas=spec.tx_antennas,

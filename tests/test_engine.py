@@ -1,10 +1,14 @@
 import dataclasses
 import itertools
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mimoiwf import engine, waterfill
+from mimoiwf.cli import network_from_dict
 from mimoiwf.contraction import certify
 from mimoiwf.engine import (
     Schedule,
@@ -560,6 +564,89 @@ def test_narrow_integer_ages_play_past_their_largest_value():
     a, b = (run_game(net, Schedule(3, 200, plan, 1, 1), tol=0.0) for plan in (wide, narrow))
     assert a.iterations_used == 200
     assert_same_trace(a, b)
+
+
+def shipped_layout(name):
+    """The antenna layout of a network config under configs/."""
+    with open(Path(__file__).resolve().parent.parent / "configs" / name) as fh:
+        return network_from_dict(json.load(fh)).layout
+
+
+def assert_prepared_like_fancy_index(sched, n, layout):
+    """Step n, prepared for layout, reads the stale views that fancy indexing
+    of the history reads, bit for bit, and keeps the powers of idle users."""
+    _, ages, idle, settled = sched._play(n)
+    owner, gather, keep, ready = sched._prepare(n, layout)
+    assert owner is layout.owner and ready is settled
+    if idle is None:
+        assert keep is None
+    else:
+        np.testing.assert_array_equal(keep, idle[owner])
+    if ages is None:
+        assert gather is None
+        return
+    lead = sched.delay_bound
+    # every entry distinct, so a wrong position cannot read an equal value
+    history = np.arange((lead + sched.it_max + 1) * len(owner), dtype=float).reshape(-1, len(owner))
+    history = np.sqrt(history)
+    want = history[lead + n - ages.take(owner, axis=1), layout.antennas]
+    got = history[n:].take(gather)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["network.json", "network_ragged.json"])
+def test_a_prepared_gather_equals_the_fancy_index_gather_bit_for_bit(name):
+    layout = shipped_layout(name)
+    users = len(layout.offsets) - 1
+    for seed, delay_bound, update_bound in ((0, 1, 1), (5, 3, 5), (9, 6, 2), (2, 0, 3)):
+        sched = make_schedule(
+            "random_async", users, it_max=150, seed=seed, delay_bound=delay_bound,
+            update_bound=update_bound,
+        )
+        for n in range(150):
+            assert_prepared_like_fancy_index(sched, n, layout)
+    # int8 ages of a hand-built plan, past step 127
+    rng = np.random.default_rng(3)
+    ages = rng.integers(0, 4, size=(200, users, users)).astype(np.int8)
+    members = [tuple(np.flatnonzero(row).tolist()) for row in rng.random((200, users)) < 0.5]
+    sched = Schedule(users, 200, list(zip(members, ages)), 3, 1)
+    for n in range(200):
+        assert_prepared_like_fancy_index(sched, n, layout)
+
+
+def test_one_plan_prepared_for_two_layouts_in_turn_reads_each_layout():
+    ragged, other = shipped_layout("network_ragged.json"), other_layout_net(3).config.layout
+    assert ragged.offsets != other.offsets
+    sched = make_schedule("random_async", 3, it_max=120, seed=4, delay_bound=3, update_bound=5)
+    for n in range(120):
+        turns = (ragged, other, ragged) if n % 2 else (other, ragged, other)
+        for layout in turns:
+            assert_prepared_like_fancy_index(sched, n, layout)
+        # a step stays prepared for the layout that read it last
+        assert sched._prepared[n][0] is turns[-1].owner
+
+
+@pytest.mark.parametrize("source", [list, iter], ids=["list", "iterator"])
+@pytest.mark.parametrize("member", [True, 1.0, np.int64(5), -1], ids=repr)
+def test_a_plan_member_outside_the_network_is_named(source, member):
+    plan = source([((0, 1), None), ((0, member), None), ((1,), None)])
+    sched = Schedule(2, 3, plan, 0, 2)
+    assert sched.step(0) == ((0, 1), None)
+    message = f"step 1: user {member!r} is not in a 2-user network"
+    with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
+        sched.step(1)
+
+
+@pytest.mark.parametrize("source", [list, iter], ids=["list", "iterator"])
+def test_an_in_range_numpy_integer_member_is_accepted(source):
+    net = explicit_net([np.eye(1), np.eye(1)], {}, [1.0] * 2, [1.0] * 2)
+    numpy_plan = [((np.int64(1), np.uint8(0)), None), ((np.int32(1),), None)] * 3
+    plain_plan = [((1, 0), None), ((1,), None)] * 3
+    got = run_game(net, Schedule(2, 6, source(numpy_plan), 0, 2), tol=0.0)
+    want = run_game(net, Schedule(2, 6, source(plain_plan), 0, 2), tol=0.0)
+    assert_same_trace(got, want)
+    assert Schedule(2, 6, source(numpy_plan), 0, 2)._play(1)[2].tolist() == [True, False]
 
 
 def test_floors_that_overflow_across_a_row_still_raise():

@@ -191,6 +191,30 @@ def test_a_budget_sweep_at_pathloss_exponent_0_names_both_fields():
     )
 
 
+@pytest.mark.parametrize(
+    "ratio_db, exponent, distance",
+    [(-10.0, 1e-300, "inf"), (-10.0, 3e-3, "inf"), (10.0, 1e-300, "0.0")],
+)
+def test_a_budget_sweep_at_a_tiny_pathloss_exponent_names_both_fields(ratio_db, exponent, distance):
+    # 10 ** (-ratio / (10 * exponent)) overflowed into an OverflowError that
+    # named neither field, or underflowed to a cross distance of 0
+    with pytest.raises(ConfigError) as info:
+        SweepSpec(
+            sweep_variable=BUDGET,
+            sweep_values=(10.0, 20.0),
+            interference_ratio_db=ratio_db,
+            pathloss_exponent=exponent,
+        ).configs
+    assert str(info.value) == (
+        f"at power_budget_db = 10.0: interference_ratio_db {ratio_db!r} cannot set the cross "
+        f"distance at pathloss_exponent {exponent!r}, where it comes out as {distance}, "
+        "not a positive finite float"
+    )
+    # a ratio that the exponent maps to a float distance still builds
+    spec = SweepSpec(sweep_variable=BUDGET, interference_ratio_db=-3000.0, pathloss_exponent=1.0)
+    assert spec.configs[0].cross_distance[0][1] == pytest.approx(15.0 * 1e300)
+
+
 def test_failed_trials_keep_no_outcome(tmp_path):
     # a direct link 1e12 away has singular values near 1e-15, under the floor
     spec = SweepSpec(direct_distance=1e12, sweep_values=(15.0,), trials=2, max_retries=2)
