@@ -111,11 +111,8 @@ class Schedule:
             raise ScheduleError(f"step {n}: the plan ends before it_max = {self.it_max}") from None
         members, users, bound = tuple(members), self.num_users, self.delay_bound
         for q in members:
-            if type(q) is not int or not 0 <= q < users:  # a numpy integer may still pass
-                for r in members:
-                    if not (is_integer(r) and 0 <= r < users):
-                        raise ScheduleError(f"step {n}: user {r!r} is not in a {users}-user network")
-                break
+            if not ((type(q) is int or is_integer(q)) and 0 <= q < users):
+                raise ScheduleError(f"step {n}: user {q!r} is not in a {users}-user network")
         if ages is not None:
             ages = np.asarray(ages)
             if ages.shape != (users, users) or ages.dtype.kind not in "iu":

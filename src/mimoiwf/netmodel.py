@@ -526,8 +526,6 @@ class _Layout:
             lists its antenna slots in stacked order.
         leak_index: (Q, T) position of slot (q, s) in a raveled (Q, N)
             array: q * N + stream_index[q, s], or q * N without antenna s.
-        prefix_counts: (T,) floats 1..T, k for the level of the k lowest
-            floors of a water-filling row.
         budget: (Q,) config.power_budget as a float array.
         streams: stacked positions of the antennas that carry a stream,
             user q's first min(tx, rx) antennas, in stacked order.
@@ -577,7 +575,6 @@ class _Shape:
         self.antennas = np.arange(ends[-1])
         self.owner = np.arange(n_users).repeat(tx)  # user of each antenna
         self.antenna_mask = slot < tx[:, None]
-        self.prefix_counts = slot + 1.0  # 1..T, the divisors of the prefix water levels
         self.stream_index = np.where(self.antenna_mask, self.starts[:, None] + slot, -1)
         self.streams = self.stream_index[self.is_stream]
         self.leak_index = np.arange(n_users)[:, None] * ends[-1] + self.stream_index.clip(0)

@@ -146,17 +146,16 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     total = sum(budgets)
     if not (0 < min(budgets) and max(budgets) < np.inf and total == total):
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
-    powers, mu = _fill(order, rows, b.reshape(-1, 1), np.arange(1.0, rows.shape[1] + 1))
+    powers, mu = _fill(order, rows, b.reshape(-1, 1))
     if c.ndim == 1:
         return WaterfillResult(powers=powers[0], water_level=float(mu[0, 0]))
     return WaterfillResult(powers=powers, water_level=mu[:, 0])
 
 
-def _fill(order: np.ndarray, rows: np.ndarray, budgets: np.ndarray, counts: np.ndarray) -> tuple:
+def _fill(order: np.ndarray, rows: np.ndarray, budgets: np.ndarray) -> tuple:
     """(powers, (Q, 1) water levels) of the (Q, S) floor rows, whose sorted
-    copy order becomes the powers; budgets is a (Q, 1) column and counts
-    holds 1.0..S. A +inf row, a NaN or a level past the largest float gives
-    inf or NaN powers.
+    copy order becomes the powers; budgets is a (Q, 1) column. A +inf row,
+    a NaN or a level past the largest float gives inf or NaN powers.
 
     levels[:, k-1] = (budget + k lowest floors) / k. Filling the k lowest
     floors up to the water level spends at most the budget, so every level
@@ -164,7 +163,7 @@ def _fill(order: np.ndarray, rows: np.ndarray, budgets: np.ndarray, counts: np.n
     """
     levels = np.add.accumulate(order, axis=1, out=order)
     levels += budgets
-    levels /= counts
+    levels /= np.arange(1.0, levels.shape[1] + 1)
     mu = np.minimum.reduce(levels, axis=1, keepdims=True)
     powers = np.subtract(mu, rows, out=order)
     np.maximum(powers, 0.0, out=powers)
@@ -183,7 +182,7 @@ def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     floors = stream_floors(net, views)
     order = floors.copy()
     order.sort()
-    powers, _ = _fill(order, floors, layout.budget[:, None], layout.prefix_counts)
+    powers, _ = _fill(order, floors, layout.budget[:, None])
     return powers[layout.antenna_mask]
 
 

@@ -231,9 +231,12 @@ def test_hand_built_plan_is_checked():
         whole_plan(Schedule(2, 3, fresh_plan((0, 1), (0, 1))))
     with pytest.raises(ScheduleError, match="step 1: user -1 is not in a 2-user network"):
         whole_plan(Schedule(2, 3, fresh_plan((0, 1), (-1,), (0,))))
-    for bad in (True, 1.0, "0"):
-        with pytest.raises(ScheduleError, match=f"step 0: user {bad!r} is not in a 2-user network"):
-            Schedule(2, 3, fresh_plan((0, bad))).step(0)
+    for bad, source in itertools.product((True, 1.0, "0", np.int64(5), -1), (list, iter)):
+        # a refused member is named wherever it stands in the step
+        for members in ((bad,), (0, bad), (bad, 1)):
+            message = f"step 0: user {bad!r} is not in a 2-user network"
+            with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
+                Schedule(2, 3, source(fresh_plan(members))).step(0)
     s = Schedule(2, 3, fresh_plan(*[(0, 1)] * 4))  # steps past it_max are never pulled
     assert whole_plan(s) == (((0, 1),) * 3, [None] * 3)
     with pytest.raises(IndexError):
@@ -599,43 +602,26 @@ def assert_prepared_like_fancy_index(sched, n, layout):
 def test_a_prepared_gather_equals_the_fancy_index_gather_bit_for_bit(name):
     layout = shipped_layout(name)
     users = len(layout.offsets) - 1
+    # the plan is played on another antenna layout of as many users in turn
+    other = symmetric_config(users, 1, 2, 10.0, 1.0, 15.0, 20.0, 2.5).layout
+    assert other.offsets != layout.offsets
+    turns = (layout, other, layout)
     for seed, delay_bound, update_bound in ((0, 1, 1), (5, 3, 5), (9, 6, 2), (2, 0, 3)):
         sched = make_schedule(
             "random_async", users, it_max=150, seed=seed, delay_bound=delay_bound,
             update_bound=update_bound,
         )
         for n in range(150):
-            assert_prepared_like_fancy_index(sched, n, layout)
+            for turn in turns:
+                assert_prepared_like_fancy_index(sched, n, turn)
     # int8 ages of a hand-built plan, past step 127
     rng = np.random.default_rng(3)
     ages = rng.integers(0, 4, size=(200, users, users)).astype(np.int8)
     members = [tuple(np.flatnonzero(row).tolist()) for row in rng.random((200, users)) < 0.5]
     sched = Schedule(users, 200, list(zip(members, ages)), 3, 1)
     for n in range(200):
-        assert_prepared_like_fancy_index(sched, n, layout)
-
-
-def test_one_plan_prepared_for_two_layouts_in_turn_reads_each_layout():
-    ragged, other = shipped_layout("network_ragged.json"), other_layout_net(3).config.layout
-    assert ragged.offsets != other.offsets
-    sched = make_schedule("random_async", 3, it_max=120, seed=4, delay_bound=3, update_bound=5)
-    for n in range(120):
-        turns = (ragged, other, ragged) if n % 2 else (other, ragged, other)
-        for layout in turns:
-            assert_prepared_like_fancy_index(sched, n, layout)
-        # a step stays prepared for the layout that read it last
-        assert sched._prepared[n][0] is turns[-1].owner
-
-
-@pytest.mark.parametrize("source", [list, iter], ids=["list", "iterator"])
-@pytest.mark.parametrize("member", [True, 1.0, np.int64(5), -1], ids=repr)
-def test_a_plan_member_outside_the_network_is_named(source, member):
-    plan = source([((0, 1), None), ((0, member), None), ((1,), None)])
-    sched = Schedule(2, 3, plan, 0, 2)
-    assert sched.step(0) == ((0, 1), None)
-    message = f"step 1: user {member!r} is not in a 2-user network"
-    with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
-        sched.step(1)
+        for turn in turns:
+            assert_prepared_like_fancy_index(sched, n, turn)
 
 
 @pytest.mark.parametrize("source", [list, iter], ids=["list", "iterator"])
