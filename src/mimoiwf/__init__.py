@@ -26,7 +26,6 @@ from .netmodel import (
     ChannelRealization,
     ConfigError,
     NetworkConfig,
-    pathloss_power_gain,
     sample_channels,
     symmetric_config,
     validate_config,

@@ -167,8 +167,8 @@ def _cmd_play(args: argparse.Namespace) -> int:
         _SCHEDULE_FLAG[args.schedule],
         cfg.num_users,
         seed=_seed(doc, args.seed),
-        delay_bound=3 if args.schedule == "async" else 0,
-        update_bound=5 if args.schedule == "async" else 1,
+        delay_bound=SweepSpec.delay_bound if args.schedule == "async" else 0,
+        update_bound=SweepSpec.update_bound if args.schedule == "async" else 1,
     )
     trace = run_game(net, schedule)
     print(f"schedule {args.schedule}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import check_count, is_number, stack_configs
+from .netmodel import stack_configs
 from .precode import EffectiveNetwork
 
 SPECTRAL_TOL = 1e-9
@@ -69,8 +69,8 @@ def build_interference_matrix(net: EffectiveNetwork) -> InterferenceMatrix:
     )
 
 
-def _as_square_nonneg(matrix: np.ndarray | InterferenceMatrix) -> np.ndarray:
-    m = matrix.matrix if isinstance(matrix, InterferenceMatrix) else np.asarray(matrix, float)
+def _as_square_nonneg(matrix: np.ndarray) -> np.ndarray:
+    m = np.asarray(matrix, float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"matrix must be square, or a stack of them, got shape {m.shape}")
     if m.size and (not np.all(np.isfinite(m)) or np.any(m < 0)):
@@ -161,11 +161,7 @@ def _component_radius(m: np.ndarray, tol: float, max_iter: int) -> float:
     return radius
 
 
-def spectral_radius(
-    matrix: np.ndarray | InterferenceMatrix,
-    tol: float = SPECTRAL_TOL,
-    max_iter: int = MAX_POWER_ITER,
-) -> float | np.ndarray:
+def spectral_radius(matrix: np.ndarray) -> float | np.ndarray:
     """Largest eigenvalue magnitude of a nonnegative matrix.
 
     The bounds are first checked on the whole matrix from its Perron start,
@@ -175,18 +171,14 @@ def spectral_radius(
     handled by certified power iteration. A (K, n, n) stack gets the whole-
     matrix check of every matrix from one batched start and one batched
     product, a (K,) array of radii, and the split only where its check
-    fails; a single matrix is the stack of one.
+    fails; a single matrix is the stack of one. The bounds must meet within
+    SPECTRAL_TOL, relative, in at most MAX_POWER_ITER iterations.
 
     Raises:
-        PowerIterationError: if some block fails to certify within max_iter.
-        ValueError: on a matrix that is not square, nonnegative and finite,
-            a tol that is not a positive finite number, or a max_iter that
-            is not an integer (a bool is not) of at least one.
+        PowerIterationError: if some block fails to certify in time.
+        ValueError: on a matrix that is not square, nonnegative and finite.
     """
     m = _as_square_nonneg(matrix)
-    if not (is_number(tol) and 0 < tol < np.inf):
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    check_count("max_iter", max_iter, 1, ValueError)
     stack = m if m.ndim == 3 else m[None]
     n = stack.shape[-1]
     if n <= 1:
@@ -194,8 +186,8 @@ def spectral_radius(
     else:
         lo, up, _ = _bounds(stack, _perron_start(stack))
         radii = 0.5 * (lo + up)
-        for k in np.flatnonzero(~(up - lo <= tol * np.maximum(1.0, up))):
-            radii[k] = _component_radius(stack[k], tol, max_iter)
+        for k in np.flatnonzero(~(up - lo <= SPECTRAL_TOL * np.maximum(1.0, up))):
+            radii[k] = _component_radius(stack[k], SPECTRAL_TOL, MAX_POWER_ITER)
     return float(radii[0]) if m.ndim == 2 else radii
 
 

@@ -14,7 +14,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .contraction import certify
-from .engine import SCHEDULE_KINDS, Schedule, make_schedule, run_game
+from .engine import DEFAULT_IT_MAX, DEFAULT_TOL, SCHEDULE_KINDS, Schedule, make_schedule, run_game
 from .netmodel import FLOAT_MAX, ConfigError, NetworkConfig, check_count, is_number
 from .netmodel import default_rngs, sample_channels, seed_words, symmetric_config
 from .precode import DegenerateChannelError, build_effective_network
@@ -46,8 +46,8 @@ class SweepSpec:
     Construction stores sweep_values as a tuple and runs validate_spec, so
     every instance is consistent and hashable: a field annotated int must be
     a count, and one annotated float, like each sweep value, a number. The
-    configs, points and plan are not fields: equality, hashing, repr,
-    replace and pickling see the fields only.
+    points and plan are not fields: equality, hashing, repr, replace and
+    pickling see the fields only.
     """
 
     num_users: int = 4
@@ -62,10 +62,10 @@ class SweepSpec:
     power_budget_db: float = 10.0
     interference_ratio_db: float = -10.0
     schedule: str = "jacobi"
-    it_max: int = 100
+    it_max: int = DEFAULT_IT_MAX
     delay_bound: int = 3
     update_bound: int = 5
-    game_tol: float = 1e-6
+    game_tol: float = DEFAULT_TOL
     agreement_tol: float = 1e-5
     max_retries: int = 8
     base_seed: int = 0
@@ -75,36 +75,28 @@ class SweepSpec:
         validate_spec(self)
 
     def __getstate__(self) -> dict:
-        # a pool worker's copy builds its own configs, points and plan on
-        # their first read
+        # a pool worker's copy builds its own points and plan on first read
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @cached_property
-    def configs(self) -> tuple[NetworkConfig, ...]:
-        """The network of each sweep point, built and checked on first read,
-        which validate_spec makes.
-
-        Raises:
-            ConfigError: naming the sweep value whose network is refused.
-        """
-        configs = []
-        for v in self.sweep_values:
-            try:
-                configs.append(trial_config(self, float(v)))
-            except (ConfigError, ArithmeticError) as exc:
-                raise ConfigError(f"at {self.sweep_variable} = {v!r}: {exc}") from exc
-        return tuple(configs)
 
     @cached_property
     def points(self) -> tuple[tuple[float, NetworkConfig, np.ndarray, np.ndarray], ...]:
         """(value, config, uniform start, greedy start) of each sweep point, built
-        on first read and shared by its trials; the starts are read-only."""
+        and checked on first read, which validate_spec makes, and shared by its
+        trials; the starts are read-only.
+
+        Raises:
+            ConfigError: naming the sweep value whose network is refused.
+        """
         points = []
-        for value, cfg in zip(self.sweep_values, self.configs):
+        for v in self.sweep_values:
+            try:
+                cfg = trial_config(self, float(v))
+            except (ConfigError, ArithmeticError) as exc:
+                raise ConfigError(f"at {self.sweep_variable} = {v!r}: {exc}") from exc
             uniform, greedy = uniform_profile(cfg), greedy_profile(cfg)
             uniform.setflags(write=False)
             greedy.setflags(write=False)
-            points.append((float(value), cfg, uniform, greedy))
+            points.append((float(v), cfg, uniform, greedy))
         return tuple(points)
 
     @cached_property
@@ -183,7 +175,7 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         )
     if spec.schedule not in SCHEDULE_KINDS:
         raise ConfigError(f"schedule must be one of {SCHEDULE_KINDS}, got {spec.schedule!r}")
-    spec.configs  # builds and checks the network of every sweep point
+    spec.points  # builds and checks the network of every sweep point
     return spec
 
 

@@ -174,7 +174,7 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
 
 def _link_gains(config: NetworkConfig) -> list[list[float]]:
     """[r][q] power gain distance**-exponent of every link of a config whose
-    distances and exponent are checked numbers; as pathloss_power_gain.
+    distances and exponent are checked numbers.
 
     Raises:
         ConfigError: naming the first link whose gain passes the largest
@@ -242,27 +242,6 @@ def symmetric_config(
         cross_distance=cross,
         pathloss_exponent=pathloss_exponent,
     )
-
-
-def pathloss_power_gain(distance: float, exponent: float) -> float:
-    """Power attenuation distance**-exponent of a link.
-
-    Raises:
-        ConfigError: if distance is not a positive finite number or exponent
-            not a nonnegative finite one, or if the gain passes the largest
-            float, which only a distance below 1 can make.
-    """
-    if not (is_number(distance) and 0 < distance <= FLOAT_MAX):
-        raise ConfigError(f"distance must be a positive finite number, got {distance!r}")
-    if not (is_number(exponent) and 0 <= exponent <= FLOAT_MAX):
-        raise ConfigError(f"exponent must be a nonnegative finite number, got {exponent!r}")
-    try:
-        return float(distance) ** -float(exponent)
-    except OverflowError:
-        raise ConfigError(
-            f"distance = {distance!r} with exponent {exponent!r} "
-            "gives a path-loss gain too large for a float"
-        ) from None
 
 
 # What the configs of one stack must share: all that a rotation reads

@@ -78,11 +78,16 @@ def svd_decompose(channel: np.ndarray) -> LinkSVD:
     h = np.asarray(channel)
     if h.ndim != 2 or h.size == 0:
         raise ValueError(f"channel must be a non-empty 2-D matrix, got shape {h.shape}")
-    try:
-        u, s, vh = np.linalg.svd(h, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise SvdError(f"SVD failed to converge for a {h.shape} channel") from exc
+    u, s, vh = _svd(h)
     return LinkSVD(U=u, singular_values=s, V=vh.conj().T)
+
+
+def _svd(h: np.ndarray) -> tuple:
+    """Full SVD of a channel or a stack of channels of one shape."""
+    try:
+        return np.linalg.svd(h, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise SvdError(f"SVD failed to converge for a {h.shape[-2:]} channel") from exc
 
 
 def build_effective_network(
@@ -121,10 +126,7 @@ def build_effective_network(
     tx_bases = np.zeros((n_draws, n_users, t_max, t_max), dtype=complex)
     singular = np.zeros((n_draws, n_users, t_max))
     for (m, n), group in layout.svd_groups:
-        try:
-            u, sv, vh = np.linalg.svd(links[:, group, group, :m, :n], full_matrices=True)
-        except np.linalg.LinAlgError as exc:
-            raise SvdError(f"SVD failed to converge for a {(m, n)} channel") from exc
+        u, sv, vh = _svd(links[:, group, group, :m, :n])
         rx_bases[:, group, :m, :m] = u
         singular[:, group, : sv.shape[-1]] = sv
         tx_bases[:, group, :n, :n] = vh.conj().swapaxes(-1, -2)
@@ -139,9 +141,11 @@ def build_effective_network(
     # a weak user's slots count as stream-less, so its zero gains divide nothing
     is_stream = is_stream & ~weak[..., None]
     sigma_sq = singular**2
-    stream_noise = np.divide(
-        layout.noise, sigma_sq, out=np.full(sigma_sq.shape, np.inf), where=is_stream
-    )
+    # a floor past the largest float is inf, which the next check catches
+    with np.errstate(over="ignore"):
+        stream_noise = np.divide(
+            layout.noise, sigma_sq, out=np.full(sigma_sq.shape, np.inf), where=is_stream
+        )
     unbounded = (is_stream & (stream_noise == np.inf)).any(axis=-1)
     if not stacked and unbounded.any():
         raise DegenerateChannelError(f"noise floor of user {unbounded[0].argmax()} is not finite")

@@ -146,7 +146,10 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     total = sum(budgets)
     if not (0 < min(budgets) and max(budgets) < np.inf and total == total):
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
-    powers, mu = _fill(order, rows, b.reshape(-1, 1))
+    # a prefix sum past the largest float is an inf level, which the minimum
+    # passes over, as in the game's steps
+    with np.errstate(over="ignore"):
+        powers, mu = _fill(order, rows, b.reshape(-1, 1))
     if c.ndim == 1:
         return WaterfillResult(powers=powers[0], water_level=float(mu[0, 0]))
     return WaterfillResult(powers=powers, water_level=mu[:, 0])

@@ -14,7 +14,6 @@ from types import SimpleNamespace
 from mimoiwf.netmodel import (
     ChannelRealization,
     NetworkConfig,
-    pathloss_power_gain,
     sample_channels,
     validate_config,
 )
@@ -125,7 +124,7 @@ def reference_sample_channels(config, seed):
         for q in range(config.num_users):
             shape = (config.rx_antennas[q], config.tx_antennas[r])
             z = rng.standard_normal(shape + (2,))
-            amp = np.sqrt(pathloss_power_gain(config.cross_distance[r][q], config.pathloss_exponent))
+            amp = np.sqrt(float(config.cross_distance[r][q]) ** -float(config.pathloss_exponent))
             row.append((z[..., 0] + 1j * z[..., 1]) * (amp / np.sqrt(2.0)))
         rows.append(tuple(row))
     return tuple(rows)

@@ -484,6 +484,63 @@ def test_play_on_interference_that_overflows_is_one_error_line(tmp_path, capsys)
     assert line.endswith("too large for a float")
 
 
+# noise / sigma^2 passes the largest float on one stream of the one user
+NOISE_OVERFLOW = {
+    "num_users": 1,
+    "tx_antennas": 2,
+    "rx_antennas": 3,
+    "power_budget": 1e300,
+    "noise_power": 1e300,
+    "direct_distance": 51.2,
+    "cross_distance": 80.6,
+    "pathloss_exponent": 5.27,
+}
+
+
+@pytest.mark.parametrize("command", ["play", "certify"])
+def test_a_noise_floor_past_the_largest_float_is_one_error_line(tmp_path, capsys, command):
+    # numpy's RuntimeWarning from the division used to come first
+    assert main([command, "--config", write_config(tmp_path, NOISE_OVERFLOW), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: noise floor of user 0 is not finite"]
+
+
+def test_a_sweep_whose_noise_floors_overflow_writes_its_csv_quietly(tmp_path, capsys):
+    # every draw is degenerate, so both trials are excluded, as before
+    doc = {"sweep_values": [15.0], "trials": 2, "noise_power": 1e306}
+    out = tmp_path / "noisy.csv"
+    argv = ["sweep-uniqueness", "--config", write_config(tmp_path, doc), "--out", str(out)]
+    assert main(argv + ["--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1] == "15,0,0,0,0,nan,nan,2"
+
+
+# two users whose floors sum past the largest float in the equilibrium check
+FLOOR_SUM_OVERFLOW = {
+    "num_users": 2,
+    "tx_antennas": 2,
+    "rx_antennas": 3,
+    "power_budget": 5.344256562986085e191,
+    "noise_power": 3.1404316064130208e299,
+    "direct_distance": 40.06157258816077,
+    "cross_distance": 24.1642915753832,
+    "pathloss_exponent": 5.364038606933497,
+    "seed": 2371,
+}
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "gauss-seidel", "async"])
+def test_floors_whose_sum_overflows_play_with_no_warning(tmp_path, capsys, kind):
+    # numpy's RuntimeWarning from check_nash's water_level used to come
+    # between sum_rate and nash_gap
+    argv = ["play", "--config", write_config(tmp_path, FLOOR_SUM_OVERFLOW), "--quiet"]
+    assert main(argv + ["--schedule", kind]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-2:] == ["sum_rate 0", "nash_gap 0"]
+
+
 def test_main_called_in_sequence_repeats_first_calls(tmp_path, capsys, monkeypatch):
     # the parser is built once per process; each call must still parse,
     # run and fail as the first call of a fresh interpreter does

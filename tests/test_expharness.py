@@ -182,7 +182,7 @@ def test_spec_is_checked_when_built(fields, name):
 def test_a_budget_sweep_at_pathloss_exponent_0_names_both_fields():
     # a distance sweep at exponent 0 still builds; a budget sweep cannot set
     # its cross distance from interference_ratio_db
-    assert SweepSpec(pathloss_exponent=0.0, sweep_values=(20.0,), trials=1).configs
+    assert SweepSpec(pathloss_exponent=0.0, sweep_values=(20.0,), trials=1).points
     with pytest.raises(ConfigError) as info:
         SweepSpec(sweep_variable=BUDGET, sweep_values=(10.0, 20.0), pathloss_exponent=0.0)
     assert str(info.value) == (
@@ -204,7 +204,7 @@ def test_a_budget_sweep_at_a_tiny_pathloss_exponent_names_both_fields(ratio_db, 
             sweep_values=(10.0, 20.0),
             interference_ratio_db=ratio_db,
             pathloss_exponent=exponent,
-        ).configs
+        ).points
     assert str(info.value) == (
         f"at power_budget_db = 10.0: interference_ratio_db {ratio_db!r} cannot set the cross "
         f"distance at pathloss_exponent {exponent!r}, where it comes out as {distance}, "
@@ -212,7 +212,7 @@ def test_a_budget_sweep_at_a_tiny_pathloss_exponent_names_both_fields(ratio_db, 
     )
     # a ratio that the exponent maps to a float distance still builds
     spec = SweepSpec(sweep_variable=BUDGET, interference_ratio_db=-3000.0, pathloss_exponent=1.0)
-    assert spec.configs[0].cross_distance[0][1] == pytest.approx(15.0 * 1e300)
+    assert spec.points[0][1].cross_distance[0][1] == pytest.approx(15.0 * 1e300)
 
 
 def test_failed_trials_keep_no_outcome(tmp_path):
@@ -364,7 +364,7 @@ def test_replace_gives_a_spec_fresh_points():
     spec = dataclasses.replace(TINY_UNIQ)
     old = spec.points
     louder = dataclasses.replace(spec, power_budget_db=20.0)
-    assert "points" not in vars(louder)
+    assert louder.points is not old
     for (value, cfg, uniform, greedy), (_, old_cfg, _, _) in zip(louder.points, old):
         assert cfg.power_budget == (100.0,) * 4 and old_cfg.power_budget == (10.0,) * 4
         assert cfg == trial_config(louder, value)
@@ -392,12 +392,12 @@ def test_each_point_config_is_built_once_per_spec(monkeypatch, spec):
     monkeypatch.setattr(expharness, "trial_config", lambda s, v: calls.append(v) or build(s, v))
     fresh = dataclasses.replace(spec)  # built and checked here
     assert calls == list(spec.sweep_values)
-    assert all(cfg is built for (_, cfg, _, _), built in zip(fresh.points, fresh.configs))
+    assert "points" in vars(fresh)
     run = sweep_uniqueness if spec.sweep_variable == "cross_distance" else sweep_sumrate
     run(fresh)
     assert validate_spec(fresh) is fresh
     assert calls == list(spec.sweep_values)
-    assert "configs" not in fresh.__getstate__() and "configs" not in repr(fresh)
+    assert "points" not in fresh.__getstate__() and "points" not in repr(fresh)
 
 
 @pytest.mark.parametrize("kind", ["jacobi", "gauss_seidel", "random_async"])

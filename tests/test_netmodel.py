@@ -11,7 +11,6 @@ from mimoiwf.netmodel import (
     ConfigError,
     NetworkConfig,
     default_rngs,
-    pathloss_power_gain,
     sample_channels,
     seed_words,
     symmetric_config,
@@ -169,16 +168,8 @@ HUGE = 10**400  # an int that passes "< inf" but cannot become a float
             lambda: symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 40.0, HUGE),
             f"pathloss_exponent must be a nonnegative finite number, got {HUGE!r}",
         ),
-        (
-            lambda: pathloss_power_gain(HUGE, 2.0),
-            f"distance must be a positive finite number, got {HUGE!r}",
-        ),
-        (
-            lambda: pathloss_power_gain(2.0, HUGE),
-            f"exponent must be a nonnegative finite number, got {HUGE!r}",
-        ),
     ],
-    ids=["budget", "noise", "cross", "exponent", "pathloss_distance", "pathloss_exponent"],
+    ids=["budget", "noise", "cross", "exponent"],
 )
 def test_an_int_too_large_for_a_float_is_refused_when_built(build, message):
     # the config used to build, and its layout then raised OverflowError
@@ -215,22 +206,11 @@ def test_an_overflowing_pathloss_gain_is_refused_when_built(build, message):
     assert str(err.value) == message
 
 
-def test_pathloss_power_gain_refuses_a_gain_too_large_for_a_float():
-    # it raised a bare OverflowError, which its docstring does not name
-    for distance, exponent in ((1e-300, 2.5), (0.5, 2000)):
-        with pytest.raises(ConfigError) as err:
-            mimoiwf.pathloss_power_gain(distance, exponent)
-        assert str(err.value) == (
-            f"distance = {distance!r} with exponent {exponent!r} "
-            "gives a path-loss gain too large for a float"
-        )
-
-
 def test_a_pathloss_gain_that_fits_a_float_is_accepted():
     cfg = symmetric_config(2, 2, 2, 1.0, 1.0, 1e-100, 20.0, 3.0)
     amp = cfg.layout.link_amp[0]
     assert np.isfinite(amp).all()
-    assert amp[0, 0, 0, 0] == np.sqrt(pathloss_power_gain(1e-100, 3.0)) / np.sqrt(2.0)
+    assert amp[0, 0, 0, 0] == np.sqrt(1e-100**-3.0) / np.sqrt(2.0)
 
 
 def test_the_largest_float_sized_int_is_accepted():
@@ -248,31 +228,45 @@ def test_symmetric_config_fills_diagonal():
 
 
 def test_pathloss_values():
-    assert pathloss_power_gain(1.0, 2.5) == 1.0
-    assert pathloss_power_gain(2.0, 3.0) == pytest.approx(0.125, rel=1e-12)
-    assert pathloss_power_gain(15.0, 2.5) == pytest.approx(15.0**-2.5, rel=1e-12)
-    assert pathloss_power_gain(15.0, 2.5) == pytest.approx(1.1476e-3, abs=1e-7)
-    assert pathloss_power_gain(7.0, 0.0) == 1.0
+    # link_amp holds sqrt(distance**-exponent) / sqrt(2) of every link [r][q]
+    def amp(direct, cross, exponent):
+        cfg = symmetric_config(2, 2, 2, 1.0, 1.0, direct, cross, exponent)
+        return cfg.layout.link_amp[0, :, :, 0, 0]
+
+    np.testing.assert_array_equal(amp(1.0, 1.0, 2.5), 1.0 / np.sqrt(2.0))
+    np.testing.assert_array_equal(amp(7.0, 9.0, 0.0), 1.0 / np.sqrt(2.0))
+    gain = 2.0 * amp(2.0, 15.0, 3.0) ** 2
+    assert gain[0, 0] == pytest.approx(0.125, rel=1e-12)
+    gain = 2.0 * amp(15.0, 2.0, 2.5) ** 2
+    assert gain[0, 0] == pytest.approx(15.0**-2.5, rel=1e-12)
+    assert gain[0, 0] == pytest.approx(1.1476e-3, abs=1e-7)
+    assert gain[0, 1] == gain[1, 0] == pytest.approx(2.0**-2.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("distance", [0.0, -1.0, float("nan")])
 def test_pathloss_rejects_bad_distance(distance):
-    with pytest.raises(ConfigError):
-        pathloss_power_gain(distance, 2.5)
+    # a config is the one source of path-loss gains; it names the bad link
+    with pytest.raises(ConfigError, match=r"direct_distance\[0\] must be a positive finite"):
+        symmetric_config(2, 2, 2, 10.0, 1.0, distance, 40.0, 2.5)
+    with pytest.raises(ConfigError, match=r"cross_distance\[0\]\[1\] must be a positive finite"):
+        symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, distance, 2.5)
 
 
 def test_pathloss_rejects_negative_exponent():
-    with pytest.raises(ConfigError):
-        pathloss_power_gain(10.0, -1.0)
+    with pytest.raises(ConfigError) as err:
+        symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 40.0, -1.0)
+    assert str(err.value) == "pathloss_exponent must be a nonnegative finite number, got -1.0"
 
 
 @pytest.mark.parametrize("bad", ["15", True, None])
 def test_pathloss_refuses_non_numbers(bad):
     # a string used to raise TypeError, and a bool distance gave a gain of 1.0
-    with pytest.raises(ConfigError, match=f"distance must be a positive finite number, got {bad!r}"):
-        pathloss_power_gain(bad, 2.0)
-    with pytest.raises(ConfigError, match=f"exponent must be a nonnegative finite number, got {bad!r}"):
-        pathloss_power_gain(2.0, bad)
+    with pytest.raises(ConfigError) as err:
+        symmetric_config(2, 2, 2, 10.0, 1.0, bad, 40.0, 2.5)
+    assert str(err.value) == f"direct_distance[0] must be a positive finite number, got {bad!r}"
+    with pytest.raises(ConfigError) as err:
+        symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 40.0, bad)
+    assert str(err.value) == f"pathloss_exponent must be a nonnegative finite number, got {bad!r}"
 
 
 def test_sample_shapes_and_immutability():

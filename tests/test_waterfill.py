@@ -586,6 +586,17 @@ def test_finite_floors_and_budgets_whose_sum_overflows_are_accepted():
         np.testing.assert_array_equal(res.water_level, [big + 1.0, big + 1.0])
 
 
+def test_floors_whose_prefix_sum_overflows_warn_nothing():
+    # 1e308 + 1.5e308 is inf: numpy's overflow warning used to leak out,
+    # while the minimum passed over that level; tier-1 makes it an error
+    res = water_level(np.array([1e308, 1.5e308]), 1.0)
+    np.testing.assert_array_equal(res.powers, [0.0, 0.0])
+    assert res.water_level == 1e308
+    res = water_level(np.array([[1e308, 1.5e308], [1.0, 2.0]]), np.array([1.0, 1.0]))
+    np.testing.assert_array_equal(res.powers, [[0.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(res.water_level, [1e308, 2.0])
+
+
 def test_batch_equals_the_sort_cumsum_min_formula_bit_for_bit():
     rng = np.random.default_rng(77)
     for size in range(1, 7):
