@@ -163,14 +163,13 @@ class GameTrace:
     """Full record of one game run.
 
     states is a read-only (steps + 1, N) array: states[0] is the stacked
-    starting point and states[n] the stacked state after step n, with
-    offsets splitting a state into users. residuals[n-1] is the largest
-    power change made at step n. net is the network played; final_rates
-    and nash_gap are built from it on first read and kept.
+    starting point and states[n] the stacked state after step n, which
+    net.config.layout.offsets splits into users. residuals[n-1] is the
+    largest power change made at step n. net is the network played;
+    final_rates and nash_gap are built from it on first read and kept.
     """
 
     states: np.ndarray
-    offsets: tuple[int, ...]
     residuals: list[float]
     converged: bool
     iterations_used: int
@@ -185,7 +184,8 @@ class GameTrace:
     @property
     def profiles(self) -> list[PowerProfile]:
         """Every state split into users, built when read."""
-        return [PowerProfile(np.split(x, self.offsets[1:-1])) for x in self.states]
+        offsets = self.net.config.layout.offsets
+        return [PowerProfile(np.split(x, offsets[1:-1])) for x in self.states]
 
 
 def make_schedule(
@@ -306,7 +306,6 @@ def run_game(
     states.setflags(write=False)
     return GameTrace(
         states=states,
-        offsets=layout.offsets,
         residuals=residuals,
         converged=converged,
         iterations_used=len(residuals),
@@ -329,7 +328,7 @@ def check_nash(net: EffectiveNetwork, x: np.ndarray) -> float:
 
 def trace_to_csv(trace: GameTrace, path: str) -> None:
     """Write (iteration, user, antenna, power, residual) rows."""
-    tx = np.diff(trace.offsets).tolist()
+    tx = trace.net.config.tx_antennas
     antennas = [(q, a) for q, t in enumerate(tx) for a in range(t)]
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:

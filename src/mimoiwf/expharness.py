@@ -17,7 +17,7 @@ from .contraction import certify
 from .engine import DEFAULT_IT_MAX, DEFAULT_TOL, SCHEDULE_KINDS, Schedule, make_schedule, run_game
 from .netmodel import FLOAT_MAX, ConfigError, NetworkConfig, check_count, is_number
 from .netmodel import default_rngs, sample_channels, seed_words, symmetric_config
-from .precode import DegenerateChannelError, build_effective_network
+from .precode import build_effective_network
 from .waterfill import greedy_profile, split_budgets, sum_rate, uniform_profile
 
 SWEEP_VARIABLES = ("cross_distance", "power_budget_db")
@@ -239,26 +239,25 @@ def _prepare(spec: SweepSpec, keys) -> list[tuple]:
     A trial's max_retries + 2 seeds are those of
     np.random.SeedSequence((base_seed, point, trial)), all derived in one
     seed_words pass; one default_rngs pass then seeds the generators of
-    every key's first draw and random start. Each trial draws first with
-    seed 0; a degenerate draw is redrawn alone, under its point's config,
-    with the trial's next seeds, up to max_retries draws in all. Seed
-    max_retries draws the random start, seed max_retries + 1 an async
+    every key's first draw and random start. Attempt a draws every key that
+    is still degenerate (all keys at attempt 0) with the trial's seed a, in
+    one stack under the keys' own configs, up to max_retries draws in all.
+    Seed max_retries draws the random start, seed max_retries + 1 an async
     trial's plan.
     """
     configs = [spec.points[p][1] for p, _ in keys]
     seeds = seed_words([(spec.base_seed, p, t) for p, t in keys], spec.max_retries + 2).tolist()
     rngs = default_rngs([s[0] for s in seeds] + [s[spec.max_retries] for s in seeds])
-    nets = build_effective_network(sample_channels(configs, rngs[: len(keys)]), configs)
-    retries = []
-    for k, (cfg, trial_seeds) in enumerate(zip(configs, seeds)):
-        attempt = 0
-        while nets[k] is None and attempt + 1 < spec.max_retries:
-            attempt += 1
-            try:
-                nets[k] = build_effective_network(sample_channels(cfg, trial_seeds[attempt]), cfg)
-            except DegenerateChannelError:
-                pass
-        retries.append(attempt if nets[k] is not None else spec.max_retries)
+    nets, retries = [None] * len(keys), [spec.max_retries] * len(keys)
+    redraw = range(len(keys))
+    for attempt in range(spec.max_retries):
+        cfgs = [configs[k] for k in redraw]
+        draws = [seeds[k][attempt] if attempt else rngs[k] for k in redraw]
+        for k, net in zip(redraw, build_effective_network(sample_channels(cfgs, draws), cfgs)):
+            if net is not None:
+                nets[k], retries[k] = net, attempt
+        if not (redraw := [k for k in redraw if nets[k] is None]):
+            break
     certs = iter(certify([net for net in nets if net is not None]))
     weights = np.empty((len(keys), configs[0].layout.offsets[-1]))
     for rng, row in zip(rngs[len(keys) :], weights):

@@ -343,22 +343,17 @@ _STIR = _stir_constants(_A)
 
 
 def _pool_words(entropy: np.ndarray, count: int) -> np.ndarray:
-    """(count, K) uint32 generate_state words of the (L, K) entropy words, L >= 4.
+    """(count, K) uint32 generate_state words of the (4, K) entropy words.
 
-    Every SeedSequence of one word count makes the same hashes in the same
-    order, so each step runs on all K columns at once. The arithmetic is on
-    uint32 arrays, which wrap without a warning.
+    Every SeedSequence of at most four entropy words makes the same hashes
+    in the same order, so each step runs on all K columns at once. The
+    arithmetic is on uint32 arrays, which wrap without a warning.
     """
-    pool = _hashmix(entropy[:_POOL], *_FILL)
+    pool = _hashmix(entropy, *_FILL)
     for src, (xor, mult) in enumerate(_STIR):
         new = _mix(pool, _hashmix(pool[src], xor, mult))
         new[src] = pool[src]
         pool = new
-    # words past the pool, each hashed into every pool word
-    rest = _hash_constants(_A[-1], _MULT_A, _POOL * (len(entropy) - _POOL))
-    for k, word in enumerate(entropy[_POOL:]):
-        c = rest[_POOL * k : _POOL * k + _POOL + 1]
-        pool = _mix(pool, _hashmix(word, _columns(c[:-1]), _columns(c[1:])))
     out = _hash_constants(_INIT_B, _MULT_B, count)
     return _hashmix(pool[np.arange(count) % _POOL], _columns(out[:-1]), _columns(out[1:]))
 
@@ -374,9 +369,10 @@ def seed_words(entropies, n: int) -> np.ndarray:
 
     The entropies are K nonnegative integers, or K tuples of m of them. As
     numpy does, each integer becomes its little-endian 32-bit words (0 is
-    one word) and a tuple's words are concatenated; the pool pads entropy of
-    fewer than four words with zero words. Entropies whose integers have the
-    same word counts share one pass, and there is one pass per such set.
+    one word) and a tuple's words are concatenated. The entropy a sweep
+    forms, at most four words with one word count per tuple position, is
+    hashed in one pass on all K rows; the pool pads it with zero words. Any
+    other call builds one numpy SeedSequence per row.
 
     Raises:
         ValueError: on a negative integer, or on tuples of several lengths.
@@ -389,24 +385,12 @@ def seed_words(entropies, n: int) -> np.ndarray:
     if columns and min(map(min, columns)) < 0:
         raise ValueError("expected non-negative integers")
     # the word count grows with the integer, so a column has one count when
-    # its smallest and largest entries do; otherwise rows split by their counts
-    mixed = [c for c in columns if _word_count(min(c)) != _word_count(max(c))]
-    if mixed:
-        layouts: dict[tuple, list[int]] = {}
-        for k, counts in enumerate(zip(*([_word_count(v) for v in c] for c in mixed))):
-            layouts.setdefault(counts, []).append(k)
-        out = np.empty((len(table), n), dtype=np.uint64)
-        for rows in layouts.values():
-            out[rows] = seed_words([table[k] for k in rows], n)
-        return out
-    words = []
-    for c in columns:
-        width = _word_count(max(c))
-        if width == 1:
-            words.append(c)
-        else:
-            words += ([v >> s & _M32 for v in c] for s in range(0, 32 * width, 32))
-    entropy = np.zeros((max(len(words), _POOL), len(table)), dtype=np.uint32)
+    # its smallest and largest entries do
+    widths = [_word_count(max(c)) for c in columns]
+    if sum(widths) > _POOL or any(_word_count(min(c)) != w for c, w in zip(columns, widths)):
+        return np.array([np.random.SeedSequence(e).generate_state(n, np.uint64) for e in table])
+    words = [[v >> 32 * i & _M32 for v in c] for c, w in zip(columns, widths) for i in range(w)]
+    entropy = np.zeros((_POOL, len(table)), dtype=np.uint32)
     for i, w in enumerate(words):
         entropy[i] = w
     # each pair of words is one uint64, low word first, as numpy reads them

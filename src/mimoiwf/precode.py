@@ -105,8 +105,8 @@ def build_effective_network(
 
     Raises:
         DegenerateChannelError: when some direct channel of a single
-            realization is rank deficient, so it should be redrawn; names
-            the first such user.
+            realization is rank deficient, or gives a noise floor of 0 or
+            inf, so it should be redrawn; names the first such user.
         SvdError: if the SVD routine fails to converge.
         ValueError: when the realization does not have the config's shapes,
             or the configs of a stack differ in a field the rotation reads.
@@ -140,21 +140,24 @@ def build_effective_network(
         )
     # a weak user's slots count as stream-less, so its zero gains divide nothing
     is_stream = is_stream & ~weak[..., None]
-    sigma_sq = singular**2
-    # a floor past the largest float is inf, which the next check catches
-    with np.errstate(over="ignore"):
-        stream_noise = np.divide(
-            layout.noise, sigma_sq, out=np.full(sigma_sq.shape, np.inf), where=is_stream
-        )
-    unbounded = (is_stream & (stream_noise == np.inf)).any(axis=-1)
-    if not stacked and unbounded.any():
-        raise DegenerateChannelError(f"noise floor of user {unbounded[0].argmax()} is not finite")
-
     # rotated[k, r, q] = U_q^H H_rq V_r of draw k, first min(R, T) rows
     streams = min(r_max, t_max)
     u_h = rx_bases.conj().swapaxes(-1, -2)[:, :, :streams]
     rotated = u_h[:, None] @ links @ tx_bases[:, :, None]
-    gain = np.abs(rotated) ** 2
+    # a square or a floor past the largest float is inf; a floor over an inf
+    # square, or under the smallest float, is 0; the next check catches both
+    with np.errstate(over="ignore"):
+        sigma_sq = singular**2
+        gain = np.abs(rotated) ** 2
+        stream_noise = np.divide(
+            layout.noise, sigma_sq, out=np.full(sigma_sq.shape, np.inf), where=is_stream
+        )
+    bad = is_stream & ((stream_noise == 0) | (stream_noise == np.inf))
+    unbounded = bad.any(axis=-1)
+    if not stacked and unbounded.any():
+        q = unbounded[0].argmax()
+        value = "0" if (stream_noise[0, q][bad[0, q]] == 0).any() else "not finite"
+        raise DegenerateChannelError(f"noise floor of user {q} is {value}")
     gain.reshape(n_draws, n_users * n_users, -1)[:, :: n_users + 1] = 0.0  # the direct links
     # an infinite divisor zeroes the rows of slots without a stream
     divisor = np.where(is_stream, sigma_sq, np.inf)[:, None, :, :streams, None]

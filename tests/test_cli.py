@@ -506,6 +506,31 @@ def test_a_noise_floor_past_the_largest_float_is_one_error_line(tmp_path, capsys
     assert captured.err.splitlines() == ["error: noise floor of user 0 is not finite"]
 
 
+# a direct-link gain of about 1.7e308 fits a float, but its squared singular
+# values do not, so noise over them comes out 0
+SQUARE_OVERFLOW = {
+    "num_users": 2,
+    "tx_antennas": 2,
+    "rx_antennas": 2,
+    "power_budget": 1.0,
+    "noise_power": 1.0,
+    "direct_distance": 1.8e-103,
+    "cross_distance": 1.0,
+    "pathloss_exponent": 3.0,
+}
+
+
+@pytest.mark.parametrize("command", ["play", "certify"])
+def test_a_noise_floor_of_zero_is_one_error_line(tmp_path, capsys, command):
+    # numpy's RuntimeWarnings from the squares used to come first, and play
+    # went on to print infinite rates after a third warning
+    argv = [command, "--config", write_config(tmp_path, SQUARE_OVERFLOW), "--quiet"]
+    assert main(argv + (["--seed", "1"] if command == "play" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: noise floor of user 0 is 0"]
+
+
 def test_a_sweep_whose_noise_floors_overflow_writes_its_csv_quietly(tmp_path, capsys):
     # every draw is degenerate, so both trials are excluded, as before
     doc = {"sweep_values": [15.0], "trials": 2, "noise_power": 1e306}

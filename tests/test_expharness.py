@@ -492,6 +492,31 @@ def test_a_chunk_and_a_lone_trial_hash_seeds_in_two_passes(monkeypatch, spec):
     assert passes == [(1, spec.max_retries + 2), (2, 4)]
 
 
+@pytest.mark.parametrize("base_seed", [0, 2**32 + 5, 2**64 + 5])
+def test_a_sweep_chunk_builds_a_seed_sequence_only_past_four_words(monkeypatch, base_seed):
+    # (base_seed, point, trial) is three or four words for a base seed below
+    # 2**64, which seed_words hashes in bulk; a third base-seed word makes
+    # five, and each key of the chunk then builds numpy's SeedSequence
+    spec = dataclasses.replace(MIXED, schedule="random_async", base_seed=base_seed)
+    keys = [(0, t) for t in range(spec.trials)]
+    singles = [run_trial(spec, p, t) for p, t in keys]
+    built = []
+    sequence = np.random.SeedSequence
+
+    def counted(entropy):
+        if base_seed < 2**64:
+            raise AssertionError(f"SeedSequence({entropy!r}) built at base seed {base_seed}")
+        built.append(entropy)
+        return sequence(entropy)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    records = expharness._run_chunk(spec, keys)
+    assert built == ([] if base_seed < 2**64 else [(base_seed, p, t) for p, t in keys])
+    assert any(r.retries for r in records)
+    for rec, single in zip(records, singles, strict=True):
+        assert same_record(rec, single), rec.trial_index
+
+
 def test_disagreement_is_the_spread_of_all_three_final_states(monkeypatch):
     # interference-limited, so the starts end apart by rounding, and in two of
     # these trials the random start's final state sets the spread
@@ -584,10 +609,19 @@ def test_chunks_across_points_equal_single_trials(monkeypatch, across_singles, n
     ]
     for rec, single in zip(records, singles):
         assert same_record(rec, single), (rec.point_index, rec.trial_index)
-    if jobs == 1:  # one stacked draw per chunk of consecutive keys, across points
+    if jobs == 1:
+        # one stacked first draw per chunk of consecutive keys, across points,
+        # then one stacked redraw per attempt that still has degenerate keys:
+        # those whose earlier draws were all degenerate
         size = chunk or expharness.CHUNK_TRIALS
-        whole, rest = divmod(len(singles), size)
-        assert [k for k in stacks if k] == [size] * whole + ([rest] if rest else [])
+        want = []
+        for start in range(0, len(singles), size):
+            chunk_singles = singles[start : start + size]
+            want.append(len(chunk_singles))
+            for attempt in range(1, spec.max_retries):
+                if redraws := sum(r.retries >= attempt for r in chunk_singles):
+                    want.append(redraws)
+        assert stacks == want
     assert not expharness._ready
 
 

@@ -462,11 +462,13 @@ def test_an_empty_list_of_configs_draws_an_empty_stack():
         sample_channels([], [1, 2])
 
 
-# Entropies by tuple length, one seed_words call each, and each call mixes
-# word counts. (base_seed, point, trial) as a sweep forms it, with base seeds
-# of one word, of its largest value, of two words (2**32, 2**64 - 1 being the
-# largest) and of three (2**64, 2**70), and tuples of more words than the pool
-# of four; plain integers, as a stack of draw seeds; and empty entropy.
+# Entropies by tuple length, one seed_words call each. (base_seed, point,
+# trial) as a sweep forms it, with base seeds of one word, of its largest
+# value, of two words (2**32, 2**64 - 1 being the largest) and of three
+# (2**64, 2**70), and tuples of more words than the pool of four; plain
+# integers, as a stack of draw seeds; and empty entropy. Each call but the
+# empty one mixes word counts or passes four words, so numpy seeds it row
+# by row; SEED_BULK lists calls that the bulk pass hashes.
 SEED_ENTROPIES = {
     3: [
         (0, 0, 0),
@@ -489,6 +491,32 @@ def test_seed_words_match_numpy_seed_sequence(length, n):
     for row, entropy in zip(got, entropies):
         want = np.random.SeedSequence(entropy).generate_state(n, np.uint64)
         np.testing.assert_array_equal(row, want, err_msg=repr(entropy))
+
+
+# Calls of at most four words, with one word count per tuple position: a
+# sweep's (base_seed, point, trial) with base seeds of one and of two words,
+# two-word draw seeds, four-word integers and empty entropy.
+SEED_BULK = [
+    [(0, 0, 0), (2**32 - 1, 3, 17), (5, 2**32 - 1, 0)],
+    [(2**32, 0, 0), (2**64 - 1, 3, 17), (2**32 + 5, 2**32 - 1, 1)],
+    [2**32, 2**64 - 1, 2**40 + 7],
+    [2**100, (2**127,), 2**96],
+    [(), ()],
+]
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+@pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "numpy"])
+def test_seed_words_hash_at_most_four_words_of_one_layout_in_bulk(monkeypatch, bulk, n):
+    calls = SEED_BULK if bulk else [e for length, e in SEED_ENTROPIES.items() if length]
+    wants = [[np.random.SeedSequence(e).generate_state(n, np.uint64) for e in c] for c in calls]
+    built = []
+    sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", lambda e: built.append(e) or sequence(e))
+    for entropies, want in zip(calls, wants):
+        built.clear()
+        np.testing.assert_array_equal(seed_words(entropies, n), want, err_msg=repr(entropies))
+        assert len(built) == (0 if bulk else len(entropies)), entropies
 
 
 def test_seed_words_refuse_what_numpy_refuses():

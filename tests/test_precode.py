@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mimoiwf.cli import network_from_dict
-from mimoiwf.netmodel import NetworkConfig, sample_channels, symmetric_config
+from mimoiwf.netmodel import ChannelRealization, NetworkConfig, sample_channels, symmetric_config
 from mimoiwf.precode import (
     DegenerateChannelError,
     build_effective_network,
@@ -91,6 +91,25 @@ def test_degenerate_direct_channel_rejected():
     rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(DegenerateChannelError, match="user 1 "):
         explicit_net([np.eye(2), rank_one, np.eye(2), rank_one], {}, [10.0] * 4, [1.0] * 4)
+
+
+def test_a_noise_floor_of_zero_is_degenerate():
+    # sigma^2 past the largest float, or noise over sigma^2 under the
+    # smallest float, makes a floor of 0, with no numpy warning
+    huge = np.diag([1e155, 1.0])
+    with pytest.raises(DegenerateChannelError, match="^noise floor of user 1 is 0$"):
+        explicit_net([np.eye(2), huge], {}, [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(DegenerateChannelError, match="^noise floor of user 0 is 0$"):
+        explicit_net([10.0 * np.eye(2)], {}, [1.0], [5e-324])
+    # in a stack that draw is None and the others are built
+    cfg = symmetric_config(1, 2, 2, 1.0, 1.0, 1.0, 1.0, 0.0)
+    draws = [ChannelRealization.from_matrices([[h]]) for h in (np.eye(2), huge, 2 * np.eye(2))]
+    links = np.stack([d.links for d in draws])
+    stack = ChannelRealization(links=links, tx_antennas=(2,), rx_antennas=(2,))
+    nets = build_effective_network(stack, cfg)
+    assert nets[1] is None
+    np.testing.assert_array_equal(nets[0].stream_noise, [[1.0, 1.0]])
+    np.testing.assert_array_equal(nets[2].stream_noise, [[0.25, 0.25]])
 
 
 @pytest.mark.parametrize("tx, rx", [(2, 2), (3, 3), (2, 3), (3, 2)])

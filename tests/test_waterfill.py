@@ -29,6 +29,7 @@ from mimoiwf.precode import build_effective_network
 from oracles import (
     RAGGED,
     bisect_water_level,
+    bisect_water_level_batch,
     explicit_net,
     kkt_water_allocation,
     noise_floor,
@@ -595,6 +596,36 @@ def test_floors_whose_prefix_sum_overflows_warn_nothing():
     res = water_level(np.array([[1e308, 1.5e308], [1.0, 2.0]]), np.array([1.0, 1.0]))
     np.testing.assert_array_equal(res.powers, [[0.0, 0.0], [1.0, 0.0]])
     np.testing.assert_array_equal(res.water_level, [1e308, 2.0])
+
+
+def test_a_budget_plus_floors_past_the_largest_float_fills_at_the_true_level():
+    # 1.7e308 + 1.0 + 1e308 passes the largest float: that prefix level used
+    # to be inf, and the minimum took the first one, for powers [7e307,
+    # 1.7e308] that overspend; the row is solved again on floors and budget
+    # scaled by 1/4, and the row beside it keeps its bits
+    floors = np.array([[1e308, 1.0], [1.0, 2.0]])
+    budgets = np.array([1.7e308, 1.0])
+    res = water_level(floors, budgets)
+    want = 4.0 * bisect_water_level_batch(floors[:1] / 4.0, budgets[:1] / 4.0)
+    np.testing.assert_allclose(res.water_level[:1], want, rtol=1e-12)
+    np.testing.assert_allclose(res.water_level[0], 1.35e308, rtol=1e-12)
+    np.testing.assert_allclose(res.powers.sum(axis=1), budgets, rtol=1e-12)
+    alone = water_level(floors[1], budgets[1])
+    assert res.water_level[1] == alone.water_level
+    np.testing.assert_array_equal(res.powers[1], alone.powers)
+    row = water_level(floors[0], budgets[0])
+    assert row.water_level == res.water_level[0]
+    np.testing.assert_array_equal(row.powers, res.powers[0])
+
+
+def test_a_water_level_past_the_largest_float_is_refused():
+    # the level 2e308 used to give powers [inf, nan] and numpy's warning
+    for floors, budget in (
+        (np.array([1e308, np.inf]), 1e308),
+        (np.array([[1.0, 2.0], [1e308, np.inf]]), np.array([1.0, 1e308])),
+    ):
+        with pytest.raises(ValueError, match="float overflow: the water level"):
+            water_level(floors, budget)
 
 
 def test_batch_equals_the_sort_cumsum_min_formula_bit_for_bit():
