@@ -30,7 +30,7 @@ from .netmodel import (
     is_number,
     sample_channels,
 )
-from .precode import DegenerateChannelError, SvdError, build_effective_network
+from .precode import SvdError, build_effective_network
 
 _SCHEDULE_FLAG = {"jacobi": "jacobi", "gauss-seidel": "gauss_seidel", "async": "random_async"}
 
@@ -290,14 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        DegenerateChannelError,
-        SvdError,
-        PowerIterationError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (SvdError, PowerIterationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

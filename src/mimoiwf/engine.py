@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import waterfill
 from .netmodel import check_count, is_integer
 from .precode import EffectiveNetwork
 from .waterfill import (
@@ -23,6 +22,7 @@ from .waterfill import (
     uniform_profile,
     user_rates,
     validate_profile,
+    water_level,
 )
 
 DEFAULT_IT_MAX = 100
@@ -316,13 +316,11 @@ def run_game(
 def check_nash(net: EffectiveNetwork, x: np.ndarray) -> float:
     """Largest distance of any user's power in x from its own best response.
 
-    The checked verifier: the responses come from waterfill.water_level,
-    with every input check, where a game step runs the unchecked core. It
-    reads water_level through the module attribute so that a tracer which
-    wraps waterfill.water_level still times one call per verified state.
+    The checked verifier: the responses come from water_level, with every
+    input check, where a game step runs the unchecked core.
     """
     layout = net.config.layout
-    response = waterfill.water_level(stream_floors(net, x), layout.budget).powers
+    response = water_level(stream_floors(net, x), layout.budget).powers
     return float(np.abs(x - response[layout.antenna_mask]).max())
 
 

@@ -289,17 +289,14 @@ _MIX_L, _MIX_R, _XSHIFT = (np.array(v, dtype=np.uint32) for v in (0xCA01F9DD, 0x
 _POOL = 4
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    """The count + 1 running hash constants init * mult**i, mod 2**32."""
+def _hash_columns(init: int, mult: int, count: int) -> tuple:
+    """(xor, mult) (count, 1) uint32 columns of count running hashes: hash i
+    xors init * mult**i and multiplies by init * mult**(i + 1), mod 2**32."""
     c = [init]
     for _ in range(count):
         c.append(c[-1] * mult & _M32)
-    return c
-
-
-def _columns(values) -> np.ndarray:
-    """(len(values), 1) uint32 constants, one per row of a (rows, K) array."""
-    return np.array(values, dtype=np.uint32)[:, None]
+    column = np.array(c, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
 
 
 def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -310,36 +307,17 @@ def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return v
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = x * _MIX_L
-    x -= y * _MIX_R
-    x ^= x >> _XSHIFT
-    return x
-
-
-def _stir_constants(a: list[int]) -> tuple:
-    """(xor, mult) columns of the hashes that stir the pool, one pair per word.
-
-    After the pool is filled by hashes 0-3, each word src in turn is hashed
-    into the three others, hash i taking constants a[i] and a[i + 1]. The
-    pair of word src holds the constants of its three hashes in the rows of
-    the words they go into; row src is a spare whose result is put back.
-    """
-    stir = []
-    for src in range(_POOL):
-        xor, mult = [0] * _POOL, [0] * _POOL
-        others = [d for d in range(_POOL) if d != src]
-        for i, dst in enumerate(others, start=_POOL + (_POOL - 1) * src):
-            xor[dst], mult[dst] = a[i], a[i + 1]
-        stir.append((_columns(xor), _columns(mult)))
-    return tuple(stir)
-
-
-# the constants of SeedSequence's first 16 hashes, which fill and stir the
-# pool whatever the entropy
-_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
-_FILL = _columns(_A[:_POOL]), _columns(_A[1 : _POOL + 1])
-_STIR = _stir_constants(_A)
+# SeedSequence's first 16 hashes fill and stir the pool whatever the
+# entropy: hashes 0-3 fill it, then each word src in turn is hashed into the
+# three others by hashes 4 + 3*src onward. A stir round holds their
+# constants in the rows of the words they go into, with a spare zero row at
+# src whose result is put back.
+_A = _hash_columns(_INIT_A, _MULT_A, _POOL * _POOL)
+_FILL = tuple(c[:_POOL] for c in _A)
+_STIR = [
+    tuple(np.insert(c[_POOL + 3 * src : _POOL + 3 * src + 3], src, 0, axis=0) for c in _A)
+    for src in range(_POOL)
+]
 
 
 def _pool_words(entropy: np.ndarray, count: int) -> np.ndarray:
@@ -351,11 +329,12 @@ def _pool_words(entropy: np.ndarray, count: int) -> np.ndarray:
     """
     pool = _hashmix(entropy, *_FILL)
     for src, (xor, mult) in enumerate(_STIR):
-        new = _mix(pool, _hashmix(pool[src], xor, mult))
+        new = pool * _MIX_L
+        new -= _hashmix(pool[src], xor, mult) * _MIX_R
+        new ^= new >> _XSHIFT
         new[src] = pool[src]
         pool = new
-    out = _hash_constants(_INIT_B, _MULT_B, count)
-    return _hashmix(pool[np.arange(count) % _POOL], _columns(out[:-1]), _columns(out[1:]))
+    return _hashmix(pool[np.arange(count) % _POOL], *_hash_columns(_INIT_B, _MULT_B, count))
 
 
 def _word_count(value: int) -> int:

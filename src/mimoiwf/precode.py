@@ -145,23 +145,24 @@ def build_effective_network(
     u_h = rx_bases.conj().swapaxes(-1, -2)[:, :, :streams]
     rotated = u_h[:, None] @ links @ tx_bases[:, :, None]
     # a square or a floor past the largest float is inf; a floor over an inf
-    # square, or under the smallest float, is 0; the next check catches both
+    # square, or under the smallest float, is 0; the next check catches both.
+    # A coupling past the largest float is inf, which certify and the game reject
     with np.errstate(over="ignore"):
         sigma_sq = singular**2
         gain = np.abs(rotated) ** 2
         stream_noise = np.divide(
             layout.noise, sigma_sq, out=np.full(sigma_sq.shape, np.inf), where=is_stream
         )
+        gain.reshape(n_draws, n_users * n_users, -1)[:, :: n_users + 1] = 0.0  # the direct links
+        # an infinite divisor zeroes the rows of slots without a stream
+        divisor = np.where(is_stream, sigma_sq, np.inf)[:, None, :, :streams, None]
+        coupling = (gain / divisor).reshape(n_draws, -1).take(layout.coupling_index, axis=1)
     bad = is_stream & ((stream_noise == 0) | (stream_noise == np.inf))
     unbounded = bad.any(axis=-1)
     if not stacked and unbounded.any():
         q = unbounded[0].argmax()
         value = "0" if (stream_noise[0, q][bad[0, q]] == 0).any() else "not finite"
         raise DegenerateChannelError(f"noise floor of user {q} is {value}")
-    gain.reshape(n_draws, n_users * n_users, -1)[:, :: n_users + 1] = 0.0  # the direct links
-    # an infinite divisor zeroes the rows of slots without a stream
-    divisor = np.where(is_stream, sigma_sq, np.inf)[:, None, :, :streams, None]
-    coupling = (gain / divisor).reshape(n_draws, -1).take(layout.coupling_index, axis=1)
     stacks = (rx_bases, tx_bases, singular, coupling, stream_noise)  # in field order
     for a in stacks:
         a.setflags(write=False)

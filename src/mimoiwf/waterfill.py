@@ -147,22 +147,18 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     total = sum(budgets)
     if not (0 < min(budgets) and max(budgets) < np.inf and total == total):
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
-    # a row whose budget plus finite floors passes the largest float has inf
-    # prefix levels, which the minimum would pass over; it is solved again on
-    # floors and budget scaled by 2**-k <= 1/(S + 1), exactly, and the others
-    # keep their bits
+    # a row whose budget plus finite floors passes the largest float would
+    # have inf prefix levels, which the minimum passes over; its floors and
+    # budget are scaled by 2**-k <= 1/(S + 1), exactly, and the other rows by
+    # 2**0, which keeps their bits
     finite = np.where(order < np.inf, order, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         spill = np.add.accumulate(finite, axis=1)[:, -1] + b == np.inf
-        powers, mu = _fill(order, rows, b.reshape(-1, 1))
-        if True in spill.tolist():
-            k = rows.shape[1].bit_length()
-            scaled = np.ldexp(rows[spill], -k)
-            scaled_budget = np.ldexp(np.broadcast_to(b, spill.shape)[spill], -k)
-            fixed, level = _fill(np.sort(scaled, axis=1), scaled, scaled_budget[:, None])
-            powers[spill], mu[spill] = np.ldexp(fixed, k), np.ldexp(level, k)
-            if not mu.max() < np.inf:
-                raise ValueError("float overflow: the water level is too large for a float")
+        k = np.where(spill, -rows.shape[1].bit_length(), 0)[:, None]
+        powers, mu = _fill(np.ldexp(order, k), np.ldexp(rows, k), np.ldexp(b.reshape(-1, 1), k))
+        powers, mu = np.ldexp(powers, -k), np.ldexp(mu, -k)
+    if not mu.max() < np.inf:
+        raise ValueError("float overflow: the water level is too large for a float")
     if c.ndim == 1:
         return WaterfillResult(powers=powers[0], water_level=float(mu[0, 0]))
     return WaterfillResult(powers=powers, water_level=mu[:, 0])

@@ -531,6 +531,43 @@ def test_a_noise_floor_of_zero_is_one_error_line(tmp_path, capsys, command):
     assert captured.err.splitlines() == ["error: noise floor of user 0 is 0"]
 
 
+# cross links with a power gain of about 1.7e308: a coupling, cross gain
+# over a squared singular value, passes the largest float
+CROSS_OVERFLOW = {**SQUARE_OVERFLOW, "direct_distance": 1.0, "cross_distance": 1.8e-103}
+CROSS_OVERFLOW_ERRORS = {
+    "play": "error: step 1: float overflow: the interference or water level at these "
+    "powers is too large for a float",
+    "certify": "error: matrix must be nonnegative and finite",
+}
+
+
+@pytest.mark.parametrize("command", ["play", "certify"])
+def test_a_coupling_past_the_largest_float_is_one_error_line(tmp_path, capsys, command):
+    # numpy's RuntimeWarning from the division used to come first
+    argv = [command, "--config", write_config(tmp_path, CROSS_OVERFLOW), "--quiet"]
+    assert main(argv + (["--seed", "1"] if command == "play" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [CROSS_OVERFLOW_ERRORS[command]]
+
+
+def test_a_sweep_whose_couplings_overflow_is_one_error_line(tmp_path, capsys):
+    doc = {
+        "sweep_values": [1.8e-103],
+        "trials": 2,
+        "direct_distance": 1.0,
+        "pathloss_exponent": 3.0,
+        "power_budget_db": 0.0,
+    }
+    out = tmp_path / "cross.csv"
+    argv = ["sweep-uniqueness", "--config", write_config(tmp_path, doc), "--out", str(out)]
+    assert main(argv + ["--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: matrix must be nonnegative and finite"]
+    assert not out.exists()
+
+
 def test_a_sweep_whose_noise_floors_overflow_writes_its_csv_quietly(tmp_path, capsys):
     # every draw is degenerate, so both trials are excluded, as before
     doc = {"sweep_values": [15.0], "trials": 2, "noise_power": 1e306}

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimoiwf import engine, waterfill
+from mimoiwf import engine
 from mimoiwf.cli import network_from_dict
 from mimoiwf.contraction import certify
 from mimoiwf.engine import (
@@ -508,8 +508,8 @@ def test_nash_gap_is_built_once_when_read(monkeypatch, kind, bounds):
 
 def test_a_game_runs_the_core_and_check_nash_the_checked_water_level(monkeypatch):
     calls = []
-    checked = waterfill.water_level
-    monkeypatch.setattr(waterfill, "water_level", lambda *a: calls.append(a) or checked(*a))
+    checked = engine.water_level
+    monkeypatch.setattr(engine, "water_level", lambda *a: calls.append(a) or checked(*a))
     net = ragged_net(2)
     for kind, bounds in (("jacobi", {}), ("random_async", {"delay_bound": 2, "update_bound": 3})):
         calls.clear()

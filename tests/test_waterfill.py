@@ -601,8 +601,8 @@ def test_floors_whose_prefix_sum_overflows_warn_nothing():
 def test_a_budget_plus_floors_past_the_largest_float_fills_at_the_true_level():
     # 1.7e308 + 1.0 + 1e308 passes the largest float: that prefix level used
     # to be inf, and the minimum took the first one, for powers [7e307,
-    # 1.7e308] that overspend; the row is solved again on floors and budget
-    # scaled by 1/4, and the row beside it keeps its bits
+    # 1.7e308] that overspend; the row is solved on floors and budget scaled
+    # by 1/4, and the row beside it keeps its bits
     floors = np.array([[1e308, 1.0], [1.0, 2.0]])
     budgets = np.array([1.7e308, 1.0])
     res = water_level(floors, budgets)
@@ -616,6 +616,13 @@ def test_a_budget_plus_floors_past_the_largest_float_fills_at_the_true_level():
     row = water_level(floors[0], budgets[0])
     assert row.water_level == res.water_level[0]
     np.testing.assert_array_equal(row.powers, res.powers[0])
+    # a scalar budget broadcast over the rows scales the spilling row alone
+    scalar = water_level(floors, 1.7e308)
+    assert scalar.water_level[0] == res.water_level[0]
+    np.testing.assert_array_equal(scalar.powers[0], res.powers[0])
+    alone = water_level(floors[1], 1.7e308)
+    assert scalar.water_level[1] == alone.water_level
+    np.testing.assert_array_equal(scalar.powers[1], alone.powers)
 
 
 def test_a_water_level_past_the_largest_float_is_refused():
