@@ -27,7 +27,6 @@ from .netmodel import (
     ConfigError,
     NetworkConfig,
     sample_channels,
-    symmetric_config,
     validate_config,
 )
 from .precode import (

@@ -3,10 +3,10 @@
 Subcommands: play one game, certify one realization, or run the two Monte
 Carlo sweeps. Configs are JSON documents whose keys mirror the NetworkConfig
 and SweepSpec fields one-to-one; unknown keys are rejected. This module maps
-JSON shape only: missing keys, scalars broadcast to every user, and a scalar
-or a matrix cross_distance. The types check their own fields, so a value of
-the wrong type is refused by the same check here as in the library. A JSON
-float that is integral reads as an int, so a count may be written 2.0.
+JSON shape only: an object, no unknown keys and no missing ones. The types
+check their own fields and NetworkConfig broadcasts its own scalars, so a
+value is read and refused here as in the library. A JSON float that is
+integral reads as an int, so a count may be written 2.0.
 """
 from __future__ import annotations
 
@@ -34,14 +34,8 @@ from .precode import SvdError, build_effective_network
 
 _SCHEDULE_FLAG = {"jacobi": "jacobi", "gauss-seidel": "gauss_seidel", "async": "random_async"}
 
-_NET_KEYS = {f.name for f in dataclasses.fields(NetworkConfig)} | {"seed", "channels"}
-
-
-def _per_user(doc: dict, key: str, q_count: int) -> tuple:
-    if key not in doc:
-        raise ConfigError(f"missing config key {key!r}")
-    v = doc[key]
-    return tuple(v) if isinstance(v, list) else (v,) * q_count
+_NET_FIELDS = tuple(f.name for f in dataclasses.fields(NetworkConfig))
+_NET_KEYS = {*_NET_FIELDS, "seed", "channels"}
 
 
 def network_from_dict(doc: dict) -> NetworkConfig:
@@ -51,32 +45,11 @@ def network_from_dict(doc: dict) -> NetworkConfig:
     unknown = sorted(set(doc) - _NET_KEYS)
     if unknown:
         raise ConfigError(f"unknown network config keys: {', '.join(unknown)}")
-    if "num_users" not in doc:
-        raise ConfigError("missing config key 'num_users'")
-    q_count = doc["num_users"]
-    check_count("num_users", q_count, 1)  # scalars broadcast to this many users
-
-    direct = _per_user(doc, "direct_distance", q_count)
-    cross_in = doc.get("cross_distance")
-    if cross_in is None:
-        raise ConfigError("missing config key 'cross_distance'")
-    if isinstance(cross_in, list):
-        if not all(isinstance(row, list) for row in cross_in):
-            raise ConfigError("cross_distance must be a number or a list of rows")
-        cross = cross_in
-    else:
-        cross = [[d if r == q else cross_in for q in range(q_count)] for r, d in enumerate(direct)]
-
-    return NetworkConfig(
-        num_users=q_count,
-        tx_antennas=_per_user(doc, "tx_antennas", q_count),
-        rx_antennas=_per_user(doc, "rx_antennas", q_count),
-        power_budget=_per_user(doc, "power_budget", q_count),
-        noise_power=_per_user(doc, "noise_power", q_count),
-        direct_distance=direct,
-        cross_distance=cross,
-        pathloss_exponent=doc.get("pathloss_exponent", 2.5),
-    )
+    values = {"pathloss_exponent": SweepSpec.pathloss_exponent, **doc}
+    for name in _NET_FIELDS:
+        if name not in values:
+            raise ConfigError(f"missing config key {name!r}")
+    return NetworkConfig(**{name: values[name] for name in _NET_FIELDS})
 
 
 def channels_from_dict(doc: dict, cfg: NetworkConfig) -> ChannelRealization:

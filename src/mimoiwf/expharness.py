@@ -16,7 +16,7 @@ import numpy as np
 from .contraction import certify
 from .engine import DEFAULT_IT_MAX, DEFAULT_TOL, SCHEDULE_KINDS, Schedule, make_schedule, run_game
 from .netmodel import FLOAT_MAX, ConfigError, NetworkConfig, check_count, is_number
-from .netmodel import default_rngs, sample_channels, seed_words, symmetric_config
+from .netmodel import default_rngs, sample_channels, seed_words
 from .precode import build_effective_network
 from .waterfill import greedy_profile, split_budgets, sum_rate, uniform_profile
 
@@ -209,7 +209,7 @@ def trial_config(spec: SweepSpec, point_value: float) -> NetworkConfig:
                 f"distance at pathloss_exponent {spec.pathloss_exponent!r}, where it comes out "
                 f"as {cross!r}, not a positive finite float"
             )
-    return symmetric_config(
+    return NetworkConfig(
         num_users=spec.num_users,
         tx_antennas=spec.tx_antennas,
         rx_antennas=spec.rx_antennas,

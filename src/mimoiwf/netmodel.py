@@ -38,10 +38,14 @@ class NetworkConfig:
             direct_distance by convention.
         pathloss_exponent: exponent of the power-law attenuation.
 
-    Construction stores the per-user fields and the cross_distance rows as
-    tuples, then runs validate_config, so every instance is consistent and
-    hashable. The layout is not a field: equality, hashing, repr, replace
-    and pickling see the fields only.
+    A per-user field given as a list, a tuple or an array holds one entry
+    per user; any other value, a number say, is that value for every user.
+    A cross_distance that is not a sequence of rows is the distance of every
+    cross link, with direct_distance[r] on the diagonal. Construction stores
+    the per-user fields and the cross_distance rows as tuples, then runs
+    validate_config, so every instance is consistent and hashable. The
+    layout is not a field: equality, hashing, repr, replace and pickling
+    see the fields only.
     """
 
     num_users: int
@@ -54,11 +58,20 @@ class NetworkConfig:
     pathloss_exponent: float
 
     def __post_init__(self) -> None:
+        check_count("num_users", self.num_users, 1)  # a scalar is this many entries
         for name in _PER_USER:
-            object.__setattr__(self, name, _as_tuple(name, getattr(self, name)))
-        rows = _as_tuple("cross_distance", self.cross_distance)
-        rows = tuple(_as_tuple(f"cross_distance[{r}]", row) for r, row in enumerate(rows))
-        object.__setattr__(self, "cross_distance", rows)
+            value = getattr(self, name)
+            value = tuple(value) if _is_sequence(value) else (value,) * self.num_users
+            object.__setattr__(self, name, value)
+        cross, direct = self.cross_distance, self.direct_distance
+        rows = cross if _is_sequence(cross) else [
+            [d if r == q else cross for q in range(len(direct))] for r, d in enumerate(direct)
+        ]
+        for r, row in enumerate(rows):
+            if not _is_sequence(row):
+                message = f"cross_distance[{r}] must be a sequence, one entry per user, got {row!r}"
+                raise ConfigError(message)
+        object.__setattr__(self, "cross_distance", tuple(map(tuple, rows)))
         validate_config(self)
 
     def __getstate__(self) -> dict:
@@ -74,12 +87,10 @@ class NetworkConfig:
 _PER_USER = ("tx_antennas", "rx_antennas", "power_budget", "noise_power", "direct_distance")
 
 
-def _as_tuple(name: str, values) -> tuple:
-    try:
-        return tuple(values)
-    except TypeError:
-        message = f"{name} must be a sequence, one entry per user, got {values!r}"
-        raise ConfigError(message) from None
+def _is_sequence(value) -> bool:
+    """A list, a tuple or an array of at least one dimension; a string or a
+    mapping is one value."""
+    return isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim > 0
 
 
 @dataclass(frozen=True)
@@ -210,38 +221,6 @@ def check_count(name: str, value, low: int, error: type[Exception] = ConfigError
     """Raise error naming a count that is not an integer (a bool is not) at least low."""
     if not (is_integer(value) and value >= low):
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def symmetric_config(
-    num_users: int,
-    tx_antennas: int,
-    rx_antennas: int,
-    power_budget: float,
-    noise_power: float,
-    direct_distance: float,
-    cross_distance: float,
-    pathloss_exponent: float,
-) -> NetworkConfig:
-    """Build a config where every user shares the same scalar parameters.
-
-    Raises:
-        ConfigError: naming the offending field.
-    """
-    check_count("num_users", num_users, 1)
-    cross = tuple(
-        tuple(direct_distance if r == q else cross_distance for q in range(num_users))
-        for r in range(num_users)
-    )
-    return NetworkConfig(
-        num_users=num_users,
-        tx_antennas=(tx_antennas,) * num_users,
-        rx_antennas=(rx_antennas,) * num_users,
-        power_budget=(power_budget,) * num_users,
-        noise_power=(noise_power,) * num_users,
-        direct_distance=(direct_distance,) * num_users,
-        cross_distance=cross,
-        pathloss_exponent=pathloss_exponent,
-    )
 
 
 # What the configs of one stack must share: all that a rotation reads

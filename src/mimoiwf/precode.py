@@ -106,7 +106,8 @@ def build_effective_network(
     Raises:
         DegenerateChannelError: when some direct channel of a single
             realization is rank deficient, or gives a noise floor of 0 or
-            inf, so it should be redrawn; names the first such user.
+            inf or a coupling that is not finite, so it should be redrawn;
+            names the first such user.
         SvdError: if the SVD routine fails to converge.
         ValueError: when the realization does not have the config's shapes,
             or the configs of a stack differ in a field the rotation reads.
@@ -146,7 +147,7 @@ def build_effective_network(
     rotated = u_h[:, None] @ links @ tx_bases[:, :, None]
     # a square or a floor past the largest float is inf; a floor over an inf
     # square, or under the smallest float, is 0; the next check catches both.
-    # A coupling past the largest float is inf, which certify and the game reject
+    # A coupling past the largest float is inf, which the last check catches
     with np.errstate(over="ignore"):
         sigma_sq = singular**2
         gain = np.abs(rotated) ** 2
@@ -163,12 +164,16 @@ def build_effective_network(
         q = unbounded[0].argmax()
         value = "0" if (stream_noise[0, q][bad[0, q]] == 0).any() else "not finite"
         raise DegenerateChannelError(f"noise floor of user {q} is {value}")
+    # users with an antenna whose coupling row is not finite
+    swamped = np.logical_or.reduceat(~np.isfinite(coupling).all(-1), layout.starts, -1)
+    if not stacked and swamped.any():
+        raise DegenerateChannelError(f"coupling into user {swamped[0].argmax()} is not finite")
     stacks = (rx_bases, tx_bases, singular, coupling, stream_noise)  # in field order
     for a in stacks:
         a.setflags(write=False)
 
     nets = [
         None if bad else EffectiveNetwork(configs[k], *(a[k] for a in stacks))
-        for k, bad in enumerate((weak | unbounded).any(axis=-1).tolist())
+        for k, bad in enumerate((weak | unbounded | swamped).any(axis=-1).tolist())
     ]
     return nets if stacked else nets[0]

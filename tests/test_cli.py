@@ -534,10 +534,11 @@ def test_a_noise_floor_of_zero_is_one_error_line(tmp_path, capsys, command):
 # cross links with a power gain of about 1.7e308: a coupling, cross gain
 # over a squared singular value, passes the largest float
 CROSS_OVERFLOW = {**SQUARE_OVERFLOW, "direct_distance": 1.0, "cross_distance": 1.8e-103}
+# a draw whose coupling passes the largest float is degenerate, as one whose
+# noise floor does: play and certify name the user, before any game step
 CROSS_OVERFLOW_ERRORS = {
-    "play": "error: step 1: float overflow: the interference or water level at these "
-    "powers is too large for a float",
-    "certify": "error: matrix must be nonnegative and finite",
+    "play": "error: coupling into user 0 is not finite",
+    "certify": "error: coupling into user 0 is not finite",
 }
 
 
@@ -552,6 +553,8 @@ def test_a_coupling_past_the_largest_float_is_one_error_line(tmp_path, capsys, c
 
 
 def test_a_sweep_whose_couplings_overflow_is_one_error_line(tmp_path, capsys):
+    # every draw is degenerate, so both trials are excluded, as for noise floors
+    # that overflow; the sweep used to abort with the certificate's error
     doc = {
         "sweep_values": [1.8e-103],
         "trials": 2,
@@ -561,11 +564,9 @@ def test_a_sweep_whose_couplings_overflow_is_one_error_line(tmp_path, capsys):
     }
     out = tmp_path / "cross.csv"
     argv = ["sweep-uniqueness", "--config", write_config(tmp_path, doc), "--out", str(out)]
-    assert main(argv + ["--quiet"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["error: matrix must be nonnegative and finite"]
-    assert not out.exists()
+    assert main(argv + ["--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1] == "1.8e-103,0,0,0,0,nan,nan,2"
 
 
 def test_a_sweep_whose_noise_floors_overflow_writes_its_csv_quietly(tmp_path, capsys):

@@ -11,7 +11,7 @@ from mimoiwf.contraction import (
     spectral_radius,
     write_matrix_csv,
 )
-from mimoiwf.netmodel import sample_channels, symmetric_config
+from mimoiwf.netmodel import NetworkConfig, sample_channels
 from mimoiwf.precode import build_effective_network
 
 from oracles import (
@@ -36,7 +36,7 @@ def scalar_net(a, b, budgets=(10.0, 10.0), noise=(1.0, 1.0)):
 
 
 def random_net(seed, num_users=4, tx=2, rx=2, cross=40.0, noise=1.0):
-    cfg = symmetric_config(num_users, tx, rx, 10.0, noise, 15.0, cross, 2.5)
+    cfg = NetworkConfig(num_users, tx, rx, 10.0, noise, 15.0, cross, 2.5)
     return build_effective_network(sample_channels(cfg, seed), cfg)
 
 
@@ -49,7 +49,7 @@ def test_two_user_scalar_matrix():
 
 
 def test_padding_rows_are_zero():
-    cfg = symmetric_config(2, 4, 2, 10.0, 1.0, 15.0, 30.0, 2.5)
+    cfg = NetworkConfig(2, 4, 2, 10.0, 1.0, 15.0, 30.0, 2.5)
     net = build_effective_network(sample_channels(cfg, 6), cfg)
     im = build_interference_matrix(net)
     assert im.matrix.shape == (8, 8)
@@ -208,7 +208,7 @@ def test_certificate_coherence():
 
 
 def test_padding_neutral_for_radius_and_row_norm():
-    cfg = symmetric_config(2, 4, 2, 10.0, 1.0, 15.0, 30.0, 2.5)
+    cfg = NetworkConfig(2, 4, 2, 10.0, 1.0, 15.0, 30.0, 2.5)
     net = build_effective_network(sample_channels(cfg, 14), cfg)
     im = build_interference_matrix(net)
     # zero rows only add zeros to the spectrum: dropping them with their

@@ -18,7 +18,7 @@ from mimoiwf.engine import (
     run_game,
     trace_to_csv,
 )
-from mimoiwf.netmodel import NetworkConfig, sample_channels, symmetric_config
+from mimoiwf.netmodel import NetworkConfig, sample_channels
 from mimoiwf.precode import build_effective_network
 from mimoiwf.waterfill import (
     best_responses,
@@ -40,7 +40,7 @@ from oracles import (
 
 
 def random_net(seed, cross=45.0):
-    cfg = symmetric_config(4, 2, 2, 10.0, 1.0, 15.0, cross, 2.5)
+    cfg = NetworkConfig(4, 2, 2, 10.0, 1.0, 15.0, cross, 2.5)
     return build_effective_network(sample_channels(cfg, seed), cfg)
 
 
@@ -255,7 +255,7 @@ def test_hand_built_plan_is_checked():
 
 def test_a_repeated_member_plays_like_one_entry():
     # (0, 0) names as many users as the network has, yet only user 0 moves
-    cfg = symmetric_config(2, 2, 2, 1e4, 1.0, 15.0, 20.0, 2.5)
+    cfg = NetworkConfig(2, 2, 2, 1e4, 1.0, 15.0, 20.0, 2.5)
     net = build_effective_network(sample_channels(cfg, 4), cfg)
     start = uniform_profile(cfg)
     assert not np.array_equal(best_responses(net, start)[2:], start[2:])
@@ -603,7 +603,7 @@ def test_a_prepared_gather_equals_the_fancy_index_gather_bit_for_bit(name):
     layout = shipped_layout(name)
     users = len(layout.offsets) - 1
     # the plan is played on another antenna layout of as many users in turn
-    other = symmetric_config(users, 1, 2, 10.0, 1.0, 15.0, 20.0, 2.5).layout
+    other = NetworkConfig(users, 1, 2, 10.0, 1.0, 15.0, 20.0, 2.5).layout
     assert other.offsets != layout.offsets
     turns = (layout, other, layout)
     for seed, delay_bound, update_bound in ((0, 1, 1), (5, 3, 5), (9, 6, 2), (2, 0, 3)):

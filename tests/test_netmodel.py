@@ -13,7 +13,6 @@ from mimoiwf.netmodel import (
     default_rngs,
     sample_channels,
     seed_words,
-    symmetric_config,
     validate_config,
 )
 
@@ -90,8 +89,8 @@ def test_list_fields_are_stored_as_tuples():
         (lambda: small_config(num_users=True, tx_antennas=(2,), rx_antennas=(2,)), "num_users"),
         (lambda: small_config(tx_antennas=(True, 2)), r"tx_antennas\[0\]"),
         (lambda: small_config(rx_antennas=(2, True)), r"rx_antennas\[1\]"),
-        (lambda: symmetric_config(True, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5), "num_users"),
-        (lambda: symmetric_config(2, True, 2, 10.0, 1.0, 15.0, 40.0, 2.5), "tx_antennas"),
+        (lambda: NetworkConfig(True, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5), "num_users"),
+        (lambda: NetworkConfig(2, True, 2, 10.0, 1.0, 15.0, 40.0, 2.5), "tx_antennas"),
     ],
     ids=["num_users", "tx_antennas", "rx_antennas", "symmetric_users", "symmetric_tx"],
 )
@@ -113,9 +112,9 @@ def test_symmetric_config_does_not_coerce():
     # float() used to turn these into 15.0 and 1.0 before the check
     for bad in ("15", True):
         with pytest.raises(ConfigError, match=rf"power_budget\[0\] .* got {bad!r}"):
-            symmetric_config(2, 2, 2, bad, 1.0, 15.0, 40.0, 2.5)
+            NetworkConfig(2, 2, 2, bad, 1.0, 15.0, 40.0, 2.5)
         with pytest.raises(ConfigError, match=rf"direct_distance\[0\] .* got {bad!r}"):
-            symmetric_config(2, 2, 2, 10.0, 1.0, bad, 40.0, 2.5)
+            NetworkConfig(2, 2, 2, 10.0, 1.0, bad, 40.0, 2.5)
 
 
 SEQUENCE = "must be a sequence, one entry per user, got"
@@ -124,26 +123,39 @@ SEQUENCE = "must be a sequence, one entry per user, got"
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: small_config(power_budget=10.0), f"power_budget {SEQUENCE} 10.0"),
-        (lambda: small_config(tx_antennas=2), f"tx_antennas {SEQUENCE} 2"),
-        (lambda: small_config(cross_distance=40.0), f"cross_distance {SEQUENCE} 40.0"),
         (lambda: small_config(cross_distance=(40.0, 15.0)), f"cross_distance[0] {SEQUENCE} 40.0"),
         (
-            lambda: symmetric_config("3", 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5),
+            lambda: NetworkConfig("3", 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5),
             "num_users must be an integer >= 1, got '3'",
         ),
         (
-            lambda: symmetric_config(2.0, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5),
+            lambda: NetworkConfig(2.0, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5),
             "num_users must be an integer >= 1, got 2.0",
         ),
     ],
-    ids=["scalar_budget", "scalar_count", "scalar_matrix", "flat_matrix", "string_users", "float_users"],
+    ids=["flat_matrix", "string_users", "float_users"],
 )
 def test_a_value_that_is_not_a_sequence_is_named(build, message):
     # these used to raise a raw TypeError from tuple() or from (x,) * "3"
     with pytest.raises(ConfigError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_a_scalar_is_one_value_for_every_user():
+    scalars = NetworkConfig(2, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5)
+    assert scalars == small_config()
+    assert hash(scalars) == hash(small_config())
+    shared = ("link_mask", "svd_groups", "is_stream", "offsets", "coupling_index")
+    for name in shared:
+        assert getattr(scalars.layout, name) is getattr(small_config().layout, name), name
+    # replace builds anew, so a scalar there broadcasts too
+    assert dataclasses.replace(scalars, power_budget=5.0).power_budget == (5.0, 5.0)
+    # a string, None or a mapping is one value, named whole by the type checks
+    for bad in ("10", None, {"a": 1}):
+        with pytest.raises(ConfigError) as err:
+            small_config(power_budget=bad)
+        assert str(err.value) == f"power_budget[0] must be a positive finite number, got {bad!r}"
 
 
 HUGE = 10**400  # an int that passes "< inf" but cannot become a float
@@ -153,19 +165,19 @@ HUGE = 10**400  # an int that passes "< inf" but cannot become a float
     "build, message",
     [
         (
-            lambda: symmetric_config(2, 2, 2, HUGE, 1.0, 15.0, 40.0, 2.5),
+            lambda: NetworkConfig(2, 2, 2, HUGE, 1.0, 15.0, 40.0, 2.5),
             f"power_budget[0] must be a positive finite number, got {HUGE!r}",
         ),
         (
-            lambda: symmetric_config(2, 2, 2, 10.0, HUGE, 15.0, 40.0, 2.5),
+            lambda: NetworkConfig(2, 2, 2, 10.0, HUGE, 15.0, 40.0, 2.5),
             f"noise_power[0] must be a positive finite number, got {HUGE!r}",
         ),
         (
-            lambda: symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, HUGE, 2.5),
+            lambda: NetworkConfig(2, 2, 2, 10.0, 1.0, 15.0, HUGE, 2.5),
             f"cross_distance[0][1] must be a positive finite number, got {HUGE!r}",
         ),
         (
-            lambda: symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 40.0, HUGE),
+            lambda: NetworkConfig(2, 2, 2, 10.0, 1.0, 15.0, 40.0, HUGE),
             f"pathloss_exponent must be a nonnegative finite number, got {HUGE!r}",
         ),
     ],
@@ -185,11 +197,11 @@ OVERFLOW = "with pathloss_exponent {} gives a path-loss gain too large for a flo
     "build, message",
     [
         (
-            lambda: symmetric_config(2, 2, 2, 1.0, 1.0, 1e-300, 20.0, 2.5),
+            lambda: NetworkConfig(2, 2, 2, 1.0, 1.0, 1e-300, 20.0, 2.5),
             "direct_distance[0] = 1e-300 " + OVERFLOW.format(2.5),
         ),
         (
-            lambda: symmetric_config(2, 2, 2, 1.0, 1.0, 0.5, 20.0, 2000),
+            lambda: NetworkConfig(2, 2, 2, 1.0, 1.0, 0.5, 20.0, 2000),
             "direct_distance[0] = 0.5 " + OVERFLOW.format(2000),
         ),
         (
@@ -207,7 +219,7 @@ def test_an_overflowing_pathloss_gain_is_refused_when_built(build, message):
 
 
 def test_a_pathloss_gain_that_fits_a_float_is_accepted():
-    cfg = symmetric_config(2, 2, 2, 1.0, 1.0, 1e-100, 20.0, 3.0)
+    cfg = NetworkConfig(2, 2, 2, 1.0, 1.0, 1e-100, 20.0, 3.0)
     amp = cfg.layout.link_amp[0]
     assert np.isfinite(amp).all()
     assert amp[0, 0, 0, 0] == np.sqrt(1e-100**-3.0) / np.sqrt(2.0)
@@ -215,13 +227,13 @@ def test_a_pathloss_gain_that_fits_a_float_is_accepted():
 
 def test_the_largest_float_sized_int_is_accepted():
     largest = int(np.finfo(float).max)
-    cfg = symmetric_config(2, 2, 2, largest, 1.0, 15.0, 40.0, 2.5)
+    cfg = NetworkConfig(2, 2, 2, largest, 1.0, 15.0, 40.0, 2.5)
     np.testing.assert_array_equal(cfg.layout.budget, np.finfo(float).max)
-    assert cfg == symmetric_config(2, 2, 2, np.finfo(float).max, 1.0, 15.0, 40.0, 2.5)
+    assert cfg == NetworkConfig(2, 2, 2, np.finfo(float).max, 1.0, 15.0, 40.0, 2.5)
 
 
 def test_symmetric_config_fills_diagonal():
-    cfg = symmetric_config(3, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5)
+    cfg = NetworkConfig(3, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5)
     assert cfg.cross_distance[1][1] == 15.0
     assert cfg.cross_distance[0][2] == 40.0
     validate_config(cfg)
@@ -230,7 +242,7 @@ def test_symmetric_config_fills_diagonal():
 def test_pathloss_values():
     # link_amp holds sqrt(distance**-exponent) / sqrt(2) of every link [r][q]
     def amp(direct, cross, exponent):
-        cfg = symmetric_config(2, 2, 2, 1.0, 1.0, direct, cross, exponent)
+        cfg = NetworkConfig(2, 2, 2, 1.0, 1.0, direct, cross, exponent)
         return cfg.layout.link_amp[0, :, :, 0, 0]
 
     np.testing.assert_array_equal(amp(1.0, 1.0, 2.5), 1.0 / np.sqrt(2.0))
@@ -247,14 +259,14 @@ def test_pathloss_values():
 def test_pathloss_rejects_bad_distance(distance):
     # a config is the one source of path-loss gains; it names the bad link
     with pytest.raises(ConfigError, match=r"direct_distance\[0\] must be a positive finite"):
-        symmetric_config(2, 2, 2, 10.0, 1.0, distance, 40.0, 2.5)
+        NetworkConfig(2, 2, 2, 10.0, 1.0, distance, 40.0, 2.5)
     with pytest.raises(ConfigError, match=r"cross_distance\[0\]\[1\] must be a positive finite"):
-        symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, distance, 2.5)
+        NetworkConfig(2, 2, 2, 10.0, 1.0, 15.0, distance, 2.5)
 
 
 def test_pathloss_rejects_negative_exponent():
     with pytest.raises(ConfigError) as err:
-        symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 40.0, -1.0)
+        NetworkConfig(2, 2, 2, 10.0, 1.0, 15.0, 40.0, -1.0)
     assert str(err.value) == "pathloss_exponent must be a nonnegative finite number, got -1.0"
 
 
@@ -262,10 +274,10 @@ def test_pathloss_rejects_negative_exponent():
 def test_pathloss_refuses_non_numbers(bad):
     # a string used to raise TypeError, and a bool distance gave a gain of 1.0
     with pytest.raises(ConfigError) as err:
-        symmetric_config(2, 2, 2, 10.0, 1.0, bad, 40.0, 2.5)
+        NetworkConfig(2, 2, 2, 10.0, 1.0, bad, 40.0, 2.5)
     assert str(err.value) == f"direct_distance[0] must be a positive finite number, got {bad!r}"
     with pytest.raises(ConfigError) as err:
-        symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 40.0, bad)
+        NetworkConfig(2, 2, 2, 10.0, 1.0, 15.0, 40.0, bad)
     assert str(err.value) == f"pathloss_exponent must be a nonnegative finite number, got {bad!r}"
 
 
@@ -303,7 +315,7 @@ def test_sample_determinism():
 
 def test_entry_statistics_unit_distance():
     # one big draw gives 1e5 entries; tolerances are four standard errors
-    cfg = symmetric_config(1, 250, 400, 10.0, 1.0, 1.0, 1.0, 2.5)
+    cfg = NetworkConfig(1, 250, 400, 10.0, 1.0, 1.0, 1.0, 2.5)
     h = link_matrices(sample_channels(cfg, 2024))[0][0]
     n = h.size
     assert n == 100_000
@@ -318,7 +330,7 @@ def test_entry_statistics_unit_distance():
 
 
 def test_entry_statistics_attenuated():
-    cfg = symmetric_config(1, 250, 400, 10.0, 1.0, 15.0, 15.0, 2.5)
+    cfg = NetworkConfig(1, 250, 400, 10.0, 1.0, 15.0, 15.0, 2.5)
     h = link_matrices(sample_channels(cfg, 77))[0][0]
     mean_gain = float((np.abs(h) ** 2).mean())
     assert mean_gain == pytest.approx(15.0**-2.5, rel=0.02)
@@ -328,12 +340,12 @@ def test_config_is_checked_when_built():
     with pytest.raises(ConfigError, match="power_budget"):
         small_config(power_budget=(10.0, -1.0))
     with pytest.raises(ConfigError, match="cross_distance"):
-        symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 0.0, 2.5)
+        NetworkConfig(2, 2, 2, 10.0, 1.0, 15.0, 0.0, 2.5)
 
 
 @pytest.mark.parametrize("tx, rx", [(2, 2), (3, 3), (2, 3), (3, 2)])
 def test_single_draw_matches_per_link_draws(tx, rx):
-    cfg = symmetric_config(4, tx, rx, 10.0, 1.0, 15.0, 30.0, 2.5)
+    cfg = NetworkConfig(4, tx, rx, 10.0, 1.0, 15.0, 30.0, 2.5)
     for seed in range(50):
         real = sample_channels(cfg, seed)
         ref = reference_sample_channels(cfg, seed)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mimoiwf.cli import network_from_dict
-from mimoiwf.netmodel import ChannelRealization, NetworkConfig, sample_channels, symmetric_config
+from mimoiwf.netmodel import ChannelRealization, NetworkConfig, sample_channels
 from mimoiwf.precode import (
     DegenerateChannelError,
     build_effective_network,
@@ -102,7 +102,7 @@ def test_a_noise_floor_of_zero_is_degenerate():
     with pytest.raises(DegenerateChannelError, match="^noise floor of user 0 is 0$"):
         explicit_net([10.0 * np.eye(2)], {}, [1.0], [5e-324])
     # in a stack that draw is None and the others are built
-    cfg = symmetric_config(1, 2, 2, 1.0, 1.0, 1.0, 1.0, 0.0)
+    cfg = NetworkConfig(1, 2, 2, 1.0, 1.0, 1.0, 1.0, 0.0)
     draws = [ChannelRealization.from_matrices([[h]]) for h in (np.eye(2), huge, 2 * np.eye(2))]
     links = np.stack([d.links for d in draws])
     stack = ChannelRealization(links=links, tx_antennas=(2,), rx_antennas=(2,))
@@ -112,9 +112,32 @@ def test_a_noise_floor_of_zero_is_degenerate():
     np.testing.assert_array_equal(nets[2].stream_noise, [[0.25, 0.25]])
 
 
+def test_a_coupling_that_is_not_finite_is_degenerate():
+    # a cross gain whose square passes the largest float makes an inf
+    # coupling into its receiver: a single draw names that user, and in a
+    # stack that draw is None while the others keep their bits
+    cfg = NetworkConfig(2, 2, 2, 1.0, 1.0, 1.0, 1.0, 0.0)
+    eye = np.eye(2)
+    draws = [
+        ChannelRealization.from_matrices([[eye, c * eye], [0.5 * eye, eye]])
+        for c in (0.5, 1e200, 0.25)
+    ]
+    with pytest.raises(DegenerateChannelError, match="^coupling into user 1 is not finite$"):
+        build_effective_network(draws[1], cfg)
+    stack = ChannelRealization(
+        links=np.stack([d.links for d in draws]), tx_antennas=(2, 2), rx_antennas=(2, 2)
+    )
+    nets = build_effective_network(stack, cfg)
+    assert nets[1] is None
+    for k in (0, 2):
+        one = build_effective_network(draws[k], cfg)
+        for name in NET_FIELDS:
+            assert getattr(nets[k], name).tobytes() == getattr(one, name).tobytes(), (k, name)
+
+
 @pytest.mark.parametrize("tx, rx", [(2, 2), (3, 3), (2, 3), (3, 2)])
 def test_stacked_build_matches_per_link_reference(tx, rx):
-    cfg = symmetric_config(4, tx, rx, 10.0, 1.0, 15.0, 30.0, 2.5)
+    cfg = NetworkConfig(4, tx, rx, 10.0, 1.0, 15.0, 30.0, 2.5)
     for seed in range(50):
         net = build_effective_network(sample_channels(cfg, seed), cfg)
         ref = reference_build_effective_network(reference_sample_channels(cfg, seed), cfg)
@@ -149,7 +172,7 @@ def test_ragged_build_matches_per_link_reference():
 
 
 def test_cross_gain_matches_brute_force():
-    cfg = symmetric_config(3, 3, 2, 10.0, 1.0, 15.0, 30.0, 2.5)
+    cfg = NetworkConfig(3, 3, 2, 10.0, 1.0, 15.0, 30.0, 2.5)
     real = sample_channels(cfg, 5)
     net = build_effective_network(real, cfg)
     assert len(cross_pairs(net)) == 6
@@ -164,14 +187,14 @@ def test_cross_gain_matches_brute_force():
 
 
 def test_cross_gain_energy_bounded_by_frobenius():
-    cfg = symmetric_config(2, 4, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
+    cfg = NetworkConfig(2, 4, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
     real = sample_channels(cfg, 9)
     net = build_effective_network(real, cfg)
     for r, q in cross_pairs(net):
         frob = float(np.sum(np.abs(link_matrices(real)[r][q]) ** 2))
         assert user_block(net, r, q).sum() <= frob + 1e-9
     # full receive basis keeps the energy exactly
-    cfg2 = symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
+    cfg2 = NetworkConfig(2, 2, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
     real2 = sample_channels(cfg2, 9)
     net2 = build_effective_network(real2, cfg2)
     for r, q in cross_pairs(net2):
@@ -181,7 +204,7 @@ def test_cross_gain_energy_bounded_by_frobenius():
 
 def test_gains_invariant_under_basis_phases():
     # per-column phase rotations of both unitaries leave |U^H H V|^2 alone
-    cfg = symmetric_config(2, 2, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
+    cfg = NetworkConfig(2, 2, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
     real = sample_channels(cfg, 21)
     net = build_effective_network(real, cfg)
     rng = np.random.default_rng(4)
@@ -193,7 +216,7 @@ def test_gains_invariant_under_basis_phases():
 
 
 def test_coupling_normalization_and_stacking():
-    cfg = symmetric_config(3, 2, 2, 10.0, 2.0, 15.0, 30.0, 2.5)
+    cfg = NetworkConfig(3, 2, 2, 10.0, 2.0, 15.0, 30.0, 2.5)
     real = sample_channels(cfg, 13)
     net = build_effective_network(real, cfg)
     assert net.config.layout.offsets == (0, 2, 4, 6)
@@ -218,7 +241,7 @@ def test_coupling_normalization_and_stacking():
 
 
 def test_more_tx_than_rx_truncates_streams():
-    cfg = symmetric_config(2, 4, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
+    cfg = NetworkConfig(2, 4, 2, 10.0, 1.0, 15.0, 25.0, 2.5)
     net = build_effective_network(sample_channels(cfg, 31), cfg)
     assert num_streams(net, 0) == 2
     assert net.coupling.shape == (8, 8)
@@ -341,9 +364,9 @@ def test_stacked_draws_and_networks_equal_single_ones(configs):
 @pytest.mark.parametrize(
     "field, other",
     [
-        ("tx_antennas", symmetric_config(4, 3, 2, 10.0, 1.0, 15.0, 37.7, 2.5)),
-        ("rx_antennas", symmetric_config(4, 2, 3, 10.0, 1.0, 15.0, 37.7, 2.5)),
-        ("noise_power", symmetric_config(4, 2, 2, 10.0, 2.0, 15.0, 37.7, 2.5)),
+        ("tx_antennas", NetworkConfig(4, 3, 2, 10.0, 1.0, 15.0, 37.7, 2.5)),
+        ("rx_antennas", NetworkConfig(4, 2, 3, 10.0, 1.0, 15.0, 37.7, 2.5)),
+        ("noise_power", NetworkConfig(4, 2, 2, 10.0, 2.0, 15.0, 37.7, 2.5)),
     ],
 )
 def test_a_stack_refuses_configs_that_differ_in_what_rotation_reads(field, other):
@@ -385,7 +408,7 @@ def test_an_empty_stack_builds_no_networks(config):
 def test_stacked_build_marks_degenerate_draws():
     # a direct link 1e9 away sits near the singular-value floor, so some
     # draws are degenerate; a single call raises for them, a stack keeps going
-    cfg = symmetric_config(4, 2, 2, 10.0, 1.0, 1e9, 15.0, 2.5)
+    cfg = NetworkConfig(4, 2, 2, 10.0, 1.0, 1e9, 15.0, 2.5)
     seeds = list(range(40))
     nets = build_effective_network(sample_channels(cfg, seeds), cfg)
     degenerate = 0

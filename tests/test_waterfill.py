@@ -22,7 +22,6 @@ from mimoiwf.netmodel import (
     default_rngs,
     sample_channels,
     seed_words,
-    symmetric_config,
 )
 from mimoiwf.precode import build_effective_network
 
@@ -287,13 +286,13 @@ def test_stacked_random_starts_match_one_generator_each(config):
 
 def shipped_net(seed):
     """A draw of the configs/network.json geometry."""
-    cfg = symmetric_config(4, 2, 2, 10.0, 1.0, 15.0, 37.7, 2.5)
+    cfg = NetworkConfig(4, 2, 2, 10.0, 1.0, 15.0, 37.7, 2.5)
     return build_effective_network(sample_channels(cfg, seed), cfg)
 
 
 def tx_over_rx_net(seed):
     """Three users with three transmit antennas and two streams each."""
-    cfg = symmetric_config(3, 3, 2, 100.0, 1.0, 15.0, 25.0, 2.5)
+    cfg = NetworkConfig(3, 3, 2, 100.0, 1.0, 15.0, 25.0, 2.5)
     return build_effective_network(sample_channels(cfg, seed), cfg)
 
 
@@ -469,7 +468,7 @@ def test_validate_profile_rejects_violations():
 
 
 def test_validate_profile_names_the_first_offender():
-    cfg = symmetric_config(3, 2, 2, 5.0, 1.0, 15.0, 30.0, 2.5)
+    cfg = NetworkConfig(3, 2, 2, 5.0, 1.0, 15.0, 30.0, 2.5)
     ok = np.array([2.0, 3.0] * 3)
     for q in (1, 2):
         x = ok.copy()
@@ -505,7 +504,7 @@ def test_a_nan_entry_of_any_user_is_refused():
 def test_budget_tolerance_is_relative_to_the_budget():
     # a full split rounds up to one ulp over the budget at 80 and 90 dB
     for budget in (1e8, 1e9):
-        cfg = symmetric_config(4, 2, 2, budget, 1.0, 15.0, 30.0, 2.5)
+        cfg = NetworkConfig(4, 2, 2, budget, 1.0, 15.0, 30.0, 2.5)
         over = np.array([np.nextafter(budget, np.inf), 0.0] * 4)
         validate_profile(over, cfg)
         rng = np.random.default_rng(0)
@@ -514,7 +513,7 @@ def test_budget_tolerance_is_relative_to_the_budget():
         with pytest.raises(ValueError, match="user 0 exceeds its power budget"):
             validate_profile(np.array([1.001 * budget, 0.0] * 4), cfg)
     # below a budget of one the tolerance stays absolute
-    cfg = symmetric_config(1, 2, 2, 1e-3, 1.0, 15.0, 15.0, 2.5)
+    cfg = NetworkConfig(1, 2, 2, 1e-3, 1.0, 15.0, 15.0, 2.5)
     with pytest.raises(ValueError, match="budget"):
         validate_profile(np.array([1e-3 + 1e-8, 0.0]), cfg)
 
