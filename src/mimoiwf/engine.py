@@ -29,6 +29,7 @@ DEFAULT_IT_MAX = 100
 DEFAULT_TOL = 1e-6
 
 SCHEDULE_KINDS = ("jacobi", "gauss_seidel", "random_async")
+_BLOCK = 8  # steps of a make_schedule plan built, checked and prepared at a time
 
 
 class ScheduleError(ValueError):
@@ -38,13 +39,16 @@ class ScheduleError(ValueError):
 class Schedule:
     """Update plan for the iterated game.
 
-    steps yields the plan in order, from a list (a hand-built plan) or an
-    iterator (a drawn one). Step n is a pair (members, ages): the users
-    revising their power at step n, and a (Q, Q) integer array holding at
-    [q, r] the age, 0..delay_bound, of user q's view of user r, or None when
-    every view is fresh, as it is when delay_bound is 0. step(n) pulls and
-    checks each step the first time it reaches it, so games draw only what
-    they play, and games read each step as prepared once for their antenna
+    steps yields a hand-built plan in order, from a list or an iterator. Step
+    n is a pair (members, ages): the users revising their power at step n,
+    and a (Q, Q) integer array holding at [q, r] the age, 0..delay_bound, of
+    user q's view of user r, or None when every view is fresh, as it is when
+    delay_bound is 0. The plan is held as blocks of consecutive steps: a
+    (B, Q) bool array of who moves and (B, Q, Q) intp ages, or None. A
+    hand-built plan is pulled one step at a time; make_schedule builds its
+    plans _BLOCK steps at a time. step(n) pulls and checks the block that
+    holds step n the first time it reaches it, so games draw only the blocks
+    they play, and games read each block as prepared once for their antenna
     layout. A drawn plan updates every user at least once in every
     update_bound steps; a hand-built one is not held to that, but a game
     declares convergence only at a step where every user has moved inside
@@ -61,10 +65,9 @@ class Schedule:
         self.num_users, self.it_max = num_users, it_max
         self.delay_bound, self.update_bound = delay_bound, update_bound
         _check_counts(**vars(self))
-        self._source = iter(steps)
-        self._last_moves = [-1] * num_users  # the step each user last moved at
-        self._steps: list[tuple] = []
-        self._prepared: list[tuple] = []  # per step as _prepare last built it, else (None,)
+        self._source = _one_step_blocks(iter(steps), num_users)
+        self._at: list[_Block] = []  # the block of each step pulled
+        self._last = -1  # the step each user last moved at, after the last block pulled
 
     def step(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
         """Users updating at step n < it_max and their (Q, Q) view ages, None if fresh."""
@@ -75,16 +78,18 @@ class Schedule:
         settled). idle is the (Q,) mask of the users that keep their power,
         None when every user moves; settled says that every user has moved
         inside the update_bound steps that end at n."""
-        while len(self._steps) <= n < self.it_max:
-            self._steps.append(self._pull(len(self._steps)))
-            self._prepared.append((None,))
-        return self._steps[n]
+        block = self._block(n)
+        i = n - block.start
+        moves = block.moves[i]
+        ages = None if block.ages is None else block.ages[i]
+        idle = None if moves.all() else ~moves
+        return tuple(np.flatnonzero(moves).tolist()), ages, idle, block.settled[i]
 
     def _prepare(self, n: int, layout) -> tuple:
         """Step n as a game on an antenna layout plays it: (owner, gather,
-        keep, settled), owner being the layout's. It is built once and kept
-        while games play on layouts with that owner array, compared by
-        identity; another layout rebuilds it.
+        keep, settled), owner being the layout's. Its block is prepared once
+        and kept while games play on layouts with that owner array, compared
+        by identity; another layout prepares it again.
 
         gather is None when every view is fresh, else the (Q, N) positions
         of the stale views in the raveled history rows that start at row n
@@ -92,48 +97,90 @@ class Schedule:
         (delay_bound - ages[q, owner[j]]) * N + j. keep is the (N,) mask of
         the antennas whose user keeps its power, None when every user moves.
         """
-        owner = layout.owner
-        if n < len(self._prepared) and (step := self._prepared[n])[0] is owner:
-            return step
-        _, ages, idle, settled = self._play(n)
-        gather = keep = None
-        if ages is not None:
-            gather = (self.delay_bound - ages.take(owner, axis=1)) * len(owner) + layout.antennas
-        if idle is not None:
-            keep = idle[owner]
-        step = self._prepared[n] = (owner, gather, keep, settled)
-        return step
+        block = self._block(n)
+        if block.owner is not layout.owner:
+            block.prepare(layout, self.delay_bound)
+        return block.prepared[n - block.start]
 
-    def _pull(self, n: int) -> tuple:
+    def _block(self, n: int) -> _Block:
+        """The block that holds step n < it_max, pulled on first read."""
+        at = self._at
+        while len(at) <= n < self.it_max:
+            self._pull(len(at))
+        return at[n]
+
+    def _pull(self, start: int) -> None:
+        """Check the next block of the source, which starts at step start,
+        and keep it with the settled flag of each of its steps."""
         try:
-            members, ages = next(self._source)
+            moves, ages = next(self._source)
         except StopIteration:
-            raise ScheduleError(f"step {n}: the plan ends before it_max = {self.it_max}") from None
-        members, users, bound = tuple(members), self.num_users, self.delay_bound
+            message = f"step {start}: the plan ends before it_max = {self.it_max}"
+            raise ScheduleError(message) from None
+        bound, window = self.delay_bound, self.update_bound
+        if ages is not None:
+            if ages.min() < 0 or ages.max() > bound:
+                i, q, r = np.argwhere((ages < 0) | (ages > bound))[0].tolist()
+                raise ScheduleError(
+                    f"step {start + i}: user {q} views user {r} at age {ages[i, q, r]}, "
+                    f"outside 0..{bound}"
+                )
+            # index-width ages, so that history rows past a narrow type's
+            # range stay reachable
+            ages = ages.astype(np.intp, copy=False) if bound else None
+        steps = np.arange(start, start + len(moves))
+        # the running maximum of the move steps, after the carried last moves,
+        # which no step of this block precedes
+        last = np.maximum.accumulate(np.where(moves, steps[:, None], self._last), axis=0)
+        self._last = last[-1]
+        settled = (steps >= window - 1) & (last.min(axis=1) > steps - window)
+        self._at += [_Block(start, moves, ages, settled.tolist())] * len(moves)
+
+
+@dataclass(slots=True)
+class _Block:
+    """Steps start.. of a plan: moves, a (B, Q) bool array whose row says
+    which users move; ages, the (B, Q, Q) intp view ages or None; settled,
+    one bool per step. prepared[i] is step start + i as Schedule._prepare
+    returns it for the layouts with the owner array owner."""
+
+    start: int
+    moves: np.ndarray
+    ages: np.ndarray | None
+    settled: list[bool]
+    owner: np.ndarray | None = None
+    prepared: list[tuple] | None = None
+
+    def prepare(self, layout, delay_bound: int) -> None:
+        """Build every step's gather positions and keep mask for layout."""
+        owner = self.owner = layout.owner
+        gathers = itertools.repeat(None)
+        if self.ages is not None:
+            gathers = (delay_bound - self.ages.take(owner, axis=2)) * len(owner) + layout.antennas
+        idle = ~self.moves
+        some_idle = idle.any(axis=1).tolist()
+        keeps = [keep if some else None for keep, some in zip(idle[:, owner], some_idle)]
+        self.prepared = list(zip(itertools.repeat(owner), gathers, keeps, self.settled))
+
+
+def _one_step_blocks(steps, num_users: int):
+    """A hand-built plan as blocks of one step, each step's members and ages
+    checked as it is pulled."""
+    for n, (members, ages) in enumerate(steps):
+        moves = np.zeros((1, num_users), dtype=bool)
         for q in members:
-            if not ((type(q) is int or is_integer(q)) and 0 <= q < users):
-                raise ScheduleError(f"step {n}: user {q!r} is not in a {users}-user network")
+            if not ((type(q) is int or is_integer(q)) and 0 <= q < num_users):
+                raise ScheduleError(f"step {n}: user {q!r} is not in a {num_users}-user network")
+            moves[0, q] = True
         if ages is not None:
             ages = np.asarray(ages)
-            if ages.shape != (users, users) or ages.dtype.kind not in "iu":
+            if ages.shape != (num_users, num_users) or ages.dtype.kind not in "iu":
                 raise ScheduleError(
                     f"step {n}: view ages have shape {ages.shape} and dtype {ages.dtype}, "
                     "not one integer age per user pair"
                 )
-            if min(flat := ages.ravel().tolist()) < 0 or max(flat) > bound:
-                q, r = np.argwhere((ages < 0) | (ages > bound))[0].tolist()
-                raise ScheduleError(
-                    f"step {n}: user {q} views user {r} at age {ages[q, r]}, outside 0..{bound}"
-                )
-        last, window = self._last_moves, self.update_bound
-        for q in members:
-            last[q] = n
-        idle = [m < n for m in last]
-        settled = n + 1 >= window and min(last) > n - window
-        # index-width ages, so that history rows past a narrow type's range
-        # stay reachable
-        ages = ages.astype(np.intp, copy=False) if bound else None
-        return members, ages, np.array(idle) if True in idle else None, settled
+            ages = ages[None]
+        yield moves, ages
 
 
 def _check_counts(**counts) -> None:
@@ -201,8 +248,9 @@ def make_schedule(
     jacobi updates everyone at every step from fresh views; gauss_seidel
     cycles one user per step; random_async flips a fair coin per user and
     step (forcing an update when update_bound would otherwise be broken)
-    and draws view ages uniformly from {0..delay_bound}, each step only
-    when first read, so games that stop early draw only what they play.
+    and draws view ages uniformly from {0..delay_bound}. Each plan is built
+    _BLOCK steps at a time, each block only when first read, so games that
+    stop early draw at most one block past what they play.
 
     Raises:
         ScheduleError: on an unknown kind, or on a count, bound or seed that
@@ -212,32 +260,49 @@ def make_schedule(
         raise ScheduleError(f"unknown schedule kind {kind!r}, expected one of {SCHEDULE_KINDS}")
     _check_counts(seed=seed, delay_bound=delay_bound, update_bound=update_bound)
 
-    if kind == "jacobi":  # steps are built lazily, after Schedule checks num_users
-        steps = ((tuple(range(num_users)), None) for _ in itertools.count())
-        return Schedule(num_users, it_max, steps)
-
-    if kind == "gauss_seidel":
-        steps = (((q,), None) for _ in itertools.count() for q in range(num_users))
-        return Schedule(num_users, it_max, steps, update_bound=num_users)
-
-    steps = _async_steps(num_users, it_max, seed, delay_bound, update_bound)
-    return Schedule(num_users, it_max, steps, delay_bound, update_bound)
+    if kind == "random_async":
+        blocks = _async_blocks(num_users, it_max, seed, delay_bound, update_bound)
+    else:  # every view fresh; gauss_seidel moves each user once a round
+        blocks = _cyclic_blocks(num_users, it_max, every=kind == "jacobi")
+        delay_bound, update_bound = 0, 1 if kind == "jacobi" else num_users
+    schedule = Schedule(num_users, it_max, (), delay_bound, update_bound)
+    schedule._source = blocks  # a generator, which runs after Schedule checked the counts
+    return schedule
 
 
-def _async_steps(num_users: int, it_max: int, seed: int, delay_bound: int, update_bound: int):
-    """random_async steps in order: rng.random, then rng.integers if delay_bound > 0."""
+def _cyclic_blocks(num_users: int, it_max: int, every: bool):
+    """Fresh-view blocks: every user at every step, or else user n % Q at step n."""
+    period = np.ones((1, num_users), dtype=bool) if every else np.eye(num_users, dtype=bool)
+    for start in range(0, it_max, _BLOCK):
+        yield period[np.arange(start, min(start + _BLOCK, it_max)) % len(period)], None
+
+
+def _async_blocks(num_users: int, it_max: int, seed: int, delay_bound: int, update_bound: int):
+    """random_async blocks; each step draws rng.random, then rng.integers if
+    delay_bound > 0, as a step-by-step draw does.
+
+    A user moves at a coin below 0.5, and is forced when update_bound steps
+    pass without a move: at step n when (n - its last coin move) is a
+    multiple of update_bound, -1 standing for no coin move yet.
+    """
     rng = np.random.default_rng(seed)
-    last = [-1] * num_users
-    ages = None
-    for n in range(it_max):
-        coins = (rng.random(num_users) < 0.5).tolist()
+    last = -1  # each user's last coin move, after the last block drawn
+    for start in range(0, it_max, _BLOCK):
+        steps = np.arange(start, min(start + _BLOCK, it_max))[:, None]
+        coins = np.empty((len(steps), num_users))
+        ages = None
         if delay_bound > 0:
-            ages = rng.integers(0, delay_bound + 1, size=(num_users, num_users))
-            ages.flat[:: num_users + 1] = 0  # own power is always current
-        members = tuple(q for q in range(num_users) if coins[q] or n - last[q] >= update_bound)
-        for q in members:
-            last[q] = n
-        yield members, ages
+            ages = np.empty((len(steps), num_users, num_users), dtype=np.intp)
+        for i, row in enumerate(coins):
+            rng.random(out=row)
+            if ages is not None:
+                ages[i] = rng.integers(0, delay_bound + 1, size=(num_users, num_users))
+        if ages is not None:
+            ages.reshape(len(steps), -1)[:, :: num_users + 1] = 0  # own power is always current
+        # no coin move of this block precedes the carried one
+        last = np.maximum.accumulate(np.where(coins < 0.5, steps, last), axis=0)
+        yield (steps - last) % update_bound == 0, ages
+        last = last[-1]
 
 
 def run_game(
@@ -270,10 +335,11 @@ def run_game(
     # of the start: the trace and, for stale views, the delay buffer (user q
     # reads antenna j of user r at step n from history[lead + n - ages[q, r]],
     # the start when the age exceeds n, which the step's gather positions
-    # address in the rows history[n:], raveled)
+    # address in the rows history[n:], raveled); it starts with room for 64
+    # steps and doubles when full, so its memory follows the steps played
     lead = schedule.delay_bound
     layout = cfg.layout
-    history = np.empty((lead + schedule.it_max + 1, layout.offsets[-1]))
+    history = np.empty((lead + min(schedule.it_max, 64) + 1, layout.offsets[-1]))
     history[: lead + 1] = start
     window = schedule.update_bound
     residuals: list[float] = []
@@ -285,6 +351,8 @@ def run_game(
         for n in range(schedule.it_max):
             _, gather, keep, settled = prepare(n, layout)
             now = lead + n
+            if now + 1 == len(history):
+                history = np.concatenate((history, np.empty_like(history)))
             x = history[now]
             new = best_responses(net, x if gather is None else history[n:].take(gather))
             if keep is not None:

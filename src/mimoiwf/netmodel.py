@@ -433,10 +433,10 @@ class _Layout:
     """Arrays that depend on a NetworkConfig alone, all read-only.
 
     Every draw, network and game of a config reads the one instance kept as
-    NetworkConfig.layout. Three arrays are the config's own: link_amp,
-    noise and budget. The others depend on the antenna counts alone and are
-    those of _Shape, shared by every config with the same counts. Q users,
-    R = max rx, T = max tx, N = sum(tx).
+    NetworkConfig.layout. Four arrays are the config's own: link_amp,
+    noise, budget and budget_column. The others depend on the antenna
+    counts alone and are those of _Shape, shared by every config with the
+    same counts. Q users, R = max rx, T = max tx, N = sum(tx).
 
     Attributes:
         offsets: user q's antennas are offsets[q]:offsets[q + 1] of a
@@ -445,9 +445,13 @@ class _Layout:
             when s >= tx_antennas[q].
         antenna_mask: (Q, T) stream_index >= 0; a (Q, T) array masked by it
             lists its antenna slots in stacked order.
+        antenna_slots: the flat positions of antenna_mask's true slots, in
+            order, so that a (Q, T) array's take of them equals that mask.
+        ranks: 1.0..T, the count of each prefix of a row of T floors.
         leak_index: (Q, T) position of slot (q, s) in a raveled (Q, N)
             array: q * N + stream_index[q, s], or q * N without antenna s.
-        budget: (Q,) config.power_budget as a float array.
+        budget: (Q,) config.power_budget as a float array, and
+            budget_column the same as a (Q, 1) column.
         streams: stacked positions of the antennas that carry a stream,
             user q's first min(tx, rx) antennas, in stacked order.
     """
@@ -460,7 +464,8 @@ class _Layout:
         self.link_amp = (np.sqrt(gain) / np.sqrt(2.0))[None, :, :, None, None]
         self.noise = np.array(config.noise_power, dtype=float)[:, None]
         self.budget = np.array(config.power_budget, dtype=float)
-        for a in (self.link_amp, self.noise, self.budget):
+        self.budget_column = self.budget[:, None]
+        for a in (self.link_amp, self.noise, self.budget, self.budget_column):
             a.setflags(write=False)
 
 
@@ -496,6 +501,8 @@ class _Shape:
         self.antennas = np.arange(ends[-1])
         self.owner = np.arange(n_users).repeat(tx)  # user of each antenna
         self.antenna_mask = slot < tx[:, None]
+        self.antenna_slots = np.flatnonzero(self.antenna_mask)
+        self.ranks = np.arange(1.0, t_max + 1)
         self.stream_index = np.where(self.antenna_mask, self.starts[:, None] + slot, -1)
         self.streams = self.stream_index[self.is_stream]
         self.leak_index = np.arange(n_users)[:, None] * ends[-1] + self.stream_index.clip(0)

@@ -155,7 +155,9 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     with np.errstate(over="ignore", invalid="ignore"):
         spill = np.add.accumulate(finite, axis=1)[:, -1] + b == np.inf
         k = np.where(spill, -rows.shape[1].bit_length(), 0)[:, None]
-        powers, mu = _fill(np.ldexp(order, k), np.ldexp(rows, k), np.ldexp(b.reshape(-1, 1), k))
+        ranks = np.arange(1.0, rows.shape[1] + 1)
+        budgets = np.ldexp(b.reshape(-1, 1), k)
+        powers, mu = _fill(np.ldexp(order, k), np.ldexp(rows, k), budgets, ranks)
         powers, mu = np.ldexp(powers, -k), np.ldexp(mu, -k)
     if not mu.max() < np.inf:
         raise ValueError("float overflow: the water level is too large for a float")
@@ -164,10 +166,11 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     return WaterfillResult(powers=powers, water_level=mu[:, 0])
 
 
-def _fill(order: np.ndarray, rows: np.ndarray, budgets: np.ndarray) -> tuple:
+def _fill(order: np.ndarray, rows: np.ndarray, budgets: np.ndarray, ranks: np.ndarray) -> tuple:
     """(powers, (Q, 1) water levels) of the (Q, S) floor rows, whose sorted
-    copy order becomes the powers; budgets is a (Q, 1) column. A +inf row,
-    a NaN or a level past the largest float gives inf or NaN powers.
+    copy order becomes the powers; budgets is a (Q, 1) column and ranks is
+    1.0..S. A +inf row, a NaN or a level past the largest float gives inf or
+    NaN powers.
 
     levels[:, k-1] = (budget + k lowest floors) / k. Filling the k lowest
     floors up to the water level spends at most the budget, so every level
@@ -175,7 +178,7 @@ def _fill(order: np.ndarray, rows: np.ndarray, budgets: np.ndarray) -> tuple:
     """
     levels = np.add.accumulate(order, axis=1, out=order)
     levels += budgets
-    levels /= np.arange(1.0, levels.shape[1] + 1)
+    levels /= ranks
     mu = np.minimum.reduce(levels, axis=1, keepdims=True)
     powers = np.subtract(mu, rows, out=order)
     np.maximum(powers, 0.0, out=powers)
@@ -194,8 +197,8 @@ def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
     floors = stream_floors(net, views)
     order = floors.copy()
     order.sort()
-    powers, _ = _fill(order, floors, layout.budget[:, None])
-    return powers[layout.antenna_mask]
+    powers, _ = _fill(order, floors, layout.budget_column, layout.ranks)
+    return powers.take(layout.antenna_slots)
 
 
 def user_rates(net: EffectiveNetwork, x: np.ndarray) -> np.ndarray:

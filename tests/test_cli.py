@@ -552,7 +552,7 @@ def test_a_coupling_past_the_largest_float_is_one_error_line(tmp_path, capsys, c
     assert captured.err.splitlines() == [CROSS_OVERFLOW_ERRORS[command]]
 
 
-def test_a_sweep_whose_couplings_overflow_is_one_error_line(tmp_path, capsys):
+def test_a_sweep_whose_couplings_overflow_writes_its_csv_quietly(tmp_path, capsys):
     # every draw is degenerate, so both trials are excluded, as for noise floors
     # that overflow; the sweep used to abort with the certificate's error
     doc = {
@@ -577,6 +577,20 @@ def test_a_sweep_whose_noise_floors_overflow_writes_its_csv_quietly(tmp_path, ca
     assert main(argv + ["--quiet"]) == 0
     assert capsys.readouterr().err == ""
     assert out.read_text().splitlines()[1] == "15,0,0,0,0,nan,nan,2"
+
+
+def test_a_sweep_with_a_huge_it_max_plays_only_the_steps_it_needs(tmp_path, capsys):
+    # the game history grows with the steps played: a 10 dB game stops at
+    # step 2, where it_max 10**12 used to allocate 58 TiB up front
+    csv = {}
+    for it_max in (100, 10**12):
+        doc = {"sweep_values": [35.0], "trials": 1, "it_max": it_max}
+        out = tmp_path / f"{it_max}.csv"
+        argv = ["sweep-uniqueness", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv + ["--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        csv[it_max] = out.read_bytes()
+    assert csv[10**12] == csv[100]
 
 
 # two users whose floors sum past the largest float in the equilibrium check

@@ -94,24 +94,30 @@ def test_random_schedule_respects_bounds():
 
 
 def test_random_schedule_matches_step_by_step_loop():
+    # delay_bound 2 draws from a range of 3, which numpy's bounded draw may
+    # reject and redraw; update_bound 11 outlasts a block, so a forced move
+    # counts from a coin move of an earlier block; it_max 61 is not a
+    # multiple of the block; 3 users draw 9 ages a step, half of the 64-bit
+    # word numpy buffers for them stays for the next step
+    assert 61 % engine._BLOCK and 11 > engine._BLOCK
     for num_users in (1, 3, 4):
-        for delay_bound in (0, 1, 3):
-            for update_bound in (1, 2, 5):
+        for delay_bound in (0, 1, 2, 3):
+            for update_bound in (1, 2, 5, 11):
                 for seed in (0, 7, 123456789):
                     s = make_schedule(
                         "random_async",
                         num_users,
-                        it_max=60,
+                        it_max=61,
                         seed=seed,
                         delay_bound=delay_bound,
                         update_bound=update_bound,
                     )
                     sets, delays = reference_async_schedule(
-                        num_users, 60, seed, delay_bound, update_bound
+                        num_users, 61, seed, delay_bound, update_bound
                     )
                     assert_plan(s, sets, delays)
                     if delay_bound == 0:
-                        assert whole_plan(s)[1] == [None] * 60
+                        assert whole_plan(s)[1] == [None] * 61
 
 
 def test_schedule_read_after_an_early_stop_is_the_whole_plan():
@@ -444,6 +450,22 @@ def test_batched_game_matches_per_user_loop():
             np.testing.assert_allclose(trace.residuals, residuals, rtol=0, atol=1e-12)
             assert abs(trace.nash_gap - gap) <= 1e-12
             np.testing.assert_allclose(trace.final_rates, rates, rtol=0, atol=1e-12)
+
+
+def test_a_huge_it_max_plays_like_a_small_one():
+    # the history grows with the steps played, where it_max 10**12 used to
+    # allocate 58 TiB up front; the async game plays 81 steps, past the 64
+    # rows the history starts with
+    for kind, cross, steps in (("jacobi", 25.0, 18), ("random_async", 20.0, 81)):
+        cfg = NetworkConfig(4, 2, 2, 1e4, 1.0, 15.0, cross, 2.5)
+        net = build_effective_network(sample_channels(cfg, 2), cfg)
+        want, got = (
+            run_game(net, make_schedule(kind, 4, it_max, 2, 2, 3), tol=1e-12)
+            for it_max in (100, 10**12)
+        )
+        assert want.converged and want.iterations_used == steps
+        assert_same_trace(got, want)
+        assert not got.states.flags.writeable
 
 
 def test_trace_shapes_and_residuals():

@@ -419,7 +419,7 @@ def test_equal_configs_hash_equal_and_have_equal_layouts():
 
 
 # the layout arrays each config builds; the others depend on antenna counts alone
-OWN_ARRAYS = ("link_amp", "noise", "budget")
+OWN_ARRAYS = ("link_amp", "noise", "budget", "budget_column")
 
 
 def read_only(layout) -> bool:
