@@ -7,7 +7,6 @@ moves the profile.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,14 +44,14 @@ class Schedule:
     user q's view of user r, or None when every view is fresh, as it is when
     delay_bound is 0. The plan is held as blocks of consecutive steps: a
     (B, Q) bool array of who moves and (B, Q, Q) intp ages, or None. A
-    hand-built plan is pulled one step at a time; make_schedule builds its
-    plans _BLOCK steps at a time. step(n) pulls and checks the block that
-    holds step n the first time it reaches it, so games draw only the blocks
-    they play, and games read each block as prepared once for their antenna
-    layout. A drawn plan updates every user at least once in every
-    update_bound steps; a hand-built one is not held to that, but a game
-    declares convergence only at a step where every user has moved inside
-    the last update_bound steps.
+    hand-built plan is pulled one step at a time, each step checked as it is
+    pulled; make_schedule builds its plans _BLOCK steps at a time, valid as
+    drawn. step(n) pulls the block that holds step n the first time it
+    reaches it, so games draw only the blocks they play, and games read each
+    block as prepared once for their antenna layout. A drawn plan updates
+    every user at least once in every update_bound steps; a hand-built one
+    is not held to that, but a game declares convergence only at a step
+    where every user has moved inside the last update_bound steps.
 
     Raises:
         ScheduleError: on a count or bound that is not an integer (a bool is
@@ -65,37 +64,29 @@ class Schedule:
         self.num_users, self.it_max = num_users, it_max
         self.delay_bound, self.update_bound = delay_bound, update_bound
         _check_counts(**vars(self))
-        self._source = _one_step_blocks(iter(steps), num_users)
+        self._source = _one_step_blocks(iter(steps), num_users, delay_bound)
         self._at: list[_Block] = []  # the block of each step pulled
         self._last = -1  # the step each user last moved at, after the last block pulled
 
     def step(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
         """Users updating at step n < it_max and their (Q, Q) view ages, None if fresh."""
-        return self._play(n)[:2]
-
-    def _play(self, n: int) -> tuple:
-        """Step n as every game of the plan plays it: (members, ages, idle,
-        settled). idle is the (Q,) mask of the users that keep their power,
-        None when every user moves; settled says that every user has moved
-        inside the update_bound steps that end at n."""
         block = self._block(n)
         i = n - block.start
-        moves = block.moves[i]
         ages = None if block.ages is None else block.ages[i]
-        idle = None if moves.all() else ~moves
-        return tuple(np.flatnonzero(moves).tolist()), ages, idle, block.settled[i]
+        return tuple(np.flatnonzero(block.moves[i]).tolist()), ages
 
     def _prepare(self, n: int, layout) -> tuple:
-        """Step n as a game on an antenna layout plays it: (owner, gather,
-        keep, settled), owner being the layout's. Its block is prepared once
-        and kept while games play on layouts with that owner array, compared
-        by identity; another layout prepares it again.
+        """Step n as a game on an antenna layout plays it: (gather, keep,
+        settled). Its block is prepared once and kept while games play on
+        layouts with the layout's owner array, compared by identity; another
+        layout prepares it again.
 
         gather is None when every view is fresh, else the (Q, N) positions
         of the stale views in the raveled history rows that start at row n
         (see run_game): user q reads antenna j at
         (delay_bound - ages[q, owner[j]]) * N + j. keep is the (N,) mask of
-        the antennas whose user keeps its power, None when every user moves.
+        the antennas whose user keeps its power, None when every user moves;
+        settled, that every user moved inside the update_bound steps to n.
         """
         block = self._block(n)
         if block.owner is not layout.owner:
@@ -110,29 +101,19 @@ class Schedule:
         return at[n]
 
     def _pull(self, start: int) -> None:
-        """Check the next block of the source, which starts at step start,
-        and keep it with the settled flag of each of its steps."""
+        """Keep the next block of the source, which starts at step start,
+        with the settled flag of each of its steps."""
         try:
             moves, ages = next(self._source)
         except StopIteration:
             message = f"step {start}: the plan ends before it_max = {self.it_max}"
             raise ScheduleError(message) from None
-        bound, window = self.delay_bound, self.update_bound
-        if ages is not None:
-            if ages.min() < 0 or ages.max() > bound:
-                i, q, r = np.argwhere((ages < 0) | (ages > bound))[0].tolist()
-                raise ScheduleError(
-                    f"step {start + i}: user {q} views user {r} at age {ages[i, q, r]}, "
-                    f"outside 0..{bound}"
-                )
-            # index-width ages, so that history rows past a narrow type's
-            # range stay reachable
-            ages = ages.astype(np.intp, copy=False) if bound else None
         steps = np.arange(start, start + len(moves))
         # the running maximum of the move steps, after the carried last moves,
         # which no step of this block precedes
         last = np.maximum.accumulate(np.where(moves, steps[:, None], self._last), axis=0)
         self._last = last[-1]
+        window = self.update_bound
         settled = (steps >= window - 1) & (last.min(axis=1) > steps - window)
         self._at += [_Block(start, moves, ages, settled.tolist())] * len(moves)
 
@@ -142,7 +123,7 @@ class _Block:
     """Steps start.. of a plan: moves, a (B, Q) bool array whose row says
     which users move; ages, the (B, Q, Q) intp view ages or None; settled,
     one bool per step. prepared[i] is step start + i as Schedule._prepare
-    returns it for the layouts with the owner array owner."""
+    returns it for the layouts with the owner array owner, which keys it."""
 
     start: int
     moves: np.ndarray
@@ -154,18 +135,18 @@ class _Block:
     def prepare(self, layout, delay_bound: int) -> None:
         """Build every step's gather positions and keep mask for layout."""
         owner = self.owner = layout.owner
-        gathers = itertools.repeat(None)
+        gathers = [None] * len(self.moves)
         if self.ages is not None:
             gathers = (delay_bound - self.ages.take(owner, axis=2)) * len(owner) + layout.antennas
         idle = ~self.moves
         some_idle = idle.any(axis=1).tolist()
         keeps = [keep if some else None for keep, some in zip(idle[:, owner], some_idle)]
-        self.prepared = list(zip(itertools.repeat(owner), gathers, keeps, self.settled))
+        self.prepared = list(zip(gathers, keeps, self.settled))
 
 
-def _one_step_blocks(steps, num_users: int):
+def _one_step_blocks(steps, num_users: int, delay_bound: int):
     """A hand-built plan as blocks of one step, each step's members and ages
-    checked as it is pulled."""
+    checked as it is pulled; ages become intp, or None at delay_bound 0."""
     for n, (members, ages) in enumerate(steps):
         moves = np.zeros((1, num_users), dtype=bool)
         for q in members:
@@ -179,7 +160,14 @@ def _one_step_blocks(steps, num_users: int):
                     f"step {n}: view ages have shape {ages.shape} and dtype {ages.dtype}, "
                     "not one integer age per user pair"
                 )
-            ages = ages[None]
+            if ages.min() < 0 or ages.max() > delay_bound:
+                q, r = np.argwhere((ages < 0) | (ages > delay_bound))[0].tolist()
+                raise ScheduleError(
+                    f"step {n}: user {q} views user {r} at age {ages[q, r]}, "
+                    f"outside 0..{delay_bound}"
+                )
+            # index-width ages reach the history rows past a narrow type's range
+            ages = ages[None].astype(np.intp, copy=False) if delay_bound else None
         yield moves, ages
 
 
@@ -349,7 +337,7 @@ def run_game(
     # an overflow shows in the residual, which the step checks
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(schedule.it_max):
-            _, gather, keep, settled = prepare(n, layout)
+            gather, keep, settled = prepare(n, layout)
             now = lead + n
             if now + 1 == len(history):
                 history = np.concatenate((history, np.empty_like(history)))
@@ -389,7 +377,7 @@ def check_nash(net: EffectiveNetwork, x: np.ndarray) -> float:
     """
     layout = net.config.layout
     response = water_level(stream_floors(net, x), layout.budget).powers
-    return float(np.abs(x - response[layout.antenna_mask]).max())
+    return float(np.abs(x - response.take(layout.antenna_slots)).max())
 
 
 def trace_to_csv(trace: GameTrace, path: str) -> None:

@@ -443,10 +443,9 @@ class _Layout:
             stacked power vector; offsets[-1] is N.
         stream_index: (Q, T) stacked position of user q's antenna s, or -1
             when s >= tx_antennas[q].
-        antenna_mask: (Q, T) stream_index >= 0; a (Q, T) array masked by it
-            lists its antenna slots in stacked order.
-        antenna_slots: the flat positions of antenna_mask's true slots, in
-            order, so that a (Q, T) array's take of them equals that mask.
+        antenna_slots: the flat positions of the (Q, T) slots where
+            stream_index >= 0, in order, so that a (Q, T) array's take of
+            them lists its antenna slots in stacked order.
         ranks: 1.0..T, the count of each prefix of a row of T floors.
         leak_index: (Q, T) position of slot (q, s) in a raveled (Q, N)
             array: q * N + stream_index[q, s], or q * N without antenna s.
@@ -500,10 +499,10 @@ class _Shape:
         self.starts = ends - tx
         self.antennas = np.arange(ends[-1])
         self.owner = np.arange(n_users).repeat(tx)  # user of each antenna
-        self.antenna_mask = slot < tx[:, None]
-        self.antenna_slots = np.flatnonzero(self.antenna_mask)
+        antenna_mask = slot < tx[:, None]
+        self.antenna_slots = np.flatnonzero(antenna_mask)
         self.ranks = np.arange(1.0, t_max + 1)
-        self.stream_index = np.where(self.antenna_mask, self.starts[:, None] + slot, -1)
+        self.stream_index = np.where(antenna_mask, self.starts[:, None] + slot, -1)
         self.streams = self.stream_index[self.is_stream]
         self.leak_index = np.arange(n_users)[:, None] * ends[-1] + self.stream_index.clip(0)
         # flat position of coupling entry (q, i), (r, j) in a (Q, Q, min(R, T), T)

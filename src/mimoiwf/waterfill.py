@@ -205,7 +205,7 @@ def user_rates(net: EffectiveNetwork, x: np.ndarray) -> np.ndarray:
     """Rate of every user at a stacked power vector x, as a (Q,) array."""
     floors = stream_floors(net, x)
     p = np.zeros(floors.shape)
-    p[net.config.layout.antenna_mask] = x
+    p.put(net.config.layout.antenna_slots, x)
     return np.log2(1.0 + p / floors).sum(axis=1)
 
 

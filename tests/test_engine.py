@@ -11,6 +11,7 @@ from mimoiwf import engine
 from mimoiwf.cli import network_from_dict
 from mimoiwf.contraction import certify
 from mimoiwf.engine import (
+    SCHEDULE_KINDS,
     Schedule,
     ScheduleError,
     check_nash,
@@ -350,6 +351,41 @@ def test_drawn_plan_steps_are_checked_when_pulled():
         run_game(net, Schedule(2, 3, steps, 1, 1), tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "users, delay_bound, update_bound",
+    [(1, 0, 1), (2, 0, 11), (3, 1, 2), (3, 2, 11), (4, 3, 5), (4, 6, 1)],
+)
+def test_a_drawn_plan_is_valid_as_drawn(users, delay_bound, update_bound):
+    # a make_schedule block is kept as drawn, with no check when it is
+    # pulled, so it must already hold what a hand-built step is checked and
+    # cast for; it_max 61 ends inside a block, and update_bound 11 outlasts one
+    assert 61 % engine._BLOCK and 11 > engine._BLOCK
+    for seed in range(100):
+        sched = make_schedule(
+            "random_async", users, it_max=61, seed=seed, delay_bound=delay_bound,
+            update_bound=update_bound,
+        )
+        blocks = list({id(b): b for b in map(sched._block, range(61))}.values())
+        assert sum(len(b.moves) for b in blocks) == 61
+        for block in blocks:
+            if delay_bound == 0:
+                assert block.ages is None
+                continue
+            ages = block.ages
+            assert ages.dtype == np.intp and ages.shape == (len(block.moves), users, users)
+            assert 0 <= ages.min() and ages.max() <= delay_bound
+            assert not ages[:, range(users), range(users)].any()
+    # a drawn plan settles at the first step that closes a window, and stays
+    for kind in SCHEDULE_KINDS:
+        sched = make_schedule(
+            kind, users, it_max=61, seed=3, delay_bound=delay_bound, update_bound=update_bound
+        )
+        window = sched.update_bound
+        for n in range(61):
+            block = sched._block(n)
+            assert block.settled[n - block.start] is (n >= window - 1)
+
+
 def test_zero_delay_async_game_reads_fresh_views():
     for seed in range(4):
         net = ragged_net(seed)
@@ -597,15 +633,28 @@ def shipped_layout(name):
         return network_from_dict(json.load(fh)).layout
 
 
+def _settled(sched, n):
+    """Whether every user moved inside the update_bound steps that end at n,
+    read from the members of those steps."""
+    window = sched.update_bound
+    if n < window - 1:
+        return False
+    moved = {q for k in range(n - window + 1, n + 1) for q in sched.step(k)[0]}
+    return len(moved) == sched.num_users
+
+
 def assert_prepared_like_fancy_index(sched, n, layout):
     """Step n, prepared for layout, reads the stale views that fancy indexing
     of the history reads, bit for bit, and keeps the powers of idle users."""
-    _, ages, idle, settled = sched._play(n)
-    owner, gather, keep, ready = sched._prepare(n, layout)
-    assert owner is layout.owner and ready is settled
-    if idle is None:
+    members, ages = sched.step(n)
+    gather, keep, settled = sched._prepare(n, layout)
+    owner = layout.owner
+    assert sched._block(n).owner is owner and settled is _settled(sched, n)
+    if len(members) == sched.num_users:
         assert keep is None
     else:
+        idle = np.ones(sched.num_users, dtype=bool)
+        idle[list(members)] = False
         np.testing.assert_array_equal(keep, idle[owner])
     if ages is None:
         assert gather is None
@@ -654,7 +703,10 @@ def test_an_in_range_numpy_integer_member_is_accepted(source):
     got = run_game(net, Schedule(2, 6, source(numpy_plan), 0, 2), tol=0.0)
     want = run_game(net, Schedule(2, 6, source(plain_plan), 0, 2), tol=0.0)
     assert_same_trace(got, want)
-    assert Schedule(2, 6, source(numpy_plan), 0, 2)._play(1)[2].tolist() == [True, False]
+    sched = Schedule(2, 6, source(numpy_plan), 0, 2)
+    assert sched.step(1) == ((1,), None)
+    layout = net.config.layout
+    assert sched._prepare(1, layout)[1].tolist() == [True, False]
 
 
 def test_floors_that_overflow_across_a_row_still_raise():
@@ -694,9 +746,11 @@ def test_a_hand_built_plan_that_starves_a_user_never_converges():
     assert max(trace.residuals) == 0.0
     # the plan answers once per step who keeps its power and whether every
     # user moved inside the window; the game reads both
+    layout = net.config.layout
     for n in range(20):
-        _, ages, idle, settled = sched._play(n)
-        assert ages is None and idle.tolist() == [False, True] and settled is False
+        gather, keep, settled = sched._prepare(n, layout)
+        assert sched.step(n) == ((0,), None)
+        assert gather is None and keep.tolist() == [False, True] and settled is False
 
 
 def test_converged_games_sit_at_fixed_point():
