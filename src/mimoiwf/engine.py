@@ -43,15 +43,17 @@ class Schedule:
     and a (Q, Q) integer array holding at [q, r] the age, 0..delay_bound, of
     user q's view of user r, or None when every view is fresh, as it is when
     delay_bound is 0. The plan is held as blocks of consecutive steps: a
-    (B, Q) bool array of who moves and (B, Q, Q) intp ages, or None. A
-    hand-built plan is pulled one step at a time, each step checked as it is
-    pulled; make_schedule builds its plans _BLOCK steps at a time, valid as
-    drawn. step(n) pulls the block that holds step n the first time it
-    reaches it, so games draw only the blocks they play, and games read each
-    block as prepared once for their antenna layout. A drawn plan updates
+    (B, Q) bool array of who moves, (B, Q, Q) intp ages or None, and one
+    settled flag per step, true when every user has moved inside the
+    update_bound steps that end at it. A hand-built plan is pulled one step
+    at a time, each step checked and copied as it is pulled; make_schedule
+    builds its plans _BLOCK steps at a time, valid as drawn. step(n) pulls
+    the block that holds step n the first time it reaches it, so games draw
+    only the blocks they play, and a game reads the plan block by block,
+    each block prepared once for its antenna layout. A drawn plan updates
     every user at least once in every update_bound steps; a hand-built one
-    is not held to that, but a game declares convergence only at a step
-    where every user has moved inside the last update_bound steps.
+    is not held to that, but a game declares convergence only at a settled
+    step.
 
     Raises:
         ScheduleError: on a count or bound that is not an integer (a bool is
@@ -64,22 +66,28 @@ class Schedule:
         self.num_users, self.it_max = num_users, it_max
         self.delay_bound, self.update_bound = delay_bound, update_bound
         _check_counts(**vars(self))
-        self._source = _one_step_blocks(iter(steps), num_users, delay_bound)
+        self._source = _one_step_blocks(iter(steps), num_users, delay_bound, update_bound)
         self._at: list[_Block] = []  # the block of each step pulled
-        self._last = -1  # the step each user last moved at, after the last block pulled
 
     def step(self, n: int) -> tuple[tuple[int, ...], np.ndarray | None]:
-        """Users updating at step n < it_max and their (Q, Q) view ages, None if fresh."""
+        """Users updating at step n and their (Q, Q) view ages, None if fresh.
+
+        Raises:
+            ScheduleError: naming n when it is not an integer (a bool is not)
+                in 0..it_max - 1, or on a plan step the schedule refuses.
+        """
+        if not ((type(n) is int or is_integer(n)) and 0 <= n < self.it_max):
+            raise ScheduleError(f"step must be an integer in 0..{self.it_max - 1}, got {n!r}")
         block = self._block(n)
         i = n - block.start
         ages = None if block.ages is None else block.ages[i]
         return tuple(np.flatnonzero(block.moves[i]).tolist()), ages
 
-    def _prepare(self, n: int, layout) -> tuple:
-        """Step n as a game on an antenna layout plays it: (gather, keep,
-        settled). Its block is prepared once and kept while games play on
-        layouts with the layout's owner array, compared by identity; another
-        layout prepares it again.
+    def _played(self, layout):
+        """Steps 0.. as a game on an antenna layout plays them, in order:
+        (gather, keep, settled) each. Each block is prepared once and kept
+        while games play on layouts with the layout's owner array, compared
+        by identity; another layout prepares it again.
 
         gather is None when every view is fresh, else the (Q, N) positions
         of the stale views in the raveled history rows that start at row n
@@ -88,42 +96,33 @@ class Schedule:
         the antennas whose user keeps its power, None when every user moves;
         settled, that every user moved inside the update_bound steps to n.
         """
-        block = self._block(n)
-        if block.owner is not layout.owner:
-            block.prepare(layout, self.delay_bound)
-        return block.prepared[n - block.start]
+        n = 0
+        while n < self.it_max:
+            block = self._block(n)
+            if block.owner is not layout.owner:
+                block.prepare(layout, self.delay_bound)
+            yield from block.prepared
+            n += len(block.prepared)
 
     def _block(self, n: int) -> _Block:
         """The block that holds step n < it_max, pulled on first read."""
         at = self._at
-        while len(at) <= n < self.it_max:
-            self._pull(len(at))
+        while len(at) <= n:
+            try:
+                moves, ages, settled = next(self._source)
+            except StopIteration:
+                message = f"step {len(at)}: the plan ends before it_max = {self.it_max}"
+                raise ScheduleError(message) from None
+            at += [_Block(len(at), moves, ages, settled)] * len(moves)
         return at[n]
-
-    def _pull(self, start: int) -> None:
-        """Keep the next block of the source, which starts at step start,
-        with the settled flag of each of its steps."""
-        try:
-            moves, ages = next(self._source)
-        except StopIteration:
-            message = f"step {start}: the plan ends before it_max = {self.it_max}"
-            raise ScheduleError(message) from None
-        steps = np.arange(start, start + len(moves))
-        # the running maximum of the move steps, after the carried last moves,
-        # which no step of this block precedes
-        last = np.maximum.accumulate(np.where(moves, steps[:, None], self._last), axis=0)
-        self._last = last[-1]
-        window = self.update_bound
-        settled = (steps >= window - 1) & (last.min(axis=1) > steps - window)
-        self._at += [_Block(start, moves, ages, settled.tolist())] * len(moves)
 
 
 @dataclass(slots=True)
 class _Block:
     """Steps start.. of a plan: moves, a (B, Q) bool array whose row says
     which users move; ages, the (B, Q, Q) intp view ages or None; settled,
-    one bool per step. prepared[i] is step start + i as Schedule._prepare
-    returns it for the layouts with the owner array owner, which keys it."""
+    one bool per step. prepared[i] is step start + i as Schedule._played
+    yields it for the layouts with the owner array owner, which keys it."""
 
     start: int
     moves: np.ndarray
@@ -138,21 +137,24 @@ class _Block:
         gathers = [None] * len(self.moves)
         if self.ages is not None:
             gathers = (delay_bound - self.ages.take(owner, axis=2)) * len(owner) + layout.antennas
-        idle = ~self.moves
-        some_idle = idle.any(axis=1).tolist()
-        keeps = [keep if some else None for keep, some in zip(idle[:, owner], some_idle)]
+        idle = ~self.moves.take(owner, axis=1)  # per antenna
+        everyone = self.moves.all(axis=1).tolist()
+        keeps = [None if all_move else keep for keep, all_move in zip(idle, everyone)]
         self.prepared = list(zip(gathers, keeps, self.settled))
 
 
-def _one_step_blocks(steps, num_users: int, delay_bound: int):
+def _one_step_blocks(steps, num_users: int, delay_bound: int, update_bound: int):
     """A hand-built plan as blocks of one step, each step's members and ages
-    checked as it is pulled; ages become intp, or None at delay_bound 0."""
+    checked as it is pulled; ages become an intp copy, or None at
+    delay_bound 0, and settled comes from each user's last move."""
+    last = [-1] * num_users  # the step each user last moved at
     for n, (members, ages) in enumerate(steps):
         moves = np.zeros((1, num_users), dtype=bool)
         for q in members:
             if not ((type(q) is int or is_integer(q)) and 0 <= q < num_users):
                 raise ScheduleError(f"step {n}: user {q!r} is not in a {num_users}-user network")
             moves[0, q] = True
+            last[q] = n
         if ages is not None:
             ages = np.asarray(ages)
             if ages.shape != (num_users, num_users) or ages.dtype.kind not in "iu":
@@ -166,9 +168,10 @@ def _one_step_blocks(steps, num_users: int, delay_bound: int):
                     f"step {n}: user {q} views user {r} at age {ages[q, r]}, "
                     f"outside 0..{delay_bound}"
                 )
-            # index-width ages reach the history rows past a narrow type's range
-            ages = ages[None].astype(np.intp, copy=False) if delay_bound else None
-        yield moves, ages
+            # index-width ages reach the history rows past a narrow type's
+            # range; a copy, so that the caller's later edits go unread
+            ages = ages[None].astype(np.intp) if delay_bound else None
+        yield moves, ages, [n >= update_bound - 1 and min(last) > n - update_bound]
 
 
 def _check_counts(**counts) -> None:
@@ -227,7 +230,7 @@ def make_schedule(
     kind: str,
     num_users: int,
     it_max: int = DEFAULT_IT_MAX,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     delay_bound: int = 0,
     update_bound: int = 1,
 ) -> Schedule:
@@ -240,38 +243,49 @@ def make_schedule(
     _BLOCK steps at a time, each block only when first read, so games that
     stop early draw at most one block past what they play.
 
+    A seed is a nonnegative integer or a Generator: random_async reads the
+    stream of np.random.default_rng(seed), which advances a Generator.
+
     Raises:
         ScheduleError: on an unknown kind, or on a count, bound or seed that
-            is not an integer (a bool is not) or is out of range; names it.
+            is not an integer (a bool is not) or is out of range, naming it;
+            a Generator seed is not checked.
     """
     if kind not in SCHEDULE_KINDS:
         raise ScheduleError(f"unknown schedule kind {kind!r}, expected one of {SCHEDULE_KINDS}")
-    _check_counts(seed=seed, delay_bound=delay_bound, update_bound=update_bound)
+    seeded = {} if isinstance(seed, np.random.Generator) else {"seed": seed}
+    _check_counts(**seeded, delay_bound=delay_bound, update_bound=update_bound)
 
     if kind == "random_async":
         blocks = _async_blocks(num_users, it_max, seed, delay_bound, update_bound)
     else:  # every view fresh; gauss_seidel moves each user once a round
-        blocks = _cyclic_blocks(num_users, it_max, every=kind == "jacobi")
         delay_bound, update_bound = 0, 1 if kind == "jacobi" else num_users
+        blocks = _cyclic_blocks(num_users, it_max, update_bound)
     schedule = Schedule(num_users, it_max, (), delay_bound, update_bound)
     schedule._source = blocks  # a generator, which runs after Schedule checked the counts
     return schedule
 
 
-def _cyclic_blocks(num_users: int, it_max: int, every: bool):
-    """Fresh-view blocks: every user at every step, or else user n % Q at step n."""
-    period = np.ones((1, num_users), dtype=bool) if every else np.eye(num_users, dtype=bool)
+def _cyclic_blocks(num_users: int, it_max: int, update_bound: int):
+    """Fresh-view blocks that move every user once in each update_bound
+    steps: all users at every step at update_bound 1, or else user n % Q at
+    step n. A step is settled from step update_bound - 1 on."""
+    every = np.ones((1, num_users), dtype=bool)
+    period = every if update_bound == 1 else np.eye(num_users, dtype=bool)
     for start in range(0, it_max, _BLOCK):
-        yield period[np.arange(start, min(start + _BLOCK, it_max)) % len(period)], None
+        steps = np.arange(start, min(start + _BLOCK, it_max))
+        yield period[steps % len(period)], None, (steps >= update_bound - 1).tolist()
 
 
-def _async_blocks(num_users: int, it_max: int, seed: int, delay_bound: int, update_bound: int):
+def _async_blocks(num_users: int, it_max: int, seed, delay_bound: int, update_bound: int):
     """random_async blocks; each step draws rng.random, then rng.integers if
     delay_bound > 0, as a step-by-step draw does.
 
     A user moves at a coin below 0.5, and is forced when update_bound steps
     pass without a move: at step n when (n - its last coin move) is a
-    multiple of update_bound, -1 standing for no coin move yet.
+    multiple of update_bound, -1 standing for no coin move yet. So every
+    window of update_bound steps moves every user, and a step is settled
+    from step update_bound - 1 on.
     """
     rng = np.random.default_rng(seed)
     last = -1  # each user's last coin move, after the last block drawn
@@ -289,7 +303,8 @@ def _async_blocks(num_users: int, it_max: int, seed: int, delay_bound: int, upda
             ages.reshape(len(steps), -1)[:, :: num_users + 1] = 0  # own power is always current
         # no coin move of this block precedes the carried one
         last = np.maximum.accumulate(np.where(coins < 0.5, steps, last), axis=0)
-        yield (steps - last) % update_bound == 0, ages
+        settled = (steps[:, 0] >= update_bound - 1).tolist()
+        yield (steps - last) % update_bound == 0, ages, settled
         last = last[-1]
 
 
@@ -331,13 +346,12 @@ def run_game(
     history[: lead + 1] = start
     window = schedule.update_bound
     residuals: list[float] = []
+    calm = 0  # the residuals below tol at the end of residuals
     converged = False
-    prepare = schedule._prepare
 
     # an overflow shows in the residual, which the step checks
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(schedule.it_max):
-            gather, keep, settled = prepare(n, layout)
+        for n, (gather, keep, settled) in enumerate(schedule._played(layout)):
             now = lead + n
             if now + 1 == len(history):
                 history = np.concatenate((history, np.empty_like(history)))
@@ -354,7 +368,10 @@ def run_game(
                     "at these powers is too large for a float"
                 )
             residuals.append(residual)
-            if settled and max(residuals[-window:]) < tol:
+            calm = calm + 1 if residual < tol else 0
+            # a settled step has at least window residuals, so the last
+            # window of them are all below tol
+            if settled and calm >= window:
                 converged = True
                 break
 

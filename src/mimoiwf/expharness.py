@@ -232,22 +232,25 @@ _ready: dict = {}
 
 
 def _prepare(spec: SweepSpec, keys) -> list[tuple]:
-    """(seeds, network or None, certificate, retries, random start) of each
-    (point, trial) key, drawn, rotated and certified as one stack, each draw
-    under the config of its own sweep point.
+    """(network or None, certificate, retries, random start, plan seed) of
+    each (point, trial) key, drawn, rotated and certified as one stack, each
+    draw under the config of its own sweep point.
 
     A trial's max_retries + 2 seeds are those of
     np.random.SeedSequence((base_seed, point, trial)), all derived in one
     seed_words pass; one default_rngs pass then seeds the generators of
-    every key's first draw and random start. Attempt a draws every key that
-    is still degenerate (all keys at attempt 0) with the trial's seed a, in
-    one stack under the keys' own configs, up to max_retries draws in all.
-    Seed max_retries draws the random start, seed max_retries + 1 an async
-    trial's plan.
+    every key's first draw and random start, and of a random_async trial's
+    plan. Attempt a draws every key that is still degenerate (all keys at
+    attempt 0) with the trial's seed a, in one stack under the keys' own
+    configs, up to max_retries draws in all. Seed max_retries draws the
+    random start, seed max_retries + 1 an async trial's plan: the plan seed
+    is that seed's generator, None for a schedule that draws no plan.
     """
     configs = [spec.points[p][1] for p, _ in keys]
     seeds = seed_words([(spec.base_seed, p, t) for p, t in keys], spec.max_retries + 2).tolist()
-    rngs = default_rngs([s[0] for s in seeds] + [s[spec.max_retries] for s in seeds])
+    firsts, starts = [s[0] for s in seeds], [s[spec.max_retries] for s in seeds]
+    plans = [s[spec.max_retries + 1] for s in seeds] if spec.schedule == "random_async" else []
+    rngs = default_rngs(firsts + starts + plans)
     nets, retries = [None] * len(keys), [spec.max_retries] * len(keys)
     redraw = range(len(keys))
     for attempt in range(spec.max_retries):
@@ -260,12 +263,13 @@ def _prepare(spec: SweepSpec, keys) -> list[tuple]:
             break
     certs = iter(certify([net for net in nets if net is not None]))
     weights = np.empty((len(keys), configs[0].layout.offsets[-1]))
-    for rng, row in zip(rngs[len(keys) :], weights):
+    for rng, row in zip(rngs[len(keys) : 2 * len(keys)], weights):
         rng.random(out=row)
     starts = split_budgets(weights, configs)
+    plans = rngs[2 * len(keys) :] or [None] * len(keys)
     return [
-        (trial_seeds, net, None if net is None else next(certs), r, start)
-        for trial_seeds, net, r, start in zip(seeds, nets, retries, starts)
+        (net, None if net is None else next(certs), r, start, plan)
+        for net, r, start, plan in zip(nets, retries, starts, plans)
     ]
 
 
@@ -281,7 +285,7 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
     """
     point_value, cfg, uniform, greedy = spec.points[point_index]
     prepared = _ready.pop((id(spec), point_index, trial_index), None)
-    seeds, net, cert, retries, random_start = (
+    net, cert, retries, random_start, plan_seed = (
         prepared or _prepare(spec, [(point_index, trial_index)])[0]
     )
     if net is None:
@@ -291,7 +295,7 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
         spec.schedule,
         cfg.num_users,
         it_max=spec.it_max,
-        seed=seeds[spec.max_retries + 1],
+        seed=plan_seed,
         delay_bound=spec.delay_bound,
         update_bound=spec.update_bound,
     )

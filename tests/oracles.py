@@ -433,3 +433,13 @@ def reference_async_schedule(num_users, it_max, seed, delay_bound, update_bound)
         last[members] = n
         sets.append(tuple(int(q) for q in members))
     return tuple(sets), delays
+
+
+def reference_settled(moves, update_bound):
+    """Settled flag of each step of a (steps, Q) bool plan of who moves: the
+    step closes a window of update_bound steps, and every user's last move
+    falls inside it. The last moves are the running maximum of each user's
+    move steps, -1 before its first."""
+    steps = np.arange(len(moves))
+    last = np.maximum.accumulate(np.where(moves, steps[:, None], -1), axis=0)
+    return ((steps >= update_bound - 1) & (last.min(axis=1) > steps - update_bound)).tolist()

@@ -37,6 +37,7 @@ from oracles import (
     reference_async_schedule,
     reference_best_response,
     reference_run_game,
+    reference_settled,
 )
 
 
@@ -246,7 +247,7 @@ def test_hand_built_plan_is_checked():
                 Schedule(2, 3, source(fresh_plan(members))).step(0)
     s = Schedule(2, 3, fresh_plan(*[(0, 1)] * 4))  # steps past it_max are never pulled
     assert whole_plan(s) == (((0, 1),) * 3, [None] * 3)
-    with pytest.raises(IndexError):
+    with pytest.raises(ScheduleError, match=r"^step must be an integer in 0\.\.2, got 3$"):
         s.step(3)
     for name, args in (
         ("num_users", (True, 3)),
@@ -320,7 +321,7 @@ def test_view_ages_outside_the_bound_are_rejected():
     assert whole_plan(Schedule(2, 4, list(zip(sets, delays)), 0, 2)) == (sets, [None] * 4)
 
 
-def test_drawn_plan_steps_are_checked_when_pulled():
+def test_hand_built_plan_steps_are_checked_when_pulled():
     net = explicit_net([np.eye(1), np.eye(1)], {}, [1.0, 1.0], [1.0, 1.0])
     ok = np.zeros((2, 2), dtype=np.int64)
 
@@ -349,6 +350,97 @@ def test_drawn_plan_steps_are_checked_when_pulled():
     steps = iter([((0, 1), ok), ((0, 1), np.zeros((3, 3), dtype=np.int64)), ((0, 1), ok)])
     with pytest.raises(ScheduleError, match=r"step 1: view ages have shape \(3, 3\)"):
         run_game(net, Schedule(2, 3, steps, 1, 1), tol=0.0)
+
+
+def test_a_hand_built_step_keeps_the_ages_it_was_checked_with():
+    # the ages are copied where the step enters, so an edit the caller makes
+    # after the check reaches neither step(n) nor a game
+    net = explicit_net([np.eye(1), np.eye(1)], {}, [1.0, 1.0], [1.0, 1.0])
+    ages = np.zeros((2, 2), dtype=np.intp)
+    sched = Schedule(2, 2, [((0, 1), ages), ((0, 1), ages.copy())], 1, 1)
+    assert sched.step(0)[1].tolist() == [[0, 0], [0, 0]]
+    ages[1, 0] = 7  # past delay_bound 1, where a gather would leave the history
+    assert sched.step(0)[1].tolist() == [[0, 0], [0, 0]]
+    want = run_game(net, Schedule(2, 2, [((0, 1), np.zeros((2, 2), dtype=np.intp))] * 2, 1, 1))
+    assert_same_trace(run_game(net, sched), want)
+
+
+def test_a_step_index_outside_the_plan_is_named():
+    # step -1 used to read a step of the last block pulled, step it_max to
+    # raise a bare IndexError, and True to read as step 1
+    drawn = make_schedule("random_async", 3, it_max=10, seed=1, delay_bound=2, update_bound=3)
+    built = Schedule(2, 3, fresh_plan((0,), (1,), (0, 1)), 0, 2)
+    for sched in (drawn, built):
+        last = sched.it_max - 1
+        for n in (-1, sched.it_max, 10**20, True, False, 1.0, np.float64(1.0), "1", None):
+            message = f"step must be an integer in 0..{last}, got {n!r}"
+            with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
+                sched.step(n)
+        # an in-range numpy integer reads the step its int does
+        assert repr(sched.step(np.int64(1))) == repr(sched.step(1))
+        assert repr(sched.step(np.uint8(last))) == repr(sched.step(last))
+    assert built.step(2) == ((0, 1), None)
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_a_generator_seed_draws_the_plan_of_its_integer_seed(kind):
+    # make_schedule reads a Generator's stream as sample_channels does; a
+    # trial hands it the generator its chunk seeded
+    shapes = [(1, 0, 1), (3, 2, 11), (4, 3, 5), (2, 2, 2), (4, 0, 11)]
+    for users, delay_bound, update_bound in shapes:
+        for seed in (0, 7, 2**64 - 1):
+            want = make_schedule(kind, users, 61, seed, delay_bound, update_bound)
+            rng = np.random.default_rng(seed)
+            got = make_schedule(kind, users, 61, rng, delay_bound, update_bound)
+            assert (got.delay_bound, got.update_bound) == (want.delay_bound, want.update_bound)
+            for n in range(61):
+                (members, ages), (want_members, want_ages) = got.step(n), want.step(n)
+                assert members == want_members
+                assert (ages is None) == (want_ages is None)
+                if ages is not None:
+                    assert ages.dtype == want_ages.dtype and ages.tobytes() == want_ages.tobytes()
+            drawn = rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
+            assert drawn is (kind == "random_async")
+
+
+def random_hand_built_plan(rng, users, it_max, delay_bound, update_bound):
+    """A Schedule of random members, empty steps among them, and ages."""
+    odds = rng.choice([0.1, 0.5, 0.9])
+    steps = []
+    for moves in rng.random((it_max, users)) < odds:
+        ages = None
+        if delay_bound or rng.random() < 0.5:
+            ages = rng.integers(0, delay_bound + 1, size=(users, users))
+        steps.append((tuple(np.flatnonzero(moves).tolist()), ages))
+    return Schedule(users, it_max, steps, delay_bound, update_bound)
+
+
+def plan_settled(sched):
+    """(who moves at each step, as a (it_max, Q) bool array; each step's
+    settled flag as its source gave it)."""
+    moves = np.zeros((sched.it_max, sched.num_users), dtype=bool)
+    settled = []
+    for n in range(sched.it_max):
+        moves[n, list(sched.step(n)[0])] = True
+        block = sched._block(n)
+        settled.append(block.settled[n - block.start])
+    return moves, settled
+
+
+def test_every_plan_source_settles_by_the_running_maximum_rule():
+    rng = np.random.default_rng(5)
+    for _ in range(300):  # hand-built, one step a block
+        users, update_bound = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+        sched = random_hand_built_plan(rng, users, 40, int(rng.integers(0, 4)), update_bound)
+        moves, settled = plan_settled(sched)
+        assert settled == reference_settled(moves, update_bound)
+    # drawn, _BLOCK steps a block; it_max 61 ends inside a block
+    for kind in SCHEDULE_KINDS:
+        for users, delay_bound, update_bound in [(1, 0, 1), (3, 2, 11), (4, 3, 5), (2, 1, 3)]:
+            for seed in range(20):
+                sched = make_schedule(kind, users, 61, seed, delay_bound, update_bound)
+                moves, settled = plan_settled(sched)
+                assert settled == reference_settled(moves, sched.update_bound)
 
 
 @pytest.mark.parametrize(
@@ -643,11 +735,16 @@ def _settled(sched, n):
     return len(moved) == sched.num_users
 
 
+def prepared_step(sched, n, layout):
+    """Step n of the steps a game on layout reads: (gather, keep, settled)."""
+    return next(itertools.islice(sched._played(layout), n, None))
+
+
 def assert_prepared_like_fancy_index(sched, n, layout):
     """Step n, prepared for layout, reads the stale views that fancy indexing
     of the history reads, bit for bit, and keeps the powers of idle users."""
     members, ages = sched.step(n)
-    gather, keep, settled = sched._prepare(n, layout)
+    gather, keep, settled = prepared_step(sched, n, layout)
     owner = layout.owner
     assert sched._block(n).owner is owner and settled is _settled(sched, n)
     if len(members) == sched.num_users:
@@ -706,7 +803,7 @@ def test_an_in_range_numpy_integer_member_is_accepted(source):
     sched = Schedule(2, 6, source(numpy_plan), 0, 2)
     assert sched.step(1) == ((1,), None)
     layout = net.config.layout
-    assert sched._prepare(1, layout)[1].tolist() == [True, False]
+    assert prepared_step(sched, 1, layout)[1].tolist() == [True, False]
 
 
 def test_floors_that_overflow_across_a_row_still_raise():
@@ -746,9 +843,9 @@ def test_a_hand_built_plan_that_starves_a_user_never_converges():
     assert max(trace.residuals) == 0.0
     # the plan answers once per step who keeps its power and whether every
     # user moved inside the window; the game reads both
-    layout = net.config.layout
-    for n in range(20):
-        gather, keep, settled = sched._prepare(n, layout)
+    played = list(sched._played(net.config.layout))
+    assert len(played) == 20
+    for n, (gather, keep, settled) in enumerate(played):
         assert sched.step(n) == ((0,), None)
         assert gather is None and keep.tolist() == [False, True] and settled is False
 

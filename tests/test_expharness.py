@@ -453,18 +453,36 @@ def test_degenerate_draws_are_redrawn_with_the_next_seeds(mixed_singles):
 
 
 @pytest.mark.parametrize("base_seed", [3, 2**32 + 5, 2**70])
-def test_a_chunk_derives_the_seeds_and_random_starts_of_its_trials(base_seed):
+def test_a_chunk_derives_the_seeds_and_random_starts_of_its_trials(monkeypatch, base_seed):
     # one chunk across the three budgets of a sum-rate sweep: each key's seeds
-    # are its SeedSequence's, and its random start is the one its own
-    # generator draws under its point's budget
-    spec = dataclasses.replace(TINY_RATE, base_seed=base_seed)
-    keys = [(p, t) for p in range(3) for t in range(spec.trials)]
-    for (p, t), (seeds, *_, start) in zip(keys, expharness._prepare(spec, keys)):
-        root = np.random.SeedSequence((base_seed, p, t))
-        assert seeds == root.generate_state(spec.max_retries + 2, np.uint64).tolist()
-        rng = np.random.default_rng(seeds[spec.max_retries])
-        want = reference_random_profile(spec.points[p][1], rng)
-        np.testing.assert_array_equal(start, np.concatenate(want))
+    # are its SeedSequence's, its random start is the one its own generator
+    # draws under its point's budget, and an async trial's plan seed is the
+    # generator of its last seed, not yet drawn from
+    tables = []
+    words = expharness.seed_words
+
+    def kept(entropies, n):
+        tables.append(words(entropies, n))
+        return tables[-1]
+
+    monkeypatch.setattr(expharness, "seed_words", kept)
+    for schedule in ("jacobi", "random_async"):
+        spec = dataclasses.replace(TINY_RATE, base_seed=base_seed, schedule=schedule)
+        keys = [(p, t) for p in range(3) for t in range(spec.trials)]
+        tables.clear()
+        prepared = expharness._prepare(spec, keys)
+        (table,) = tables
+        for (p, t), seeds, (*_, start, plan) in zip(keys, table.tolist(), prepared, strict=True):
+            root = np.random.SeedSequence((base_seed, p, t))
+            assert seeds == root.generate_state(spec.max_retries + 2, np.uint64).tolist()
+            rng = np.random.default_rng(seeds[spec.max_retries])
+            want = reference_random_profile(spec.points[p][1], rng)
+            np.testing.assert_array_equal(start, np.concatenate(want))
+            if schedule == "jacobi":
+                assert plan is None
+                continue
+            want = np.random.default_rng(seeds[spec.max_retries + 1]).bit_generator.state
+            assert plan.bit_generator.state == want
 
 
 @pytest.mark.parametrize(
@@ -472,7 +490,8 @@ def test_a_chunk_derives_the_seeds_and_random_starts_of_its_trials(base_seed):
 )
 def test_a_chunk_and_a_lone_trial_hash_seeds_in_two_passes(monkeypatch, spec):
     # one seed_words pass for the seed table, one for the generators of every
-    # key's draw and random start; redraws and async plans seed from ints
+    # key's draw and random start and of an async key's plan; redraws seed
+    # from ints
     passes = []
     words = netmodel.seed_words
 
@@ -483,13 +502,14 @@ def test_a_chunk_and_a_lone_trial_hash_seeds_in_two_passes(monkeypatch, spec):
     monkeypatch.setattr(netmodel, "seed_words", counted)
     monkeypatch.setattr(expharness, "seed_words", counted)
     keys = [(p, t) for p in range(len(spec.sweep_values)) for t in range(spec.trials)]
+    generators = 3 if spec.schedule == "random_async" else 2
     records = expharness._run_chunk(spec, keys)
-    assert passes == [(len(keys), spec.max_retries + 2), (2 * len(keys), 4)]
+    assert passes == [(len(keys), spec.max_retries + 2), (generators * len(keys), 4)]
     if spec is not TINY_RATE:  # the chunk redrew some draws
         assert any(r.retries for r in records)
     passes.clear()
     run_trial(spec, 0, 3)
-    assert passes == [(1, spec.max_retries + 2), (2, 4)]
+    assert passes == [(1, spec.max_retries + 2), (generators, 4)]
 
 
 @pytest.mark.parametrize("base_seed", [0, 2**32 + 5, 2**64 + 5])
