@@ -136,12 +136,13 @@ def _cmd_play(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     doc = _load_json(args.config)
     cfg, net = _build_net(doc, args.seed)
+    # jacobi and gauss_seidel force their own fresh-view bounds
     schedule = make_schedule(
         _SCHEDULE_FLAG[args.schedule],
         cfg.num_users,
         seed=_seed(doc, args.seed),
-        delay_bound=SweepSpec.delay_bound if args.schedule == "async" else 0,
-        update_bound=SweepSpec.update_bound if args.schedule == "async" else 1,
+        delay_bound=SweepSpec.delay_bound,
+        update_bound=SweepSpec.update_bound,
     )
     trace = run_game(net, schedule)
     print(f"schedule {args.schedule}")
@@ -223,34 +224,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, schedule_default: str | None) -> None:
+    def common(p: argparse.ArgumentParser, schedule: bool = True) -> None:
         p.add_argument("--config", required=True, help="path to a JSON config document")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true", help="suppress timing output")
-        if schedule_default is not None:
-            p.add_argument(
-                "--schedule",
-                choices=sorted(_SCHEDULE_FLAG),
-                default=schedule_default,
-                help="update schedule",
-            )
+        if schedule:  # None keeps a sweep config's own schedule
+            p.add_argument("--schedule", choices=sorted(_SCHEDULE_FLAG), help="update schedule")
 
     p_play = sub.add_parser("play", help="run one game on one realization")
-    common(p_play, "jacobi")
+    common(p_play)
     p_play.add_argument("--out", default=None, help="write the game trace CSV here")
-    p_play.set_defaults(func=_cmd_play)
+    p_play.set_defaults(func=_cmd_play, schedule="jacobi")
 
     p_cert = sub.add_parser("certify", help="uniqueness certificates for one realization")
-    common(p_cert, None)
+    common(p_cert, schedule=False)
     p_cert.add_argument("--out", default=None, help="write the coupling matrix CSV here")
     p_cert.set_defaults(func=_cmd_certify)
 
     for name in ("sweep-uniqueness", "sweep-sumrate"):
         p_sweep = sub.add_parser(name, help=f"run the {name.split('-')[1]} sweep")
-        common(p_sweep, None)
-        p_sweep.add_argument(
-            "--schedule", choices=sorted(_SCHEDULE_FLAG), default=None, help="update schedule"
-        )
+        common(p_sweep)
         p_sweep.add_argument("--out", required=True, help="output CSV path")
         p_sweep.add_argument("--trials", type=int, default=None, help="override trial count")
         p_sweep.add_argument("--jobs", type=int, default=1, help="worker process count")

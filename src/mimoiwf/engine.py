@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .netmodel import check_count, is_integer
+from .netmodel import FLOAT_MAX, check_count, is_integer, is_number
 from .precode import EffectiveNetwork
 from .waterfill import (
     PowerProfile,
@@ -316,23 +316,26 @@ def run_game(
 ) -> GameTrace:
     """Iterate water-filling responses under a schedule.
 
-    start is a stacked power vector, the uniform split by default.
+    start is a stacked power vector, checked by validate_profile when it is
+    given; the default is the uniform split, feasible by construction.
     Convergence is declared once every user has updated inside the last
     update_bound steps and the residuals of those steps are all below tol.
     The step's residual is its one check: interference or a water level
     too large for a float makes it inf or NaN.
 
     Raises:
-        ValueError: on an infeasible start, or at a step whose residual is
-            not finite, naming the float overflow.
+        ValueError: on a tol that is not a nonnegative finite number (a bool
+            is not), naming it; on an infeasible start; or at a step whose
+            residual is not finite, naming the float overflow.
         ScheduleError: on a schedule for another number of users, or on a
             plan step the schedule refuses.
     """
     cfg = net.config
     if schedule.num_users != cfg.num_users:
         raise ScheduleError(f"schedule for {schedule.num_users} users, network of {cfg.num_users}")
-    start = uniform_profile(cfg) if start is None else start
-    validate_profile(start, cfg)
+    if not (is_number(tol) and 0 <= tol <= FLOAT_MAX):
+        raise ValueError(f"tol must be a nonnegative finite number, got {tol!r}")
+    start = uniform_profile(cfg) if start is None else validate_profile(start, cfg)
 
     # history[lead + n] is the stacked state after step n, behind lead copies
     # of the start: the trace and, for stale views, the delay buffer (user q

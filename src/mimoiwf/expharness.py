@@ -18,7 +18,7 @@ from .engine import DEFAULT_IT_MAX, DEFAULT_TOL, SCHEDULE_KINDS, Schedule, make_
 from .netmodel import FLOAT_MAX, ConfigError, NetworkConfig, check_count, is_number
 from .netmodel import default_rngs, sample_channels, seed_words
 from .precode import build_effective_network
-from .waterfill import greedy_profile, split_budgets, sum_rate, uniform_profile
+from .waterfill import greedy_profile, split_budgets, sum_rate
 
 SWEEP_VARIABLES = ("cross_distance", "power_budget_db")
 
@@ -79,10 +79,10 @@ class SweepSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
-    def points(self) -> tuple[tuple[float, NetworkConfig, np.ndarray, np.ndarray], ...]:
-        """(value, config, uniform start, greedy start) of each sweep point, built
-        and checked on first read, which validate_spec makes, and shared by its
-        trials; the starts are read-only.
+    def points(self) -> tuple[tuple[float, NetworkConfig, np.ndarray], ...]:
+        """(value, config, greedy start) of each sweep point, built and checked
+        on first read, which validate_spec makes, and shared by its trials; the
+        start is read-only. A trial's first game plays run_game's default start.
 
         Raises:
             ConfigError: naming the sweep value whose network is refused.
@@ -93,10 +93,9 @@ class SweepSpec:
                 cfg = trial_config(self, float(v))
             except (ConfigError, ArithmeticError) as exc:
                 raise ConfigError(f"at {self.sweep_variable} = {v!r}: {exc}") from exc
-            uniform, greedy = uniform_profile(cfg), greedy_profile(cfg)
-            uniform.setflags(write=False)
+            greedy = greedy_profile(cfg)
             greedy.setflags(write=False)
-            points.append((float(v), cfg, uniform, greedy))
+            points.append((float(v), cfg, greedy))
         return tuple(points)
 
     @cached_property
@@ -283,7 +282,7 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
     alone, the trial is a stack of one; within a sweep its chunk has
     prepared it.
     """
-    point_value, cfg, uniform, greedy = spec.points[point_index]
+    point_value, cfg, greedy = spec.points[point_index]
     prepared = _ready.pop((id(spec), point_index, trial_index), None)
     net, cert, retries, random_start, plan_seed = (
         prepared or _prepare(spec, [(point_index, trial_index)])[0]
@@ -299,7 +298,7 @@ def run_trial(spec: SweepSpec, point_index: int, trial_index: int) -> TrialRecor
         delay_bound=spec.delay_bound,
         update_bound=spec.update_bound,
     )
-    starts = (uniform, greedy, random_start)
+    starts = (None, greedy, random_start)  # None: the uniform split
     traces = [run_game(net, schedule, start, tol=spec.game_tol) for start in starts]
 
     # the largest spread of any antenna's final power is the largest

@@ -327,10 +327,10 @@ def seed_words(entropies, n: int) -> np.ndarray:
 
     The entropies are K nonnegative integers, or K tuples of m of them. As
     numpy does, each integer becomes its little-endian 32-bit words (0 is
-    one word) and a tuple's words are concatenated. The entropy a sweep
-    forms, at most four words with one word count per tuple position, is
-    hashed in one pass on all K rows; the pool pads it with zero words. Any
-    other call builds one numpy SeedSequence per row.
+    one word) and a tuple's words are concatenated. Entropy of at most four
+    words, with one word count per tuple position but the last (the pool
+    pads short entropy with zero words), is hashed in one pass on all K
+    rows. Any other call builds one numpy SeedSequence per row.
 
     Raises:
         ValueError: on a negative integer, or on tuples of several lengths.
@@ -343,9 +343,9 @@ def seed_words(entropies, n: int) -> np.ndarray:
     if columns and min(map(min, columns)) < 0:
         raise ValueError("expected non-negative integers")
     # the word count grows with the integer, so a column has one count when
-    # its smallest and largest entries do
+    # its smallest and largest entries do; the last column may mix counts
     widths = [_word_count(max(c)) for c in columns]
-    if sum(widths) > _POOL or any(_word_count(min(c)) != w for c, w in zip(columns, widths)):
+    if sum(widths) > _POOL or any(_word_count(min(c)) != w for c, w in zip(columns[:-1], widths)):
         return np.array([np.random.SeedSequence(e).generate_state(n, np.uint64) for e in table])
     words = [[v >> 32 * i & _M32 for v in c] for c, w in zip(columns, widths) for i in range(w)]
     entropy = np.zeros((_POOL, len(table)), dtype=np.uint32)

@@ -126,14 +126,17 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     Raises:
         ValueError: on an empty floor array, a budget that is neither a
             scalar nor one entry per row, a NaN or negative floor, a row
-            without a finite floor, a non-positive budget, or a water level
-            past the largest float, naming the overflow.
+            without a finite floor, a bool or non-positive budget, or a water
+            level past the largest float, naming the overflow.
     """
     c = np.asarray(floors, dtype=float)
     if c.ndim not in (1, 2) or c.size == 0:
         raise ValueError(f"floors must be a non-empty vector or (Q, S) array, got {c.shape}")
     rows = c if c.ndim == 2 else c[None]
-    b = np.asarray(budget, dtype=float)
+    b = np.asarray(budget)
+    if b.dtype.kind == "b":  # a bool is not a number, as is_number holds
+        raise ValueError(f"budget must be a number, not a bool, got {budget!r}")
+    b = b.astype(float, copy=False)
     if b.shape not in ((), (len(rows),)):
         raise ValueError(f"budget of shape {b.shape} does not fit floors of shape {c.shape}")
     order = rows.copy()

@@ -137,6 +137,24 @@ def test_ragged_play_output_is_pinned(capsys, kind):
     assert capsys.readouterr().out.splitlines() == [f"schedule {kind}", verdict, *RAGGED_RATES, gap]
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["sweep_uniqueness", "sweep_sumrate", "sweep_regime"])
+def test_a_shipped_sweep_config_builds_its_spec(name):
+    assert cli.sweep_from_dict(cli._load_json(str(CONFIGS / f"{name}.json"))).trials >= 100
+
+
+def test_the_shipped_uniqueness_sweep_plays_past_two_steps_at_every_point():
+    # at 40 dB over 15 m direct links the received SNR is +10.6 dB, so the
+    # games are not noise-limited: they average more than the 2 steps in
+    # which a game at a negative SNR stops
+    spec = cli.sweep_from_dict(cli._load_json(str(CONFIGS / "sweep_uniqueness.json")))
+    assert spec.schedule == "jacobi" and spec.base_seed == 0
+    rows = cli.sweep_uniqueness(spec).rows
+    assert [row["mean_iterations"] > 2 for row in rows] == [True] * 5, rows
+
+
 def test_play_schedules_agree(tmp_path, capsys):
     cfg = write_config(tmp_path, RANDOM_NET)
     rates = {}
@@ -314,6 +332,19 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["play", "--config", "x.json", "--schedule", "chaotic"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:  # certify plays no game
+        main(["certify", "--config", "x.json", "--schedule", "jacobi"])
+    assert err.value.code == 2
+
+
+def test_schedule_flag_defaults():
+    # play defaults to jacobi; a sweep keeps its config's schedule unless flagged
+    parser = cli.build_parser()
+    assert parser.parse_args(["play", "--config", "x.json"]).schedule == "jacobi"
+    for command in ("sweep-uniqueness", "sweep-sumrate"):
+        argv = [command, "--config", "x.json", "--out", "x.csv"]
+        assert parser.parse_args(argv).schedule is None
+        assert parser.parse_args(argv + ["--schedule", "async"]).schedule == "async"
 
 
 @pytest.mark.parametrize(
@@ -550,6 +581,32 @@ def test_a_coupling_past_the_largest_float_is_one_error_line(tmp_path, capsys, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [CROSS_OVERFLOW_ERRORS[command]]
+
+
+def _real_rows(matrix):
+    return [[[float(v), 0.0] for v in row] for row in matrix]
+
+
+# user 0's direct link [[1, 0], [0, 0]] has a zero singular value
+RANK_DEFICIENT = {
+    **SQUARE_OVERFLOW,
+    "direct_distance": 1.0,
+    "pathloss_exponent": 0.0,
+    "channels": [
+        [_real_rows([[1, 0], [0, 0]]), _real_rows([[0.5, 0], [0, 0.5]])],
+        [_real_rows([[0.5, 0], [0, 0.5]]), _real_rows([[1, 0], [0, 1]])],
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["play", "certify"])
+def test_a_rank_deficient_direct_link_is_one_error_line(tmp_path, capsys, command):
+    assert main([command, "--config", write_config(tmp_path, RANK_DEFICIENT), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: direct channel of user 0 has a singular value at or below 1e-12"
+    ]
 
 
 def test_a_sweep_whose_couplings_overflow_writes_its_csv_quietly(tmp_path, capsys):

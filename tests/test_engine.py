@@ -929,6 +929,43 @@ def test_game_rejects_infeasible_start():
         run_game(net, make_schedule("jacobi", 4), bad)
 
 
+def test_only_a_given_start_is_checked(monkeypatch):
+    # the default uniform split is feasible by construction; a given start is
+    # checked and refused with validate_profile's messages
+    net = random_net(3)
+    checked = []
+    check = engine.validate_profile
+    monkeypatch.setattr(engine, "validate_profile", lambda x, cfg: checked.append(x) or check(x, cfg))
+    default = run_game(net, make_schedule("jacobi", 4), tol=1e-9)
+    assert checked == []
+    given = run_game(net, make_schedule("jacobi", 4), uniform_profile(net.config), tol=1e-9)
+    assert len(checked) == 1
+    assert_same_trace(default, given)
+    budget = net.config.power_budget[0]
+    for bad, message in (
+        (np.array([3 * budget, 0.0] + [0.0] * 6), f"user 0 exceeds its power budget: {3 * budget!r}"),
+        (np.array([0.0] * 2 + [-1.0, 0.0] + [0.0] * 4), "user 1 has a negative or NaN power entry"),
+        (np.ones(7), r"profile has shape \(7,\), expected \(8,\)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run_game(net, make_schedule("jacobi", 4), bad)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -0.5e-300, True, "1e-6", None])
+def test_a_tol_that_is_not_a_nonnegative_finite_number_is_named(tol):
+    net = random_net(3)
+    with pytest.raises(ValueError, match=r"^tol must be a nonnegative finite number, got "):
+        run_game(net, make_schedule("jacobi", 4), tol=tol)
+
+
+def test_tol_zero_plays_to_it_max_and_any_finite_number_is_a_tol():
+    net = random_net(3)
+    for tol in (0, 0.0, np.int64(0)):
+        assert run_game(net, make_schedule("jacobi", 4, it_max=9), tol=tol).iterations_used == 9
+    for tol in (1, np.float64(1e-6), np.int64(1), 1.0e308):
+        assert run_game(net, make_schedule("jacobi", 4), tol=tol).converged
+
+
 def test_empirical_rate_within_modulus_bound():
     # soft version of the contraction-rate fit: geometric decay of the
     # residual tail should not beat the certified modulus by much

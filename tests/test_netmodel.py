@@ -478,9 +478,9 @@ def test_an_empty_list_of_configs_draws_an_empty_stack():
 # trial) as a sweep forms it, with base seeds of one word, of its largest
 # value, of two words (2**32, 2**64 - 1 being the largest) and of three
 # (2**64, 2**70), and tuples of more words than the pool of four; plain
-# integers, as a stack of draw seeds; and empty entropy. Each call but the
-# empty one mixes word counts or passes four words, so numpy seeds it row
-# by row; SEED_BULK lists calls that the bulk pass hashes.
+# integers of one to four words, as a stack of draw seeds; and empty
+# entropy. SEED_BULK lists calls that the bulk pass hashes, and SEED_ROWS
+# those that numpy seeds row by row.
 SEED_ENTROPIES = {
     3: [
         (0, 0, 0),
@@ -505,22 +505,35 @@ def test_seed_words_match_numpy_seed_sequence(length, n):
         np.testing.assert_array_equal(row, want, err_msg=repr(entropy))
 
 
-# Calls of at most four words, with one word count per tuple position: a
-# sweep's (base_seed, point, trial) with base seeds of one and of two words,
-# two-word draw seeds, four-word integers and empty entropy.
+# Calls of at most four words, with one word count per tuple position but
+# the last, whose shorter integers numpy pads with zero words: a sweep's
+# (base_seed, point, trial) with base seeds of one and of two words and
+# trials of one and two, two-word draw seeds, default_rngs seeds of one to
+# two words, integers of one to four words and empty entropy.
 SEED_BULK = [
     [(0, 0, 0), (2**32 - 1, 3, 17), (5, 2**32 - 1, 0)],
     [(2**32, 0, 0), (2**64 - 1, 3, 17), (2**32 + 5, 2**32 - 1, 1)],
+    [(0, 0, 5), (7, 3, 2**32), (2**32 - 1, 1, 2**64 - 1)],
     [2**32, 2**64 - 1, 2**40 + 7],
+    [0, 1, 2**32 - 1, 2**32, 2**64 - 1],
+    SEED_ENTROPIES[1],
     [2**100, (2**127,), 2**96],
     [(), ()],
+]
+# Five words or more, or mixed word counts in a position before the last.
+SEED_ROWS = [
+    SEED_ENTROPIES[3],
+    SEED_ENTROPIES[6],
+    [(2**64 + 5, 0, 0), (2**64 + 5, 3, 17)],
+    [(2**32 + 5, 0, 7), (2**32 + 5, 1, 2**32)],
+    [(5, 1), (2**32, 1)],
 ]
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])
 @pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "numpy"])
 def test_seed_words_hash_at_most_four_words_of_one_layout_in_bulk(monkeypatch, bulk, n):
-    calls = SEED_BULK if bulk else [e for length, e in SEED_ENTROPIES.items() if length]
+    calls = SEED_BULK if bulk else SEED_ROWS
     wants = [[np.random.SeedSequence(e).generate_state(n, np.uint64) for e in c] for c in calls]
     built = []
     sequence = np.random.SeedSequence
@@ -552,6 +565,18 @@ def test_pcg64_states_match_numpy():
         states = [rng.bit_generator.state for rng in default_rngs(seeds)]
         assert states == [np.random.PCG64(s).state for s in seeds]
     assert default_rngs([]) == []
+
+
+def test_default_rngs_of_one_and_two_word_seeds_build_no_seed_sequence(monkeypatch):
+    # seeds of one and two words pad to one entropy width, so one bulk pass
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    want = [np.random.PCG64(s).state for s in seeds]
+
+    def refused(entropy):
+        raise AssertionError(f"SeedSequence({entropy!r}) built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refused)
+    assert [rng.bit_generator.state for rng in default_rngs(seeds)] == want
 
 
 def test_seeded_draws_match_default_rng():

@@ -177,6 +177,19 @@ def test_batch_rejects_bad_rows():
         water_level(good, np.array([np.nan, 1.0]))
 
 
+def test_a_bool_budget_is_refused():
+    # a bool is not a number, as everywhere else; an int is
+    for floors, budget in (
+        ([1.0, 2.0], True),
+        ([1.0, 2.0], np.True_),
+        ([[1.0, 2.0], [0.5, 1.0]], [True, True]),
+        ([[1.0, 2.0], [0.5, 1.0]], np.array([True, False])),
+    ):
+        with pytest.raises(ValueError, match=r"^budget must be a number, not a bool, got "):
+            water_level(floors, budget)
+    np.testing.assert_array_equal(water_level([1.0, 2.0], 1).powers, [1.0, 0.0])
+
+
 def test_budget_shape_must_fit_the_rows():
     with pytest.raises(ValueError, match=r"budget of shape \(3,\).*floors of shape \(2, 2\)"):
         water_level(np.ones((2, 2)), np.ones(3))
