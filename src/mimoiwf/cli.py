@@ -30,7 +30,7 @@ from .netmodel import (
     is_number,
     sample_channels,
 )
-from .precode import SvdError, build_effective_network
+from .precode import EffectiveNetwork, SvdError, build_effective_network
 
 _SCHEDULE_FLAG = {"jacobi": "jacobi", "gauss-seidel": "gauss_seidel", "async": "random_async"}
 
@@ -116,40 +116,45 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
 
 
-def _seed(doc: dict, seed_flag: int | None) -> int:
+def _build_net(doc: dict, seed_flag: int | None) -> tuple[EffectiveNetwork, int]:
+    """The network of a config document, and its seed: the flag's, else the document's."""
+    cfg = network_from_dict(doc)
     seed = seed_flag if seed_flag is not None else doc.get("seed", 0)
     check_count("seed", seed, 0)
-    return seed
-
-
-def _build_net(doc: dict, seed_flag: int | None):
-    cfg = network_from_dict(doc)
-    seed = _seed(doc, seed_flag)
     if "channels" in doc:
         realization = channels_from_dict(doc, cfg)
     else:
         realization = sample_channels(cfg, seed)
-    return cfg, build_effective_network(realization, cfg)
+    return build_effective_network(realization, cfg), seed
+
+
+def _format(value) -> str:
+    """A printed value: a bool as true or false, None as none, a number to 9 digits."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(value, ".9g")
 
 
 def _cmd_play(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     doc = _load_json(args.config)
-    cfg, net = _build_net(doc, args.seed)
+    net, seed = _build_net(doc, args.seed)
     # jacobi and gauss_seidel force their own fresh-view bounds
     schedule = make_schedule(
         _SCHEDULE_FLAG[args.schedule],
-        cfg.num_users,
-        seed=_seed(doc, args.seed),
+        net.config.num_users,
+        seed=seed,
         delay_bound=SweepSpec.delay_bound,
         update_bound=SweepSpec.update_bound,
     )
     trace = run_game(net, schedule)
     print(f"schedule {args.schedule}")
-    print(f"converged {'true' if trace.converged else 'false'} in {trace.iterations_used} iterations")
+    print(f"converged {_format(trace.converged)} in {trace.iterations_used} iterations")
     for q, rate in enumerate(trace.final_rates):
-        print(f"user {q} rate {format(rate, '.9g')}")
-    print(f"sum_rate {format(trace.final_rates.sum(), '.9g')}")
+        print(f"user {q} rate {_format(rate)}")
+    print(f"sum_rate {_format(trace.final_rates.sum())}")
     print(f"nash_gap {format(trace.nash_gap, '.3g')}")
     if args.out:
         trace_to_csv(trace, args.out)
@@ -162,20 +167,10 @@ def _cmd_play(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     doc = _load_json(args.config)
-    _, net = _build_net(doc, args.seed)
+    net, _ = _build_net(doc, args.seed)
     cert = certify(net)
-    for name in (
-        "row_norm",
-        "col_norm",
-        "spectral_radius",
-        "strict_row_value",
-        "strict_col_value",
-    ):
-        print(f"{name} {format(getattr(cert, name), '.9g')}")
-    for name in ("strict_row_cond", "strict_col_cond", "norm_unique", "spectral_unique"):
-        print(f"{name} {'true' if getattr(cert, name) else 'false'}")
-    modulus = cert.contraction_modulus
-    print(f"contraction_modulus {format(modulus, '.9g') if modulus is not None else 'none'}")
+    for f in dataclasses.fields(cert):
+        print(f"{f.name} {_format(getattr(cert, f.name))}")
     if args.out:
         write_matrix_csv(build_interference_matrix(net), args.out)
         print(f"coupling matrix written to {args.out}")

@@ -115,7 +115,7 @@ def _bounds(block: np.ndarray, x: np.ndarray) -> tuple:
     return ratios.min(axis=-1), ratios.max(axis=-1), y
 
 
-def _irreducible_radius(block: np.ndarray, tol: float, max_iter: int) -> float:
+def _irreducible_radius(block: np.ndarray) -> float:
     """Certified power iteration on an irreducible nonnegative block.
 
     Keeps the two-sided bounds of _bounds and iterates with a diagonal
@@ -124,20 +124,20 @@ def _irreducible_radius(block: np.ndarray, tol: float, max_iter: int) -> float:
     geometrically.
     """
     x = _perron_start(block)
-    for _ in range(max_iter):
+    for _ in range(MAX_POWER_ITER):
         lo, up, y = _bounds(block, x)
-        if up - lo <= tol * max(1.0, up):
+        if up - lo <= SPECTRAL_TOL * max(1.0, up):
             return float(0.5 * (lo + up))
         shift = 0.5 * (lo + up)
         x = y + shift * x
         x /= x.sum()
     raise PowerIterationError(
-        f"spectral radius bounds did not reach tolerance {tol:g} within "
-        f"{max_iter} iterations (gap {up - lo:g})"
+        f"spectral radius bounds did not reach tolerance {SPECTRAL_TOL:g} within "
+        f"{MAX_POWER_ITER} iterations (gap {up - lo:g})"
     )
 
 
-def _component_radius(m: np.ndarray, tol: float, max_iter: int) -> float:
+def _component_radius(m: np.ndarray) -> float:
     """Radius of one matrix as the largest over its strongly connected
     components, each nontrivial block by certified power iteration."""
     n = m.shape[0]
@@ -157,7 +157,7 @@ def _component_radius(m: np.ndarray, tol: float, max_iter: int) -> float:
             radius = max(radius, float(m[i, i]))
             continue
         block = m[np.ix_(idx, idx)]
-        radius = max(radius, _irreducible_radius(block, tol, max_iter))
+        radius = max(radius, _irreducible_radius(block))
     return radius
 
 
@@ -187,7 +187,7 @@ def spectral_radius(matrix: np.ndarray) -> float | np.ndarray:
         lo, up, _ = _bounds(stack, _perron_start(stack))
         radii = 0.5 * (lo + up)
         for k in np.flatnonzero(~(up - lo <= SPECTRAL_TOL * np.maximum(1.0, up))):
-            radii[k] = _component_radius(stack[k], SPECTRAL_TOL, MAX_POWER_ITER)
+            radii[k] = _component_radius(stack[k])
     return float(radii[0]) if m.ndim == 2 else radii
 
 

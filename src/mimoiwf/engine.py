@@ -203,16 +203,21 @@ class GameTrace:
     states is a read-only (steps + 1, N) array: states[0] is the stacked
     starting point and states[n] the stacked state after step n, which
     net.config.layout.offsets splits into users. residuals[n-1] is the
-    largest power change made at step n. net is the network played;
-    final_rates and nash_gap are built from it on first read and kept.
+    largest power change made at step n, and iterations_used counts them.
+    net is the network played; final_rates and nash_gap are built from it
+    on first read and kept.
     """
 
     states: np.ndarray
     residuals: list[float]
     converged: bool
-    iterations_used: int
     net: EffectiveNetwork = field(repr=False, compare=False)
     nash_gap: float = _NashGap()
+
+    @property
+    def iterations_used(self) -> int:
+        """The steps played, one residual each."""
+        return len(self.residuals)
 
     @cached_property
     def final_rates(self) -> np.ndarray:
@@ -380,13 +385,7 @@ def run_game(
 
     states = history[lead : lead + len(residuals) + 1]
     states.setflags(write=False)
-    return GameTrace(
-        states=states,
-        residuals=residuals,
-        converged=converged,
-        iterations_used=len(residuals),
-        net=net,
-    )
+    return GameTrace(states=states, residuals=residuals, converged=converged, net=net)
 
 
 def check_nash(net: EffectiveNetwork, x: np.ndarray) -> float:

@@ -136,7 +136,6 @@ class TrialRecord:
 class SweepResult:
     """Aggregated sweep rows plus the raw per-trial records."""
 
-    spec: SweepSpec
     rows: list[dict]
     records: list[TrialRecord]
 
@@ -390,7 +389,7 @@ def _run_sweep(spec: SweepSpec, jobs: int, name: str, variable: str) -> SweepRes
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             done = list(pool.map(run_chunk, chunks))
     records = [rec for chunk in done for rec in chunk]
-    return SweepResult(spec=spec, rows=_aggregate(spec, records), records=records)
+    return SweepResult(rows=_aggregate(spec, records), records=records)
 
 
 def sweep_uniqueness(spec: SweepSpec, jobs: int = 1) -> SweepResult:

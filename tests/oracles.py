@@ -167,7 +167,7 @@ def eig_spectral_radius(matrix):
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def reference_spectral_radius(m, tol=1e-9, max_iter=10_000):
+def reference_spectral_radius(m):
     """Radius as the largest over the strongly connected components of m,
     each by the package's certified iteration on that block alone."""
     from mimoiwf.contraction import _irreducible_radius
@@ -186,7 +186,7 @@ def reference_spectral_radius(m, tol=1e-9, max_iter=10_000):
         if idx.size == 1:
             radius = max(radius, float(m[i, i]))
         else:
-            radius = max(radius, _irreducible_radius(m[np.ix_(idx, idx)], tol, max_iter))
+            radius = max(radius, _irreducible_radius(m[np.ix_(idx, idx)]))
     return radius
 
 
