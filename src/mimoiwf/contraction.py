@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import stack_configs
+from .netmodel import check_numbers, stack_configs
 from .precode import EffectiveNetwork
 
 SPECTRAL_TOL = 1e-9
@@ -70,6 +70,7 @@ def build_interference_matrix(net: EffectiveNetwork) -> InterferenceMatrix:
 
 
 def _as_square_nonneg(matrix: np.ndarray) -> np.ndarray:
+    check_numbers("matrix", matrix)
     m = np.asarray(matrix, float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"matrix must be square, or a stack of them, got shape {m.shape}")
@@ -176,7 +177,8 @@ def spectral_radius(matrix: np.ndarray) -> float | np.ndarray:
 
     Raises:
         PowerIterationError: if some block fails to certify in time.
-        ValueError: on a matrix that is not square, nonnegative and finite.
+        ValueError: on a matrix that is not square, nonnegative and finite,
+            or naming an entry that netmodel.check_numbers refuses.
     """
     m = _as_square_nonneg(matrix)
     stack = m if m.ndim == 3 else m[None]

@@ -223,6 +223,24 @@ def check_count(name: str, value, low: int, error: type[Exception] = ConfigError
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_numbers(name: str, value) -> None:
+    """Raise ValueError naming the first entry of value, a scalar or an array
+    of any depth, that is not a number as is_number decides (a bool or a
+    string is not) or is an int past the largest float.
+
+    An ndarray of ints or floats passes on its dtype alone; any other value,
+    a list say, is read entry by entry.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return
+    for index, entry in np.ndenumerate(np.asarray(value, dtype=object)):
+        at = "".join(f"[{i}]" for i in index)
+        if not is_number(entry):
+            raise ValueError(f"{name}{at} must be a number, got {entry!r}")
+        if is_integer(entry) and abs(entry) > FLOAT_MAX:
+            raise ValueError(f"{name}{at} is too large for a float, got {entry!r}")
+
+
 # What the configs of one stack must share: all that a rotation reads
 # besides the drawn links, so that the first config's layout serves every
 # draw. A certificate's slot view needs only the tx counts, but networks

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import NetworkConfig
+from .netmodel import NetworkConfig, check_numbers
 from .precode import EffectiveNetwork
 
 BUDGET_TOL = 1e-9
@@ -39,17 +39,18 @@ class WaterfillResult:
 
 
 def validate_profile(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
-    """Check the length, signs and per-user budgets of a stacked power vector.
+    """Check the length, entries, signs and per-user budgets of a stacked power vector.
 
-    x holds one entry per transmit antenna, user after user. A user may
+    x holds one number per transmit antenna, user after user. A user may
     exceed its budget by BUDGET_TOL times the larger of one and the budget,
     which absorbs the rounding of a split that sums to it. The error names
-    the first offending user. Returns x unchanged.
+    the first offending entry or user. Returns x unchanged.
     """
     layout = config.layout
     n = layout.offsets[-1]
     if np.shape(x) != (n,):
         raise ValueError(f"profile has shape {np.shape(x)}, expected ({n},)")
+    check_numbers("profile", x)
     lows = np.minimum.reduceat(x, layout.starts).tolist()
     sums = np.add.reduceat(x, layout.starts).tolist()
     for q, budget in enumerate(config.power_budget):
@@ -124,19 +125,20 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     Every input is checked here, then _fill does the arithmetic.
 
     Raises:
-        ValueError: on an empty floor array, a budget that is neither a
-            scalar nor one entry per row, a NaN or negative floor, a row
-            without a finite floor, a bool or non-positive budget, or a water
-            level past the largest float, naming the overflow.
+        ValueError: on a floor or budget entry that is not a number (a bool
+            or a string is not) or an int past the largest float, naming it
+            (netmodel.check_numbers); on an empty floor array, a budget
+            that is neither a scalar nor one entry per row, a NaN or negative
+            floor, a row without a finite floor, a non-positive budget, or a
+            water level past the largest float, naming the overflow.
     """
+    check_numbers("floors", floors)
     c = np.asarray(floors, dtype=float)
     if c.ndim not in (1, 2) or c.size == 0:
         raise ValueError(f"floors must be a non-empty vector or (Q, S) array, got {c.shape}")
     rows = c if c.ndim == 2 else c[None]
-    b = np.asarray(budget)
-    if b.dtype.kind == "b":  # a bool is not a number, as is_number holds
-        raise ValueError(f"budget must be a number, not a bool, got {budget!r}")
-    b = b.astype(float, copy=False)
+    check_numbers("budget", budget)
+    b = np.asarray(budget, dtype=float)
     if b.shape not in ((), (len(rows),)):
         raise ValueError(f"budget of shape {b.shape} does not fit floors of shape {c.shape}")
     order = rows.copy()

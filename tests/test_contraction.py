@@ -115,6 +115,50 @@ def test_spectral_radius_validates_input():
         spectral_radius(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="nonnegative"):
         spectral_radius(np.array([[0.0, -1.0], [0.0, 0.0]]))
+    # numpy would read each of these as floats
+    for matrix, message in (
+        ([["1", "0.5"], ["0.5", "1"]], r"matrix\[0\]\[0\] must be a number, got '1'"),
+        ([[0.0, 0.5], [True, 0.0]], r"matrix\[1\]\[0\] must be a number, got True"),
+        (np.eye(2, dtype=bool), r"matrix\[0\]\[0\] must be a number, got (np\.)?True"),
+        ([[[0.0, 0.5], [0.5, 0.0]], [[0.0, "x"], [0.5, 0.0]]], r"matrix\[1\]\[0\]\[1\] .* got 'x'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spectral_radius(matrix)
+    # ints are numbers, in a list or an array
+    assert spectral_radius([[0, 2], [2, 0]]) == spectral_radius(np.array([[0, 2], [2, 0]])) == 2.0
+
+
+def test_a_failed_eigensolver_starts_from_the_uniform_vector(monkeypatch):
+    rng = np.random.default_rng(5)
+    stack = rng.random((3, 4, 4)) + np.eye(4)
+    exact = np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+    eig = np.linalg.eig
+    calls = []
+
+    def failing(a):
+        calls.append(a.shape)
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("batched eig failed")
+        return eig(a)
+
+    # a stack whose batched call fails gets each matrix's own start
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    starts = _perron_start(stack)
+    assert calls == [(3, 4, 4)] + [(4, 4)] * 3
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    np.testing.assert_array_equal(starts, [_perron_start(m) for m in stack])
+    assert not np.allclose(starts, 0.25)
+
+    def broken(a):
+        raise np.linalg.LinAlgError("eig failed")
+
+    # with no eigensolver every start is uniform, and the iteration still
+    # certifies every radius from it
+    monkeypatch.setattr(np.linalg, "eig", broken)
+    np.testing.assert_array_equal(_perron_start(stack[0]), np.full(4, 0.25))
+    np.testing.assert_array_equal(_perron_start(stack), np.full((3, 4), 0.25))
+    np.testing.assert_allclose(spectral_radius(stack), exact, rtol=1e-9)
+    assert spectral_radius(stack[1]) == pytest.approx(exact[1], rel=1e-9)
 
 
 def test_spectral_radius_reports_exhaustion(monkeypatch):
@@ -243,6 +287,13 @@ def test_matrix_csv_roundtrip(tmp_path):
     write_matrix_csv(im, str(path))
     back = np.loadtxt(path, delimiter=",")
     np.testing.assert_allclose(back, im.matrix, atol=1e-9)
+
+
+def test_matrix_write_failure_names_path(tmp_path):
+    im = build_interference_matrix(scalar_net(0.1, 5.0))
+    missing = tmp_path / "nope" / "m.csv"
+    with pytest.raises(OSError, match=r"^cannot write coupling matrix to '.*nope.*m\.csv': "):
+        write_matrix_csv(im, str(missing))
 
 
 CERTIFIED_FIELDS = ("row_norm", "col_norm", "spectral_radius", "strict_row_value", "strict_col_value")

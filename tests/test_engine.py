@@ -941,11 +941,16 @@ def test_only_a_given_start_is_checked(monkeypatch):
     given = run_game(net, make_schedule("jacobi", 4), uniform_profile(net.config), tol=1e-9)
     assert len(checked) == 1
     assert_same_trace(default, given)
+    # a list of numbers is a start, as the array of it is
+    listed = uniform_profile(net.config).tolist()
+    assert_same_trace(default, run_game(net, make_schedule("jacobi", 4), listed, tol=1e-9))
     budget = net.config.power_budget[0]
     for bad, message in (
         (np.array([3 * budget, 0.0] + [0.0] * 6), f"user 0 exceeds its power budget: {3 * budget!r}"),
         (np.array([0.0] * 2 + [-1.0, 0.0] + [0.0] * 4), "user 1 has a negative or NaN power entry"),
         (np.ones(7), r"profile has shape \(7,\), expected \(8,\)"),
+        (["1"] * 8, r"profile\[0\] must be a number, got '1'$"),
+        ([True, False] * 4, r"profile\[0\] must be a number, got True$"),
     ):
         with pytest.raises(ValueError, match=f"^{message}"):
             run_game(net, make_schedule("jacobi", 4), bad)
@@ -1002,3 +1007,10 @@ def test_trace_csv_export(tmp_path):
     assert len(lines) == 1 + len(trace.profiles) * 8
     trace_to_csv(trace, str(tmp_path / "trace2.csv"))
     assert (tmp_path / "trace2.csv").read_bytes() == path.read_bytes()
+
+
+def test_trace_write_failure_names_path(tmp_path):
+    trace = run_game(random_net(4), make_schedule("jacobi", 4, it_max=3))
+    missing = tmp_path / "nope" / "trace.csv"
+    with pytest.raises(OSError, match=r"^cannot write game trace to '.*nope.*trace\.csv': "):
+        trace_to_csv(trace, str(missing))

@@ -10,6 +10,7 @@ from mimoiwf.netmodel import (
     ChannelRealization,
     ConfigError,
     NetworkConfig,
+    check_numbers,
     default_rngs,
     sample_channels,
     seed_words,
@@ -605,3 +606,14 @@ def test_a_generator_seed_draws_what_its_int_seed_draws():
         assert stack.links[k].tobytes() == sample_channels(cfg, seed).links.tobytes()
     mixed = sample_channels(cfg, (seeds[0], *default_rngs(seeds[1:])))
     assert mixed.links.tobytes() == stack.links.tobytes()
+
+
+def test_a_numeric_array_passes_on_its_dtype_alone(monkeypatch):
+    # the sweep's starts and every coupling are float arrays: no entry is read
+    monkeypatch.setattr(np, "ndenumerate", None)
+    for x in (np.arange(4.0), np.ones((2, 3), dtype=np.float32), np.arange(3, dtype=np.uint8)):
+        check_numbers("x", x)
+    monkeypatch.undo()
+    for value in (True, [1.0, True], np.array([1.0, True], dtype=object), np.array([1j])):
+        with pytest.raises(ValueError, match=r"^x(\[\d\])? must be a number, got "):
+            check_numbers("x", value)

@@ -9,6 +9,7 @@ from mimoiwf.cli import network_from_dict
 from mimoiwf.netmodel import ChannelRealization, NetworkConfig, sample_channels
 from mimoiwf.precode import (
     DegenerateChannelError,
+    SvdError,
     build_effective_network,
     svd_decompose,
 )
@@ -422,3 +423,27 @@ def test_stacked_build_marks_degenerate_draws():
         for name in NET_FIELDS:
             assert getattr(net, name).tobytes() == getattr(one, name).tobytes(), (seed, name)
     assert 0 < degenerate < len(seeds)
+
+
+def test_a_failed_svd_names_the_channel_shape(monkeypatch):
+    def failing(h, full_matrices=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(SvdError, match=r"^SVD failed to converge for a \(2, 3\) channel$"):
+        svd_decompose(np.ones((2, 3)))
+    cfg = NetworkConfig(2, 2, 3, 10.0, 1.0, 15.0, 40.0, 2.5)
+    with pytest.raises(SvdError, match=r"for a \(3, 2\) channel"):
+        build_effective_network(sample_channels(cfg, 0), cfg)
+
+
+def test_a_realization_of_other_antenna_counts_is_refused():
+    drawn = NetworkConfig(2, 2, 2, 10.0, 1.0, 15.0, 40.0, 2.5)
+    message = "^channel realization does not match the config's antenna counts$"
+    for cfg in (
+        NetworkConfig(2, 3, 2, 10.0, 1.0, 15.0, 40.0, 2.5),
+        NetworkConfig(2, 2, (2, 3), 10.0, 1.0, 15.0, 40.0, 2.5),
+    ):
+        for realization in (sample_channels(drawn, 0), sample_channels(drawn, [0, 1])):
+            with pytest.raises(ValueError, match=message):
+                build_effective_network(realization, cfg)

@@ -185,9 +185,28 @@ def test_a_bool_budget_is_refused():
         ([[1.0, 2.0], [0.5, 1.0]], [True, True]),
         ([[1.0, 2.0], [0.5, 1.0]], np.array([True, False])),
     ):
-        with pytest.raises(ValueError, match=r"^budget must be a number, not a bool, got "):
+        with pytest.raises(ValueError, match=r"^budget(\[0\])? must be a number, got (np\.)?True"):
             water_level(floors, budget)
     np.testing.assert_array_equal(water_level([1.0, 2.0], 1).powers, [1.0, 0.0])
+
+
+def test_a_floor_or_budget_entry_that_is_not_a_number_is_named():
+    # numpy would read each of these as floats
+    for floors, budget, message in (
+        ([[1.0, 2.0], [1.0, 2.0]], [True, 2.0], r"budget\[0\] must be a number, got True"),
+        ([[1.0, 2.0], [1.0, 2.0]], [2.0, "2"], r"budget\[1\] must be a number, got '2'"),
+        ([1.0, 2.0], "3", r"budget must be a number, got '3'"),
+        (["1", "2"], 3.0, r"floors\[0\] must be a number, got '1'"),
+        ([True, False], 3.0, r"floors\[0\] must be a number, got True"),
+        ([[1.0, 2.0], [1.0, False]], 3.0, r"floors\[1\]\[1\] must be a number, got False"),
+        (np.array([1.0, 2.0], dtype=object), np.array(["3"]), r"budget\[0\] .* got '3'"),
+        ([1.0, 2.0], [10**400], r"budget\[0\] is too large for a float, got 1000.*0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            water_level(floors, budget)
+    # ints are numbers, in a list or an array
+    np.testing.assert_array_equal(water_level([1, 2], np.int64(1)).powers, [1.0, 0.0])
+    np.testing.assert_array_equal(water_level(np.array([[1, 2]]), [1]).powers, [[1.0, 0.0]])
 
 
 def test_budget_shape_must_fit_the_rows():
@@ -479,6 +498,19 @@ def test_validate_profile_rejects_violations():
         validate_profile(np.array([]), cfg)
     with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
         validate_profile(np.ones((1, 2)), cfg)
+    # numpy would read the strings and bools as numbers
+    for x, message in (
+        (["1", "1"], r"profile\[0\] must be a number, got '1'"),
+        ([True, False], r"profile\[0\] must be a number, got True"),
+        ([1.0, None], r"profile\[1\] must be a number, got None"),
+        (np.array([1.0j, 1.0]), r"profile\[0\] must be a number, got (np\.complex128\()?1j"),
+        ([-(10**400), 0], r"profile\[0\] is too large for a float, got -1000"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            validate_profile(x, cfg)
+    # a valid profile comes back as given, list or array, ints or floats
+    for x in ([1, 2], [1.0, 2.0], np.array([1, 2]), np.array([1.0, 2.0])):
+        assert validate_profile(x, cfg) is x
 
 
 def test_validate_profile_names_the_first_offender():
