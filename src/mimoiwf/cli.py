@@ -27,7 +27,7 @@ from .netmodel import (
     ConfigError,
     NetworkConfig,
     check_count,
-    is_number,
+    check_numbers,
     sample_channels,
 )
 from .precode import EffectiveNetwork, SvdError, build_effective_network
@@ -63,11 +63,7 @@ def channels_from_dict(doc: dict, cfg: NetworkConfig) -> ChannelRealization:
             raise ConfigError(f"channels[{r}] must have {cfg.num_users} entries")
         row = []
         for q in range(cfg.num_users):
-            for leaf in _leaves(raw[r][q]):
-                if not (is_number(leaf) and abs(leaf) <= sys.float_info.max):
-                    raise ConfigError(
-                        f"channels[{r}][{q}] entries must be finite numbers, got {leaf!r}"
-                    )
+            check_numbers(f"channels[{r}][{q}]", raw[r][q], "finite", ConfigError)
             want = (cfg.rx_antennas[q], cfg.tx_antennas[r], 2)
             expected = f"channels[{r}][{q}] must have shape {want} ([re, im] leaf pairs), got"
             try:
@@ -79,13 +75,6 @@ def channels_from_dict(doc: dict, cfg: NetworkConfig) -> ChannelRealization:
             row.append(mat[..., 0] + 1j * mat[..., 1])
         rows.append(row)
     return ChannelRealization.from_matrices(rows)
-
-
-def _leaves(value):
-    """The non-list items of a nested list, depth first; a non-list is its own leaf."""
-    if not isinstance(value, list):
-        return [value]
-    return [leaf for item in value for leaf in _leaves(item)]
 
 
 def sweep_from_dict(doc: dict) -> SweepSpec:

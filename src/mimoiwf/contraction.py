@@ -74,8 +74,7 @@ def _as_square_nonneg(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"matrix must be square, or a stack of them, got shape {m.shape}")
-    if m.size and (not np.all(np.isfinite(m)) or np.any(m < 0)):
-        raise ValueError("matrix must be nonnegative and finite")
+    check_numbers("matrix", m, "nonnegative")
     return m
 
 
@@ -177,8 +176,8 @@ def spectral_radius(matrix: np.ndarray) -> float | np.ndarray:
 
     Raises:
         PowerIterationError: if some block fails to certify in time.
-        ValueError: on a matrix that is not square, nonnegative and finite,
-            or naming an entry that netmodel.check_numbers refuses.
+        ValueError: on a matrix that is not square, or naming an entry that
+            netmodel.check_numbers refuses as "nonnegative".
     """
     m = _as_square_nonneg(matrix)
     stack = m if m.ndim == 3 else m[None]

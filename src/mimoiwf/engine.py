@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .netmodel import FLOAT_MAX, check_count, is_integer, is_number
+from .netmodel import check_count, check_numbers, is_integer
 from .precode import EffectiveNetwork
 from .waterfill import (
     PowerProfile,
@@ -329,17 +329,16 @@ def run_game(
     too large for a float makes it inf or NaN.
 
     Raises:
-        ValueError: on a tol that is not a nonnegative finite number (a bool
-            is not), naming it; on an infeasible start; or at a step whose
-            residual is not finite, naming the float overflow.
+        ValueError: on a tol that check_numbers refuses as "nonnegative",
+            naming it; on an infeasible start; or at a step whose residual is
+            not finite, naming the float overflow.
         ScheduleError: on a schedule for another number of users, or on a
             plan step the schedule refuses.
     """
     cfg = net.config
     if schedule.num_users != cfg.num_users:
         raise ScheduleError(f"schedule for {schedule.num_users} users, network of {cfg.num_users}")
-    if not (is_number(tol) and 0 <= tol <= FLOAT_MAX):
-        raise ValueError(f"tol must be a nonnegative finite number, got {tol!r}")
+    check_numbers("tol", tol, "nonnegative")
     start = uniform_profile(cfg) if start is None else validate_profile(start, cfg)
 
     # history[lead + n] is the stacked state after step n, behind lead copies

@@ -15,7 +15,7 @@ import numpy as np
 
 from .contraction import certify
 from .engine import DEFAULT_IT_MAX, DEFAULT_TOL, SCHEDULE_KINDS, Schedule, make_schedule, run_game
-from .netmodel import FLOAT_MAX, ConfigError, NetworkConfig, check_count, is_number
+from .netmodel import ConfigError, NetworkConfig, check_count, check_numbers
 from .netmodel import default_rngs, sample_channels, seed_words
 from .precode import build_effective_network
 from .waterfill import greedy_profile, split_budgets, sum_rate
@@ -158,19 +158,13 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         value = getattr(spec, f.name)
         if f.type == "int":
             check_count(f.name, value, 0 if f.name in ("delay_bound", "base_seed") else 1)
-        elif f.type == "float" and not is_number(value):
-            raise ConfigError(f"{f.name} must be a number, got {value!r}")
-    for k, v in enumerate(spec.sweep_values):
-        if not is_number(v):
-            raise ConfigError(f"sweep_values[{k}] must be a number, got {v!r}")
+        elif f.type == "float":
+            check_numbers(f.name, value, error=ConfigError)
+    check_numbers("sweep_values", spec.sweep_values, error=ConfigError)
     if any(b <= a for a, b in zip(spec.sweep_values, spec.sweep_values[1:])):
         raise ConfigError("sweep_values must be strictly increasing")
-    if not 0 < spec.game_tol <= FLOAT_MAX:
-        raise ConfigError(f"game_tol must be positive and finite, got {spec.game_tol!r}")
-    if not 0 <= spec.agreement_tol <= FLOAT_MAX:
-        raise ConfigError(
-            f"agreement_tol must be nonnegative and finite, got {spec.agreement_tol!r}"
-        )
+    check_numbers("game_tol", spec.game_tol, "positive", ConfigError)
+    check_numbers("agreement_tol", spec.agreement_tol, "nonnegative", ConfigError)
     if spec.schedule not in SCHEDULE_KINDS:
         raise ConfigError(f"schedule must be one of {SCHEDULE_KINDS}, got {spec.schedule!r}")
     spec.points  # builds and checks the network of every sweep point

@@ -17,9 +17,10 @@ class ConfigError(ValueError):
     """Raised when a network description is inconsistent or out of range."""
 
 
-# the largest finite float; an int above it passes a "< inf" test but cannot
-# become a float
+# the largest finite float, past which an int passes "< inf" but is no float;
+# numpy compares a float32 with it in float64 only when it is a float64 scalar
 FLOAT_MAX = float(np.finfo(float).max)
+_FLOAT64_MAX = np.float64(FLOAT_MAX)
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,7 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
             check_count(f"{name}[{k}]", v, 1)
 
     for name in ("power_budget", "noise_power", "direct_distance"):
-        for k, v in enumerate(getattr(config, name)):
-            if not (is_number(v) and 0 < v <= FLOAT_MAX):
-                raise ConfigError(f"{name}[{k}] must be a positive finite number, got {v!r}")
+        check_numbers(name, getattr(config, name), "positive", ConfigError)
 
     cross = config.cross_distance
     if len(cross) != q_count:
@@ -165,20 +164,14 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
     for r, row in enumerate(cross):
         if len(row) != q_count:
             raise ConfigError(f"cross_distance[{r}] must have length {q_count}")
-        for q, d in enumerate(row):
-            if not (is_number(d) and 0 < d <= FLOAT_MAX):
-                raise ConfigError(
-                    f"cross_distance[{r}][{q}] must be a positive finite number, got {d!r}"
-                )
+        check_numbers(f"cross_distance[{r}]", row, "positive", ConfigError)
         if row[r] != config.direct_distance[r]:
             raise ConfigError(
                 f"cross_distance[{r}][{r}] must equal direct_distance[{r}] "
                 f"({row[r]!r} != {config.direct_distance[r]!r})"
             )
 
-    gamma = config.pathloss_exponent
-    if not (is_number(gamma) and 0 <= gamma <= FLOAT_MAX):
-        raise ConfigError(f"pathloss_exponent must be a nonnegative finite number, got {gamma!r}")
+    check_numbers("pathloss_exponent", config.pathloss_exponent, "nonnegative", ConfigError)
     _link_gains(config)
     return config
 
@@ -223,22 +216,39 @@ def check_count(name: str, value, low: int, error: type[Exception] = ConfigError
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def check_numbers(name: str, value) -> None:
-    """Raise ValueError naming the first entry of value, a scalar or an array
-    of any depth, that is not a number as is_number decides (a bool or a
-    string is not) or is an int past the largest float.
-
-    An ndarray of ints or floats passes on its dtype alone; any other value,
-    a list say, is read entry by entry.
+def check_numbers(name: str, value, within=None, error: type[Exception] = ValueError) -> None:
+    """Raise error naming the first entry of value, a number or a nested list,
+    tuple or array of them, that is not a number (a bool or a string is not)
+    in the range within: None, "finite", "nonnegative" or "positive". Each
+    ends at the largest float, so holds no NaN or inf; None holds any float
+    and any int that fits one. A numeric ndarray passes on its dtype, or on
+    one vectorized test in a range, and a number in range on two comparisons;
+    any other value, a ragged list too, is read entry by entry.
     """
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        return
-    for index, entry in np.ndenumerate(np.asarray(value, dtype=object)):
-        at = "".join(f"[{i}]" for i in index)
-        if not is_number(entry):
-            raise ValueError(f"{name}{at} must be a number, got {entry!r}")
-        if is_integer(entry) and abs(entry) > FLOAT_MAX:
-            raise ValueError(f"{name}{at} is too large for a float, got {entry!r}")
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iuf" and (within is None or _in_range(value, within).all()):
+            return
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        if all(is_number(v) and _in_range(v, within) for v in value):
+            return  # a flat list in range, read with no index
+        for i, entry in enumerate(value):
+            check_numbers(f"{name}[{i}]", entry, within, error)
+    elif not (is_number(value) and _in_range(value, within)):
+        if within is None and is_number(value):
+            raise error(f"{name} is too large for a float, got {value!r}")
+        words = {None: "", "finite": "finite "}.get(within, f"{within} finite ")
+        raise error(f"{name} must be a {words}number, got {value!r}")
+
+
+def _in_range(value, within):
+    """Whether a number, or each entry of a numeric array, is in the range
+    within; with none, whether a number fits a float."""
+    if within is None:
+        return isinstance(value, (float, np.floating)) or abs(value) <= FLOAT_MAX
+    high = _FLOAT64_MAX if isinstance(value, (np.ndarray, np.generic)) else FLOAT_MAX
+    low = -high if within == "finite" else 0
+    return (value > low if within == "positive" else value >= low) & (value <= high)
 
 
 # What the configs of one stack must share: all that a rotation reads

@@ -125,12 +125,11 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     Every input is checked here, then _fill does the arithmetic.
 
     Raises:
-        ValueError: on a floor or budget entry that is not a number (a bool
-            or a string is not) or an int past the largest float, naming it
-            (netmodel.check_numbers); on an empty floor array, a budget
-            that is neither a scalar nor one entry per row, a NaN or negative
-            floor, a row without a finite floor, a non-positive budget, or a
-            water level past the largest float, naming the overflow.
+        ValueError: naming a floor or budget entry that netmodel.check_numbers
+            refuses, a budget entry held to "positive"; on an empty floor
+            array, a budget that is neither a scalar nor one entry per row, a
+            NaN or negative floor, a row without a finite floor, or a water
+            level past the largest float, naming the overflow.
     """
     check_numbers("floors", floors)
     c = np.asarray(floors, dtype=float)
@@ -148,10 +147,7 @@ def water_level(floors: np.ndarray, budget: float | np.ndarray) -> WaterfillResu
     lowest, highest = order[:, 0].tolist(), sum(order[:, -1].tolist())
     if not (0 <= min(lowest) and max(lowest) < np.inf and highest == highest):
         raise ValueError("floors must be nonnegative, with a finite floor in every row")
-    budgets = b.ravel().tolist()
-    total = sum(budgets)
-    if not (0 < min(budgets) and max(budgets) < np.inf and total == total):
-        raise ValueError(f"budget must be positive and finite, got {budget!r}")
+    check_numbers("budget", budget, "positive")
     # a row whose budget plus finite floors passes the largest float would
     # have inf prefix levels, which the minimum passes over; its floors and
     # budget are scaled by 2**-k <= 1/(S + 1), exactly, and the other rows by

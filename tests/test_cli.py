@@ -422,7 +422,7 @@ def test_channel_entries_must_be_finite_numbers(tmp_path, capsys, command, leaf)
     doc["channels"][1][0][0][0][0] = leaf
     assert main([command, "--config", write_config(tmp_path, doc), "--quiet"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: channels[1][0] entries must be finite numbers, got {leaf!r}"]
+    assert err == [f"error: channels[1][0][0][0][0] must be a finite number, got {leaf!r}"]
 
 
 @pytest.mark.parametrize("command", ["play", "certify"])
@@ -459,14 +459,14 @@ def test_an_int_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
         assert err == [f"error: power_budget[0] must be a positive finite number, got {10**400!r}"]
     # a sweep whose game_tol no float can hold used to run, every game
     # "converged" after one step
-    for key, bound in (("game_tol", "positive"), ("agreement_tol", "nonnegative")):
+    for key in ("game_tol", "agreement_tol"):
         doc = json.dumps({**TINY_SWEEP, key: 1}).replace(f'"{key}": 1', f'"{key}": 1' + "0" * 400)
         path.write_text(doc)
         out = tmp_path / "sweep.csv"
         argv = ["sweep-uniqueness", "--config", str(path), "--out", str(out), "--quiet"]
         assert main(argv) == 1 and not out.exists()
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {key} must be {bound} and finite, got {10**400!r}"]
+        assert err == [f"error: {key} is too large for a float, got {10**400!r}"]
 
 
 @pytest.mark.parametrize("command", ["play", "certify", "sweep-uniqueness", "sweep-sumrate"])

@@ -227,10 +227,10 @@ FLOOR_MESSAGE = "floors must be nonnegative, with a finite floor in every row"
 @pytest.mark.parametrize(
     "floors, budget, message",
     [
-        (np.array([1.0, 2.0]), np.inf, "budget must be positive and finite, got inf"),
-        (np.array([[1.0, 2.0], [0.5, np.inf]]), np.array([1.0, np.inf]), "budget must be"),
-        (np.array([1.0, 2.0]), -1.0, "budget must be positive and finite, got -1.0"),
-        (np.array([[1.0, 2.0], [0.5, np.inf]]), np.array([1.0, -2.0]), "budget must be"),
+        (np.array([1.0, 2.0]), np.inf, "budget must be a positive finite number, got inf"),
+        (np.array([[1.0, 2.0], [0.5, np.inf]]), np.array([1.0, np.inf]), "budget[1] must be"),
+        (np.array([1.0, 2.0]), -1.0, "budget must be a positive finite number, got -1.0"),
+        (np.array([[1.0, 2.0], [0.5, np.inf]]), np.array([1.0, -2.0]), "budget[1] must be"),
         # the NaN sits where water-filling would put no power
         (np.array([0.1, 5.0, np.nan]), 1.0, FLOOR_MESSAGE),
         (np.array([[0.1, 5.0, np.nan], [0.5, 1.0, np.inf]]), np.array([1.0, 1.0]), FLOOR_MESSAGE),
@@ -594,10 +594,11 @@ def test_each_bad_floor_row_gives_the_floor_message_alone_and_in_a_batch(row):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -2.0])
 def test_each_bad_budget_gives_the_budget_message_alone_and_in_a_batch(bad):
-    assert _error_message(np.array([1.0, 2.0]), bad) == f"budget must be positive and finite, got {bad!r}"
+    message = "budget{} must be a positive finite number, got " + repr(bad)
+    assert _error_message(np.array([1.0, 2.0]), bad) == message.format("")
     floors = np.array([[1.0, 2.0], [0.5, np.inf]])
-    for budgets in (np.array([1.0, bad]), np.array([bad, 1.0]), np.array(bad)):
-        assert _error_message(floors, budgets) == f"budget must be positive and finite, got {budgets!r}"
+    for budgets, at in (([1.0, bad], "[1]"), ([bad, 1.0], "[0]"), (bad, "")):
+        assert _error_message(floors, np.array(budgets)) == message.format(at)
 
 
 @pytest.mark.parametrize(
