@@ -17,6 +17,7 @@ from .precode import EffectiveNetwork
 from .waterfill import (
     PowerProfile,
     best_responses,
+    profile_vector,
     stream_floors,
     uniform_profile,
     user_rates,
@@ -390,9 +391,11 @@ def run_game(
 def check_nash(net: EffectiveNetwork, x: np.ndarray) -> float:
     """Largest distance of any user's power in x from its own best response.
 
-    The checked verifier: the responses come from water_level, with every
-    input check, where a game step runs the unchecked core.
+    The checked verifier: x goes through profile_vector, and the responses
+    come from water_level, with every input check, where a game step runs
+    the unchecked core.
     """
+    x = profile_vector(x, net.config)
     layout = net.config.layout
     response = water_level(stream_floors(net, x), layout.budget).powers
     return float(np.abs(x - response.take(layout.antenna_slots)).max())

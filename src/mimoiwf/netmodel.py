@@ -433,9 +433,16 @@ def sample_channels(
     for a single seed), as for stack_configs; each draw is scaled by its own
     config's attenuation. No seeds and an empty list of configs give an
     empty stack with no antennas.
+
+    Raises:
+        ValueError: naming a seed that is neither a Generator nor an integer
+            (a bool is not) >= 0, such as seed[1]; and as stack_configs does.
     """
     stacked = np.ndim(seed) == 1
     seeds = list(seed) if stacked else [seed]
+    for k, s in enumerate(seeds):
+        if not isinstance(s, np.random.Generator):
+            check_count(f"seed[{k}]" if stacked else "seed", s, 0, ValueError)
     configs = stack_configs(config, len(seeds))
     base = configs[0] if configs else config  # an empty stack of one config
     if not isinstance(base, NetworkConfig):  # no draws and no config: no antennas either

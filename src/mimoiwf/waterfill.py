@@ -46,19 +46,28 @@ def validate_profile(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
     which absorbs the rounding of a split that sums to it. The error names
     the first offending entry or user. Returns x unchanged.
     """
-    layout = config.layout
-    n = layout.offsets[-1]
-    if np.shape(x) != (n,):
-        raise ValueError(f"profile has shape {np.shape(x)}, expected ({n},)")
-    check_numbers("profile", x)
-    lows = np.minimum.reduceat(x, layout.starts).tolist()
-    sums = np.add.reduceat(x, layout.starts).tolist()
+    starts = config.layout.starts
+    powers = profile_vector(x, config)
+    lows = np.minimum.reduceat(powers, starts).tolist()
+    sums = np.add.reduceat(powers, starts).tolist()
     for q, budget in enumerate(config.power_budget):
         if not lows[q] >= 0:  # also true for a NaN
             raise ValueError(f"user {q} has a negative or NaN power entry")
         if sums[q] > budget + BUDGET_TOL * max(1.0, budget):
             raise ValueError(f"user {q} exceeds its power budget: {sums[q]!r} > {budget!r}")
     return x
+
+
+def profile_vector(x, config: NetworkConfig) -> np.ndarray:
+    """x, a list or an array, as a float array once it is checked to hold one
+    number per transmit antenna (netmodel.check_numbers), naming the first
+    entry refused. Signs and budgets are validate_profile's: a game's last
+    state, whose rates and Nash gap are read, may pass a budget by rounding."""
+    n = config.layout.offsets[-1]
+    if np.shape(x) != (n,):
+        raise ValueError(f"profile has shape {np.shape(x)}, expected ({n},)")
+    check_numbers("profile", x)
+    return np.asarray(x, dtype=float)
 
 
 def uniform_profile(config: NetworkConfig) -> np.ndarray:
@@ -203,7 +212,8 @@ def best_responses(net: EffectiveNetwork, views: np.ndarray) -> np.ndarray:
 
 
 def user_rates(net: EffectiveNetwork, x: np.ndarray) -> np.ndarray:
-    """Rate of every user at a stacked power vector x, as a (Q,) array."""
+    """Rate of every user at a stacked power vector x (profile_vector), as a (Q,) array."""
+    x = profile_vector(x, net.config)
     floors = stream_floors(net, x)
     p = np.zeros(floors.shape)
     p.put(net.config.layout.antenna_slots, x)

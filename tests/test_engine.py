@@ -26,6 +26,7 @@ from mimoiwf.waterfill import (
     greedy_profile,
     random_profile,
     stream_floors,
+    sum_rate,
     uniform_profile,
     user_rates,
 )
@@ -1014,3 +1015,23 @@ def test_trace_write_failure_names_path(tmp_path):
     missing = tmp_path / "nope" / "trace.csv"
     with pytest.raises(OSError, match=r"^cannot write game trace to '.*nope.*trace\.csv': "):
         trace_to_csv(trace, str(missing))
+
+
+def test_rates_and_the_nash_gap_take_a_profile_as_run_game_does():
+    net = random_net(3)
+    x = run_game(net, make_schedule("jacobi", 4)).states[-1]
+    # a list is a profile, read as its array
+    assert sum_rate(net, x.tolist()) == sum_rate(net, x)
+    assert user_rates(net, x.tolist()).tobytes() == user_rates(net, x).tobytes()
+    assert check_nash(net, x.tolist()) == check_nash(net, x)
+    # the budget is not checked: a last state may pass it by rounding
+    assert sum_rate(net, 2 * uniform_profile(net.config)) > 0
+    for bad, message in (
+        ([1.0] * 7, r"profile has shape \(7,\), expected \(8,\)"),
+        (np.ones((1, 8)), r"profile has shape \(1, 8\), expected \(8,\)"),
+        (np.array([True, False] * 4), r"profile\[0\] must be a number, got True"),
+        (["1"] * 8, r"profile\[0\] must be a number, got '1'"),
+    ):
+        for f in (sum_rate, user_rates, check_nash):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                f(net, bad)

@@ -256,7 +256,7 @@ def test_pathloss_values():
     assert gain[0, 1] == gain[1, 0] == pytest.approx(2.0**-2.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("distance", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("distance", [0.0, -1.0, float("nan"), np.float32(np.inf)])
 def test_pathloss_rejects_bad_distance(distance):
     # a config is the one source of path-loss gains; it names the bad link
     with pytest.raises(ConfigError, match=r"direct_distance\[0\] must be a positive finite"):
@@ -552,7 +552,7 @@ def test_seed_words_refuse_what_numpy_refuses():
         seed_words([(0, 1.5)], 4)
     with pytest.raises(ValueError, match="one length"):
         seed_words([(0, 1), (0, 1, 2)], 4)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
         sample_channels(small_config(), -1)
     assert seed_words([], 3).shape == (0, 3)
 
@@ -610,10 +610,78 @@ def test_a_generator_seed_draws_what_its_int_seed_draws():
 
 def test_a_numeric_array_passes_on_its_dtype_alone(monkeypatch):
     # the sweep's starts and every coupling are float arrays: no entry is read
-    monkeypatch.setattr(np, "ndenumerate", None)
+    monkeypatch.setattr(netmodel, "is_number", None)
     for x in (np.arange(4.0), np.ones((2, 3), dtype=np.float32), np.arange(3, dtype=np.uint8)):
         check_numbers("x", x)
     monkeypatch.undo()
     for value in (True, [1.0, True], np.array([1.0, True], dtype=object), np.array([1j])):
         with pytest.raises(ValueError, match=r"^x(\[\d\])? must be a number, got "):
             check_numbers("x", value)
+
+
+def test_a_numeric_array_in_range_reads_no_entry(monkeypatch):
+    # an array in range passes on one vectorized test, no entry read
+    monkeypatch.setattr(netmodel, "is_number", None)
+    for within in ("finite", "nonnegative", "positive"):
+        for x in (np.arange(1.0, 5.0), np.ones((2, 0)), np.array([1, 2], dtype=np.uint64)):
+            check_numbers("x", x, within)
+    monkeypatch.undo()
+    for within in ("finite", "nonnegative", "positive"):
+        for x in (1, 2.5, np.int64(3), np.float32(0.5), [1, (2.0, np.float16(3))]):
+            check_numbers("x", x, within)
+    # a float32 is compared in float64: its inf is out of every range
+    for x in (np.float32(np.inf), np.array([1.0, np.inf], dtype=np.float32), [np.float16(-np.inf)]):
+        with pytest.raises(ValueError, match="must be a finite number, got "):
+            check_numbers("x", x, "finite")
+
+
+@pytest.mark.parametrize(
+    "value, within, message",
+    [
+        (-0.0, "positive", "x must be a positive finite number, got -0.0"),
+        (0, "nonnegative", None),
+        (float("nan"), "finite", "x must be a finite number, got nan"),
+        (10**400, "finite", f"x must be a finite number, got {10**400!r}"),
+        (10**400, None, f"x is too large for a float, got {10**400!r}"),
+        (True, "positive", "x must be a positive finite number, got True"),
+        (True, None, "x must be a number, got True"),
+        ("1", "nonnegative", "x must be a nonnegative finite number, got '1'"),
+        ([[1.0, 2.0], [3.0, -1.0]], "nonnegative", "x[1][1] must be a nonnegative finite number, got -1.0"),
+        ((1.0, (2.0, float("inf"))), "finite", "x[1][1] must be a finite number, got inf"),
+        (np.array([[1.0, 2.0], [-np.inf, 1.0]]), "finite", "x[1][0] must be a finite number, got -inf"),
+        (np.array([3, 0]), "positive", "x[1] must be a positive finite number, got 0"),
+        # a ragged list is read to its entries; its shape is the caller's
+        ([[1.0], [2.0, 3.0]], "positive", None),
+        ([[1.0], [2.0, "3"]], None, "x[1][1] must be a number, got '3'"),
+        (float("inf"), None, None),
+    ],
+)
+def test_check_numbers_names_the_first_entry_out_of_range(value, within, message):
+    if message is None:
+        check_numbers("x", value, within)
+        return
+    with pytest.raises(ConfigError) as err:
+        check_numbers("x", value, within, ConfigError)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (True, "seed must be an integer >= 0, got True"),
+        (2.0, "seed must be an integer >= 0, got 2.0"),
+        (-1, "seed must be an integer >= 0, got -1"),
+        ("3", "seed must be an integer >= 0, got '3'"),
+        ([True, 1], "seed[0] must be an integer >= 0, got True"),
+        ([1, 2.0], "seed[1] must be an integer >= 0, got 2.0"),
+    ],
+)
+def test_a_seed_that_is_not_a_count_is_named(seed, message):
+    # True and [True, 1] used to draw seed 1's stream, and 2.0 escaped as
+    # numpy's TypeError
+    with pytest.raises(ValueError) as err:
+        sample_channels(small_config(), seed)
+    assert str(err.value) == message
+    # a Generator is not checked, and numpy's integers are seeds
+    mixed = sample_channels(small_config(), [np.random.default_rng(1), np.uint64(2)])
+    assert mixed.links.tobytes() == sample_channels(small_config(), [1, 2]).links.tobytes()

@@ -4,6 +4,7 @@ Every test is derandomized, with a fixed example count and no example
 database, so every run tests the same examples.
 """
 import dataclasses
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from mimoiwf.contraction import SPECTRAL_TOL, certify, spectral_radius
 from mimoiwf.engine import make_schedule, run_game
-from mimoiwf.netmodel import NetworkConfig, sample_channels
+from mimoiwf.netmodel import FLOAT_MAX, NetworkConfig, check_numbers, sample_channels
 from mimoiwf.precode import DegenerateChannelError, build_effective_network
 from mimoiwf.waterfill import greedy_profile, random_profile, water_level
 
@@ -146,3 +147,43 @@ def test_games_at_budget_and_noise_times_two_to_the_k_are_the_unscaled_games_tim
         states = run_game(net, schedule, start, tol=0).states
         scaled_states = run_game(scaled, schedule, scaled_start, tol=0).states
         np.testing.assert_array_equal(scaled_states, np.ldexp(states, k))
+
+
+# NaN, both infinities and zeros, the least subnormal, the least and a
+# middle normal, and both largest floats
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+EDGE_FLOATS += [1e-310, -1e-310, FLOAT_MAX, -FLOAT_MAX]
+
+
+@st.composite
+def float_arrays(draw):
+    """A float64 array of 0 to 3 dimensions of 0 to 3 entries each, its
+    entries edge floats or any float."""
+    shape = draw(st.lists(st.integers(0, 3), max_size=3))
+    entries = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+    size = math.prod(shape)
+    return np.array(draw(st.lists(entries, min_size=size, max_size=size))).reshape(shape)
+
+
+def _refusal(value, within):
+    try:
+        check_numbers("x", value, within)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY
+@given(float_arrays(), st.sampled_from([None, "finite", "nonnegative", "positive"]))
+def test_an_array_is_checked_as_its_list_is(array, within):
+    # the ndarray fast path against the entry-by-entry path, message and all
+    refusal = _refusal(array, within)
+    assert refusal == _refusal(array.tolist(), within)
+    finite = np.isfinite(array)
+    held = {
+        None: np.ones_like(finite),
+        "finite": finite,
+        "nonnegative": finite & (array >= 0),
+        "positive": finite & (array > 0),
+    }[within]
+    assert (refusal is None) == bool(held.all()), (array, within, refusal)
