@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .netmodel import check_count, check_numbers, is_integer
+from .netmodel import check_count, check_number, is_integer
 from .precode import EffectiveNetwork
 from .waterfill import (
     PowerProfile,
@@ -330,7 +330,7 @@ def run_game(
     too large for a float makes it inf or NaN.
 
     Raises:
-        ValueError: on a tol that check_numbers refuses as "nonnegative",
+        ValueError: on a tol that check_number refuses as "nonnegative",
             naming it; on an infeasible start; or at a step whose residual is
             not finite, naming the float overflow.
         ScheduleError: on a schedule for another number of users, or on a
@@ -339,7 +339,7 @@ def run_game(
     cfg = net.config
     if schedule.num_users != cfg.num_users:
         raise ScheduleError(f"schedule for {schedule.num_users} users, network of {cfg.num_users}")
-    check_numbers("tol", tol, "nonnegative")
+    check_number("tol", tol, "nonnegative")
     start = uniform_profile(cfg) if start is None else validate_profile(start, cfg)
 
     # history[lead + n] is the stacked state after step n, behind lead copies

@@ -15,7 +15,7 @@ import numpy as np
 
 from .contraction import certify
 from .engine import DEFAULT_IT_MAX, DEFAULT_TOL, SCHEDULE_KINDS, Schedule, make_schedule, run_game
-from .netmodel import ConfigError, NetworkConfig, check_count, check_numbers
+from .netmodel import ConfigError, NetworkConfig, check_count, check_number
 from .netmodel import default_rngs, sample_channels, seed_words
 from .precode import build_effective_network
 from .waterfill import greedy_profile, split_budgets, sum_rate
@@ -159,12 +159,13 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         if f.type == "int":
             check_count(f.name, value, 0 if f.name in ("delay_bound", "base_seed") else 1)
         elif f.type == "float":
-            check_numbers(f.name, value, error=ConfigError)
-    check_numbers("sweep_values", spec.sweep_values, error=ConfigError)
+            check_number(f.name, value, error=ConfigError)
+    for k, v in enumerate(spec.sweep_values):
+        check_number(f"sweep_values[{k}]", v, error=ConfigError)
     if any(b <= a for a, b in zip(spec.sweep_values, spec.sweep_values[1:])):
         raise ConfigError("sweep_values must be strictly increasing")
-    check_numbers("game_tol", spec.game_tol, "positive", ConfigError)
-    check_numbers("agreement_tol", spec.agreement_tol, "nonnegative", ConfigError)
+    check_number("game_tol", spec.game_tol, "positive", ConfigError)
+    check_number("agreement_tol", spec.agreement_tol, "nonnegative", ConfigError)
     if spec.schedule not in SCHEDULE_KINDS:
         raise ConfigError(f"schedule must be one of {SCHEDULE_KINDS}, got {spec.schedule!r}")
     spec.points  # builds and checks the network of every sweep point

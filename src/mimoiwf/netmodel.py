@@ -156,7 +156,8 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
             check_count(f"{name}[{k}]", v, 1)
 
     for name in ("power_budget", "noise_power", "direct_distance"):
-        check_numbers(name, getattr(config, name), "positive", ConfigError)
+        for k, v in enumerate(getattr(config, name)):
+            check_number(f"{name}[{k}]", v, "positive", ConfigError)
 
     cross = config.cross_distance
     if len(cross) != q_count:
@@ -164,14 +165,15 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
     for r, row in enumerate(cross):
         if len(row) != q_count:
             raise ConfigError(f"cross_distance[{r}] must have length {q_count}")
-        check_numbers(f"cross_distance[{r}]", row, "positive", ConfigError)
+        for q, d in enumerate(row):
+            check_number(f"cross_distance[{r}][{q}]", d, "positive", ConfigError)
         if row[r] != config.direct_distance[r]:
             raise ConfigError(
                 f"cross_distance[{r}][{r}] must equal direct_distance[{r}] "
                 f"({row[r]!r} != {config.direct_distance[r]!r})"
             )
 
-    check_numbers("pathloss_exponent", config.pathloss_exponent, "nonnegative", ConfigError)
+    check_number("pathloss_exponent", config.pathloss_exponent, "nonnegative", ConfigError)
     _link_gains(config)
     return config
 
@@ -216,29 +218,35 @@ def check_count(name: str, value, low: int, error: type[Exception] = ConfigError
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_number(name: str, value, within=None, error: type[Exception] = ValueError) -> None:
+    """Raise error naming value unless it is one number (a bool, a string or
+    a list is not) in the range within: None, "finite", "nonnegative" or
+    "positive". Each range ends at the largest float, so holds no NaN or
+    inf; None holds any float and any int that fits one. A number in range
+    passes on plain comparisons.
+    """
+    if not (is_number(value) and _in_range(value, within)):
+        if within is None and is_number(value):
+            raise error(f"{name} is too large for a float, got {value!r}")
+        words = {None: "", "finite": "finite "}.get(within, f"{within} finite ")
+        raise error(f"{name} must be a {words}number, got {value!r}")
+
+
 def check_numbers(name: str, value, within=None, error: type[Exception] = ValueError) -> None:
-    """Raise error naming the first entry of value, a number or a nested list,
-    tuple or array of them, that is not a number (a bool or a string is not)
-    in the range within: None, "finite", "nonnegative" or "positive". Each
-    ends at the largest float, so holds no NaN or inf; None holds any float
-    and any int that fits one. A numeric ndarray passes on its dtype, or on
-    one vectorized test in a range, and a number in range on two comparisons;
-    any other value, a ragged list too, is read entry by entry.
+    """check_number on value, a number or a nested list, tuple or array of
+    them, entry by entry, naming the first it refuses, such as x[1][0]. A
+    numeric ndarray passes on its dtype, or on one vectorized test in a
+    range; any other value, a ragged list too, is read entry by entry.
     """
     if isinstance(value, np.ndarray):
         if value.dtype.kind in "iuf" and (within is None or _in_range(value, within).all()):
             return
         value = value.tolist()
     if isinstance(value, (list, tuple)):
-        if all(is_number(v) and _in_range(v, within) for v in value):
-            return  # a flat list in range, read with no index
         for i, entry in enumerate(value):
             check_numbers(f"{name}[{i}]", entry, within, error)
-    elif not (is_number(value) and _in_range(value, within)):
-        if within is None and is_number(value):
-            raise error(f"{name} is too large for a float, got {value!r}")
-        words = {None: "", "finite": "finite "}.get(within, f"{within} finite ")
-        raise error(f"{name} must be a {words}number, got {value!r}")
+    else:
+        check_number(name, value, within, error)
 
 
 def _in_range(value, within):

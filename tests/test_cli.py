@@ -469,6 +469,20 @@ def test_an_int_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
         assert err == [f"error: {key} is too large for a float, got {10**400!r}"]
 
 
+def test_a_list_where_one_number_goes_is_one_error_line(tmp_path, capsys):
+    # a list passed as its entries and ended in a TypeError traceback
+    path = write_config(tmp_path, {**RANDOM_NET, "pathloss_exponent": [2.5]})
+    for command in ("certify", "play"):
+        assert main([command, "--config", path, "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: pathloss_exponent must be a nonnegative finite number, got [2.5]"]
+    path = write_config(tmp_path, {**TINY_SWEEP, "game_tol": [0.001]}, "sweep.json")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-uniqueness", "--config", path, "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: game_tol must be a number, got [0.001]"]
+
+
 @pytest.mark.parametrize("command", ["play", "certify", "sweep-uniqueness", "sweep-sumrate"])
 @pytest.mark.parametrize(
     "fields, link",

@@ -957,11 +957,15 @@ def test_only_a_given_start_is_checked(monkeypatch):
             run_game(net, make_schedule("jacobi", 4), bad)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -0.5e-300, True, "1e-6", None])
+@pytest.mark.parametrize(
+    "tol", [float("nan"), -1.0, float("inf"), -0.5e-300, True, "1e-6", None, [0.1], [], np.ones(1)]
+)
 def test_a_tol_that_is_not_a_nonnegative_finite_number_is_named(tol):
+    # a list or an array is not one number, even when its entries are
     net = random_net(3)
-    with pytest.raises(ValueError, match=r"^tol must be a nonnegative finite number, got "):
+    with pytest.raises(ValueError) as err:
         run_game(net, make_schedule("jacobi", 4), tol=tol)
+    assert str(err.value) == f"tol must be a nonnegative finite number, got {tol!r}"
 
 
 def test_tol_zero_plays_to_it_max_and_any_finite_number_is_a_tol():

@@ -128,6 +128,10 @@ def test_numpy_integer_counts_sweep_like_ints():
         ({"game_tol": True}, "game_tol must be a number, got True"),
         ({"interference_ratio_db": None}, "interference_ratio_db must be a number, got None"),
         ({"sweep_values": ("15",)}, r"sweep_values\[0\] must be a number, got '15'"),
+        ({"sweep_values": ([15.0],)}, r"sweep_values\[0\] must be a number, got \[15.0\]$"),
+        ({"game_tol": [1e-3]}, r"game_tol must be a number, got \[0.001\]$"),
+        ({"game_tol": []}, r"game_tol must be a number, got \[\]$"),
+        ({"agreement_tol": (0.0,)}, r"agreement_tol must be a number, got \(0.0,\)$"),
         (
             {"sweep_variable": "power_budget_db", "direct_distance": "15"},
             "direct_distance must be a number, got '15'",
@@ -140,6 +144,10 @@ def test_numpy_integer_counts_sweep_like_ints():
         "bool_tol",
         "no_ratio",
         "string_point",
+        "list_point",
+        "list_tol",
+        "empty_tol",
+        "tuple_agreement",
         "string_distance",
     ],
 )

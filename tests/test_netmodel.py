@@ -282,6 +282,41 @@ def test_pathloss_refuses_non_numbers(bad):
     assert str(err.value) == f"pathloss_exponent must be a nonnegative finite number, got {bad!r}"
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"pathloss_exponent": [2.5]}, "pathloss_exponent must be a nonnegative finite number, got [2.5]"),
+        ({"pathloss_exponent": ()}, "pathloss_exponent must be a nonnegative finite number, got ()"),
+        ({"power_budget": [[1.0], 1.0]}, "power_budget[0] must be a positive finite number, got [1.0]"),
+        (
+            {"power_budget": np.ones((2, 1))},
+            "power_budget[0] must be a positive finite number, got array([1.])",
+        ),
+        ({"noise_power": [1.0, []]}, "noise_power[1] must be a positive finite number, got []"),
+        (
+            {"cross_distance": [[15.0, [40.0]], [40.0, 15.0]]},
+            "cross_distance[0][1] must be a positive finite number, got [40.0]",
+        ),
+    ],
+    ids=["list_exponent", "empty_exponent", "nested_budget", "2d_budget", "empty_noise", "nested_cross"],
+)
+def test_a_one_number_entry_refuses_a_list(fields, message):
+    # each entry of a per-user field, each cross distance and the exponent is one number
+    base = {
+        "num_users": 2,
+        "tx_antennas": 2,
+        "rx_antennas": 2,
+        "power_budget": 10.0,
+        "noise_power": 1.0,
+        "direct_distance": 15.0,
+        "cross_distance": 40.0,
+        "pathloss_exponent": 2.5,
+    }
+    with pytest.raises(ConfigError) as err:
+        NetworkConfig(**{**base, **fields})
+    assert str(err.value) == message
+
+
 def test_sample_shapes_and_immutability():
     cfg = NetworkConfig(
         num_users=2,
