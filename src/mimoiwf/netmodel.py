@@ -219,12 +219,10 @@ def check_count(name: str, value, low: int, error: type[Exception] = ConfigError
 
 
 def check_number(name: str, value, within=None, error: type[Exception] = ValueError) -> None:
-    """Raise error naming value unless it is one number (a bool, a string or
-    a list is not) in the range within: None, "finite", "nonnegative" or
-    "positive". Each range ends at the largest float, so holds no NaN or
-    inf; None holds any float and any int that fits one. A number in range
-    passes on plain comparisons.
-    """
+    """Raise error naming value unless it is one number (a bool, a string or a
+    list is not) in the range within: None, "finite", "nonnegative" or
+    "positive", each ending at the largest float; None holds any float and
+    any int that fits one."""
     if not (is_number(value) and _in_range(value, within)):
         if within is None and is_number(value):
             raise error(f"{name} is too large for a float, got {value!r}")
@@ -233,11 +231,9 @@ def check_number(name: str, value, within=None, error: type[Exception] = ValueEr
 
 
 def check_numbers(name: str, value, within=None, error: type[Exception] = ValueError) -> None:
-    """check_number on value, a number or a nested list, tuple or array of
-    them, entry by entry, naming the first it refuses, such as x[1][0]. A
-    numeric ndarray passes on its dtype, or on one vectorized test in a
-    range; any other value, a ragged list too, is read entry by entry.
-    """
+    """check_number on each entry of value, a number or a nested list, tuple
+    or array of them, named as x[1][0]; a numeric ndarray passes on its
+    dtype, or on one vectorized test in a range."""
     if isinstance(value, np.ndarray):
         if value.dtype.kind in "iuf" and (within is None or _in_range(value, within).all()):
             return
